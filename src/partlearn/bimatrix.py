@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cdgbs import GbsConfig, cd_gbs_adversarial
-from .coverage import simplex_lattice
+from .coverage import simplex_lattice, unit_step
 from .crgbs import CrConfig, cr_gbs
 from .geometry import corner_simplex_vertices
 from .labelling import EmpiricalLabelling
@@ -259,7 +259,7 @@ def verify_wsne(g: BimatrixGame, u, v, eps: float) -> WsneCertificate:
 
 @dataclass
 class SolveConfig:
-    grid_resolution: float | None = None   # default eps / 8
+    grid_resolution: float | None = None   # default eps / 8, rounded down to a step 1/K
     voronoi_slack: float | None = None     # default eps / 8
     support_mass: float = SUPPORT_MASS
     refine_rounds: int = 3
@@ -381,7 +381,8 @@ def solve_wsne(oracles: BrOracles, eps: float, cfg: SolveConfig | None = None) -
     row_lab = _learn_partition(oracles.row, dim_v, m, eps_r / 2.0, cfg.seed)
     col_lab = _learn_partition(oracles.column, dim_u, n, eps_c / 2.0, cfg.seed + 17)
 
-    delta = cfg.grid_resolution if cfg.grid_resolution is not None else eps / 8.0
+    # a step of 1/K keeps the pure profiles on the lattice
+    delta = unit_step(cfg.grid_resolution if cfg.grid_resolution is not None else eps / 8.0)
     sigma = cfg.voronoi_slack if cfg.voronoi_slack is not None else eps / 8.0
     theta = cfg.support_mass
 

@@ -12,19 +12,24 @@ Interval coverage inside the search is judged against the nearest labelled
 cross-sections bracketing the interval (the quantity the covered-interval
 counting argument is about); the public slice test on a labelling keeps the
 plain endpoint semantics.
+
+This module is the search core shared with the face-by-face search of
+``crgbs``: every lower-dimensional run (a cross-section or a face) is pulled
+back through one lift, suspect neighbourhoods are repaired by one routine,
+and every public entry finishes in one body that merges (adversarial) or
+checks (lexicographic) interior conflicts.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .coverage import SimplexSlab, slab_certificate_2d, verify_eps_net
-from .geometry import PointHull, convex_hull
+from .geometry import PointHull, convex_hull, section_map
 from .labelling import EmpiricalLabelling, interior_conflict, is_slice_covered
 from .predicates import ETA
 
@@ -66,9 +71,6 @@ class GbsConfig:
         if self.fix_attempt_cap is None:
             self.fix_attempt_cap = self.uncovered_cap
 
-    def sub_eps(self, t: float) -> float:
-        return sub_eps(self.eps, self.m, self.n, t)
-
 
 @dataclass(frozen=True)
 class DyadicInterval:
@@ -96,6 +98,13 @@ class DyadicInterval:
 
 @dataclass
 class RunStats:
+    """Counters of one cd_gbs, cd_gbs_adversarial or cr_gbs run.
+
+    ``per_level_uncovered`` and ``suspects`` describe the top-level dyadic
+    search; ``face_queries`` maps each face's vertex subset to its queries
+    and ``fallback`` says cr_gbs ran the dimension recursion directly.
+    """
+
     queries: int = 0
     recursions: int = 0
     fixes: int = 0
@@ -104,7 +113,8 @@ class RunStats:
     halted_cap: bool = False
     conflict_flag: bool = False
     suspects: list = field(default_factory=list)
-    wall_ms: float = 0.0
+    face_queries: dict = field(default_factory=dict)
+    fallback: bool = False
 
 
 class _RunOutput:
@@ -158,6 +168,15 @@ def _binary_search_1d(eps: float, query, n: int) -> _RunOutput:
     return _RunOutput(out, flagged)
 
 
+def _by_label(nets) -> dict:
+    """Point arrays of several nets ({label: array}), grouped by label."""
+    out = {}
+    for net in nets:
+        for lbl, pts in net.items():
+            out.setdefault(lbl, []).append(pts)
+    return out
+
+
 def _compress_labelwise(points: dict, m: int) -> dict:
     """Shrink each label's point set to its hull vertices (hulls unchanged)."""
     out = {}
@@ -195,30 +214,8 @@ class _Search:
 
     def recurse(self, t: float) -> None:
         """Learn the cross-section at t and pull its points back."""
-        self.stats.recursions += 1
-        se = sub_eps(self.eps, self.m, self.n, t)
-        scale = 1.0 - t
-
-        if self.m - 1 == 0:
-            lbl = self.query(np.array([t]))
-            self._add_net(t, {lbl: np.array([[t]])})
-            return
-
-        def sub_query(z):
-            x = np.empty(self.m)
-            x[0] = t
-            x[1:] = scale * z
-            return self.query(x)
-
-        res = _run(self.m - 1, self.n, se, sub_query, self.adversarial, self.stats)
-        net = {}
-        for lbl, blocks in res.points.items():
-            Z = np.vstack(blocks)
-            X = np.empty((Z.shape[0], self.m))
-            X[:, 0] = t
-            X[:, 1:] = scale * Z
-            net[lbl] = X
-        self._add_net(t, net)
+        res = _section(self.m, self.n, self.eps, t, self.query, self.adversarial, self.stats)
+        self._add_net(t, {lbl: blocks[0] for lbl, blocks in res.points.items()})
         if res.flagged and t not in self.suspects:
             self.suspects.append(t)
             if self.top:
@@ -240,11 +237,8 @@ class _Search:
         key = (t_l, t_r)
         hulls = self._bracket_hulls.get(key)
         if hulls is None:
-            merged = {}
-            for t in (t_l, t_r) if t_r > t_l else (t_l,):
-                for lbl, pts in self.nets[t].items():
-                    merged.setdefault(lbl, []).append(pts)
-            hulls = [PointHull(np.vstack(v)) for v in merged.values()]
+            nets = [self.nets[t] for t in ((t_l, t_r) if t_r > t_l else (t_l,))]
+            hulls = [PointHull(np.vstack(v)) for v in _by_label(nets).values()]
             self._bracket_hulls[key] = hulls
         report = verify_eps_net(SimplexSlab(self.m, a, b), hulls, self.eps)
         return report.is_close
@@ -282,40 +276,17 @@ class _Search:
         if not self.adversarial and self.suspects and not self.stats.halted_cap:
             self._fix_suspects()
 
-        points = {}
-        for t, net in self.nets.items():
-            for lbl, pts in net.items():
-                points.setdefault(lbl, []).append(pts)
+        points = _by_label(self.nets.values())
         return _RunOutput(_compress_labelwise(points, self.m), self.flagged)
 
     def _hulls(self) -> list:
-        merged = {}
-        for net in self.nets.values():
-            for lbl, pts in net.items():
-                merged.setdefault(lbl, []).append(pts)
-        return [PointHull(np.vstack(v)) for v in merged.values()]
+        return [PointHull(np.vstack(v)) for v in _by_label(self.nets.values()).values()]
 
     def _fix_suspects(self) -> None:
         """Repair neighbourhoods of recursion coordinates whose sub-run was
         flagged (the degenerate-section escape hatch), in this run's frame."""
         for x in list(self.suspects):
-            region = _ball_slab(x, self.eps, self.m)
-            offsets = _vdc_offsets(0)
-            tried = {x}
-            for _ in range(2 * self.cap):
-                if verify_eps_net(region, self._hulls(), self.eps).is_close:
-                    break
-                z = None
-                while z is None:
-                    cand = x + next(offsets) * self.eps / 2
-                    if 0.0 <= cand < 1.0 and cand not in tried:
-                        z = cand
-                tried.add(z)
-                self.stats.fixes += 1
-                self.recurse(z)
-            else:
-                if not verify_eps_net(region, self._hulls(), self.eps).is_close:
-                    raise RuntimeError("degenerate neighborhood exhausted")
+            _repair(x, self.eps, self.m, self.cap, 0, self._hulls, self.recurse, self.stats)
 
 
 def _run(m: int, n: int, eps: float, query, adversarial: bool, stats: RunStats,
@@ -327,6 +298,23 @@ def _run(m: int, n: int, eps: float, query, adversarial: bool, stats: RunStats,
         return _binary_search_1d(eps, query, n)
     cap = uncovered_cap(m, n)
     return _Search(m, n, eps, query, adversarial, cap, stats, top).run()
+
+
+def _lift(inv, dim: int, n: int, eps: float, query, adversarial: bool,
+          stats: RunStats) -> _RunOutput:
+    """Search the corner dim-simplex through ``inv`` (the inverse map of a
+    cross-section or a face) and pull every labelled point back with it."""
+    res = _run(dim, n, eps, lambda z: query(inv(z)), adversarial, stats)
+    return _RunOutput({lbl: [inv(np.vstack(blocks))] for lbl, blocks in res.points.items()},
+                      res.flagged)
+
+
+def _section(m: int, n: int, eps: float, t: float, query, adversarial: bool,
+             stats: RunStats) -> _RunOutput:
+    """One cross-section recursion at coordinate t, in the run's frame."""
+    stats.recursions += 1
+    return _lift(section_map(t, m).inverse, m - 1, n, sub_eps(eps, m, n, t), query,
+                 adversarial, stats)
 
 
 def _ball_slab(x: float, eps: float, m: int) -> SimplexSlab:
@@ -354,6 +342,38 @@ def _vdc_offsets(seed: int):
         k += 1
 
 
+def _repair(x: float, eps: float, m: int, cap: int, seed: int, hulls, recurse,
+            stats: RunStats) -> None:
+    """Cover the eps/2 ball slab around a recursion coordinate x.
+
+    While ``hulls()`` do not cover the slab, ``recurse`` at a fresh
+    coordinate from a seeded low-discrepancy sequence inside the ball;
+    raises after 2 * cap attempts (an inconsistent oracle).
+    """
+    region = _ball_slab(x, eps, m)
+    offsets = _vdc_offsets(seed)
+    tried = {x}
+    for _ in range(2 * cap):
+        if verify_eps_net(region, hulls(), eps).is_close:
+            return
+        z = None
+        while z is None:
+            cand = x + next(offsets) * eps / 2
+            if 0.0 <= cand < 1.0 and cand not in tried:
+                z = cand
+        tried.add(z)
+        stats.fixes += 1
+        recurse(z)
+    if not verify_eps_net(region, hulls(), eps).is_close:
+        raise RuntimeError("degenerate neighborhood exhausted")
+
+
+def _add_points(lab: EmpiricalLabelling, points: dict) -> None:
+    for lbl, blocks in points.items():
+        for b in blocks:
+            lab.add_block(b, lbl)
+
+
 def fix_uncovered_critical(lab: EmpiricalLabelling, x: float, cfg: GbsConfig, oracle,
                            stats: RunStats | None = None) -> EmpiricalLabelling:
     """Repair the neighbourhood of a recursion coordinate x.
@@ -363,95 +383,52 @@ def fix_uncovered_critical(lab: EmpiricalLabelling, x: float, cfg: GbsConfig, or
     class hulls; raises after the attempt cap (an inconsistent oracle).
     """
     stats = stats or RunStats()
-    region = _ball_slab(x, cfg.eps, cfg.m)
-    tried = set()
-    offsets = _vdc_offsets(cfg.seed)
-    for _ in range(2 * cfg.fix_attempt_cap):
-        if verify_eps_net(region, _global_hulls(lab), cfg.eps).is_close:
-            return lab
-        z = None
-        while z is None:
-            cand = x + next(offsets) * cfg.eps / 2
-            if 0.0 <= cand < 1.0 and cand not in tried and abs(cand - x) > ETA:
-                z = cand
-        tried.add(z)
-        stats.fixes += 1
-        res = _section_run(cfg, oracle, z, stats)
-        for lbl, blocks in res.points.items():
-            for b in blocks:
-                lab.add_block(b, lbl)
-    if verify_eps_net(region, _global_hulls(lab), cfg.eps).is_close:
-        return lab
-    raise RuntimeError("degenerate neighborhood exhausted")
+    adversarial = cfg.oracle_kind == "adversarial"
 
+    def recurse(z: float) -> None:
+        _add_points(lab, _section(cfg.m, cfg.n, cfg.eps, z, oracle, adversarial, stats).points)
 
-def _section_run(cfg: GbsConfig, oracle, t: float, stats: RunStats) -> _RunOutput:
-    """One cross-section recursion at coordinate t, in ambient coordinates."""
-    stats.recursions += 1
-    m = cfg.m
-    scale = 1.0 - t
-    if m - 1 == 0:
-        lbl = oracle(np.array([t]))
-        return _RunOutput({lbl: [np.array([[t]])]}, False)
-
-    def sub_query(z):
-        xx = np.empty(m)
-        xx[0] = t
-        xx[1:] = scale * z
-        return oracle(xx)
-
-    res = _run(m - 1, cfg.n, cfg.sub_eps(t), sub_query, cfg.oracle_kind == "adversarial", stats)
-    out = {}
-    for lbl, blocks in res.points.items():
-        Z = np.vstack(blocks)
-        X = np.empty((Z.shape[0], m))
-        X[:, 0] = t
-        X[:, 1:] = scale * Z
-        out[lbl] = [X]
-    return _RunOutput(out, res.flagged)
-
-
-def _assemble(points: dict, m: int, n: int) -> EmpiricalLabelling:
-    lab = EmpiricalLabelling(m, n)
-    for lbl, blocks in points.items():
-        for b in blocks:
-            lab.add_block(b, lbl)
+    _repair(x, cfg.eps, cfg.m, cfg.fix_attempt_cap, cfg.seed, lambda: _global_hulls(lab),
+            recurse, stats)
     return lab
+
+
+def _learn(m: int, n: int, oracle, adversarial: bool, fill) -> EmpiricalLabelling:
+    """The body of every public search: ``fill(lab, stats)`` queries and
+    stores the points, then interior conflicts are merged away (adversarial
+    oracle) or flagged (lexicographic oracle, where the assembly argument
+    says none can occur).  The labelling carries the run's ``stats``."""
+    stats = RunStats()
+    before = oracle.log.count
+    lab = EmpiricalLabelling(m, n)
+    fill(lab, stats)
+    if adversarial:
+        while (conflict := interior_conflict(lab)) is not None:
+            i, j, _ = conflict
+            lab.merge_labels(i, j)
+            stats.merges.append((min(i, j), max(i, j)))
+    else:
+        stats.conflict_flag = interior_conflict(lab) is not None
+    stats.queries = oracle.log.count - before
+    lab.stats = stats
+    return lab
+
+
+def _dyadic(cfg: GbsConfig, oracle, adversarial: bool) -> EmpiricalLabelling:
+    def fill(lab, stats):
+        _add_points(lab, _run(cfg.m, cfg.n, cfg.eps, oracle, adversarial, stats, top=True).points)
+
+    return _learn(cfg.m, cfg.n, oracle, adversarial, fill)
 
 
 def cd_gbs(cfg: GbsConfig, oracle) -> EmpiricalLabelling:
     """Lexicographic search; returns a labelling with a ``stats`` attribute."""
-    start = time.perf_counter()
-    stats = RunStats()
-    before = oracle.log.count
-    res = _run(cfg.m, cfg.n, cfg.eps, oracle, adversarial=False, stats=stats, top=True)
-    lab = _assemble(res.points, cfg.m, cfg.n)
-    if cfg.m >= 1 and interior_conflict(lab) is not None:
-        stats.conflict_flag = True
-    stats.queries = oracle.log.count - before
-    stats.wall_ms = (time.perf_counter() - start) * 1e3
-    lab.stats = stats
-    return lab
+    return _dyadic(cfg, oracle, adversarial=False)
 
 
 def cd_gbs_adversarial(cfg: GbsConfig, oracle) -> EmpiricalLabelling:
     """Adversarial search on an upper-envelope partition, with merging."""
-    start = time.perf_counter()
-    stats = RunStats()
-    before = oracle.log.count
-    res = _run(cfg.m, cfg.n, cfg.eps, oracle, adversarial=True, stats=stats, top=True)
-    lab = _assemble(res.points, cfg.m, cfg.n)
-    while True:
-        conflict = interior_conflict(lab)
-        if conflict is None:
-            break
-        i, j, _ = conflict
-        lab.merge_labels(i, j)
-        stats.merges.append((min(i, j), max(i, j)))
-    stats.queries = oracle.log.count - before
-    stats.wall_ms = (time.perf_counter() - start) * 1e3
-    lab.stats = stats
-    return lab
+    return _dyadic(cfg, oracle, adversarial=True)
 
 
 def uncovered_intervals(lab: EmpiricalLabelling, k: int, eps: float) -> list:

@@ -16,6 +16,7 @@ barycentric lattice.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -300,19 +301,32 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def simplex_lattice(d: int, spacing: float, max_points: int = 20_000_000) -> np.ndarray:
-    """Points of (spacing Z)^d inside the corner d-simplex, lex ordered.
+def unit_step(spacing: float) -> float:
+    """The largest step 1/K (K a positive integer) not above ``spacing``,
+    so that the lattice reaches the simplex's far facets."""
+    return 1.0 / math.ceil(1.0 / spacing - 1e-9)
 
-    Stars-and-bars: with K = floor(1/spacing) steps there are C(K+d, d)
-    points.
-    """
-    if d == 0:
-        return np.zeros((1, 0))
+
+def _lattice_steps(spacing: float) -> int:
     if spacing <= 0:
         raise ValueError("spacing must be positive")
-    K = int(np.floor(1.0 / spacing + 1e-12))
-    from math import comb
-    count = comb(K + d, d)
+    return int(np.floor(1.0 / spacing + 1e-12))
+
+
+def lattice_count(d: int, spacing: float) -> int:
+    """Points of simplex_lattice(d, spacing), without building it.
+
+    Stars-and-bars: with K = floor(1/spacing) steps there are C(K+d, d).
+    """
+    return math.comb(_lattice_steps(spacing) + d, d)
+
+
+def simplex_lattice(d: int, spacing: float, max_points: int = 20_000_000) -> np.ndarray:
+    """Points of (spacing Z)^d inside the corner d-simplex, lex ordered."""
+    if d == 0:
+        return np.zeros((1, 0))
+    K = _lattice_steps(spacing)
+    count = math.comb(K + d, d)
     if count > max_points:
         raise ValueError(f"lattice of {count} points exceeds the cap")
     if d <= 3:

@@ -13,14 +13,13 @@ search runs directly.
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-import numpy as np
-
-from .cdgbs import GbsConfig, RunStats, _run, cd_gbs, cd_gbs_adversarial
+from .cdgbs import GbsConfig, _add_points, _learn, _lift, cd_gbs, cd_gbs_adversarial
 from .geometry import enumerate_k_faces
-from .labelling import EmpiricalLabelling, interior_conflict
+# interior_conflict stays bound here (the merge loop is cdgbs._learn's):
+# perfbench's outside-in tracer patches every module binding of it
+from .labelling import EmpiricalLabelling, interior_conflict  # noqa: F401
 
 
 def cr_sub_eps(m: int, n: int, eps: float) -> float:
@@ -49,65 +48,30 @@ class CrConfig:
         self.sub_eps = cr_sub_eps(self.m, self.n, self.eps)
 
 
-@dataclass
-class CrStats:
-    queries: int = 0
-    face_queries: dict = field(default_factory=dict)
-    merges: list = field(default_factory=list)
-    fallback: bool = False
-    conflict_flag: bool = False
-    wall_ms: float = 0.0
-
-
 def cr_gbs(cfg: CrConfig, oracle) -> EmpiricalLabelling:
     """Learn an eps-close labelling face by face; ``stats`` rides along."""
-    start = time.perf_counter()
     adversarial = cfg.oracle_kind == "adversarial"
     if cfg.m <= cfg.k:
         sub = GbsConfig(cfg.m, cfg.n, cfg.eps, oracle_kind=cfg.oracle_kind, seed=cfg.seed)
         lab = cd_gbs_adversarial(sub, oracle) if adversarial else cd_gbs(sub, oracle)
-        inner = lab.stats
-        lab.stats = CrStats(queries=inner.queries, merges=inner.merges, fallback=True,
-                            conflict_flag=inner.conflict_flag,
-                            wall_ms=(time.perf_counter() - start) * 1e3)
+        lab.stats.fallback = True
         return lab
 
     faces = enumerate_k_faces(cfg.m, cfg.k)
     if len(faces) > cfg.max_faces:
         raise ValueError("face count beyond the configured cap")
-    stats = CrStats()
-    lab = EmpiricalLabelling(cfg.m, cfg.n)
-    run_stats = RunStats()
-    for face, fmap in faces:
-        before = oracle.log.count
-        for v in face.vertex_coords():
-            lab.add_query(v, oracle(v))
-        if cfg.k >= 1:
-            def sub_query(z, _inv=fmap.inverse):
-                return oracle(_inv(z))
 
-            res = _run(cfg.k, cfg.n, cfg.sub_eps, sub_query, adversarial, run_stats)
-            for lbl, blocks in res.points.items():
-                Z = np.vstack(blocks)
-                lab.add_block(fmap.inverse(Z), lbl)
-        stats.face_queries[face.vertex_subset] = oracle.log.count - before
-    stats.queries = sum(stats.face_queries.values())
+    def fill(lab, stats):
+        for face, fmap in faces:
+            before = oracle.log.count
+            for v in face.vertex_coords():
+                lab.add_query(v, oracle(v))
+            if cfg.k >= 1:
+                _add_points(lab, _lift(fmap.inverse, cfg.k, cfg.n, cfg.sub_eps, oracle,
+                                       adversarial, stats).points)
+            stats.face_queries[face.vertex_subset] = oracle.log.count - before
 
-    if adversarial:
-        while True:
-            conflict = interior_conflict(lab)
-            if conflict is None:
-                break
-            i, j, _ = conflict
-            lab.merge_labels(i, j)
-            stats.merges.append((min(i, j), max(i, j)))
-    else:
-        # the assembly argument says this cannot fire on a valid
-        # lexicographic oracle; surface it if it ever does
-        stats.conflict_flag = interior_conflict(lab) is not None
-    stats.wall_ms = (time.perf_counter() - start) * 1e3
-    lab.stats = stats
-    return lab
+    return _learn(cfg.m, cfg.n, oracle, adversarial, fill)
 
 
 def assemble_from_faces(face_labellings: dict) -> EmpiricalLabelling:

@@ -11,20 +11,11 @@ fast path that yields the same vertex set.
 from __future__ import annotations
 
 import numpy as np
+from scipy.spatial import ConvexHull as _QHull
+from scipy.spatial import QhullError as _QhullError
 
 from ..predicates import ETA, as_point
 from .polytope import VPolytope, empty_polytope
-
-try:  # scipy is an optional accelerator here; all paths have fallbacks
-    from scipy.spatial import ConvexHull as _QHull
-    from scipy.spatial import QhullError as _QhullError
-except ImportError:  # pragma: no cover
-    try:
-        from scipy.spatial import ConvexHull as _QHull
-        from scipy.spatial.qhull import QhullError as _QhullError
-    except ImportError:
-        _QHull = None
-        _QhullError = Exception
 
 _FW_MAX_ITER = 400
 
@@ -280,7 +271,7 @@ def convex_hull(points) -> VPolytope:
         if hi - lo <= ETA:
             return VPolytope(np.array([[lo]]))
         return VPolytope(np.array([[lo], [hi]]))
-    if _QHull is not None and pts.shape[0] > m + 1:
+    if pts.shape[0] > m + 1:
         try:
             hull = _QHull(pts)
             return VPolytope(pts[np.sort(hull.vertices)])
@@ -321,7 +312,7 @@ class PointHull:
         self._upper_pts = P
         k = self._sub.shape[1]
         self._surface = None      # boundary simplices on varying axes
-        if _QHull is not None and k >= 2 and P.shape[0] >= k + 1:
+        if k >= 2 and P.shape[0] >= k + 1:
             try:
                 hull = _QHull(self._sub)
                 eq = hull.equations  # A x + b <= 0 with unit A rows

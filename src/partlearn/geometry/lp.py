@@ -1,8 +1,9 @@
-"""Small dense linear programming: two-phase simplex, Chebyshev centers.
+"""Linear programs through scipy's HiGHS solver: Chebyshev centers and l1
+distances to hulls.
 
-The instances solved here are tiny (tens of rows), so a textbook tableau
-simplex with Bland's rule is plenty.  Everything is double precision with a
-fixed feasibility tolerance.
+Every non-optimal HiGHS status raises an ``LPError``: ``LPInfeasible`` and
+``LPUnbounded`` for the two definite verdicts, the base class for iteration
+limits, numerical trouble and "infeasible or unbounded".
 """
 
 from __future__ import annotations
@@ -11,8 +12,6 @@ import numpy as np
 
 from ..predicates import ETA
 from .polytope import HPolytope
-
-_LP_TOL = 1e-9
 
 
 class LPError(Exception):
@@ -27,154 +26,30 @@ class LPUnbounded(LPError):
     pass
 
 
-def _pivot(T: np.ndarray, r: int, c: int) -> None:
-    T[r] /= T[r, c]
-    col = T[:, c].copy()
-    col[r] = 0.0
-    T -= np.outer(col, T[r])
+def _highs(c, A_ub, b_ub, A_eq, b_eq, bounds):
+    """Minimize c @ x under the constraints and variable bounds; returns
+    (value, x) or raises the LPError matching the solver status."""
+    # imported here: scipy.optimize adds about 15% to the package's import
+    # time, and solves, learns and benchmarks mostly solve no LP at all
+    from scipy.optimize import linprog
+
+    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds,
+                  method="highs")
+    if res.status == 2:
+        raise LPInfeasible(res.message)
+    if res.status == 3:
+        raise LPUnbounded(res.message)
+    if res.status != 0:
+        raise LPError(res.message)
+    return float(res.fun), res.x
 
 
-def _simplex_phase(T: np.ndarray, basis: list, ncols: int, tol: float) -> None:
-    """Run simplex iterations on tableau T until optimal (Bland's rule)."""
-    max_iter = 2000 + 50 * T.shape[0] * ncols
-    for _ in range(max_iter):
-        # entering variable: smallest index with negative reduced cost
-        enter = -1
-        for j in range(ncols):
-            if T[0, j] < -tol:
-                enter = j
-                break
-        if enter < 0:
-            return
-        # ratio test, Bland tie-break on variable index
-        leave = -1
-        best = np.inf
-        for i in range(1, T.shape[0]):
-            a = T[i, enter]
-            if a > tol:
-                ratio = T[i, -1] / a
-                if ratio < best - tol or (abs(ratio - best) <= tol and (leave < 0 or basis[i - 1] < basis[leave - 1])):
-                    best = ratio
-                    leave = i
-        if leave < 0:
-            # last resort before declaring unbounded: accept a tiny pivot
-            # (degenerate tableaus from near-parallel rows shave entries
-            # down to rounding noise)
-            col = T[1:, enter]
-            i = int(np.argmax(col))
-            if col[i] > 1e-12:
-                leave = i + 1
-            else:
-                raise LPUnbounded("unbounded linear program")
-        _pivot(T, leave, enter)
-        basis[leave - 1] = enter
-    raise LPError("simplex iteration cap exceeded")
-
-
-def solve_lp_standard(c: np.ndarray, A: np.ndarray, b: np.ndarray):
-    """Minimize c @ x subject to A x = b, x >= 0.  Returns (value, x).
-
-    Two-phase tableau simplex; raises LPInfeasible / LPUnbounded.
-    """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float)).copy()
-    c = np.atleast_1d(np.asarray(c, dtype=float))
-    nrow, ncol = A.shape
-    A = A.copy()
-    neg = b < 0
-    A[neg] *= -1.0
-    b[neg] *= -1.0
-
-    # phase 1: artificial variables
-    T = np.zeros((nrow + 1, ncol + nrow + 1))
-    T[1:, :ncol] = A
-    T[1:, ncol:ncol + nrow] = np.eye(nrow)
-    T[1:, -1] = b
-    T[0, :ncol] = -A.sum(axis=0)
-    T[0, -1] = -b.sum()
-    basis = list(range(ncol, ncol + nrow))
-    _simplex_phase(T, basis, ncol + nrow, _LP_TOL)
-    if T[0, -1] < -1e-7:
-        raise LPInfeasible("infeasible linear program")
-    # drive leftover artificials out of the basis where possible
-    for i, bi in enumerate(basis):
-        if bi >= ncol:
-            row = i + 1
-            for j in range(ncol):
-                if abs(T[row, j]) > 1e-7:
-                    _pivot(T, row, j)
-                    basis[i] = j
-                    break
-
-    # phase 2
-    T2 = np.zeros((nrow + 1, ncol + 1))
-    T2[1:, :ncol] = T[1:, :ncol]
-    T2[1:, -1] = T[1:, -1]
-    T2[0, :ncol] = c
-    for i, bi in enumerate(basis):
-        if bi < ncol:
-            T2[0] -= T2[0, bi] * T2[i + 1]
-    _simplex_phase(T2, basis, ncol, _LP_TOL)
-    x = np.zeros(ncol)
-    for i, bi in enumerate(basis):
-        if bi < ncol:
-            x[bi] = T2[i + 1, -1]
-    return float(c @ x), x
-
-
-def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, n_free=None):
+def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
     """Minimize c @ x with A_ub x <= b_ub, A_eq x = b_eq, x free.
 
-    Free variables are split internally.  Returns (value, x).
+    Returns (value, x); raises LPInfeasible / LPUnbounded / LPError.
     """
-    c = np.atleast_1d(np.asarray(c, dtype=float))
-    n = c.size
-    rows = []
-    rhs = []
-    slacks = 0
-    if A_ub is not None and len(np.atleast_2d(A_ub)):
-        A_ub = np.atleast_2d(np.asarray(A_ub, dtype=float))
-        b_ub = np.atleast_1d(np.asarray(b_ub, dtype=float))
-        slacks = A_ub.shape[0]
-    if A_eq is not None and len(np.atleast_2d(A_eq)) == 0:
-        A_eq = None
-    neq = 0
-    if A_eq is not None:
-        A_eq = np.atleast_2d(np.asarray(A_eq, dtype=float))
-        b_eq = np.atleast_1d(np.asarray(b_eq, dtype=float))
-        neq = A_eq.shape[0]
-
-    ncol = 2 * n + slacks
-    Afull = np.zeros((slacks + neq, ncol))
-    bfull = np.zeros(slacks + neq)
-    if slacks:
-        Afull[:slacks, :n] = A_ub
-        Afull[:slacks, n:2 * n] = -A_ub
-        Afull[:slacks, 2 * n:2 * n + slacks] = np.eye(slacks)
-        bfull[:slacks] = b_ub
-    if neq:
-        Afull[slacks:, :n] = A_eq
-        Afull[slacks:, n:2 * n] = -A_eq
-        bfull[slacks:] = b_eq
-    cfull = np.concatenate([c, -c, np.zeros(slacks)])
-    val, xfull = solve_lp_standard(cfull, Afull, bfull)
-    x = xfull[:n] - xfull[n:2 * n]
-    return float(c @ x), x
-
-
-def _merge_parallel_rows(normals: np.ndarray, offsets: np.ndarray, tol: float = 1e-7):
-    """Collapse rows whose unit normals agree to within tol, keeping the
-    largest offset (the binding one for >= constraints)."""
-    keep_n, keep_b = [], []
-    for a, b in zip(normals, offsets):
-        for i, a2 in enumerate(keep_n):
-            if np.abs(a - a2).max() <= tol:
-                keep_b[i] = max(keep_b[i], b)
-                break
-        else:
-            keep_n.append(a)
-            keep_b.append(b)
-    return np.array(keep_n), np.array(keep_b)
+    return _highs(c, A_ub, b_ub, A_eq, b_eq, (None, None))
 
 
 def chebyshev(p: HPolytope):
@@ -185,17 +60,12 @@ def chebyshev(p: HPolytope):
     radius 0; a set whose inscribed radius is unbounded raises ValueError.
     """
     m = p.dim
-    # merge near-parallel rows, keeping the tighter offset; simplicial facet
-    # forms repeat coplanar planes with tiny numeric spread, which makes the
-    # tableau degenerate
-    normals, offsets = _merge_parallel_rows(p.normals, p.offsets)
     # variables (x, r); maximize r  ->  minimize -r
     c = np.zeros(m + 1)
     c[-1] = -1.0
-    A_ub = np.hstack([-normals, np.ones((len(normals), 1))])
-    b_ub = -offsets
+    A_ub = np.hstack([-p.normals, np.ones((p.nrows, 1))])
     try:
-        _, sol = solve_lp(c, A_ub=A_ub, b_ub=b_ub)
+        _, sol = solve_lp(c, A_ub=A_ub, b_ub=-p.offsets)
     except LPUnbounded:
         raise ValueError("unbounded region")
     except LPInfeasible:
@@ -204,8 +74,7 @@ def chebyshev(p: HPolytope):
     if r < 0:
         # infeasible within tolerance: empty set
         return 0.0, None
-    center = sol[:m]
-    return max(r, 0.0), center
+    return r, sol[:m]
 
 
 def l1_distance_to_hull(x: np.ndarray, vertices: np.ndarray):
@@ -230,16 +99,11 @@ def l1_distance_to_hull(x: np.ndarray, vertices: np.ndarray):
     A_ub[:m, v:] = -np.eye(m)
     A_ub[m:, :v] = -V.T
     A_ub[m:, v:] = -np.eye(m)
-    b_ub = np.concatenate([x, -x])
     A_eq = np.zeros((1, n))
     A_eq[0, :v] = 1.0
-    # nonnegativity folded in as inequality rows
-    A_nn = -np.eye(n)
-    b_nn = np.zeros(n)
-    val, sol = solve_lp(c, A_ub=np.vstack([A_ub, A_nn]), b_ub=np.concatenate([b_ub, b_nn]),
-                        A_eq=A_eq, b_eq=np.array([1.0]))
+    val, sol = _highs(c, A_ub, np.concatenate([x, -x]), A_eq, np.array([1.0]), (0, None))
     lam = np.clip(sol[:v], 0.0, None)
     s = lam.sum()
     lam = lam / s if s > ETA else np.full(v, 1.0 / v)
     witness = V.T @ lam
-    return max(float(val), 0.0), witness
+    return max(val, 0.0), witness

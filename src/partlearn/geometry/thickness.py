@@ -8,13 +8,9 @@ together with the grid spacing, as a resolution-qualified lower bound.
 from __future__ import annotations
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .polytope import VPolytope
-
-try:
-    from scipy.spatial import cKDTree as _KDTree
-except ImportError:  # pragma: no cover
-    _KDTree = None
 
 
 def diameter(p: VPolytope) -> float:
@@ -69,13 +65,5 @@ def grid_thickness(membership, lo, hi, spacing: float):
     if inside.all():
         # no outside sample in the padded box; radius at least the box radius
         return float(np.linalg.norm(hi - lo) / 2), spacing
-    ins, outs = pts[inside], pts[~inside]
-    if _KDTree is not None and outs.shape[0] > 64:
-        dmin, _ = _KDTree(outs).query(ins)
-    else:
-        dmin = np.empty(len(ins))
-        chunk = max(1, int(2e6 // max(1, len(outs))))
-        for s in range(0, len(ins), chunk):
-            d2 = ((ins[s:s + chunk, None, :] - outs[None, :, :]) ** 2).sum(axis=2)
-            dmin[s:s + chunk] = np.sqrt(d2.min(axis=1))
+    dmin, _ = cKDTree(pts[~inside]).query(pts[inside])
     return float(dmin.max()), spacing

@@ -239,7 +239,7 @@ def voronoi_labels(x, l: EmpiricalLabelling, norm: str = "l2", slack: float = 0.
 
 def _hull_halfspaces(hull: VPolytope):
     """Facet form A x <= b of a full-dimensional hull, or None."""
-    if _QHull is None or hull.is_empty or len(hull) <= hull.dim:
+    if hull.is_empty or len(hull) <= hull.dim:
         return None
     try:
         q = _QHull(hull.vertices)

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bimatrix import PayoffAudit, SUPPORT_MASS, _mask_to_list
-from .coverage import simplex_lattice
-from .partition import QueryLog
+from .coverage import lattice_count, simplex_lattice, unit_step
+from .partition import QueryLog, TieBreak
 from .predicates import ETA, as_point
 
 
@@ -105,20 +105,16 @@ class MultiBrOracle:
     """Best-response oracle of one player over the others' joint mixes.
 
     The joint mix is the concatenation of the other players' reduced
-    strategies in player order.
+    strategies in player order.  Ties are broken by a :class:`TieBreak`.
     """
 
     def __init__(self, g: NormalFormGame, i: int, kind: str = "adversarial",
                  policy: str = "seeded", seed: int = 0, budget=None,
                  record: bool = True, audit: PayoffAudit | None = None):
+        self.tie_break = TieBreak(kind, policy, seed)
         self.g = g
         self.i = i
-        self.kind = kind
-        self.policy = policy
         self.log = QueryLog(budget=budget, record=record)
-        self._rng = np.random.default_rng(seed)
-        self._memo = {}
-        self._rr = 0
         self.audit = audit
 
     def _strong(self, x_minus_i) -> set:
@@ -143,19 +139,7 @@ class MultiBrOracle:
                 labels = self._strong(self.split(joint))
         else:
             labels = self._strong(self.split(joint))
-        ordered = sorted(labels)
-        if self.kind == "lexicographic" or len(ordered) == 1:
-            ans = ordered[0]
-        elif self.policy == "maxindex":
-            ans = ordered[-1]
-        elif self.policy == "roundrobin":
-            self._rr += 1
-            ans = ordered[self._rr % len(ordered)]
-        else:
-            key = frozenset(ordered)
-            if key not in self._memo:
-                self._memo[key] = ordered[int(self._rng.integers(len(ordered)))]
-            ans = self._memo[key]
+        ans = self.tie_break(joint, labels)
         self.log.amend_last_label(ans)
         return ans
 
@@ -210,10 +194,9 @@ def build_net(n: int, k: int, eps: float, max_points: int = 2_000_000) -> NetSpe
     d = k - 1
     eps_prime = eps / (n - 1)
     spacing = min(2.0 * eps_prime / d, 1.0)
-    single = simplex_lattice(d, spacing)
-    count = single.shape[0] ** (n - 1)
-    if count > max_points:
+    if lattice_count(d, spacing) ** (n - 1) > max_points:
         raise ValueError("net size beyond the configured cap")
+    single = simplex_lattice(d, spacing)
     blocks = [single] * (n - 1)
     prod = blocks[0]
     for b in blocks[1:]:
@@ -334,7 +317,7 @@ def verify_wsne_multiplayer(g: NormalFormGame, profile, eps: float) -> MultiWsne
 
 @dataclass
 class MultiSolveConfig:
-    grid_resolution: float | None = None    # default eps / 8 (l1)
+    grid_resolution: float | None = None    # default eps / 8 (l1), on lattice steps 1/K
     voronoi_slack: float | None = None      # default eps / 8
     refine_rounds: int = 3
     lattice_cap: int = 400_000
@@ -356,9 +339,11 @@ def solve_wsne_multiplayer(labellings, g_for_verification: NormalFormGame, eps: 
     d = k - 1
     delta = cfg.grid_resolution if cfg.grid_resolution is not None else eps / 8.0
     sigma = cfg.voronoi_slack if cfg.voronoi_slack is not None else eps / 8.0
+    # l1 resolution delta needs lattice spacing 2 delta / d; a spacing of
+    # 1/K keeps the pure profiles on the lattice
+    spacing = unit_step(min(2.0 * delta / max(d, 1), 1.0))
 
     for _round in range(cfg.refine_rounds):
-        spacing = min(2.0 * delta / max(d, 1), 1.0)
         grid = simplex_lattice(d, spacing) if d else np.zeros((1, 0))
         gn = grid.shape[0]
         if gn ** n > cfg.lattice_cap:
@@ -394,8 +379,8 @@ def solve_wsne_multiplayer(labellings, g_for_verification: NormalFormGame, eps: 
                 cert = MultiWsneCertificate(
                     profile, eps,
                     [_mask_to_list(int(supp_masks[prof[i]])) for i in range(n)],
-                    queries=queries, grid_resolution=delta,
+                    queries=queries, grid_resolution=spacing * max(d, 1) / 2.0,
                     wall_ms=(time.perf_counter() - start) * 1e3)
                 return cert
-        delta /= 2.0
-    raise RuntimeError(f"fixed point not found at resolution {delta:g}")
+        spacing /= 2.0
+    raise RuntimeError(f"fixed point not found at resolution {spacing * max(d, 1) / 2.0:g}")

@@ -226,31 +226,77 @@ class QueryLog:
 POLICIES = ("seeded", "roundrobin", "maxindex", "antilearner")
 
 
+class TieBreak:
+    """How an oracle picks its answer from the labels tied at a point.
+
+    kind 'lexicographic' answers the minimum label; kind 'adversarial'
+    picks among tied labels by ``policy``: 'maxindex' the largest,
+    'roundrobin' the next in turn, 'seeded' one seeded pick per tie set,
+    'antilearner' the label whose answered points lie nearest the query.
+    """
+
+    def __init__(self, kind: str, policy: str, seed: int):
+        if kind not in ("lexicographic", "adversarial"):
+            raise ValueError("kind must be 'lexicographic' or 'adversarial'")
+        if policy not in POLICIES:
+            raise ValueError(f"policy must be one of {POLICIES}")
+        self.kind = kind
+        self.policy = policy
+        self._rng = np.random.default_rng(seed)
+        self._memo = {}
+        self._rr = 0
+        self._answered = {}  # label -> points answered with it (antilearner only)
+
+    def __call__(self, y: np.ndarray, labels: set) -> int:
+        ordered = sorted(labels)
+        if self.kind == "lexicographic" or len(ordered) == 1:
+            ans = ordered[0]
+        elif self.policy == "maxindex":
+            ans = ordered[-1]
+        elif self.policy == "roundrobin":
+            self._rr += 1
+            ans = ordered[self._rr % len(ordered)]
+        elif self.policy == "seeded":
+            key = frozenset(ordered)
+            if key not in self._memo:
+                self._memo[key] = ordered[int(self._rng.integers(len(ordered)))]
+            ans = self._memo[key]
+        else:
+            ans = self._least_growth(y, ordered)
+        if self.policy == "antilearner":
+            self._answered.setdefault(ans, []).append(y)
+        return ans
+
+    def _least_growth(self, y: np.ndarray, ordered: list) -> int:
+        # the label whose revealed hull grows least, i.e. whose answer set is
+        # nearest the query; unseen labels grow a fresh zero-volume hull and
+        # are preferred (largest index first)
+        best, best_d = None, None
+        for lbl in reversed(ordered):
+            pts = self._answered.get(lbl)
+            d = 0.0 if not pts else float(min(np.linalg.norm(y - p) for p in pts))
+            if best_d is None or d < best_d - ETA:
+                best, best_d = lbl, d
+        return best
+
+
 class Oracle:
     """Membership oracle over a partition, with tie policy and accounting.
 
-    kind 'lexicographic' answers the minimum label at the point; kind
-    'adversarial' picks among the tied labels according to ``policy``.
+    Ties are broken by a :class:`TieBreak` of the given kind and policy.
     Points outside the simplex (beyond tolerance) are refused.
     """
 
     def __init__(self, ground_truth, kind: str = "lexicographic", policy: str = "seeded",
                  seed: int = 0, budget: int | None = None, record: bool = True,
                  tie_tol: float = ETA):
-        if kind not in ("lexicographic", "adversarial"):
-            raise ValueError("kind must be 'lexicographic' or 'adversarial'")
-        if policy not in POLICIES:
-            raise ValueError(f"policy must be one of {POLICIES}")
+        self.tie_break = TieBreak(kind, policy, seed)
         self.ground_truth = ground_truth
         self.kind = kind
         self.policy = policy
         self.seed = seed
         self.tie_tol = tie_tol
         self.log = QueryLog(budget=budget, record=record)
-        self._rng = np.random.default_rng(seed)
-        self._tie_memo = {}
-        self._rr = 0
-        self._answered = {}  # label -> list of points (adversary's own record)
 
     def clone(self) -> "Oracle":
         """Fresh oracle over the same truth: same policy/seed, empty log."""
@@ -264,37 +310,9 @@ class Oracle:
     def __call__(self, y) -> int:
         y = as_point(y)
         self.log.charge(y)
-        labels = self.label_set(y)
-        if self.kind == "lexicographic" or len(labels) == 1:
-            ans = min(labels)
-        else:
-            ans = self._pick(y, labels)
+        ans = self.tie_break(y, self.label_set(y))
         self.log.amend_last_label(ans)
-        self._answered.setdefault(ans, []).append(y)
         return ans
-
-    def _pick(self, y, labels: set) -> int:
-        ordered = sorted(labels)
-        if self.policy == "maxindex":
-            return ordered[-1]
-        if self.policy == "roundrobin":
-            self._rr += 1
-            return ordered[self._rr % len(ordered)]
-        if self.policy == "seeded":
-            key = frozenset(ordered)
-            if key not in self._tie_memo:
-                self._tie_memo[key] = ordered[int(self._rng.integers(len(ordered)))]
-            return self._tie_memo[key]
-        # antilearner: answer the label whose revealed hull grows least, i.e.
-        # whose existing answer set is nearest the query; unseen labels grow
-        # a fresh zero-volume hull and are preferred (largest index first).
-        best, best_d = None, None
-        for lbl in reversed(ordered):
-            pts = self._answered.get(lbl)
-            d = 0.0 if not pts else float(min(np.linalg.norm(y - p) for p in pts))
-            if best_d is None or d < best_d - ETA:
-                best, best_d = lbl, d
-        return best
 
 
 def make_oracle(gt, kind: str = "lexicographic", policy: str = "seeded", seed: int = 0,

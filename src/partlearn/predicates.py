@@ -13,18 +13,6 @@ import numpy as np
 ETA = 1e-9
 
 
-def feq(a: float, b: float, tol: float = ETA) -> bool:
-    return abs(a - b) <= tol
-
-
-def fge(a: float, b: float, tol: float = ETA) -> bool:
-    return a >= b - tol
-
-
-def fle(a: float, b: float, tol: float = ETA) -> bool:
-    return a <= b + tol
-
-
 def in_corner_simplex(x, tol: float = ETA) -> bool:
     """Membership test for the corner simplex {x >= 0, sum(x) <= 1}."""
     x = np.asarray(x, dtype=float)

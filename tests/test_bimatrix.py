@@ -192,6 +192,16 @@ def test_solver_on_random_games(seed):
     assert oracles.audit.clean
 
 
+@pytest.mark.parametrize("eps", [0.3, 0.35, 0.45])
+def test_pure_equilibrium_stays_on_the_lattice(eps):
+    # eps / 8 does not divide 1 here; the lattice must still reach the
+    # pure equilibrium (row 2, column 3)
+    g = BimatrixGame([[0.9, 0.1, 0.4], [0.2, 0.8, 0.5]], [[0.3, 0.7, 0.2], [0.6, 0.4, 0.9]])
+    cert = solve_wsne(make_br_oracles(g, seed=0), eps)
+    assert verify_wsne(g, cert.u, cert.v, eps).valid
+    assert 1.0 / cert.grid_resolution == pytest.approx(round(1.0 / cert.grid_resolution))
+
+
 def test_degenerate_single_strategy_side():
     g = random_game(1, 3, seed=11)
     oracles = make_br_oracles(g, seed=2)

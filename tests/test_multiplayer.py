@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from partlearn.bimatrix import BimatrixGame, verify_wsne
 from partlearn.multiplayer import (
@@ -9,6 +11,7 @@ from partlearn.multiplayer import (
     jordan_game, learn_multiplayer_labellings, make_multi_oracles, pure_values, random_game,
     simplex_net, solve_wsne_multiplayer, verify_wsne_multiplayer,
 )
+from partlearn.partition import POLICIES, UEPP, make_oracle
 
 
 # -- utilities ------------------------------------------------------------------------
@@ -113,6 +116,47 @@ def test_two_player_reduction_matches_bimatrix_oracle():
     row = br_oracle(bim, "row", kind="lexicographic")
     for v in np.linspace(0, 1, 21):
         assert orc(np.array([v])) == row(np.array([v]))
+
+
+# -- tie-break policies ---------------------------------------------------------------
+
+def test_antilearner_policy_applies_to_multiplayer_oracle():
+    # every action ties everywhere; antilearner answers unseen labels
+    # first, largest index first, on both oracle types
+    g = NormalFormGame(3, 3, np.full((3, 3, 3, 3), 0.5))
+    multi = MultiBrOracle(g, 1, kind="adversarial", policy="antilearner")
+    member = make_oracle(UEPP(np.zeros((3, 4)), np.zeros(3)), kind="adversarial",
+                         policy="antilearner")
+    pts = [np.array([0.1, 0.2, 0.3, 0.1]), np.array([0.4, 0.1, 0.2, 0.2]),
+           np.array([0.0, 0.5, 0.5, 0.0])]
+    assert [multi(x) for x in pts] == [3, 2, 1]
+    assert [member(x) for x in pts] == [3, 2, 1]
+
+
+@pytest.mark.parametrize("option", [{"kind": "strong"}, {"policy": "nearest"}])
+def test_multiplayer_oracle_rejects_unknown_kind_and_policy(option):
+    with pytest.raises(ValueError):
+        MultiBrOracle(random_game(3, 2), 1, **option)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from(POLICIES),
+       st.sampled_from(["lexicographic", "adversarial"]))
+def test_answers_lie_in_strong_argmax_set(seed, policy, kind):
+    # coarse payoffs on a coarse lattice make ties common; the reference is
+    # a brute-force argmax over the pure actions
+    rng = np.random.default_rng(seed)
+    u = UEPP(rng.integers(0, 3, size=(4, 3)) / 2.0, np.zeros(4))
+    member = make_oracle(u, kind=kind, policy=policy, seed=seed)
+    g = NormalFormGame(3, 3, rng.integers(0, 3, size=(3, 3, 3, 3)) / 2.0)
+    multi = MultiBrOracle(g, 2, kind=kind, policy=policy, seed=seed)
+    for _ in range(30):
+        y = rng.integers(0, 3, size=3) / 6.0
+        vals = u.A @ y + u.b
+        assert member(y) in {i + 1 for i in range(4) if vals[i] >= vals.max() - 1e-9}
+        joint = rng.integers(0, 2, size=4) / 2.0
+        vals = np.array([expected_utility(g, 2, r, multi.split(joint)) for r in (1, 2, 3)])
+        assert multi(joint) in {r + 1 for r in range(3) if vals[r] >= vals.max() - 1e-9}
 
 
 # -- solving ----------------------------------------------------------------------------
