@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import math
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -28,7 +27,14 @@ from .labelling import EmpiricalLabelling
 from .partition import UEPP, Oracle, QueryLog
 from .predicates import ETA, as_point
 
-SUPPORT_MASS = 1e-9
+# The scan's fixed settings.  The lattice step starts at eps / STEP_DIVISOR,
+# rounded down to a step 1/K, and halves after each round without a fixed
+# point; the Voronoi slack is eps / SLACK_DIVISOR.
+SUPPORT_MASS = 1e-9          # a strategy is in the support above this mass
+STEP_DIVISOR = 8.0
+SLACK_DIVISOR = 8.0
+REFINE_ROUNDS = 3
+LATTICE_CAP = 8_000_000      # points of one player's scan lattice
 
 
 class PayoffAuditError(RuntimeError):
@@ -119,11 +125,6 @@ def expand(mix, size: int) -> np.ndarray:
     if first < -1e-7 or np.any(mix < -1e-7):
         raise ValueError("not a distribution")
     return np.concatenate([[max(first, 0.0)], mix])
-
-
-def reduce_mix(dist) -> np.ndarray:
-    dist = as_point(dist)
-    return dist[1:].copy()
 
 
 def utilities(g: BimatrixGame, u, v):
@@ -217,7 +218,6 @@ class WsneCertificate:
     queries_row: int = 0
     queries_col: int = 0
     grid_resolution: float | None = None
-    wall_ms: float = 0.0
 
     def to_json(self) -> str:
         return json.dumps({
@@ -235,9 +235,15 @@ class WsneCertificate:
         })
 
 
-def support_of(dist: np.ndarray, theta: float = SUPPORT_MASS) -> list:
-    """1-based indices of strategies with mass above theta."""
-    return [i + 1 for i, p in enumerate(dist) if p > theta]
+def support_of(dist: np.ndarray) -> list:
+    """1-based indices of strategies with mass above SUPPORT_MASS."""
+    return [i + 1 for i, p in enumerate(dist) if p > SUPPORT_MASS]
+
+
+def supported_regrets(dist: np.ndarray, paying: np.ndarray) -> dict:
+    """Regret of each supported strategy (1-based) against the best paying one."""
+    best = paying.max()
+    return {i: float(best - paying[i - 1]) for i in support_of(dist)}
 
 
 def verify_wsne(g: BimatrixGame, u, v, eps: float) -> WsneCertificate:
@@ -246,25 +252,12 @@ def verify_wsne(g: BimatrixGame, u, v, eps: float) -> WsneCertificate:
     ve = expand(v, g.n)
     if abs(ue.sum() - 1.0) > 1e-6 or abs(ve.sum() - 1.0) > 1e-6:
         raise ValueError("profile entries do not sum to one")
-    row_paying = g.A @ ve
-    col_paying = g.B.T @ ue
-    rs, cs = support_of(ue), support_of(ve)
-    row_regrets = {i: float(row_paying.max() - row_paying[i - 1]) for i in rs}
-    col_regrets = {j: float(col_paying.max() - col_paying[j - 1]) for j in cs}
+    row_regrets = supported_regrets(ue, g.A @ ve)
+    col_regrets = supported_regrets(ve, g.B.T @ ue)
     ok = all(r <= eps + ETA for r in row_regrets.values()) and \
         all(r <= eps + ETA for r in col_regrets.values())
-    return WsneCertificate(as_point(u), as_point(v), eps, rs, cs,
-                           row_regrets, col_regrets, bool(ok))
-
-
-@dataclass
-class SolveConfig:
-    grid_resolution: float | None = None   # default eps / 8, rounded down to a step 1/K
-    voronoi_slack: float | None = None     # default eps / 8
-    support_mass: float = SUPPORT_MASS
-    refine_rounds: int = 3
-    seed: int = 0
-    lattice_cap: int = 8_000_000
+    return WsneCertificate(as_point(u), as_point(v), eps, list(row_regrets),
+                           list(col_regrets), row_regrets, col_regrets, bool(ok))
 
 
 @dataclass
@@ -351,80 +344,105 @@ def voronoi_label_masks(lab: EmpiricalLabelling, pts: np.ndarray, sigma: float) 
     return masks
 
 
-def _support_masks(lattice: np.ndarray, size: int, theta: float) -> np.ndarray:
+def _support_masks(lattice: np.ndarray) -> np.ndarray:
     """Support bitmask of each lattice point's expanded distribution."""
     first = 1.0 - lattice.sum(axis=1)
-    masks = (np.where(first > theta, 1, 0)).astype(np.int64)
+    masks = (np.where(first > SUPPORT_MASS, 1, 0)).astype(np.int64)
     for j in range(lattice.shape[1]):
-        masks |= np.where(lattice[:, j] > theta, 1 << (j + 1), 0).astype(np.int64)
+        masks |= np.where(lattice[:, j] > SUPPORT_MASS, 1 << (j + 1), 0).astype(np.int64)
     return masks
 
 
-def solve_wsne(oracles: BrOracles, eps: float, cfg: SolveConfig | None = None) -> WsneCertificate:
+def _group_firsts(keys: np.ndarray) -> np.ndarray:
+    """Least row index of each group of equal rows of ``keys``, ascending."""
+    order = np.lexsort(keys.T)    # stable: equal rows keep their index order
+    ranked = keys[order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    return np.sort(order[first])
+
+
+def _first_fixed_point(supports: list, voronoi: list):
+    """The lexicographically first profile, player 0 most significant, in
+    which every player's support mask lies inside that player's Voronoi
+    mask; None if there is none.
+
+    ``supports[i]`` holds the support mask of each point of player i's
+    lattice.  ``voronoi[i]`` holds player i's best-response mask at each
+    point of the product of the other players' lattices, in player order
+    with the first most significant.  Points of one player that share their
+    support and their slices of the other players' tables are
+    interchangeable, so a boolean tensor over each group's least index
+    decides, and it picks the same profile as a scan of the full product.
+    """
+    n = len(supports)
+    sizes = [len(s) for s in supports]
+    tables = [np.reshape(voronoi[i], [sizes[j] for j in range(n) if j != i])
+              for i in range(n)]
+    firsts = []
+    for i in range(n):
+        keys = [supports[i][:, None]]
+        for j in range(n):
+            if j != i:
+                axis = i if i < j else i - 1
+                keys.append(np.moveaxis(tables[j], axis, 0).reshape(sizes[i], -1))
+        firsts.append(_group_firsts(np.hstack(keys)))
+    ok = np.ones([f.size for f in firsts], dtype=bool)
+    for i in range(n):
+        own = supports[i][firsts[i]].reshape((-1,) + (1,) * (n - 1))
+        vor = tables[i][np.ix_(*[firsts[j] for j in range(n) if j != i])]
+        ok &= np.moveaxis((own & ~vor) == 0, 0, i)
+    hits = np.flatnonzero(ok)
+    if not hits.size:
+        return None
+    return tuple(int(f[k]) for f, k in zip(firsts, np.unravel_index(hits[0], ok.shape)))
+
+
+def solve_wsne(oracles: BrOracles, eps: float, seed: int = 0) -> WsneCertificate:
     """Compute an eps-WSNE from best-response queries alone.
 
     Learns both best-response partitions adversarially, then scans a
     deterministic product lattice for a profile whose supports lie inside
-    slack Voronoi best-response sets; the lattice refines (up to the
-    configured rounds) if no profile is accepted.
+    slack Voronoi best-response sets; the lattice refines (up to
+    REFINE_ROUNDS) if no profile is accepted.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    cfg = cfg or SolveConfig()
-    start = time.perf_counter()
     m, n = oracles.m, oracles.n
     dim_u, dim_v = m - 1, n - 1
     eps_r = eps / (2.0 * math.sqrt(max(n - 1, 1)))
     eps_c = eps / (2.0 * math.sqrt(max(m - 1, 1)))
     q0r, q0c = oracles.row.log.count, oracles.column.log.count
     # row best-response partition lives over column mixes, and vice versa
-    row_lab = _learn_partition(oracles.row, dim_v, m, eps_r / 2.0, cfg.seed)
-    col_lab = _learn_partition(oracles.column, dim_u, n, eps_c / 2.0, cfg.seed + 17)
+    row_lab = _learn_partition(oracles.row, dim_v, m, eps_r / 2.0, seed)
+    col_lab = _learn_partition(oracles.column, dim_u, n, eps_c / 2.0, seed + 17)
 
     # a step of 1/K keeps the pure profiles on the lattice
-    delta = unit_step(cfg.grid_resolution if cfg.grid_resolution is not None else eps / 8.0)
-    sigma = cfg.voronoi_slack if cfg.voronoi_slack is not None else eps / 8.0
-    theta = cfg.support_mass
-
-    for _round in range(cfg.refine_rounds):
+    delta = unit_step(eps / STEP_DIVISOR)
+    sigma = eps / SLACK_DIVISOR
+    for _round in range(REFINE_ROUNDS):
         try:
-            u_grid = simplex_lattice(dim_u, delta, cfg.lattice_cap) if dim_u else np.zeros((1, 0))
-            v_grid = simplex_lattice(dim_v, delta, cfg.lattice_cap) if dim_v else np.zeros((1, 0))
+            u_grid = simplex_lattice(dim_u, delta, LATTICE_CAP) if dim_u else np.zeros((1, 0))
+            v_grid = simplex_lattice(dim_v, delta, LATTICE_CAP) if dim_v else np.zeros((1, 0))
         except ValueError:
             break
-        supp_u = _support_masks(u_grid, m, theta)
-        supp_v = _support_masks(v_grid, n, theta)
+        supp_u, supp_v = _support_masks(u_grid), _support_masks(v_grid)
         vor_col = voronoi_label_masks(col_lab, u_grid, sigma)   # column BRs to u
         vor_row = voronoi_label_masks(row_lab, v_grid, sigma)   # row BRs to v
-        # group u candidates by (support, column-BR set); keep first of each
-        sig_first = {}
-        for i in range(u_grid.shape[0]):
-            key = (int(supp_u[i]), int(vor_col[i]))
-            if key not in sig_first:
-                sig_first[key] = i
-        signatures = sorted(sig_first.items(), key=lambda kv: kv[1])
-        for j in range(v_grid.shape[0]):
-            rv, sv = int(vor_row[j]), int(supp_v[j])
-            for (su, cu), i in signatures:
-                if su & ~rv == 0 and sv & ~cu == 0:
-                    cert = WsneCertificate(
-                        u_grid[i].copy(), v_grid[j].copy(), eps,
-                        _mask_to_list(su), _mask_to_list(sv),
-                        queries_row=oracles.row.log.count - q0r,
-                        queries_col=oracles.column.log.count - q0c,
-                        grid_resolution=delta,
-                        wall_ms=(time.perf_counter() - start) * 1e3)
-                    return cert
+        # the column player first: the first v, then the first u that fits it
+        hit = _first_fixed_point([supp_v, supp_u], [vor_col, vor_row])
+        if hit is not None:
+            j, i = hit
+            return WsneCertificate(
+                u_grid[i].copy(), v_grid[j].copy(), eps,
+                _mask_to_list(int(supp_u[i])), _mask_to_list(int(supp_v[j])),
+                queries_row=oracles.row.log.count - q0r,
+                queries_col=oracles.column.log.count - q0c,
+                grid_resolution=delta)
         delta /= 2.0
     raise RuntimeError(f"fixed point not found at resolution {delta:g}")
 
 
 def _mask_to_list(mask: int) -> list:
-    out = []
-    i = 1
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return out
+    """1-based positions of the set bits of a support mask."""
+    return [i + 1 for i in range(mask.bit_length()) if mask >> i & 1]

@@ -17,14 +17,13 @@ import time
 import numpy as np
 
 from . import __version__
-from .bimatrix import (BimatrixGame, SolveConfig, lower_bound_game, make_br_oracles,
-                       solve_wsne, verify_wsne)
+from .bimatrix import BimatrixGame, lower_bound_game, make_br_oracles, solve_wsne, verify_wsne
 from .cdgbs import GbsConfig, cd_gbs, cd_gbs_adversarial
 from .crgbs import CrConfig, cr_gbs
 from .labelling import is_eps_close
 from .multiplayer import (NormalFormGame, learn_multiplayer_labellings, make_multi_oracles,
                           random_game, solve_wsne_multiplayer, verify_wsne_multiplayer)
-from .partition import QueryBudgetError, UEPP, make_oracle, random_uepp
+from .partition import POLICIES, QueryBudgetError, UEPP, make_oracle, random_uepp
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -130,7 +129,7 @@ def cmd_solve(args) -> int:
     if kind == "bimatrix":
         oracles = make_br_oracles(inst, kind=ORACLE_KINDS[args.oracle], policy=args.policy,
                                   seed=args.seed, budget=args.budget)
-        cert = solve_wsne(oracles, args.eps, SolveConfig(seed=args.seed))
+        cert = solve_wsne(oracles, args.eps, seed=args.seed)
         check = verify_wsne(inst, cert.u, cert.v, args.eps)
         cert.row_regrets, cert.col_regrets = check.row_regrets, check.col_regrets
         cert.valid = check.valid
@@ -166,7 +165,7 @@ def _bench_row(family: str, eps: float, seed: int, args):
         rng = np.random.default_rng(seed)
         game = lower_bound_game(float(rng.uniform(0.05, 0.95)), float(rng.uniform(0.05, 0.95)))
         oracles = make_br_oracles(game, seed=seed)
-        cert = solve_wsne(oracles, eps, SolveConfig(seed=seed))
+        cert = solve_wsne(oracles, eps, seed=seed)
         ok = verify_wsne(game, cert.u, cert.v, eps).valid
         q = cert.queries_row + cert.queries_col
         m, n = game.m, game.n
@@ -174,7 +173,7 @@ def _bench_row(family: str, eps: float, seed: int, args):
         rng = np.random.default_rng(seed)
         game = BimatrixGame(rng.random((args.m, args.n)), rng.random((args.m, args.n)))
         oracles = make_br_oracles(game, seed=seed)
-        cert = solve_wsne(oracles, eps, SolveConfig(seed=seed))
+        cert = solve_wsne(oracles, eps, seed=seed)
         ok = verify_wsne(game, cert.u, cert.v, eps).valid
         q = cert.queries_row + cert.queries_col
         m, n = game.m, game.n
@@ -250,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     l.add_argument("--instance", required=True)
     l.add_argument("--algo", default="cdgbs", choices=["cdgbs", "crgbs"])
     l.add_argument("--oracle", default="lex", choices=["lex", "adv"])
-    l.add_argument("--policy", default="seeded", choices=["seeded", "maxindex", "antilearner"])
+    l.add_argument("--policy", default="seeded", choices=POLICIES)
     l.add_argument("--eps", type=float, required=True)
     l.add_argument("--seed", type=int, default=0)
     l.add_argument("--budget", type=int, default=None)
@@ -260,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("solve", help="compute a verified eps-WSNE from best-response queries")
     s.add_argument("--instance", required=True)
     s.add_argument("--oracle", default="adv", choices=["lex", "adv"])
-    s.add_argument("--policy", default="seeded", choices=["seeded", "maxindex", "antilearner"])
+    s.add_argument("--policy", default="seeded", choices=POLICIES)
     s.add_argument("--eps", type=float, required=True)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--budget", type=int, default=None)

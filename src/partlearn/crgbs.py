@@ -92,9 +92,7 @@ def assemble_from_faces(face_labellings: dict) -> EmpiricalLabelling:
             raise ValueError("mixed ambient dimensions")
         if lab_k.m != face.dim:
             raise ValueError("labelling dimension does not match its face")
-        fmap = face_map(face)
-        for lbl in range(1, lab_k.n + 1):
-            pts = lab_k.points_of(lbl, merged=False)
-            if len(pts):
-                out.add_block(fmap.inverse(pts), lbl)
+        inv = face_map(face).inverse
+        blocks = {lbl: lab_k.points_of(lbl, merged=False) for lbl in range(1, lab_k.n + 1)}
+        _add_points(out, {lbl: [inv(pts)] for lbl, pts in blocks.items() if len(pts)})
     return out

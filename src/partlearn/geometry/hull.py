@@ -20,54 +20,6 @@ from .polytope import VPolytope, empty_polytope
 _FW_MAX_ITER = 400
 
 
-def _project_segment(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    d = b - a
-    dd = float(d @ d)
-    if dd <= ETA * ETA:
-        return a
-    t = float((x - a) @ d) / dd
-    return a + min(max(t, 0.0), 1.0) * d
-
-
-def _project_triangle(x: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    # Ericson-style point/triangle projection, valid in any ambient dimension.
-    ab, ac, ap = b - a, c - a, x - a
-    d1, d2 = float(ab @ ap), float(ac @ ap)
-    if d1 <= 0 and d2 <= 0:
-        return a
-    bp = x - b
-    d3, d4 = float(ab @ bp), float(ac @ bp)
-    if d3 >= 0 and d4 <= d3:
-        return b
-    vc = d1 * d4 - d3 * d2
-    if vc <= 0 and d1 >= 0 and d3 <= 0:
-        denom = d1 - d3
-        return a + (d1 / denom) * ab if denom > 0 else a
-    cp = x - c
-    d5, d6 = float(ab @ cp), float(ac @ cp)
-    if d6 >= 0 and d5 <= d6:
-        return c
-    vb = d5 * d2 - d1 * d6
-    if vb <= 0 and d2 >= 0 and d6 <= 0:
-        denom = d2 - d6
-        return a + (d2 / denom) * ac if denom > 0 else a
-    va = d3 * d6 - d5 * d4
-    if va <= 0 and (d4 - d3) >= 0 and (d5 - d6) >= 0:
-        denom = (d4 - d3) + (d5 - d6)
-        return b + ((d4 - d3) / denom) * (c - b) if denom > 0 else b
-    # interior: solve the 2x2 normal equations on the triangle plane
-    g = np.array([[ab @ ab, ab @ ac], [ab @ ac, ac @ ac]], dtype=float)
-    rhs = np.array([d1, d2])
-    try:
-        uv = np.linalg.solve(g, rhs)
-        u, v = float(uv[0]), float(uv[1])
-        if u >= -ETA and v >= -ETA and u + v <= 1 + ETA:
-            return a + u * ab + v * ac
-    except np.linalg.LinAlgError:
-        pass
-    return a
-
-
 def project_onto_hull_batch(V: np.ndarray, X: np.ndarray, tol: float = 1e-9,
                             max_iter: int = _FW_MAX_ITER) -> np.ndarray:
     """Nearest points in conv(V) to each row of X via pairwise Frank-Wolfe.
@@ -85,9 +37,9 @@ def project_onto_hull_batch(V: np.ndarray, X: np.ndarray, tol: float = 1e-9,
     if m == 0 or v == 1:
         return np.repeat(V[:1], n, axis=0)
     if v == 2:
-        return np.vstack([_project_segment(x, V[0], V[1]) for x in X])
+        return _segment_dist_batch(X, V[:1], V[1:], return_points=True)[1][:, 0, :]
     if v == 3:
-        return np.vstack([_project_triangle(x, V[0], V[1], V[2]) for x in X])
+        return _triangle_dist_batch(X, V[None], return_points=True)[1][:, 0, :]
 
     # start from the nearest vertex per query
     d2 = ((X[:, None, :] - V[None, :, :]) ** 2).sum(axis=2) if v * n * m <= 4e7 else None

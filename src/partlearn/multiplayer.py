@@ -12,15 +12,17 @@ from __future__ import annotations
 
 import itertools
 import json
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bimatrix import PayoffAudit, SUPPORT_MASS, _mask_to_list
+from .bimatrix import (REFINE_ROUNDS, SLACK_DIVISOR, STEP_DIVISOR, PayoffAudit, _first_fixed_point,
+                       _mask_to_list, _support_masks, expand, supported_regrets)
 from .coverage import lattice_count, simplex_lattice, unit_step
 from .partition import QueryLog, TieBreak
 from .predicates import ETA, as_point
+
+PROFILE_CAP = 400_000     # lattice profiles the scan may cover in one round
 
 
 @dataclass
@@ -75,14 +77,6 @@ def dominant_game(n: int = 3, k: int = 2) -> NormalFormGame:
     return NormalFormGame(n, k, u)
 
 
-def expand_profile(x_reduced, k: int) -> np.ndarray:
-    x = as_point(x_reduced)
-    first = 1.0 - x.sum()
-    if first < -1e-7 or np.any(x < -1e-7):
-        raise ValueError("not a distribution")
-    return np.concatenate([[max(first, 0.0)], x])
-
-
 def expected_utility(g: NormalFormGame, i: int, r: int, x_minus_i) -> float:
     """Player i's expected utility for pure action r (1-based) against the
     reduced mixed profiles of the other players."""
@@ -93,7 +87,7 @@ def expected_utility(g: NormalFormGame, i: int, r: int, x_minus_i) -> float:
         raise ValueError("need one mixed strategy per other player")
     tensor = np.take(g.utilities[i - 1], r - 1, axis=i - 1)
     for j, mix in enumerate(others):
-        tensor = np.tensordot(expand_profile(mix, g.k), tensor, axes=(0, 0))
+        tensor = np.tensordot(expand(mix, g.k), tensor, axes=(0, 0))
     return float(tensor)
 
 
@@ -196,14 +190,17 @@ def build_net(n: int, k: int, eps: float, max_points: int = 2_000_000) -> NetSpe
     spacing = min(2.0 * eps_prime / d, 1.0)
     if lattice_count(d, spacing) ** (n - 1) > max_points:
         raise ValueError("net size beyond the configured cap")
-    single = simplex_lattice(d, spacing)
-    blocks = [single] * (n - 1)
-    prod = blocks[0]
-    for b in blocks[1:]:
-        left = np.repeat(prod, b.shape[0], axis=0)
-        right = np.tile(b, (prod.shape[0], 1))
-        prod = np.hstack([left, right])
-    return NetSpec(n, k, eps, eps_prime, spacing, single, prod)
+    single = simplex_net(d, eps_prime)
+    return NetSpec(n, k, eps, eps_prime, spacing, single, _product([single] * (n - 1)))
+
+
+def _product(blocks: list) -> np.ndarray:
+    """Rows of the product of point blocks, coordinates concatenated, the
+    first block most significant."""
+    prod = np.zeros((1, 0))
+    for b in blocks:
+        prod = np.hstack([np.repeat(prod, b.shape[0], axis=0), np.tile(b, (prod.shape[0], 1))])
+    return prod
 
 
 class PointLabelling:
@@ -281,7 +278,6 @@ class MultiWsneCertificate:
     valid: bool | None = None
     queries: int = 0
     grid_resolution: float | None = None
-    wall_ms: float = 0.0
 
     def to_json(self) -> str:
         return json.dumps({
@@ -300,31 +296,15 @@ def verify_wsne_multiplayer(g: NormalFormGame, profile, eps: float) -> MultiWsne
     profile = [as_point(x) for x in profile]
     if len(profile) != g.n:
         raise ValueError("profile must list one mix per player")
-    supports, regrets = [], []
-    ok = True
+    regrets = []
     for i in range(1, g.n + 1):
-        dist = expand_profile(profile[i - 1], g.k)
         others = [profile[j - 1] for j in range(1, g.n + 1) if j != i]
-        vals = pure_values(g, i, others)
-        best = vals.max()
-        supp = [r + 1 for r in range(g.k) if dist[r] > SUPPORT_MASS]
-        regs = {r: float(best - vals[r - 1]) for r in supp}
-        supports.append(supp)
-        regrets.append(regs)
-        ok = ok and all(v <= eps + ETA for v in regs.values())
-    return MultiWsneCertificate(profile, eps, supports, regrets, bool(ok))
-
-
-@dataclass
-class MultiSolveConfig:
-    grid_resolution: float | None = None    # default eps / 8 (l1), on lattice steps 1/K
-    voronoi_slack: float | None = None      # default eps / 8
-    refine_rounds: int = 3
-    lattice_cap: int = 400_000
+        regrets.append(supported_regrets(expand(profile[i - 1], g.k), pure_values(g, i, others)))
+    ok = all(r <= eps + ETA for regs in regrets for r in regs.values())
+    return MultiWsneCertificate(profile, eps, [list(regs) for regs in regrets], regrets, ok)
 
 
 def solve_wsne_multiplayer(labellings, g_for_verification: NormalFormGame, eps: float,
-                           cfg: MultiSolveConfig | None = None,
                            queries: int = 0) -> MultiWsneCertificate:
     """Grid search for a profile supported by slack l1-Voronoi best responses.
 
@@ -332,55 +312,32 @@ def solve_wsne_multiplayer(labellings, g_for_verification: NormalFormGame, eps: 
     learn_multiplayer_labellings); the verification game is consulted only
     to fill the certificate's regrets afterwards.
     """
-    cfg = cfg or MultiSolveConfig()
-    start = time.perf_counter()
     g = g_for_verification
     n, k = g.n, g.k
     d = k - 1
-    delta = cfg.grid_resolution if cfg.grid_resolution is not None else eps / 8.0
-    sigma = cfg.voronoi_slack if cfg.voronoi_slack is not None else eps / 8.0
+    delta = eps / STEP_DIVISOR
+    sigma = eps / SLACK_DIVISOR
     # l1 resolution delta needs lattice spacing 2 delta / d; a spacing of
     # 1/K keeps the pure profiles on the lattice
     spacing = unit_step(min(2.0 * delta / max(d, 1), 1.0))
+    bits = np.arange(k)[:, None]
 
-    for _round in range(cfg.refine_rounds):
+    for _round in range(REFINE_ROUNDS):
         grid = simplex_lattice(d, spacing) if d else np.zeros((1, 0))
-        gn = grid.shape[0]
-        if gn ** n > cfg.lattice_cap:
-            raise RuntimeError("profile lattice beyond cap; refine manually")
-        supp_masks = np.zeros(gn, dtype=np.int64)
-        first = 1.0 - grid.sum(axis=1)
-        supp_masks |= np.where(first > SUPPORT_MASS, 1, 0).astype(np.int64)
-        for j in range(d):
-            supp_masks |= np.where(grid[:, j] > SUPPORT_MASS, 1 << (j + 1), 0).astype(np.int64)
-
+        if grid.shape[0] ** n > PROFILE_CAP:
+            raise RuntimeError(f"profile lattice beyond the cap of {PROFILE_CAP} profiles")
         # Voronoi masks per player over the joint grids of the others
-        joint_index = list(itertools.product(range(gn), repeat=n - 1))
-        joints = np.array([np.concatenate([grid[t] for t in tup]) for tup in joint_index]) \
-            if n > 1 else np.zeros((1, 0))
-        vor = []
-        for i in range(1, n + 1):
-            dists = labellings[i - 1].l1_distances(joints)
-            dmin = dists.min(axis=0)
-            masks = np.zeros(joints.shape[0], dtype=np.int64)
-            for r in range(1, k + 1):
-                masks |= np.where(dists[r - 1] <= dmin + sigma + ETA, 1 << (r - 1), 0).astype(np.int64)
-            vor.append({tup: int(masks[z]) for z, tup in enumerate(joint_index)})
-
-        for prof in itertools.product(range(gn), repeat=n):
-            good = True
-            for i in range(n):
-                others = tuple(prof[j] for j in range(n) if j != i)
-                if int(supp_masks[prof[i]]) & ~vor[i][others]:
-                    good = False
-                    break
-            if good:
-                profile = [grid[prof[i]].copy() for i in range(n)]
-                cert = MultiWsneCertificate(
-                    profile, eps,
-                    [_mask_to_list(int(supp_masks[prof[i]])) for i in range(n)],
-                    queries=queries, grid_resolution=spacing * max(d, 1) / 2.0,
-                    wall_ms=(time.perf_counter() - start) * 1e3)
-                return cert
+        joints = _product([grid] * (n - 1))
+        voronoi = []
+        for lab in labellings[:n]:
+            dists = lab.l1_distances(joints)
+            near = dists <= dists.min(axis=0) + sigma + ETA
+            voronoi.append((near.astype(np.int64) << bits).sum(axis=0))
+        supp = _support_masks(grid)
+        hit = _first_fixed_point([supp] * n, voronoi)
+        if hit is not None:
+            return MultiWsneCertificate(
+                [grid[p].copy() for p in hit], eps, [_mask_to_list(int(supp[p])) for p in hit],
+                queries=queries, grid_resolution=spacing * max(d, 1) / 2.0)
         spacing /= 2.0
     raise RuntimeError(f"fixed point not found at resolution {spacing * max(d, 1) / 2.0:g}")

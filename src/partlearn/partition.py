@@ -124,32 +124,10 @@ def uepp_cells(u: UEPP, max_m: int = 4, max_n: int = 8) -> PartitionGroundTruth:
         raise ValueError("instance beyond the vertex-enumeration cap")
     if u.m == 0:
         return PartitionGroundTruth(0, [(lbl, VPolytope(np.zeros((1, 0)))) for lbl in u.label_set(np.zeros(0))], u)
-    simplex = corner_simplex_hpolytope(u.m)
     cells = []
-    for i in range(u.n):
-        rows_a = [simplex.normals]
-        rows_b = [simplex.offsets]
-        for j in range(u.n):
-            if j == i:
-                continue
-            diff = u.A[i] - u.A[j]
-            off = u.b[j] - u.b[i]
-            nrm = np.linalg.norm(diff)
-            if nrm < ETA:
-                if off > ETA:
-                    # row j strictly dominates row i everywhere: empty cell
-                    rows_a.append(np.ones((1, u.m)))
-                    rows_b.append(np.array([np.inf]))
-                continue
-            rows_a.append((diff / nrm)[None, :])
-            rows_b.append(np.array([off / nrm]))
-        Arows = np.vstack(rows_a)
-        brows = np.concatenate(rows_b)
-        if np.any(np.isinf(brows)):
-            cells.append((i + 1, empty_polytope(u.m)))
-            continue
-        verts = _enumerate_vertices(Arows, brows, u.m)
-        cells.append((i + 1, convex_hull(verts) if len(verts) else empty_polytope(u.m)))
+    for i in range(1, u.n + 1):
+        verts = _enumerate_vertices(*_cell_rows(u, i), u.m)
+        cells.append((i, convex_hull(verts) if len(verts) else empty_polytope(u.m)))
     return PartitionGroundTruth(u.m, cells, u)
 
 
@@ -179,6 +157,13 @@ def cell_hpolytope(u: UEPP, i: int):
 
     Returns (HPolytope, boundary_row_indices).
     """
+    return HPolytope(*_cell_rows(u, i)), set(range(u.m + 1))
+
+
+def _cell_rows(u: UEPP, i: int):
+    """Rows (normals, offsets) of ``normal . x >= offset`` cutting cell i
+    (1-based) out of the corner simplex: the m + 1 simplex rows first, then
+    one dominance row per other label."""
     simplex = corner_simplex_hpolytope(u.m)
     rows_a = [simplex.normals]
     rows_b = [simplex.offsets]
@@ -186,13 +171,18 @@ def cell_hpolytope(u: UEPP, i: int):
         if j == i - 1:
             continue
         diff = u.A[i - 1] - u.A[j]
+        off = u.b[j] - u.b[i - 1]
         nrm = np.linalg.norm(diff)
         if nrm < ETA:
+            if off > ETA:
+                # row j strictly dominates row i everywhere: the cell is
+                # empty, which the row sum(x) >= 2 says inside the simplex
+                rows_a.append(np.ones((1, u.m)))
+                rows_b.append(np.array([2.0]))
             continue
         rows_a.append((diff / nrm)[None, :])
-        rows_b.append(np.array([(u.b[j] - u.b[i - 1]) / nrm]))
-    h = HPolytope(np.vstack(rows_a), np.concatenate(rows_b))
-    return h, set(range(simplex.nrows))
+        rows_b.append(np.array([off / nrm]))
+    return np.vstack(rows_a), np.concatenate(rows_b)
 
 
 @dataclass
@@ -242,6 +232,7 @@ class TieBreak:
             raise ValueError(f"policy must be one of {POLICIES}")
         self.kind = kind
         self.policy = policy
+        self.seed = seed
         self._rng = np.random.default_rng(seed)
         self._memo = {}
         self._rr = 0
@@ -292,15 +283,13 @@ class Oracle:
                  tie_tol: float = ETA):
         self.tie_break = TieBreak(kind, policy, seed)
         self.ground_truth = ground_truth
-        self.kind = kind
-        self.policy = policy
-        self.seed = seed
         self.tie_tol = tie_tol
         self.log = QueryLog(budget=budget, record=record)
 
     def clone(self) -> "Oracle":
         """Fresh oracle over the same truth: same policy/seed, empty log."""
-        return Oracle(self.ground_truth, self.kind, self.policy, self.seed,
+        tb = self.tie_break
+        return Oracle(self.ground_truth, tb.kind, tb.policy, tb.seed,
                       self.log.budget, self.log.record, self.tie_tol)
 
     def label_set(self, y) -> set:

@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from partlearn.bimatrix import (
-    BimatrixGame, GuardedGame, PayoffAudit, PayoffAuditError, SolveConfig, best_value,
+    BimatrixGame, GuardedGame, PayoffAudit, PayoffAuditError, _first_fixed_point, best_value,
     br_oracle, br_partition, expand, lower_bound_game, make_br_oracles, pure_utilities,
     solve_wsne, utilities, verify_wsne,
 )
@@ -229,6 +231,54 @@ def test_voronoi_labels_are_eps_best_responses():
         for i in range(g.m):
             if mask & (1 << i):
                 assert vals.max() - vals[i] <= eps + 1e-9
+
+
+# -- the fixed-point scan ----------------------------------------------------------
+
+def brute_first_fixed_point(supports, voronoi):
+    """Lexicographically first profile over the full product, by plain loops."""
+    n = len(supports)
+    sizes = [len(s) for s in supports]
+    for prof in itertools.product(*(range(s) for s in sizes)):
+        fits = True
+        for i in range(n):
+            flat = 0
+            for j in range(n):
+                if j != i:
+                    flat = flat * sizes[j] + prof[j]
+            fits = fits and int(supports[i][prof[i]]) & ~int(voronoi[i][flat]) == 0
+        if fits:
+            return prof
+    return None
+
+
+@st.composite
+def scan_inputs(draw):
+    n = draw(st.sampled_from([2, 3]))
+    sizes = [draw(st.integers(1, 5)) for _ in range(n)]
+
+    def masks(count, lo):
+        return np.array(draw(st.lists(st.integers(lo, 3), min_size=count, max_size=count)),
+                        dtype=np.int64)
+
+    supports = [masks(size, 1) for size in sizes]
+    voronoi = [masks(math.prod(sizes) // sizes[i], 0) for i in range(n)]
+    return supports, voronoi
+
+
+@settings(max_examples=300, deadline=None)
+@given(scan_inputs())
+def test_first_fixed_point_matches_brute_force(inputs):
+    supports, voronoi = inputs
+    assert _first_fixed_point(supports, voronoi) == brute_first_fixed_point(supports, voronoi)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_first_fixed_point_reports_none(n):
+    supports = [np.array([1, 2, 3], dtype=np.int64)] * n
+    voronoi = [np.zeros(3 ** (n - 1), dtype=np.int64)] * n
+    assert _first_fixed_point(supports, voronoi) is None
+    assert brute_first_fixed_point(supports, voronoi) is None
 
 
 def test_certificate_json_fields():

@@ -64,6 +64,18 @@ def test_learn_adversarial_duplicates_records_merge(tmp_path):
     assert manifest["eps_close"]
 
 
+def test_learn_accepts_roundrobin_policy(tmp_path):
+    inst = tmp_path / "dup.json"
+    run("gen", "--kind", "uepp", "--m", "2", "--n", "3", "--seed", "1000",
+        "--duplicate-rows", "1", "--out", str(inst))
+    out = tmp_path / "lab.json"
+    code = run("learn", "--instance", str(inst), "--eps", "0.1", "--oracle", "adv",
+               "--policy", "roundrobin", "--out", str(out))
+    assert code == EXIT_OK
+    manifest = json.loads((tmp_path / "lab.json.manifest.json").read_text())
+    assert manifest["policy"] == "roundrobin" and manifest["eps_close"]
+
+
 def test_solve_bimatrix_and_exit_codes(tmp_path):
     inst = tmp_path / "lb.json"
     run("gen", "--kind", "lbgame", "--x", "0.5", "--y", "0.5", "--out", str(inst))

@@ -6,8 +6,8 @@ import pytest
 from partlearn.geometry import cross_section, distance_to_hull, face_map
 from partlearn.geometry.polytope import all_faces
 from partlearn.partition import (
-    Oracle, QueryBudgetError, UEPP, alpha_critical, critical_coordinates, make_oracle,
-    random_uepp, uepp_cells, uepp_label_set,
+    Oracle, QueryBudgetError, UEPP, alpha_critical, cell_hpolytope, critical_coordinates,
+    make_oracle, random_uepp, uepp_cells, uepp_label_set,
 )
 
 
@@ -76,7 +76,8 @@ def test_oracle_clone_resets_log():
     o([0.1, 0.1])
     c = o.clone()
     assert c.log.count == 0 and o.log.count == 1
-    assert c.seed == o.seed and c.policy == o.policy
+    assert c.tie_break.seed == o.tie_break.seed and c.tie_break.policy == o.tie_break.policy
+    assert c.tie_break.kind == o.tie_break.kind
 
 
 def test_oracle_transcript_jsonl():
@@ -140,6 +141,20 @@ def test_critical_coordinates_single_cell():
     assert coords[-1] == pytest.approx(1.0, abs=1e-6)
     lr = alpha_critical(u, 1, 0.05)
     assert lr is not None and 0.0 <= lr[0] < lr[1] <= 1.0
+
+
+def test_cell_under_a_dominating_coinciding_row_is_empty():
+    # label 1's row equals label 2's row shifted up by 1: label 2 never wins
+    u = UEPP(np.array([[1.0, 0.5], [1.0, 0.5]]), np.array([0.0, -1.0]))
+    grid = [np.array([a, b]) / 20 for a in range(21) for b in range(21 - a)]
+    assert all(uepp_label_set(u, y) == {1} for y in grid)
+    h, boundary = cell_hpolytope(u, 2)
+    assert boundary == {0, 1, 2}
+    assert not any(h.contains(y) for y in grid)
+    assert alpha_critical(u, 2, 0.01) is None
+    assert alpha_critical(u, 1, 0.01) == pytest.approx((0.0, 0.98), abs=1e-6)
+    cells = dict(uepp_cells(u).cells)
+    assert cells[2].is_empty and not cells[1].is_empty
 
 
 @pytest.mark.parametrize("seed", range(10))
