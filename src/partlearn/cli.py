@@ -211,12 +211,12 @@ def cmd_bench(args) -> int:
             except Exception as exc:   # per-row failures are recorded, not fatal
                 row = {"family": args.family, "m": args.m, "n": args.n, "eps": eps,
                        "seed": seed, "queries": -1, "wall_ms": -1.0, "verified": False,
-                       "error": str(exc)[:60]}
+                       "error": f"{type(exc).__name__}: {exc}"}
             rows.append(row)
-    header = ["family", "m", "n", "eps", "seed", "queries", "wall_ms", "verified"]
+    header = ["family", "m", "n", "eps", "seed", "queries", "wall_ms", "verified", "error"]
     out = args.out or "bench.csv"
     with open(out, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=header, extrasaction="ignore")
+        writer = csv.DictWriter(fh, fieldnames=header)
         writer.writeheader()
         for row in rows:
             writer.writerow(row)

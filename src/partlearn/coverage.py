@@ -42,11 +42,19 @@ class SimplexSlab:
 
 @dataclass
 class CoverageReport:
+    """Verdict of `verify_eps_net`.
+
+    ``cells_touched`` counts the boxes the refinement examined (lattice
+    points on the V-polytope path); it is 0 when no box was examined: an
+    empty or 0-dimensional region, no hulls, or a seam-probe witness.
+    """
+
     eps: float
     is_close: bool
     witness: np.ndarray | None
     checked_resolution: float
     witness_distance: float | None = None
+    cells_touched: int = 0
 
     def to_json(self) -> str:
         return json.dumps({
@@ -55,6 +63,7 @@ class CoverageReport:
             "witness": None if self.witness is None else list(map(float, self.witness)),
             "checked_resolution": self.checked_resolution,
             "witness_distance": self.witness_distance,
+            "cells_touched": self.cells_touched,
         })
 
 
@@ -83,10 +92,12 @@ def _min_dist_exact(hulls, pts, cap=None, tol=1e-9):
     for h in hulls:
         if h.is_empty:
             continue
-        lb = h.lower_bounds(pts)
+        off = h.facet_offsets(pts)
+        lb = h.lower_bounds(pts, offsets=off)
         todo = lb < out if cap is None else (lb < np.minimum(out, cap))
         if todo.any():
-            out[todo] = np.minimum(out[todo], h.distances(pts[todo], tol=tol))
+            d = h.distances(pts[todo], tol=tol, offsets=None if off is None else off[todo])
+            out[todo] = np.minimum(out[todo], d)
     return out
 
 
@@ -126,7 +137,6 @@ def verify_eps_net(region, hulls, eps: float, max_cells: int = 2_000_000) -> Cov
     los = lo0[None, :]
     his = hi0[None, :]
     floor_r = eps / 4.0
-    best_witness, best_dist = None, -1.0
     cells_touched = 0
 
     while los.shape[0]:
@@ -162,7 +172,7 @@ def verify_eps_net(region, hulls, eps: float, max_cells: int = 2_000_000) -> Cov
                 sub = np.where(small)[0][definitely_far]
                 w = los[sub[0]]
                 dw = float(_min_dist_exact(hulls, w[None, :], tol=dist_tol)[0])
-                return CoverageReport(eps, False, w.copy(), eps / 2, dw)
+                return CoverageReport(eps, False, w.copy(), eps / 2, dw, cells_touched)
             at_floor = radii[small] <= floor_r
             undecided = at_floor & ~covered
             if undecided.any():
@@ -171,8 +181,8 @@ def verify_eps_net(region, hulls, eps: float, max_cells: int = 2_000_000) -> Cov
                 dw = _min_dist_exact(hulls, los[sub], cap=None, tol=dist_tol)
                 if (dw > eps / 2).any():
                     j = int(np.argmax(dw))
-                    best_witness, best_dist = los[sub[j]].copy(), float(dw[j])
-                    return CoverageReport(eps, False, best_witness, eps / 2, best_dist)
+                    return CoverageReport(eps, False, los[sub[j]].copy(), eps / 2,
+                                          float(dw[j]), cells_touched)
             drop = np.where(small)[0][covered | at_floor]
             alive = np.ones(los.shape[0], dtype=bool)
             alive[drop] = False
@@ -187,7 +197,7 @@ def verify_eps_net(region, hulls, eps: float, max_cells: int = 2_000_000) -> Cov
         right_lo[np.arange(len(los)), axis] = mid
         los = np.vstack([los, right_lo])
         his = np.vstack([left_hi, his])
-    return CoverageReport(eps, True, None, eps / 2)
+    return CoverageReport(eps, True, None, eps / 2, cells_touched=cells_touched)
 
 
 def _in_slab(region: SimplexSlab, pts: np.ndarray) -> np.ndarray:
@@ -373,5 +383,5 @@ def _verify_on_lattice(region: VPolytope, hulls, eps: float) -> CoverageReport:
         d[todo] = _min_dist_exact(hulls, pts[todo], cap=eps, tol=max(1e-9, eps / 50.0))
     worst = int(np.argmax(d))
     if d[worst] <= eps / 2:
-        return CoverageReport(eps, True, None, eps / 2)
-    return CoverageReport(eps, False, pts[worst].copy(), eps / 2, float(d[worst]))
+        return CoverageReport(eps, True, None, eps / 2, cells_touched=len(pts))
+    return CoverageReport(eps, False, pts[worst].copy(), eps / 2, float(d[worst]), len(pts))

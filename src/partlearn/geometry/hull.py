@@ -6,6 +6,24 @@ most three vertices use exact point/segment/triangle formulas instead.
 Canonicalization keeps a vertex iff its distance to the hull of the others
 exceeds the predicate tolerance; full-dimensional point sets take a Qhull
 fast path that yields the same vertex set.
+
+The segment and triangle kernels work row by row on broadcastable arrays:
+one form serves a point against a fixed simplex, (point, simplex) pairs,
+and all-pairs tables.  Two rules keep `PointHull`'s answers to the
+coverage verifier's distance queries cheap:
+
+* the upper bound is the distance to the nearest sampled hull point, found
+  by a KD-tree over the samples (built once per hull, on first use);
+* the exact distance of a point outside a hull of effective dimension 2 or
+  3 is the minimum over the boundary simplices of the facets that see it
+  (``a.x - b > -ETA``).  Every boundary simplex lies in the hull, so a
+  minimum over any subset never falls below the true distance; and the
+  nearest boundary point lies on a facet that sees the point (the residual
+  ``x - p`` is in the normal cone at ``p``, so some facet through ``p`` has
+  ``a.(x - p) > 0``), so a visible simplex contains it.  Results equal the
+  all-simplex minimum up to rounding: where the nearest point lies on an
+  edge shared with a facet that does not see the point, the two triangles
+  compute it with different roundings.
 """
 
 from __future__ import annotations
@@ -13,11 +31,13 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial import ConvexHull as _QHull
 from scipy.spatial import QhullError as _QhullError
+from scipy.spatial import cKDTree as _KDTree
 
 from ..predicates import ETA, as_point
 from .polytope import VPolytope, empty_polytope
 
 _FW_MAX_ITER = 400
+_PAIR_CHUNK = 1 << 16   # (point, simplex) pairs per distance block
 
 
 def project_onto_hull_batch(V: np.ndarray, X: np.ndarray, tol: float = 1e-9,
@@ -36,10 +56,8 @@ def project_onto_hull_batch(V: np.ndarray, X: np.ndarray, tol: float = 1e-9,
         raise ValueError("empty hull")
     if m == 0 or v == 1:
         return np.repeat(V[:1], n, axis=0)
-    if v == 2:
-        return _segment_dist_batch(X, V[:1], V[1:], return_points=True)[1][:, 0, :]
-    if v == 3:
-        return _triangle_dist_batch(X, V[None], return_points=True)[1][:, 0, :]
+    if v <= 3:
+        return _simplex_points(X, V)
 
     # start from the nearest vertex per query
     d2 = ((X[:, None, :] - V[None, :, :]) ** 2).sum(axis=2) if v * n * m <= 4e7 else None
@@ -93,38 +111,38 @@ def project_onto_hull_batch(V: np.ndarray, X: np.ndarray, tol: float = 1e-9,
     return Z
 
 
-def _segment_dist_batch(X: np.ndarray, A: np.ndarray, B: np.ndarray,
-                        return_points: bool = False):
-    """(N, E) distances from each point to each segment."""
-    D = B - A
-    dd = (D * D).sum(axis=1)
-    dd = np.where(dd < 1e-30, 1.0, dd)
-    AP = X[:, None, :] - A[None, :, :]
-    t = np.clip((AP * D[None, :, :]).sum(axis=2) / dd[None, :], 0.0, 1.0)
-    P = A[None, :, :] + t[:, :, None] * D[None, :, :]
-    dist = np.linalg.norm(X[:, None, :] - P, axis=2)
-    if return_points:
-        return dist, P
-    return dist
+def _segment_points(X: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Nearest point of segment [A, B] to X, row by row.
 
-
-def _triangle_dist_batch(X: np.ndarray, tris: np.ndarray,
-                         return_points: bool = False):
-    """(N, T) distances from each point to each triangle (any ambient dim).
-
-    Vectorized Voronoi-region point/triangle classification.
+    All arguments broadcast against each other over their leading axes; the
+    last axis is the coordinate axis.
     """
-    A, B, C = tris[:, 0, :], tris[:, 1, :], tris[:, 2, :]
+    D = B - A
+    dd = (D * D).sum(axis=-1)
+    dd = np.where(dd < 1e-30, 1.0, dd)
+    t = np.clip(((X - A) * D).sum(axis=-1) / dd, 0.0, 1.0)
+    return A + t[..., None] * D
+
+
+def _triangle_points(X: np.ndarray, A: np.ndarray, B: np.ndarray,
+                     C: np.ndarray) -> np.ndarray:
+    """Nearest point of triangle ABC to X, row by row (any ambient dim).
+
+    Voronoi-region point/triangle classification; arguments broadcast as in
+    `_segment_points`.  The region formulas cannot resolve a flat triangle
+    (sin^2 of its angle at A at most 1e-12: repeated or collinear vertices up
+    to rounding).  Such a triangle lies within 1e-6 of its longest edge's
+    length of that edge, so it takes the nearest point of that edge, a point
+    of the triangle: the distance is never under-reported.
+    """
     ab, ac, bc = B - A, C - A, C - B
-    AP = X[:, None, :] - A[None, :, :]
-    BP = X[:, None, :] - B[None, :, :]
-    CP = X[:, None, :] - C[None, :, :]
-    d1 = (AP * ab[None]).sum(2)
-    d2 = (AP * ac[None]).sum(2)
-    d3 = (BP * ab[None]).sum(2)
-    d4 = (BP * ac[None]).sum(2)
-    d5 = (CP * ab[None]).sum(2)
-    d6 = (CP * ac[None]).sum(2)
+    AP, BP, CP = X - A, X - B, X - C
+    d1 = (AP * ab).sum(-1)
+    d2 = (AP * ac).sum(-1)
+    d3 = (BP * ab).sum(-1)
+    d4 = (BP * ac).sum(-1)
+    d5 = (CP * ab).sum(-1)
+    d6 = (CP * ac).sum(-1)
     vc = d1 * d4 - d3 * d2
     vb = d5 * d2 - d1 * d6
     va = d3 * d6 - d5 * d4
@@ -139,23 +157,38 @@ def _triangle_dist_batch(X: np.ndarray, tris: np.ndarray,
         v_in = vb / den
         w_in = vc / den
 
-    P = A[None] + v_in[:, :, None] * ab[None] + w_in[:, :, None] * ac[None]
+    on_ab = A + t_ab[..., None] * ab
+    on_ac = A + t_ac[..., None] * ac
+    on_bc = B + t_bc[..., None] * bc
+    P = A + v_in[..., None] * ab + w_in[..., None] * ac
     r6 = (va <= 0) & ((d4 - d3) >= 0) & ((d5 - d6) >= 0)
-    P = np.where(r6[:, :, None], B[None] + t_bc[:, :, None] * bc[None], P)
+    P = np.where(r6[..., None], on_bc, P)
     r5 = (vb <= 0) & (d2 >= 0) & (d6 <= 0)
-    P = np.where(r5[:, :, None], A[None] + t_ac[:, :, None] * ac[None], P)
+    P = np.where(r5[..., None], on_ac, P)
     r4 = (d6 >= 0) & (d5 <= d6)
-    P = np.where(r4[:, :, None], C[None] * np.ones_like(P), P)
+    P = np.where(r4[..., None], C, P)
     r3 = (vc <= 0) & (d1 >= 0) & (d3 <= 0)
-    P = np.where(r3[:, :, None], A[None] + t_ab[:, :, None] * ab[None], P)
+    P = np.where(r3[..., None], on_ab, P)
     r2 = (d3 >= 0) & (d4 <= d3)
-    P = np.where(r2[:, :, None], B[None] * np.ones_like(P), P)
+    P = np.where(r2[..., None], B, P)
     r1 = (d1 <= 0) & (d2 <= 0)
-    P = np.where(r1[:, :, None], A[None] * np.ones_like(P), P)
-    dist = np.linalg.norm(X[:, None, :] - P, axis=2)
-    if return_points:
-        return dist, P
-    return dist
+    P = np.where(r1[..., None], A, P)
+    # a flat triangle lies within its longest edge: project onto that edge
+    ab2, ac2 = (ab * ab).sum(-1), (ac * ac).sum(-1)
+    flat = ab2 * ac2 - (ab * ac).sum(-1) ** 2 <= 1e-12 * ab2 * ac2
+    if flat.any():
+        bc2 = (bc * bc).sum(-1)
+        edge = np.where(((ab2 >= ac2) & (ab2 >= bc2))[..., None], on_ab,
+                        np.where((ac2 >= bc2)[..., None], on_ac, on_bc))
+        P = np.where(flat[..., None], edge, P)
+    return P
+
+
+def _simplex_points(X: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """Nearest point to X of each segment or triangle S[..., j, :], row by row."""
+    if S.shape[-2] == 2:
+        return _segment_points(X, S[..., 0, :], S[..., 1, :])
+    return _triangle_points(X, S[..., 0, :], S[..., 1, :], S[..., 2, :])
 
 
 def distance_to_hull(x, p, norm: str = "l2"):
@@ -238,6 +271,17 @@ class PointHull:
     Precomputes a facet form via Qhull when the set is full-dimensional, and
     factors out coordinates that are constant across the set (cross-section
     nets are flat in their section coordinate).  Distances are l2.
+
+    * `lower_bounds`: the largest facet violation (sound: each facet's
+      halfspace contains the hull).
+    * `upper_bounds`: the distance to the nearest of the points and, for at
+      most 40 points, their pair midpoints, answered by a KD-tree (sound:
+      each sample lies in the hull).
+    * `distances`: 0 inside the facet form; outside, exact for hulls of
+      effective dimension 1 to 3, where only the boundary simplices of the
+      facets that see a point are measured (see the module docstring for
+      why that subset holds the nearest point); Frank-Wolfe upper estimates
+      otherwise.
     """
 
     def __init__(self, points: np.ndarray):
@@ -252,6 +296,7 @@ class PointHull:
         self._var_axes = np.arange(self.m)
         self._sub = None          # reduced point set on varying axes
         self._facets = None       # (A, b) with A x <= b on varying axes
+        self._tree = None         # KD-tree over _upper_pts, built on first use
         if self.is_empty:
             return
         span = P.max(axis=0) - P.min(axis=0)
@@ -287,26 +332,22 @@ class PointHull:
             self._upper_pts = np.vstack([self.points, mids])
 
     def _split(self, X: np.ndarray):
-        Xv = X[:, self._var_axes]
-        if self._const_axes.size:
-            axial2 = ((X[:, self._const_axes] - self._const_vals) ** 2).sum(axis=1)
-        else:
-            axial2 = np.zeros(X.shape[0])
-        return Xv, axial2
+        """(coordinates on the varying axes, squared distance on the constant axes)."""
+        if not self._const_axes.size:
+            return X, np.zeros(X.shape[0])
+        axial2 = ((X[:, self._const_axes] - self._const_vals) ** 2).sum(axis=1)
+        return X[:, self._var_axes], axial2
 
     def upper_bounds(self, X: np.ndarray) -> np.ndarray:
         """Distance to the nearest sampled hull point (>= true hull distance)."""
         if self.is_empty:
             return np.full(X.shape[0], np.inf)
         X = np.atleast_2d(X)
-        pts = self._upper_pts
-        out = np.empty(X.shape[0])
-        chunk = max(1, int(4e6 // max(1, pts.shape[0])))
-        for s in range(0, X.shape[0], chunk):
-            blk = X[s:s + chunk]
-            d2 = ((blk[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-            out[s:s + chunk] = np.sqrt(d2.min(axis=1))
-        return out
+        if self.m == 0:
+            return np.zeros(X.shape[0])
+        if self._tree is None:
+            self._tree = _KDTree(self._upper_pts)
+        return self._tree.query(X)[0]
 
     def contains_boxes(self, los: np.ndarray, his: np.ndarray) -> np.ndarray:
         """Mask of axis-aligned boxes wholly inside the hull.
@@ -333,34 +374,60 @@ class PointHull:
         out = ok & (worst <= ETA).all(axis=1)
         return out
 
-    def lower_bounds(self, X: np.ndarray) -> np.ndarray:
+    def facet_offsets(self, X: np.ndarray):
+        """Facet offsets ``A x - b`` of a query block on the varying axes,
+        positive where a facet sees the point; None without a facet form.
+
+        Callers that need both `lower_bounds` and `distances` of one block
+        compute these once and pass their rows to both.
+        """
+        return self._offsets(self._split(np.atleast_2d(X))[0])
+
+    def _offsets(self, Xv: np.ndarray):
+        if self._facets is None:
+            return None
+        A, b = self._facets
+        return Xv @ A.T - b
+
+    def lower_bounds(self, X: np.ndarray, offsets=None) -> np.ndarray:
         """Sound lower bound on hull distance (0 when inside or unknown)."""
         if self.is_empty:
             return np.full(X.shape[0], np.inf)
         X = np.atleast_2d(X)
         Xv, axial2 = self._split(X)
-        if self._facets is not None and Xv.shape[1] > 0:
-            A, b = self._facets
-            viol = Xv @ A.T - b
+        viol = self._offsets(Xv) if offsets is None else offsets
+        if viol is not None:
             trans = np.clip(viol.max(axis=1), 0.0, None)
         else:
             trans = np.zeros(X.shape[0])
         return np.sqrt(trans ** 2 + axial2)
 
-    def _surface_dist(self, pts: np.ndarray) -> np.ndarray:
-        """Exact distance to the boundary simplices, chunked for memory."""
-        n_simp = self._surface.shape[0]
-        k = self._surface.shape[1]
-        out = np.empty(pts.shape[0])
-        chunk = max(1, int(2e6 // max(1, n_simp)))
-        for s in range(0, pts.shape[0], chunk):
-            blk = pts[s:s + chunk]
-            if k == 2:
-                d = _segment_dist_batch(blk, self._surface[:, 0, :], self._surface[:, 1, :])
-            else:
-                d = _triangle_dist_batch(blk, self._surface)
-            out[s:s + chunk] = d.min(axis=1)
-        return out
+    def _outside(self, Xv: np.ndarray, offsets):
+        """Mask of points outside the facet form, and their facet offsets
+        (without a facet form every point counts as outside)."""
+        viol = self._offsets(Xv) if offsets is None else offsets
+        if viol is None:
+            return np.ones(Xv.shape[0], dtype=bool), None
+        out = viol.max(axis=1) > ETA
+        return out, viol[out]
+
+    def _surface_nearest(self, Xv: np.ndarray, viol: np.ndarray):
+        """(distances, nearest points) of the boundary for outside points.
+
+        Each point is measured only against the simplices of the facets that
+        see it (``viol > -ETA``), as (point, simplex) pairs in bounded chunks.
+        """
+        rows, simp = np.nonzero(viol > -ETA)
+        dist = np.full(Xv.shape[0], np.inf)
+        near = np.empty_like(Xv)
+        for s in range(0, rows.size, _PAIR_CHUNK):
+            i, f = rows[s:s + _PAIR_CHUNK], simp[s:s + _PAIR_CHUNK]
+            P = _simplex_points(Xv[i], self._surface[f])
+            d = np.linalg.norm(Xv[i] - P, axis=1)
+            np.minimum.at(dist, i, d)
+            hit = d <= dist[i]
+            near[i[hit]] = P[hit]
+        return dist, near
 
     def project(self, X: np.ndarray, tol: float = 1e-9):
         """(distances, nearest points) for a query block."""
@@ -372,36 +439,25 @@ class PointHull:
         W = np.tile(self.points[0], (n, 1))
         if Xv.shape[1] == 0:
             return np.sqrt(axial2), W
-        if self._facets is not None:
-            A, b = self._facets
-            inside = (Xv @ A.T - b).max(axis=1) <= ETA
-        else:
-            inside = np.zeros(n, dtype=bool)
+        todo, viol = self._outside(Xv, None)
         Wv = Xv.copy()
-        todo = ~inside
         if todo.any():
-            sub = Xv[todo]
-            if self._surface is not None and self._surface.shape[1] <= 3:
-                if self._surface.shape[1] == 2:
-                    d, P = _segment_dist_batch(sub, self._surface[:, 0, :],
-                                               self._surface[:, 1, :], return_points=True)
-                else:
-                    d, P = _triangle_dist_batch(sub, self._surface, return_points=True)
-                pick = np.argmin(d, axis=1)
-                Wv[todo] = P[np.arange(len(sub)), pick]
+            if self._surface is not None:
+                Wv[todo] = self._surface_nearest(Xv[todo], viol)[1]
             else:
-                Wv[todo] = project_onto_hull_batch(self._sub, sub, tol=tol)
+                Wv[todo] = project_onto_hull_batch(self._sub, Xv[todo], tol=tol)
         trans2 = ((Xv - Wv) ** 2).sum(axis=1)
         W[:, self._var_axes] = Wv
         if self._const_axes.size:
             W[:, self._const_axes] = self._const_vals
         return np.sqrt(trans2 + axial2), W
 
-    def distances(self, X: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    def distances(self, X: np.ndarray, tol: float = 1e-9, offsets=None) -> np.ndarray:
         """Hull distances to absolute tolerance tol (upper estimates).
 
         Exact (to rounding) whenever a boundary decomposition is available,
         which covers every hull of effective dimension at most three.
+        ``offsets``, when given, are `facet_offsets` of X.
         """
         if self.is_empty:
             return np.full(np.atleast_2d(X).shape[0], np.inf)
@@ -413,16 +469,11 @@ class PointHull:
             lo, hi = float(self._sub.min()), float(self._sub.max())
             t = np.clip(np.maximum(lo - Xv[:, 0], Xv[:, 0] - hi), 0.0, None)
             return np.sqrt(t * t + axial2)
-        if self._facets is not None:
-            A, b = self._facets
-            inside = (Xv @ A.T - b).max(axis=1) <= ETA
-        else:
-            inside = np.zeros(X.shape[0], dtype=bool)
+        todo, viol = self._outside(Xv, offsets)
         trans2 = np.zeros(X.shape[0])
-        todo = ~inside
         if todo.any():
             if self._surface is not None:
-                d = self._surface_dist(Xv[todo])
+                d = self._surface_nearest(Xv[todo], viol)[0]
                 trans2[todo] = d * d
             else:
                 Z = project_onto_hull_batch(self._sub, Xv[todo], tol=tol)

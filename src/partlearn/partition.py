@@ -360,25 +360,35 @@ def alpha_critical(u: UEPP, i: int, alpha: float, tol: float = 1e-9):
     """The first coordinates where cell i's section thickness crosses alpha.
 
     Section thickness is concave along the axis, so the super-level set is
-    an interval; endpoints are found by bisection around the concave peak.
-    Returns None when the cell never reaches thickness alpha.
+    an interval and any point of it splits the two crossings apart.  A
+    ternary search climbs towards the peak until a probe reaches alpha; the
+    endpoints are then found by bisection on either side of that probe.
+    Returns None when the search bracket shrinks to tol without a probe
+    reaching alpha.
     """
     h, _ = cell_hpolytope(u, i)
 
     def tau(x):
         return _section_thickness(h, x)
 
-    # ternary search for the peak of the concave section-thickness
     lo, hi = 0.0, 1.0
-    for _ in range(80):
+    split = None
+    while hi - lo > tol:
         m1 = lo + (hi - lo) / 3
         m2 = hi - (hi - lo) / 3
-        if tau(m1) < tau(m2):
+        t1 = tau(m1)
+        if t1 >= alpha:
+            split = m1
+            break
+        t2 = tau(m2)
+        if t2 >= alpha:
+            split = m2
+            break
+        if t1 < t2:
             lo = m1
         else:
             hi = m2
-    peak = 0.5 * (lo + hi)
-    if tau(peak) < alpha:
+    if split is None:
         return None
 
     def bisect(a, b, want_left):
@@ -393,8 +403,8 @@ def alpha_critical(u: UEPP, i: int, alpha: float, tol: float = 1e-9):
                 break
         return 0.5 * (a + b)
 
-    l = bisect(0.0, peak, want_left=True) if tau(0.0) < alpha else 0.0
-    r = bisect(peak, 1.0, want_left=False) if tau(1.0) < alpha else 1.0
+    l = bisect(0.0, split, want_left=True) if tau(0.0) < alpha else 0.0
+    r = bisect(split, 1.0, want_left=False) if tau(1.0) < alpha else 1.0
     return l, r
 
 

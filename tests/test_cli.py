@@ -107,15 +107,28 @@ def test_bench_csv_contract(tmp_path):
     with open(out) as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 4
-    assert list(rows[0]) == ["family", "m", "n", "eps", "seed", "queries", "wall_ms", "verified"]
-    assert all(r["verified"] == "True" for r in rows)
+    assert list(rows[0]) == ["family", "m", "n", "eps", "seed", "queries", "wall_ms", "verified",
+                             "error"]
+    assert all(r["verified"] == "True" and r["error"] == "" for r in rows)
+
+
+def test_bench_failed_row_records_its_cause(tmp_path):
+    out = tmp_path / "b.csv"
+    code = run("bench", "--family", "lbgame", "--eps-list", "0.2,0", "--seeds", "1",
+               "--out", str(out))
+    assert code == EXIT_OK
+    with open(out) as fh:
+        ok, failed = list(csv.DictReader(fh))
+    assert ok["verified"] == "True" and ok["error"] == ""
+    assert failed["verified"] == "False" and failed["queries"] == "-1"
+    assert failed["error"] == "ValueError: eps must be positive"
 
 
 def test_bench_empty_sweep_writes_header_only(tmp_path):
     out = tmp_path / "b.csv"
     assert run("bench", "--family", "lbgame", "--out", str(out)) == EXIT_OK
     lines = out.read_text().strip().splitlines()
-    assert lines == ["family,m,n,eps,seed,queries,wall_ms,verified"]
+    assert lines == ["family,m,n,eps,seed,queries,wall_ms,verified,error"]
 
 
 def test_unknown_instance_file(tmp_path):

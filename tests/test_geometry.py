@@ -11,7 +11,9 @@ from partlearn.geometry import (
     corner_simplex_vertices, cross_section, diameter, distance_to_hull,
     enumerate_k_faces, gamma_interior, lambda_embed, section_map, slice_polytope,
 )
+from partlearn.geometry.hull import PointHull, _simplex_points, project_onto_hull_batch
 from partlearn.geometry.polytope import all_faces
+from partlearn.predicates import ETA
 
 
 def _weight_compositions(total, parts):
@@ -145,6 +147,82 @@ def test_l1_distance_variant():
     assert d == pytest.approx(0.4, abs=1e-7)
     d2, _ = distance_to_hull(np.array([2.0, 1.0]), p, norm="l1")
     assert d2 == pytest.approx(2.0, abs=1e-7)  # (2,1) -> (1,0): |1|+|1|
+
+
+# -- PointHull kernels against brute force -------------------------------------
+
+SHAPES = ["general", "flat", "coplanar", "collinear", "single", "grid"]
+
+
+@st.composite
+def hull_cases(draw):
+    """(points, queries) for a hull of dimension m = 0..4 and a given shape."""
+    m = draw(st.integers(0, 4))
+    shape = draw(st.sampled_from(SHAPES))
+    n = draw(st.integers(1, 14))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if shape == "single":
+        P = rng.random((1, m))
+    elif shape == "grid":                  # repeated and coplanar lattice points
+        P = rng.integers(0, 3, size=(n, m)) / 2.0
+    elif shape in ("coplanar", "collinear"):
+        dirs = rng.standard_normal((2 if shape == "coplanar" else 1, m))
+        P = rng.random(m) + rng.random((n, len(dirs))) @ dirs
+    else:
+        P = rng.random((n, m))
+        if shape == "flat" and m:
+            P[:, rng.integers(m)] = rng.random()
+    far = rng.random((40, m)) * 2.0 - 0.5
+    inside = rng.dirichlet(np.ones(len(P)), size=10) @ P
+    return P, far, inside
+
+
+def _all_surface_distances(h, X):
+    """Distances with every outside point measured against *all* boundary
+    simplices (the scan the visible-facet rule replaced)."""
+    Xv, axial2 = h._split(X)
+    S = h._surface
+    P = _simplex_points(Xv[:, None, :], S[None])
+    d = np.linalg.norm(Xv[:, None, :] - P, axis=2).min(axis=1)
+    outside = h.facet_offsets(X).max(axis=1) > ETA
+    return np.sqrt(np.where(outside, d * d, 0.0) + axial2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hull_cases())
+def test_point_hull_kernels_match_brute_force(case):
+    P, far, inside = case
+    h = PointHull(P)
+    X = np.vstack([far, inside, P])
+    # nearest sample: KD-tree against the N x P scan
+    U = h._upper_pts
+    brute = np.sqrt(((X[:, None, :] - U[None]) ** 2).sum(axis=2).min(axis=1))
+    ub = h.upper_bounds(X)
+    assert np.array_equal(ub, brute)
+    d = h.distances(X)
+    lb = h.lower_bounds(X)
+    assert (lb <= d + 1e-12).all()
+    assert (d <= ub + 1e-12).all()
+    # the shared-offset form is the same computation
+    off = h.facet_offsets(X)
+    assert np.array_equal(h.lower_bounds(X, offsets=off), lb)
+    assert np.array_equal(h.distances(X, offsets=off), d)
+    # Frank-Wolfe on the raw point set brackets the distance: its iterate is a
+    # hull point, and its duality gap bounds how far it can be from optimal
+    Z = project_onto_hull_batch(P, X)
+    G = Z - X
+    gap = (G * Z).sum(axis=1) - (G @ P.T).min(axis=1)
+    fw_hi = np.linalg.norm(G, axis=1)
+    fw_lo = np.sqrt(np.clip(fw_hi ** 2 - 2.0 * gap, 0.0, None))
+    assert (d >= fw_lo - 1e-8).all()
+    if h._surface is None and h._var_axes.size > 1:
+        return    # distances itself runs Frank-Wolfe here, capped at 400 steps
+    # exact hulls: 0 inside, the visible facets give the all-simplex minimum,
+    # and no Frank-Wolfe iterate is closer
+    assert (d[len(far):] <= 1e-12).all()
+    if h._surface is not None:
+        np.testing.assert_allclose(d, _all_surface_distances(h, X), rtol=0, atol=1e-12)
+    assert (d <= fw_hi + 1e-12).all()
 
 
 # -- convex hull ---------------------------------------------------------------

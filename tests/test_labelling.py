@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -90,6 +91,13 @@ def test_labelling_json_roundtrip():
 def test_grid_labelling_is_close():
     lab = grid_labelling(2, 3, eps=0.2)
     assert is_eps_close(lab, None, 0.2).is_close
+
+
+def test_report_counts_the_cells_it_refined():
+    rep = is_eps_close(grid_labelling(2, 3, eps=0.2), None, 0.2)
+    assert rep.is_close and rep.cells_touched > 0
+    assert json.loads(rep.to_json())["cells_touched"] == rep.cells_touched
+    assert verify_eps_net(SimplexSlab(2, 0.8, 0.2), [], 0.1).cells_touched == 0
 
 
 def test_empty_labelling_not_close_with_witness():
