@@ -23,7 +23,7 @@ from .cdgbs import GbsConfig, cd_gbs_adversarial
 from .coverage import simplex_lattice, unit_step
 from .crgbs import CrConfig, cr_gbs
 from .geometry import corner_simplex_vertices
-from .labelling import EmpiricalLabelling
+from .labelling import EmpiricalLabelling, voronoi_band_masks
 from .partition import UEPP, Oracle, QueryLog
 from .predicates import ETA, as_point
 
@@ -163,15 +163,14 @@ def br_partition(g: BimatrixGame, side: str) -> UEPP:
 class StrongBrOracle:
     """Returns the full argmax set of pure best responses; one query each."""
 
-    def __init__(self, uepp: UEPP, budget=None, record: bool = True, tie_tol: float = ETA):
+    def __init__(self, uepp: UEPP, budget=None, record: bool = True):
         self.uepp = uepp
-        self.tie_tol = tie_tol
         self.log = QueryLog(budget=budget, record=record)
 
     def __call__(self, mix) -> set:
         mix = as_point(mix)
         self.log.charge(mix)
-        labels = self.uepp.label_set(mix, self.tie_tol)
+        labels = self.uepp.label_set(mix)
         self.log.amend_last_label(tuple(sorted(labels)))
         return labels
 
@@ -235,9 +234,20 @@ class WsneCertificate:
         })
 
 
+def _support_bits(dists: np.ndarray) -> np.ndarray:
+    """Support bitmask of each row of full distributions: bit j is set when
+    strategy j + 1 has mass above SUPPORT_MASS."""
+    return ((dists > SUPPORT_MASS) << np.arange(dists.shape[1])).sum(axis=1)
+
+
+def _mask_to_list(mask: int) -> list:
+    """1-based positions of the set bits of a support mask."""
+    return [i + 1 for i in range(mask.bit_length()) if mask >> i & 1]
+
+
 def support_of(dist: np.ndarray) -> list:
     """1-based indices of strategies with mass above SUPPORT_MASS."""
-    return [i + 1 for i, p in enumerate(dist) if p > SUPPORT_MASS]
+    return _mask_to_list(int(_support_bits(np.reshape(dist, (1, -1)))[0]))
 
 
 def supported_regrets(dist: np.ndarray, paying: np.ndarray) -> dict:
@@ -287,7 +297,7 @@ def _single_label_labelling(dim: int, n_labels: int) -> EmpiricalLabelling:
     return lab
 
 
-def _learn_partition(oracle, dim: int, labels: int, eps: float, seed: int) -> EmpiricalLabelling:
+def _learn_partition(oracle, dim: int, labels: int, eps: float) -> EmpiricalLabelling:
     """Adversarial labelling of a best-response partition at accuracy eps.
 
     The face route pays off when faces are low-dimensional and its
@@ -299,8 +309,8 @@ def _learn_partition(oracle, dim: int, labels: int, eps: float, seed: int) -> Em
     k = math.comb(labels, 2)
     from .crgbs import cr_sub_eps
     if dim > k and (k == 1 or cr_sub_eps(dim, labels, eps) >= 1e-3):
-        return cr_gbs(CrConfig(dim, labels, eps, oracle_kind="adversarial", seed=seed), oracle)
-    return cd_gbs_adversarial(GbsConfig(dim, labels, eps, oracle_kind="adversarial", seed=seed), oracle)
+        return cr_gbs(CrConfig(dim, labels, eps, oracle_kind="adversarial"), oracle)
+    return cd_gbs_adversarial(GbsConfig(dim, labels, eps, oracle_kind="adversarial"), oracle)
 
 
 def voronoi_label_masks(lab: EmpiricalLabelling, pts: np.ndarray, sigma: float) -> np.ndarray:
@@ -311,8 +321,8 @@ def voronoi_label_masks(lab: EmpiricalLabelling, pts: np.ndarray, sigma: float) 
     the verdict; everywhere else cheap facet/sample bounds decide.
     """
     n_pts = pts.shape[0]
-    roots = [r for r in lab.class_roots() if not lab.hull(r).is_empty]
-    hulls = [lab.point_hull(r) for r in roots]
+    classes = [c for c in lab.merge_classes() if not lab.point_hull(c[0]).is_empty]
+    hulls = [lab.point_hull(c[0]) for c in classes]
     tol = max(1e-9, sigma * 1e-3)
     lbs = np.stack([h.lower_bounds(pts) for h in hulls])
     dmin_ub = np.full(n_pts, np.inf)
@@ -327,30 +337,17 @@ def voronoi_label_masks(lab: EmpiricalLabelling, pts: np.ndarray, sigma: float) 
         for h in hulls:
             best = np.minimum(best, h.upper_bounds(sub))
         dmin_ub[loose] = best
-    dists = np.full((len(roots), n_pts), np.inf)
+    dists = np.full((len(hulls), n_pts), np.inf)
     for idx, h in enumerate(hulls):
         cand = lbs[idx] <= dmin_ub + sigma + ETA
         if cand.any():
             dists[idx, cand] = h.distances(pts[cand], tol=tol)
-    dmin = dists.min(axis=0)
-    masks = np.zeros(n_pts, dtype=np.int64)
-    for idx, root in enumerate(roots):
-        members = [l for l in range(1, lab.n + 1) if lab.find(l) == root]
-        bits = 0
-        for l in members:
-            bits |= 1 << (l - 1)
-        sel = dists[idx] <= dmin + sigma + ETA
-        masks[sel] |= bits
-    return masks
+    return voronoi_band_masks(dists, [sum(1 << (l - 1) for l in c) for c in classes], sigma)
 
 
 def _support_masks(lattice: np.ndarray) -> np.ndarray:
     """Support bitmask of each lattice point's expanded distribution."""
-    first = 1.0 - lattice.sum(axis=1)
-    masks = (np.where(first > SUPPORT_MASS, 1, 0)).astype(np.int64)
-    for j in range(lattice.shape[1]):
-        masks |= np.where(lattice[:, j] > SUPPORT_MASS, 1 << (j + 1), 0).astype(np.int64)
-    return masks
+    return _support_bits(np.hstack([1.0 - lattice.sum(axis=1, keepdims=True), lattice]))
 
 
 def _group_firsts(keys: np.ndarray) -> np.ndarray:
@@ -398,7 +395,7 @@ def _first_fixed_point(supports: list, voronoi: list):
     return tuple(int(f[k]) for f, k in zip(firsts, np.unravel_index(hits[0], ok.shape)))
 
 
-def solve_wsne(oracles: BrOracles, eps: float, seed: int = 0) -> WsneCertificate:
+def solve_wsne(oracles: BrOracles, eps: float) -> WsneCertificate:
     """Compute an eps-WSNE from best-response queries alone.
 
     Learns both best-response partitions adversarially, then scans a
@@ -414,8 +411,8 @@ def solve_wsne(oracles: BrOracles, eps: float, seed: int = 0) -> WsneCertificate
     eps_c = eps / (2.0 * math.sqrt(max(m - 1, 1)))
     q0r, q0c = oracles.row.log.count, oracles.column.log.count
     # row best-response partition lives over column mixes, and vice versa
-    row_lab = _learn_partition(oracles.row, dim_v, m, eps_r / 2.0, seed)
-    col_lab = _learn_partition(oracles.column, dim_u, n, eps_c / 2.0, seed + 17)
+    row_lab = _learn_partition(oracles.row, dim_v, m, eps_r / 2.0)
+    col_lab = _learn_partition(oracles.column, dim_u, n, eps_c / 2.0)
 
     # a step of 1/K keeps the pure profiles on the lattice
     delta = unit_step(eps / STEP_DIVISOR)
@@ -441,8 +438,3 @@ def solve_wsne(oracles: BrOracles, eps: float, seed: int = 0) -> WsneCertificate
                 grid_resolution=delta)
         delta /= 2.0
     raise RuntimeError(f"fixed point not found at resolution {delta:g}")
-
-
-def _mask_to_list(mask: int) -> list:
-    """1-based positions of the set bits of a support mask."""
-    return [i + 1 for i in range(mask.bit_length()) if mask >> i & 1]

@@ -55,21 +55,18 @@ def cdgbs_query_bound(m: int, n: int, eps: float) -> float:
 
 @dataclass
 class GbsConfig:
+    """``seed`` only drives the repair offsets of `fix_uncovered_critical`;
+    the searches themselves never read it."""
+
     m: int
     n: int
     eps: float
     oracle_kind: str = "lexicographic"
     seed: int = 0
-    uncovered_cap: int | None = None
-    fix_attempt_cap: int | None = None
 
     def __post_init__(self):
         if self.eps <= 0:
             raise ValueError("eps must be positive")
-        if self.uncovered_cap is None:
-            self.uncovered_cap = uncovered_cap(self.m, self.n)
-        if self.fix_attempt_cap is None:
-            self.fix_attempt_cap = self.uncovered_cap
 
 
 @dataclass(frozen=True)
@@ -388,7 +385,7 @@ def fix_uncovered_critical(lab: EmpiricalLabelling, x: float, cfg: GbsConfig, or
     def recurse(z: float) -> None:
         _add_points(lab, _section(cfg.m, cfg.n, cfg.eps, z, oracle, adversarial, stats).points)
 
-    _repair(x, cfg.eps, cfg.m, cfg.fix_attempt_cap, cfg.seed, lambda: _global_hulls(lab),
+    _repair(x, cfg.eps, cfg.m, uncovered_cap(cfg.m, cfg.n), cfg.seed, lambda: _global_hulls(lab),
             recurse, stats)
     return lab
 

@@ -79,27 +79,50 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _learn_uepp(inst: UEPP, eps: float, algo: str = "cdgbs", oracle_kind: str = "lexicographic",
+                policy: str = "seeded", seed: int = 0, budget=None):
+    """Learn a UEPP with cd_gbs or cr_gbs and certify the labelling on the
+    whole simplex: (labelling, queries, `is_eps_close` report)."""
+    oracle = make_oracle(inst, kind=oracle_kind, policy=policy, seed=seed, budget=budget,
+                         record=False)
+    if algo == "cdgbs":
+        cfg = GbsConfig(inst.m, inst.n, eps, oracle_kind=oracle_kind, seed=seed)
+        lab = cd_gbs_adversarial(cfg, oracle) if oracle_kind == "adversarial" else cd_gbs(cfg, oracle)
+    else:
+        lab = cr_gbs(CrConfig(inst.m, inst.n, eps, oracle_kind=oracle_kind, seed=seed), oracle)
+    return lab, oracle.log.count, is_eps_close(lab, None, eps)
+
+
+def _solve_game(kind: str, game, eps: float, oracle_kind: str = "adversarial",
+                policy: str = "seeded", seed: int = 0, budget=None):
+    """Solve a bimatrix or multiplayer game from best-response queries and
+    fill the certificate's regrets and verdict: (certificate, queries,
+    whether the payoff audit stayed clean)."""
+    if kind == "bimatrix":
+        oracles = make_br_oracles(game, kind=oracle_kind, policy=policy, seed=seed, budget=budget)
+        cert = solve_wsne(oracles, eps)
+        check = verify_wsne(game, cert.u, cert.v, eps)
+        cert.row_regrets, cert.col_regrets = check.row_regrets, check.col_regrets
+        queries, audit = cert.queries_row + cert.queries_col, oracles.audit
+    else:
+        oracles, audit = make_multi_oracles(game, kind=oracle_kind, policy=policy, seed=seed,
+                                            budget=budget)
+        labs, _net = learn_multiplayer_labellings(oracles, eps)
+        queries = sum(o.log.count for o in oracles)
+        cert = solve_wsne_multiplayer(labs, game, eps, queries=queries)
+        check = verify_wsne_multiplayer(game, cert.profile, eps)
+        cert.regrets = check.regrets
+    cert.valid = check.valid
+    return cert, queries, audit.clean
+
+
 def cmd_learn(args) -> int:
     kind, inst = _load_instance(args.instance)
-    if kind == "bimatrix":
+    if kind != "uepp":
         raise ValueError("learn expects a UEPP instance; use solve for games")
-    oracle = make_oracle(inst, kind=ORACLE_KINDS[args.oracle], policy=args.policy,
-                         seed=args.seed, budget=args.budget, record=False)
     t0 = time.perf_counter()
-    if args.algo == "cdgbs":
-        cfg = GbsConfig(inst.m, inst.n, args.eps, oracle_kind=ORACLE_KINDS[args.oracle],
-                        seed=args.seed)
-        lab = cd_gbs_adversarial(cfg, oracle) if args.oracle == "adv" else cd_gbs(cfg, oracle)
-        per_level = lab.stats.per_level_uncovered
-        merges = lab.stats.merges
-    else:
-        cfg = CrConfig(inst.m, inst.n, args.eps, oracle_kind=ORACLE_KINDS[args.oracle],
-                       seed=args.seed)
-        lab = cr_gbs(cfg, oracle)
-        per_level = []
-        merges = lab.stats.merges
-    wall_ms = (time.perf_counter() - t0) * 1e3
-    report = is_eps_close(lab, None, args.eps)
+    lab, queries, report = _learn_uepp(inst, args.eps, args.algo, ORACLE_KINDS[args.oracle],
+                                       args.policy, args.seed, args.budget)
     manifest = {
         "version": __version__,
         "command": "learn",
@@ -109,11 +132,11 @@ def cmd_learn(args) -> int:
         "eps": args.eps,
         "seed": args.seed,
         "instance": _digest(args.instance),
-        "queries": oracle.log.count,
-        "per_level_uncovered": per_level,
-        "merges": [list(m) for m in merges],
+        "queries": queries,
+        "per_level_uncovered": lab.stats.per_level_uncovered if args.algo == "cdgbs" else [],
+        "merges": [list(m) for m in lab.stats.merges],
         "eps_close": bool(report.is_close),
-        "wall_ms": wall_ms,
+        "wall_ms": (time.perf_counter() - t0) * 1e3,
     }
     if args.out:
         _write(args.out, lab.to_json())
@@ -125,32 +148,14 @@ def cmd_learn(args) -> int:
 
 def cmd_solve(args) -> int:
     kind, inst = _load_instance(args.instance)
-    t0 = time.perf_counter()
-    if kind == "bimatrix":
-        oracles = make_br_oracles(inst, kind=ORACLE_KINDS[args.oracle], policy=args.policy,
-                                  seed=args.seed, budget=args.budget)
-        cert = solve_wsne(oracles, args.eps, seed=args.seed)
-        check = verify_wsne(inst, cert.u, cert.v, args.eps)
-        cert.row_regrets, cert.col_regrets = check.row_regrets, check.col_regrets
-        cert.valid = check.valid
-        audit_clean = oracles.audit.clean
-        queries = cert.queries_row + cert.queries_col
-    elif kind == "multiplayer":
-        oracles, audit = make_multi_oracles(inst, kind=ORACLE_KINDS[args.oracle],
-                                            policy=args.policy, seed=args.seed,
-                                            budget=args.budget)
-        labs, _net = learn_multiplayer_labellings(oracles, args.eps)
-        queries = sum(o.log.count for o in oracles)
-        cert = solve_wsne_multiplayer(labs, inst, args.eps, queries=queries)
-        check = verify_wsne_multiplayer(inst, cert.profile, args.eps)
-        cert.regrets, cert.valid = check.regrets, check.valid
-        audit_clean = audit.clean
-    else:
+    if kind == "uepp":
         raise ValueError("solve expects a game instance")
-    wall_ms = (time.perf_counter() - t0) * 1e3
+    t0 = time.perf_counter()
+    cert, queries, audit_clean = _solve_game(kind, inst, args.eps, ORACLE_KINDS[args.oracle],
+                                             args.policy, args.seed, args.budget)
     payload = json.loads(cert.to_json())
     payload.update({"version": __version__, "seed": args.seed, "queries": queries,
-                    "audit_clean": audit_clean, "wall_ms": wall_ms})
+                    "audit_clean": audit_clean, "wall_ms": (time.perf_counter() - t0) * 1e3})
     if args.out:
         _write(args.out, json.dumps(payload, indent=1))
     print(json.dumps({"valid": cert.valid, "queries": queries, "audit_clean": audit_clean}))
@@ -159,59 +164,45 @@ def cmd_solve(args) -> int:
     return EXIT_OK if cert.valid else EXIT_SEARCH
 
 
-def _bench_row(family: str, eps: float, seed: int, args):
-    t0 = time.perf_counter()
+def _bench_instance(family: str, seed: int, args):
+    """(kind, instance) of the family's generator at this seed."""
+    rng = np.random.default_rng(seed)
     if family == "lbgame":
-        rng = np.random.default_rng(seed)
-        game = lower_bound_game(float(rng.uniform(0.05, 0.95)), float(rng.uniform(0.05, 0.95)))
-        oracles = make_br_oracles(game, seed=seed)
-        cert = solve_wsne(oracles, eps, seed=seed)
-        ok = verify_wsne(game, cert.u, cert.v, eps).valid
-        q = cert.queries_row + cert.queries_col
-        m, n = game.m, game.n
-    elif family == "bimatrix":
-        rng = np.random.default_rng(seed)
-        game = BimatrixGame(rng.random((args.m, args.n)), rng.random((args.m, args.n)))
-        oracles = make_br_oracles(game, seed=seed)
-        cert = solve_wsne(oracles, eps, seed=seed)
-        ok = verify_wsne(game, cert.u, cert.v, eps).valid
-        q = cert.queries_row + cert.queries_col
-        m, n = game.m, game.n
-    elif family == "uepp":
-        inst = random_uepp(args.m, args.n, seed=seed)
-        oracle = make_oracle(inst, kind="lexicographic", seed=seed, record=False)
-        lab = cd_gbs(GbsConfig(inst.m, inst.n, eps, seed=seed), oracle)
-        ok = is_eps_close(lab, None, eps).is_close
-        q = oracle.log.count
-        m, n = inst.m, inst.n
-    elif family == "multiplayer":
-        game = random_game(args.players, args.k, seed=seed)
-        oracles, _ = make_multi_oracles(game, seed=seed)
-        labs, _net = learn_multiplayer_labellings(oracles, eps)
-        q = sum(o.log.count for o in oracles)
-        cert = solve_wsne_multiplayer(labs, game, eps, queries=q)
-        ok = verify_wsne_multiplayer(game, cert.profile, eps).valid
-        m, n = game.n, game.k
-    else:
-        raise ValueError("unknown family")
-    return {"family": family, "m": m, "n": n, "eps": eps, "seed": seed,
-            "queries": q, "wall_ms": (time.perf_counter() - t0) * 1e3, "verified": bool(ok)}
+        x, y = rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95)
+        return "bimatrix", lower_bound_game(float(x), float(y))
+    if family == "bimatrix":
+        return "bimatrix", BimatrixGame(rng.random((args.m, args.n)), rng.random((args.m, args.n)))
+    if family == "uepp":
+        return "uepp", random_uepp(args.m, args.n, seed=seed)
+    return "multiplayer", random_game(args.players, args.k, seed=seed)
 
 
 def cmd_bench(args) -> int:
     eps_list = [float(e) for e in args.eps_list.split(",")] if args.eps_list else []
     seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else []
+    # an instance that cannot be generated is invalid input, not a failed row
+    instances = {seed: _bench_instance(args.family, seed, args) for seed in seeds}
     rows = []
     any_ok = False
     for eps in eps_list:
         for seed in seeds:
+            kind, inst = instances[seed]
+            m, n = (inst.n, inst.k) if kind == "multiplayer" else (inst.m, inst.n)
+            row = {"family": args.family, "m": m, "n": n, "eps": eps, "seed": seed}
+            t0 = time.perf_counter()
             try:
-                row = _bench_row(args.family, eps, seed, args)
+                if kind == "uepp":
+                    _lab, queries, report = _learn_uepp(inst, eps, seed=seed)
+                    ok = report.is_close
+                else:
+                    cert, queries, _audit_clean = _solve_game(kind, inst, eps, seed=seed)
+                    ok = cert.valid
+                row.update(queries=queries, wall_ms=(time.perf_counter() - t0) * 1e3,
+                           verified=bool(ok))
                 any_ok = True
             except Exception as exc:   # per-row failures are recorded, not fatal
-                row = {"family": args.family, "m": args.m, "n": args.n, "eps": eps,
-                       "seed": seed, "queries": -1, "wall_ms": -1.0, "verified": False,
-                       "error": f"{type(exc).__name__}: {exc}"}
+                row.update(queries=-1, wall_ms=-1.0, verified=False,
+                           error=f"{type(exc).__name__}: {exc}")
             rows.append(row)
     header = ["family", "m", "n", "eps", "seed", "queries", "wall_ms", "verified", "error"]
     out = args.out or "bench.csv"
@@ -287,9 +278,6 @@ def main(argv=None) -> int:
         print("error: query budget exhausted", file=sys.stderr)
         return EXIT_BUDGET
     except RuntimeError as exc:
-        if "fixed point not found" in str(exc):
-            print(f"error: {exc}; retry with a finer grid", file=sys.stderr)
-            return EXIT_SEARCH
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SEARCH
     except (ValueError, OSError, json.JSONDecodeError) as exc:

@@ -24,6 +24,8 @@ import numpy as np
 from .geometry import PointHull, VPolytope, diameter
 from .predicates import ETA
 
+MAX_CELLS = 2_000_000     # boxes one verify_eps_net call may refine
+
 
 @dataclass(frozen=True)
 class SimplexSlab:
@@ -67,20 +69,12 @@ class CoverageReport:
         })
 
 
-def _min_dist_bounds(hulls, pts, kind):
-    """Pointwise min over hulls of upper/lower/exact distance bounds."""
-    n = pts.shape[0]
-    out = np.full(n, np.inf)
+def _min_upper_bounds(hulls, pts):
+    """Pointwise min over hulls of the sampled-point distance upper bounds."""
+    out = np.full(pts.shape[0], np.inf)
     for h in hulls:
-        if h.is_empty:
-            continue
-        if kind == "upper":
-            d = h.upper_bounds(pts)
-        elif kind == "lower":
-            d = h.lower_bounds(pts)
-        else:
-            d = h.distances(pts)
-        np.minimum(out, d, out=out)
+        if not h.is_empty:
+            np.minimum(out, h.upper_bounds(pts), out=out)
     return out
 
 
@@ -101,7 +95,7 @@ def _min_dist_exact(hulls, pts, cap=None, tol=1e-9):
     return out
 
 
-def verify_eps_net(region, hulls, eps: float, max_cells: int = 2_000_000) -> CoverageReport:
+def verify_eps_net(region, hulls, eps: float) -> CoverageReport:
     """Check that every region point is within eps of the union of hulls."""
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -141,7 +135,7 @@ def verify_eps_net(region, hulls, eps: float, max_cells: int = 2_000_000) -> Cov
 
     while los.shape[0]:
         cells_touched += los.shape[0]
-        if cells_touched > max_cells:
+        if cells_touched > MAX_CELLS:
             raise RuntimeError("coverage refinement exceeded the cell cap")
         # feasible boxes: the low corner is the canonical region point
         feas = los.sum(axis=1) <= 1.0 + ETA
@@ -150,7 +144,7 @@ def verify_eps_net(region, hulls, eps: float, max_cells: int = 2_000_000) -> Cov
             break
         centers = 0.5 * (los + his)
         radii = 0.5 * np.linalg.norm(his - los, axis=1)
-        up = _min_dist_bounds(hulls, centers, "upper")
+        up = _min_upper_bounds(hulls, centers)
         alive = up + radii > eps
         if alive.any():
             # boxes wholly inside a hull are covered at any scale
@@ -376,7 +370,7 @@ def _verify_on_lattice(region: VPolytope, hulls, eps: float) -> CoverageReport:
     pts = barycentric_lattice(region, eps / 2)
     if not hulls:
         return CoverageReport(eps, False, pts[0], eps / 2, np.inf)
-    up = _min_dist_bounds(hulls, pts, "upper")
+    up = _min_upper_bounds(hulls, pts)
     todo = up > eps / 2
     d = up.copy()
     if todo.any():

@@ -21,6 +21,8 @@ from .geometry import enumerate_k_faces
 # perfbench's outside-in tracer patches every module binding of it
 from .labelling import EmpiricalLabelling, interior_conflict  # noqa: F401
 
+MAX_FACES = 100_000       # faces one run may enumerate
+
 
 def cr_sub_eps(m: int, n: int, eps: float) -> float:
     k = math.comb(n, 2)
@@ -34,12 +36,14 @@ def gamma_capture(m: int, n: int, eps: float) -> float:
 
 @dataclass
 class CrConfig:
+    """``seed`` is passed to the fallback's `GbsConfig`; as there, only
+    `fix_uncovered_critical`'s repair offsets read it."""
+
     m: int
     n: int
     eps: float
     oracle_kind: str = "lexicographic"
     seed: int = 0
-    max_faces: int = 100_000
 
     def __post_init__(self):
         if self.eps <= 0:
@@ -58,7 +62,7 @@ def cr_gbs(cfg: CrConfig, oracle) -> EmpiricalLabelling:
         return lab
 
     faces = enumerate_k_faces(cfg.m, cfg.k)
-    if len(faces) > cfg.max_faces:
+    if len(faces) > MAX_FACES:
         raise ValueError("face count beyond the configured cap")
 
     def fill(lab, stats):

@@ -40,8 +40,7 @@ _FW_MAX_ITER = 400
 _PAIR_CHUNK = 1 << 16   # (point, simplex) pairs per distance block
 
 
-def project_onto_hull_batch(V: np.ndarray, X: np.ndarray, tol: float = 1e-9,
-                            max_iter: int = _FW_MAX_ITER) -> np.ndarray:
+def project_onto_hull_batch(V: np.ndarray, X: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     """Nearest points in conv(V) to each row of X via pairwise Frank-Wolfe.
 
     Vectorized over query points; stops per point when the duality gap
@@ -74,7 +73,7 @@ def project_onto_hull_batch(V: np.ndarray, X: np.ndarray, tol: float = 1e-9,
     # dist error <= sqrt(2 * gap); the floor keeps the target reachable in
     # double precision (stalled points return sound upper estimates)
     gap_stop = max(0.5 * tol * tol, 1e-17)
-    for _ in range(max_iter):
+    for _ in range(_FW_MAX_ITER):
         if active.size == 0:
             break
         G = Z[active] - X[active]                     # gradient/2

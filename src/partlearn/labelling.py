@@ -16,7 +16,6 @@ import numpy as np
 
 from .coverage import CoverageReport, SimplexSlab, verify_eps_net
 from .geometry import PointHull, VPolytope, convex_hull, distance_to_hull, empty_polytope
-from .geometry.hull import _QHull, _QhullError
 from .predicates import ETA, as_point, in_corner_simplex
 
 
@@ -131,13 +130,12 @@ class EmpiricalLabelling:
         The hulls (and hence every verdict derived from them) are unchanged;
         interior points are dropped to bound memory on long runs.
         """
-        for root in self.class_roots():
-            hull = self.hull(root)
-            members = [l for l in range(1, self.n + 1) if self.find(l) == root]
+        for members in self.merge_classes():
+            hull = self.hull(members[0])
             for l in members:
                 self._points[l] = []
             if not hull.is_empty:
-                self._points[root] = [hull.vertices.copy()]
+                self._points[members[0]] = [hull.vertices.copy()]
 
     # -- serialization ------------------------------------------------------
     def to_json(self) -> str:
@@ -221,15 +219,15 @@ def is_slice_covered(l: EmpiricalLabelling, interval, eps: float) -> bool:
     return report.is_close
 
 
-def voronoi_labels(x, l: EmpiricalLabelling, norm: str = "l2", slack: float = 0.0) -> set:
-    """Classes whose hull distance to x is within ``slack`` of the minimum."""
+def voronoi_labels(x, l: EmpiricalLabelling, slack: float = 0.0) -> set:
+    """Classes within ``slack`` of x's nearest hull; `voronoi_band_masks`' scalar reference."""
     x = as_point(x)
     dists = {}
     for root in l.class_roots():
         hull = l.hull(root)
         if hull.is_empty:
             continue
-        d, _ = distance_to_hull(x, hull, norm=norm)
+        d, _ = distance_to_hull(x, hull)
         dists[root] = d
     if not dists:
         raise ValueError("all hulls empty")
@@ -237,16 +235,16 @@ def voronoi_labels(x, l: EmpiricalLabelling, norm: str = "l2", slack: float = 0.
     return {root for root, d in dists.items() if d <= best + slack + ETA}
 
 
-def _hull_halfspaces(hull: VPolytope):
-    """Facet form A x <= b of a full-dimensional hull, or None."""
-    if hull.is_empty or len(hull) <= hull.dim:
-        return None
-    try:
-        q = _QHull(hull.vertices)
-    except (_QhullError, ValueError):
-        return None
-    eq = q.equations
-    return eq[:, :-1], -eq[:, -1]
+def voronoi_band_masks(dists: np.ndarray, bits, sigma: float) -> np.ndarray:
+    """Bitmask per point of the classes within sigma of its nearest class.
+
+    ``dists`` is a (classes, points) distance table and ``bits`` holds one
+    bit pattern per class; a point's mask is the union of the patterns of
+    the classes whose distance is at most the point's minimum + sigma + ETA.
+    """
+    near = dists <= dists.min(axis=0) + sigma + ETA
+    bits = np.asarray(bits, dtype=np.int64)[:, None]
+    return np.bitwise_or.reduce(np.where(near, bits, 0), axis=0)
 
 
 CONFLICT_MARGIN = 1e-6
@@ -265,18 +263,10 @@ def interior_conflict(l: EmpiricalLabelling, tol: float = CONFLICT_MARGIN):
     overlap of genuinely coinciding regions.
     """
     roots = l.class_roots()
-    halfspaces = {}
     for i in roots:
-        hull = l.hull(i)
-        if hull.is_empty or hull.affine_dim() < l.m or l.m == 0:
+        if l.hull(i).affine_dim() < l.m:
             continue
-        hs = _hull_halfspaces(hull)
-        if hs is None and l.m == 1:
-            v = hull.vertices[:, 0]
-            hs = (np.array([[1.0], [-1.0]]), np.array([v.max(), -v.min()]))
-        if hs is not None:
-            halfspaces[i] = hs
-    for i, (A, b) in halfspaces.items():
+        hull_i = l.point_hull(i)
         for j in roots:
             if j == i:
                 continue
@@ -289,7 +279,10 @@ def interior_conflict(l: EmpiricalLabelling, tol: float = CONFLICT_MARGIN):
                 # overlaps whose witnesses are not vertices
                 ii, jj = np.triu_indices(len(vj), k=1)
                 cand = np.vstack([vj, 0.5 * (vj[ii] + vj[jj])])
-            inside = (cand @ A.T - b).max(axis=1) <= -tol
+            offsets = hull_i.facet_offsets(cand)
+            if offsets is None:     # no facet form: Qhull-degenerate or m == 0
+                break
+            inside = offsets.max(axis=1) <= -tol
             if inside.any():
                 z = cand[int(np.argmax(inside))]
                 return i, j, z

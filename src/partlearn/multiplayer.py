@@ -19,6 +19,7 @@ import numpy as np
 from .bimatrix import (REFINE_ROUNDS, SLACK_DIVISOR, STEP_DIVISOR, PayoffAudit, _first_fixed_point,
                        _mask_to_list, _support_masks, expand, supported_regrets)
 from .coverage import lattice_count, simplex_lattice, unit_step
+from .labelling import voronoi_band_masks
 from .partition import QueryLog, TieBreak
 from .predicates import ETA, as_point
 
@@ -238,12 +239,12 @@ class PointLabelling:
                                       for r, v in self.points.items()}})
 
 
-def learn_multiplayer_labellings(oracles, eps: float, max_points: int = 2_000_000):
+def learn_multiplayer_labellings(oracles, eps: float):
     """Query every point of an (eps/2)-net of each player's opponent space."""
     if not oracles:
         raise ValueError("no oracles")
     g = oracles[0].g
-    net = build_net(g.n, g.k, eps / 2.0, max_points=max_points)
+    net = build_net(g.n, g.k, eps / 2.0)
     labs = []
     for orc in oracles:
         lab = PointLabelling((g.k - 1) * (g.n - 1), g.k)
@@ -320,7 +321,6 @@ def solve_wsne_multiplayer(labellings, g_for_verification: NormalFormGame, eps: 
     # l1 resolution delta needs lattice spacing 2 delta / d; a spacing of
     # 1/K keeps the pure profiles on the lattice
     spacing = unit_step(min(2.0 * delta / max(d, 1), 1.0))
-    bits = np.arange(k)[:, None]
 
     for _round in range(REFINE_ROUNDS):
         grid = simplex_lattice(d, spacing) if d else np.zeros((1, 0))
@@ -328,11 +328,8 @@ def solve_wsne_multiplayer(labellings, g_for_verification: NormalFormGame, eps: 
             raise RuntimeError(f"profile lattice beyond the cap of {PROFILE_CAP} profiles")
         # Voronoi masks per player over the joint grids of the others
         joints = _product([grid] * (n - 1))
-        voronoi = []
-        for lab in labellings[:n]:
-            dists = lab.l1_distances(joints)
-            near = dists <= dists.min(axis=0) + sigma + ETA
-            voronoi.append((near.astype(np.int64) << bits).sum(axis=0))
+        voronoi = [voronoi_band_masks(lab.l1_distances(joints), 1 << np.arange(k), sigma)
+                   for lab in labellings[:n]]
         supp = _support_masks(grid)
         hit = _first_fixed_point([supp] * n, voronoi)
         if hit is not None:

@@ -279,22 +279,19 @@ class Oracle:
     """
 
     def __init__(self, ground_truth, kind: str = "lexicographic", policy: str = "seeded",
-                 seed: int = 0, budget: int | None = None, record: bool = True,
-                 tie_tol: float = ETA):
+                 seed: int = 0, budget: int | None = None, record: bool = True):
         self.tie_break = TieBreak(kind, policy, seed)
         self.ground_truth = ground_truth
-        self.tie_tol = tie_tol
         self.log = QueryLog(budget=budget, record=record)
 
     def clone(self) -> "Oracle":
         """Fresh oracle over the same truth: same policy/seed, empty log."""
         tb = self.tie_break
         return Oracle(self.ground_truth, tb.kind, tb.policy, tb.seed,
-                      self.log.budget, self.log.record, self.tie_tol)
+                      self.log.budget, self.log.record)
 
     def label_set(self, y) -> set:
-        return self.ground_truth.label_set(y, self.tie_tol) if isinstance(self.ground_truth, UEPP) \
-            else self.ground_truth.label_set(y)
+        return self.ground_truth.label_set(y)
 
     def __call__(self, y) -> int:
         y = as_point(y)

@@ -222,7 +222,7 @@ def test_voronoi_labels_are_eps_best_responses():
     from partlearn.bimatrix import _learn_partition, voronoi_label_masks
     oracles = make_br_oracles(g, seed=3)
     eps_r = eps / (2 * math.sqrt(max(g.n - 1, 1)))
-    row_lab = _learn_partition(oracles.row, g.n - 1, g.m, eps_r / 2, seed=0)
+    row_lab = _learn_partition(oracles.row, g.n - 1, g.m, eps_r / 2)
     rng = np.random.default_rng(13)
     pts = rng.dirichlet(np.ones(g.n), size=800)[:, :g.n - 1]
     masks = voronoi_label_masks(row_lab, pts, sigma=eps / 8)

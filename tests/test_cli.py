@@ -1,6 +1,8 @@
 import csv
 import json
 
+import pytest
+
 from partlearn.cli import EXIT_BUDGET, EXIT_INVALID, EXIT_OK, main
 
 
@@ -76,6 +78,14 @@ def test_learn_accepts_roundrobin_policy(tmp_path):
     assert manifest["policy"] == "roundrobin" and manifest["eps_close"]
 
 
+def test_learn_rejects_a_game_instance(tmp_path, capsys):
+    inst = tmp_path / "mp.json"
+    run("gen", "--kind", "multiplayer", "--players", "3", "--k", "2", "--seed", "2",
+        "--out", str(inst))
+    assert run("learn", "--instance", str(inst), "--eps", "0.2") == EXIT_INVALID
+    assert "learn expects a UEPP instance" in capsys.readouterr().err
+
+
 def test_solve_bimatrix_and_exit_codes(tmp_path):
     inst = tmp_path / "lb.json"
     run("gen", "--kind", "lbgame", "--x", "0.5", "--y", "0.5", "--out", str(inst))
@@ -122,6 +132,26 @@ def test_bench_failed_row_records_its_cause(tmp_path):
     assert ok["verified"] == "True" and ok["error"] == ""
     assert failed["verified"] == "False" and failed["queries"] == "-1"
     assert failed["error"] == "ValueError: eps must be positive"
+
+
+@pytest.mark.parametrize("family, sizes", [("lbgame", ("2", "2")), ("multiplayer", ("3", "2"))])
+def test_bench_failed_row_carries_the_instance_sizes(tmp_path, family, sizes):
+    # the multiplayer family records (players, actions); --m/--n keep their defaults 2, 3
+    out = tmp_path / "b.csv"
+    assert run("bench", "--family", family, "--eps-list", "0.2,0", "--seeds", "1",
+               "--out", str(out)) == EXIT_OK
+    with open(out) as fh:
+        ok, failed = list(csv.DictReader(fh))
+    assert ok["verified"] == "True" and failed["verified"] == "False"
+    assert (ok["m"], ok["n"]) == (failed["m"], failed["n"]) == sizes
+
+
+def test_bench_rejects_an_instance_it_cannot_generate(tmp_path, capsys):
+    out = tmp_path / "b.csv"
+    assert run("bench", "--family", "uepp", "--m", "0", "--eps-list", "0.1", "--seeds", "1",
+               "--out", str(out)) == EXIT_INVALID
+    assert "m, n >= 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bench_empty_sweep_writes_header_only(tmp_path):

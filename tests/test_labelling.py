@@ -3,14 +3,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial import ConvexHull, QhullError
 
+from partlearn.bimatrix import voronoi_label_masks
 from partlearn.coverage import SimplexSlab, barycentric_lattice, simplex_lattice, verify_eps_net
 from partlearn.geometry import PointHull, VPolytope, corner_simplex_vertices, distance_to_hull
 from partlearn.labelling import (
-    EmpiricalLabelling, interior_conflict, is_eps_close, is_slice_covered, merge_labels,
-    voronoi_labels,
+    CONFLICT_MARGIN, EmpiricalLabelling, interior_conflict, is_eps_close, is_slice_covered,
+    merge_labels, voronoi_labels,
 )
 from partlearn.partition import make_oracle, random_uepp, uepp_cells
+from partlearn.predicates import ETA
 
 
 def grid_labelling(m, n, eps, label=1):
@@ -186,7 +191,53 @@ def test_crux_instance_covered():
     assert is_slice_covered(lab, (x, y), eps)
 
 
+def random_labelling(m, n, rng):
+    """Labelling whose classes are full-dimensional, flat (one shared first
+    coordinate) or single points; about a third of the draws leave one label
+    empty, and up to two random merges follow."""
+    lab = EmpiricalLabelling(m, n)
+    empty = int(rng.integers(1, n + 1)) if rng.random() < 0.35 else None
+    for label in range(1, n + 1):
+        if label == empty:
+            continue
+        shape = rng.integers(3)
+        count = 1 if shape == 2 else int(rng.integers(m + 1, m + 6))
+        pts = rng.dirichlet(np.ones(m + 1), size=count)[:, :m]
+        if shape == 1:
+            t = rng.uniform(0.0, 0.9)
+            pts = np.hstack([np.full((count, 1), t),
+                             (1 - t) * rng.dirichlet(np.ones(m), size=count)[:, :m - 1]])
+        lab.add_block(pts, label)
+    for _ in range(rng.integers(0, 3)):
+        i, j = rng.choice(n, size=2, replace=False) + 1
+        lab.merge_labels(int(i), int(j))
+    return lab
+
+
+def class_bits(lab, roots):
+    """Bit (label - 1) of every raw label in the given classes."""
+    return sum(1 << (l - 1) for l in range(1, lab.n + 1) if lab.find(l) in roots)
+
+
+labellings = st.tuples(st.integers(1, 3), st.integers(2, 4), st.integers(0, 2 ** 32 - 1))
+
+
 # -- voronoi ---------------------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(labellings, st.sampled_from([0.02, 0.1, 0.3]))
+def test_voronoi_label_masks_match_scalar_reference(drawn, sigma):
+    m, n, seed = drawn
+    rng = np.random.default_rng(seed)
+    lab = random_labelling(m, n, rng)
+    pts = rng.dirichlet(np.ones(m + 1), size=40)[:, :m]
+    masks = voronoi_label_masks(lab, pts, sigma)
+    roots = [r for r in lab.class_roots() if not lab.hull(r).is_empty]
+    for x, mask in zip(pts, masks):
+        d = np.array([distance_to_hull(x, lab.hull(r))[0] for r in roots])
+        if np.any(np.abs(d - (d.min() + sigma + ETA)) <= 1e-9):
+            continue    # on the band edge rounding decides
+        assert mask == class_bits(lab, voronoi_labels(x, lab, slack=sigma))
 
 def test_voronoi_inside_hull():
     lab = EmpiricalLabelling(2, 3)
@@ -268,6 +319,51 @@ def test_conflict_cleared_by_merge():
     i, j, _ = interior_conflict(lab)
     merge_labels(lab, i, j)
     assert interior_conflict(lab) is None
+
+
+def reference_interior_conflict(l, tol=CONFLICT_MARGIN):
+    """interior_conflict with each facet form taken from a fresh Qhull of
+    the class's hull vertices (in 1-D, from the hull's two endpoints)."""
+    roots = l.class_roots()
+    forms = {}
+    for i in roots:
+        hull = l.hull(i)
+        if hull.affine_dim() < l.m or l.m == 0:
+            continue
+        if l.m == 1:
+            v = hull.vertices[:, 0]
+            forms[i] = (np.array([[1.0], [-1.0]]), np.array([v.max(), -v.min()]))
+            continue
+        try:
+            eq = ConvexHull(hull.vertices).equations
+        except (QhullError, ValueError):
+            continue
+        forms[i] = (eq[:, :-1], -eq[:, -1])
+    for i, (A, b) in forms.items():
+        for j in roots:
+            vj = l.hull(j).vertices
+            if j == i or not len(vj):
+                continue
+            cand = vj
+            if 1 < len(vj) <= 40:
+                ii, jj = np.triu_indices(len(vj), k=1)
+                cand = np.vstack([vj, 0.5 * (vj[ii] + vj[jj])])
+            inside = (cand @ A.T - b).max(axis=1) <= -tol
+            if inside.any():
+                return i, j, cand[int(np.argmax(inside))]
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(labellings)
+def test_interior_conflict_matches_fresh_qhull_facets(drawn):
+    m, n, seed = drawn
+    lab = random_labelling(m, n, np.random.default_rng(seed))
+    got, want = interior_conflict(lab), reference_interior_conflict(lab)
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None and got[:2] == want[:2] and np.array_equal(got[2], want[2])
 
 
 # -- thickness-to-distance ------------------------------------------------------------------

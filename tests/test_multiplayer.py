@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from partlearn import multiplayer
 from partlearn.bimatrix import BimatrixGame, verify_wsne
 from partlearn.multiplayer import (
-    MultiBrOracle, NormalFormGame, build_net, dominant_game, expected_utility, is_l1_close,
-    jordan_game, learn_multiplayer_labellings, make_multi_oracles, pure_values, random_game,
-    simplex_net, solve_wsne_multiplayer, verify_wsne_multiplayer,
+    MultiBrOracle, NormalFormGame, PointLabelling, build_net, dominant_game, expected_utility,
+    is_l1_close, jordan_game, learn_multiplayer_labellings, make_multi_oracles, pure_values,
+    random_game, simplex_net, solve_wsne_multiplayer, verify_wsne_multiplayer,
 )
 from partlearn.partition import POLICIES, UEPP, make_oracle
+from partlearn.predicates import ETA
 
 
 # -- utilities ------------------------------------------------------------------------
@@ -196,6 +198,64 @@ def test_random_games_verify(seed):
     q = sum(o.log.count for o in oracles)
     cert = solve_wsne_multiplayer(labs, g, 0.25, queries=q)
     assert verify_wsne_multiplayer(g, cert.profile, 0.25).valid
+
+
+class _FirstRound(Exception):
+    pass
+
+
+def _recording(lab, seen):
+    """lab's l1_distances, also recording each query block in seen."""
+    def l1_distances(X):
+        seen.append(X)
+        return PointLabelling.l1_distances(lab, X)
+    return l1_distances
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3)]), st.integers(0, 2 ** 32 - 1))
+def test_voronoi_masks_match_plain_loop(shape, seed):
+    # random point sets per action (some left empty); the scan's first-round
+    # masks must equal a plain loop over the same l1 distance tables
+    n, k = shape
+    rng = np.random.default_rng(seed)
+    dim = (k - 1) * (n - 1)
+    labs, queried = [], []
+    for _ in range(n):
+        lab = PointLabelling(dim, k)
+        for r in rng.permutation(k)[:int(rng.integers(1, k + 1))]:
+            for _ in range(int(rng.integers(1, 6))):
+                x = np.concatenate([rng.dirichlet(np.ones(k))[:k - 1] for _ in range(n - 1)])
+                lab.add(x, int(r) + 1)
+        seen = []
+        lab.l1_distances = _recording(lab, seen)
+        labs.append(lab)
+        queried.append(seen)
+    scanned = []
+
+    def first_round(supports, voronoi):
+        scanned.append(voronoi)
+        raise _FirstRound
+
+    eps = 1.0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(multiplayer, "_first_fixed_point", first_round)
+        with pytest.raises(_FirstRound):
+            solve_wsne_multiplayer(labs, random_game(n, k, seed=0), eps)
+    sigma = eps / 8
+    assert len(scanned[0]) == n
+    for lab, seen, masks in zip(labs, queried, scanned[0]):
+        dists = PointLabelling.l1_distances(lab, seen[0])
+        for p in range(dists.shape[1]):
+            col = [float(d) for d in dists[:, p]]
+            edge = min(col) + sigma + ETA
+            if any(abs(d - edge) <= 1e-9 for d in col):
+                continue
+            want = 0
+            for r, d in enumerate(col):
+                if d <= edge:
+                    want |= 1 << r
+            assert masks[p] == want
 
 
 def test_supported_dominated_action_fails_verifier():
