@@ -81,6 +81,9 @@ class BimatrixGame:
         self.B = np.atleast_2d(np.asarray(self.B, dtype=float))
         if self.A.shape != self.B.shape:
             raise ValueError("payoff matrices must have equal shape")
+        if self.A.ndim != 2 or min(self.A.shape) < 1:
+            raise ValueError(f"payoff matrices must be m x n with m, n >= 1, "
+                             f"got shape {self.A.shape}")
         for M in (self.A, self.B):
             if M.min() < -ETA or M.max() > 1.0 + ETA:
                 raise ValueError("payoffs must lie in [0, 1]")
@@ -117,14 +120,16 @@ class GuardedGame:
 
 
 def expand(mix, size: int) -> np.ndarray:
-    """Reduced coordinates -> full distribution (first strategy implicit)."""
-    mix = as_point(mix)
-    if mix.size != size - 1:
+    """Reduced coordinates -> full distribution (first strategy implicit).
+    A 2-D array holds one reduced mix per row and expands row by row."""
+    mix = as_point(mix).reshape(np.shape(mix) if np.ndim(mix) == 2 else -1)
+    if mix.shape[-1] != size - 1:
         raise ValueError("dimension mismatch")
-    first = 1.0 - mix.sum()
-    if first < -1e-7 or np.any(mix < -1e-7):
+    full = np.concatenate([1.0 - mix.sum(axis=-1, keepdims=True), mix], axis=-1)
+    if full.min(initial=0.0) < -1e-7:
         raise ValueError("not a distribution")
-    return np.concatenate([[max(first, 0.0)], mix])
+    np.maximum(full[..., 0], 0.0, out=full[..., 0])
+    return full
 
 
 def utilities(g: BimatrixGame, u, v):

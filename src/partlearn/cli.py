@@ -46,15 +46,24 @@ def _write(path: str, text: str) -> None:
 
 
 def _load_instance(path: str):
+    """(kind, instance) of an instance file; its keys pick the format's parser."""
     with open(path) as fh:
-        data = json.load(fh)
+        text = fh.read()
+    data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ValueError("unrecognised instance file")
     if "A" in data and "b" in data:
-        return "uepp", UEPP(np.array(data["A"], float), np.array(data["b"], float))
-    if "A" in data and "B" in data:
-        return "bimatrix", BimatrixGame(np.array(data["A"], float), np.array(data["B"], float))
-    if "u" in data and "k" in data:
-        return "multiplayer", NormalFormGame.from_json(json.dumps(data))
-    raise ValueError("unrecognised instance file")
+        kind, parse = "uepp", UEPP.from_json
+    elif "A" in data and "B" in data:
+        kind, parse = "bimatrix", BimatrixGame.from_json
+    elif "u" in data and "k" in data:
+        kind, parse = "multiplayer", NormalFormGame.from_json
+    else:
+        raise ValueError("unrecognised instance file")
+    try:
+        return kind, parse(text)
+    except KeyError as exc:
+        raise ValueError(f"{kind} instance file lacks the key {exc}") from None
 
 
 def cmd_gen(args) -> int:

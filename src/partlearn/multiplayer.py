@@ -10,15 +10,17 @@ the bimatrix case produces approximate well-supported equilibria.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .bimatrix import (REFINE_ROUNDS, SLACK_DIVISOR, STEP_DIVISOR, PayoffAudit, _first_fixed_point,
                        _mask_to_list, _support_masks, expand, supported_regrets)
-from .coverage import lattice_count, simplex_lattice, unit_step
+from .coverage import MAX_CELLS, CoverageReport, lattice_count, simplex_lattice, unit_step
 from .labelling import voronoi_band_masks
 from .partition import QueryLog, TieBreak
 from .predicates import ETA, as_point
@@ -35,6 +37,8 @@ class NormalFormGame:
     utilities: np.ndarray   # shape (n,) + (k,) * n
 
     def __post_init__(self):
+        if self.n < 1 or self.k < 1:
+            raise ValueError(f"need n, k >= 1 (players, actions), got n = {self.n}, k = {self.k}")
         self.utilities = np.asarray(self.utilities, dtype=float)
         want = (self.n,) + (self.k,) * self.n
         if self.utilities.shape != want:
@@ -101,46 +105,46 @@ class MultiBrOracle:
 
     The joint mix is the concatenation of the other players' reduced
     strategies in player order.  Ties are broken by a :class:`TieBreak`.
+    Construction reads player i's utilities once, inside the audit's
+    "oracle" context; queries never touch the game again.
     """
 
     def __init__(self, g: NormalFormGame, i: int, kind: str = "adversarial",
                  policy: str = "seeded", seed: int = 0, budget=None,
                  record: bool = True, audit: PayoffAudit | None = None):
+        if not 1 <= i <= g.n:
+            raise IndexError("player out of range")
         self.tie_break = TieBreak(kind, policy, seed)
-        self.g = g
-        self.i = i
+        self.n, self.k, self.i = g.n, g.k, i
         self.log = QueryLog(budget=budget, record=record)
-        self.audit = audit
+        audit = audit or PayoffAudit()
+        with audit.allowed("oracle"):
+            audit.require()
+            # rows: the other players' pure profiles in player order, the
+            # first most significant; columns: player i's own actions
+            self._table = np.moveaxis(g.utilities[i - 1], i - 1, -1).reshape(-1, g.k).copy()
 
-    def _strong(self, x_minus_i) -> set:
-        if self.audit is not None:
-            self.audit.require()
-        vals = pure_values(self.g, self.i, x_minus_i)
-        top = vals.max()
-        return {r + 1 for r in range(self.g.k) if vals[r] >= top - ETA}
-
-    def split(self, joint) -> list:
-        joint = as_point(joint)
-        d = self.g.k - 1
-        if joint.size != d * (self.g.n - 1):
+    def split(self, joint) -> np.ndarray:
+        """The other players' reduced mixes, one row each, in player order
+        (`expand` checks that they are finite distributions)."""
+        joint = np.ravel(np.asarray(joint, dtype=float))
+        if joint.size != (self.k - 1) * (self.n - 1):
             raise ValueError("joint mix has wrong dimension")
-        return [joint[j * d:(j + 1) * d] for j in range(self.g.n - 1)]
+        return joint.reshape(self.n - 1, self.k - 1)
 
     def __call__(self, joint) -> int:
-        joint = as_point(joint)
+        # a malformed joint mix raises before it is charged; the product
+        # weights of the opponents' pure profiles start from 1.0, so a
+        # one-player game (no opponents) weighs its single row by 1
+        parts = self.split(joint)
+        weights = functools.reduce(np.multiply.outer, expand(parts, self.k), 1.0)
+        vals = (np.ravel(weights) @ self._table).tolist()
+        top = max(vals)
+        joint = parts.ravel()
         self.log.charge(joint)
-        if self.audit is not None:
-            with self.audit.allowed("oracle"):
-                labels = self._strong(self.split(joint))
-        else:
-            labels = self._strong(self.split(joint))
-        ans = self.tie_break(joint, labels)
+        ans = self.tie_break(joint, {r + 1 for r, v in enumerate(vals) if v >= top - ETA})
         self.log.amend_last_label(ans)
         return ans
-
-    def strong_set(self, joint) -> set:
-        self.log.charge(as_point(joint))
-        return self._strong(self.split(joint))
 
 
 def make_multi_oracles(g: NormalFormGame, kind: str = "adversarial", policy: str = "seeded",
@@ -205,15 +209,20 @@ def _product(blocks: list) -> np.ndarray:
 
 
 class PointLabelling:
-    """Per-action point sets over a joint-mix space, with l1 distances."""
+    """Per-action point sets over a joint-mix space, with l1 distances from
+    one k-d tree per action, built at the first query after a change."""
 
     def __init__(self, dim: int, k: int):
+        if dim < 1:
+            raise ValueError("a joint-mix space has dimension >= 1")
         self.dim = dim
         self.k = k
         self.points = {r: [] for r in range(1, k + 1)}
+        self._trees = {}
 
     def add(self, x, r: int) -> None:
         self.points[r].append(np.asarray(x, dtype=float))
+        self._trees.pop(r, None)
 
     def arrays(self) -> dict:
         return {r: (np.vstack(v) if v else np.zeros((0, self.dim)))
@@ -226,11 +235,9 @@ class PointLabelling:
         for r, blocks in self.points.items():
             if not blocks:
                 continue
-            P = np.vstack(blocks)
-            chunk = max(1, int(2e6 // max(1, P.shape[0])))
-            for s in range(0, X.shape[0], chunk):
-                d = np.abs(X[s:s + chunk, None, :] - P[None, :, :]).sum(axis=2)
-                out[r - 1, s:s + chunk] = d.min(axis=1)
+            if r not in self._trees:
+                self._trees[r] = cKDTree(np.vstack(blocks))
+            out[r - 1] = self._trees[r].query(X, p=1)[0]
         return out
 
     def to_json(self) -> str:
@@ -243,31 +250,58 @@ def learn_multiplayer_labellings(oracles, eps: float):
     """Query every point of an (eps/2)-net of each player's opponent space."""
     if not oracles:
         raise ValueError("no oracles")
-    g = oracles[0].g
-    net = build_net(g.n, g.k, eps / 2.0)
+    n, k = oracles[0].n, oracles[0].k
+    net = build_net(n, k, eps / 2.0)
     labs = []
     for orc in oracles:
-        lab = PointLabelling((g.k - 1) * (g.n - 1), g.k)
+        lab = PointLabelling((k - 1) * (n - 1), k)
         for x in net.points:
             lab.add(x, orc(x))
         labs.append(lab)
     return labs, net
 
 
-def is_l1_close(lab: PointLabelling, eps: float, samples: int = 10_000, seed: int = 0) -> bool:
-    """Monte-Carlo check that the labelled points form an l1 eps-net of the
-    joint space (a product of corner (k-1)-simplices)."""
-    d = lab.dim
-    if d == 0:
-        return any(len(v) for v in lab.points.values())
-    rng = np.random.default_rng(seed)
-    bs = lab.k - 1
-    X = np.empty((samples, d))
-    for b in range(d // bs):
-        w = rng.dirichlet(np.ones(bs + 1), size=samples)
-        X[:, b * bs:(b + 1) * bs] = w[:, :bs]
-    dists = lab.l1_distances(X)
-    return bool(dists.min(axis=0).max() <= eps + 1e-9)
+def is_l1_close(lab: PointLabelling, eps: float) -> CoverageReport:
+    """Sound one-sided check that the labelled points form an l1 eps-net of
+    the joint space, a product of corner (k-1)-simplices.
+
+    Boxes of [0, 1]^dim are bisected along their longest side.  The l1
+    distance D to the stored points is 1-Lipschitz in l1, so a box is
+    covered when D at its centre plus its l1 half-diameter is at most
+    eps + ETA.  A box's low corner is a point of the space, and one with
+    D > eps + ETA is the witness of a "not close" verdict.  Bisecting
+    [0, 1] keeps every coordinate dyadic, so the sums that drop boxes
+    outside the space are exact.  A level that would hold more than
+    coverage.MAX_CELLS boxes raises RuntimeError.
+    """
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    d, bs = lab.dim, lab.k - 1
+    if bs < 1 or d % bs:
+        raise ValueError("labelling dimension is not a multiple of k - 1")
+    los, his = np.zeros((1, d)), np.ones((1, d))
+    touched = 0
+    while los.shape[0]:
+        touched += los.shape[0]
+        at_lo = lab.l1_distances(los).min(axis=0)
+        worst = int(np.argmax(at_lo))
+        if at_lo[worst] > eps + ETA:
+            return CoverageReport(eps, False, los[worst].copy(), ETA, float(at_lo[worst]), touched)
+        radii = 0.5 * (his - los).sum(axis=1)
+        alive = lab.l1_distances(0.5 * (los + his)).min(axis=0) + radii > eps + ETA
+        los, his = los[alive], his[alive]
+        if 2 * los.shape[0] > MAX_CELLS:
+            raise RuntimeError(f"l1 coverage refinement would exceed the cap of {MAX_CELLS} boxes")
+        rows = np.arange(los.shape[0])
+        axis = np.argmax(his - los, axis=1)
+        mid = 0.5 * (los[rows, axis] + his[rows, axis])
+        left_hi, right_lo = his.copy(), los.copy()
+        left_hi[rows, axis] = mid
+        right_lo[rows, axis] = mid
+        los, his = np.vstack([los, right_lo]), np.vstack([left_hi, his])
+        inside = (los.reshape(-1, d // bs, bs).sum(axis=2) <= 1.0).all(axis=1)
+        los, his = los[inside], his[inside]
+    return CoverageReport(eps, True, None, ETA, cells_touched=touched)
 
 
 @dataclass

@@ -24,6 +24,6 @@ def in_corner_simplex(x, tol: float = ETA) -> bool:
 def as_point(x) -> np.ndarray:
     """Coerce to a 1-d float array (a point; may be 0-dimensional)."""
     p = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
-    if not np.all(np.isfinite(p)):
+    if not np.isfinite(p).all():
         raise ValueError("point has non-finite entries")
     return p

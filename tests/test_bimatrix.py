@@ -309,3 +309,25 @@ def test_solver_path_never_touches_payoffs():
     solve_wsne(oracles, 0.1)
     assert oracles.audit.clean
     assert set(oracles.audit.purposes) == {"oracle"}
+
+
+def test_game_json_roundtrip():
+    rng = np.random.default_rng(41)
+    g = BimatrixGame(rng.random((4, 3)), rng.random((4, 3)))
+    g2 = BimatrixGame.from_json(g.to_json())
+    assert np.array_equal(g.A, g2.A) and np.array_equal(g.B, g2.B)
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+def test_game_rejects_empty_payoff_matrices(shape):
+    with pytest.raises(ValueError, match="m, n >= 1"):
+        BimatrixGame(np.zeros(shape), np.zeros(shape))
+
+
+def test_expand_rows_match_single_mixes():
+    rng = np.random.default_rng(42)
+    rows = rng.dirichlet(np.ones(4), size=6)[:, 1:]
+    assert np.array_equal(expand(rows, 4), np.vstack([expand(r, 4) for r in rows]))
+    for bad in ([[0.5, 0.6, 0.1]], [[0.2, -0.1, 0.1]], [[0.2, np.inf, 0.1]], [[0.2, 0.1]]):
+        with pytest.raises(ValueError):
+            expand(np.array(bad), 4)

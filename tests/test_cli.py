@@ -154,6 +154,25 @@ def test_bench_rejects_an_instance_it_cannot_generate(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_bench_rejects_an_empty_game_naming_its_size(tmp_path, capsys):
+    out = tmp_path / "b.csv"
+    assert run("bench", "--family", "bimatrix", "--m", "0", "--eps-list", "0.1", "--seeds", "1",
+               "--out", str(out)) == EXIT_INVALID
+    assert "m, n >= 1, got shape (0, 3)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, key", [
+    ('{"n": 2, "A": [[0.5, 0.2]], "b": [0.1]}', "'m'"),
+    ('{"k": 2, "u": [0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5]}', "'n'"),
+])
+def test_instance_file_with_a_missing_key(tmp_path, capsys, text, key):
+    inst = tmp_path / "bad.json"
+    inst.write_text(text)
+    assert run("solve", "--instance", str(inst), "--eps", "0.1") == EXIT_INVALID
+    assert f"lacks the key {key}" in capsys.readouterr().err
+
+
 def test_bench_empty_sweep_writes_header_only(tmp_path):
     out = tmp_path / "b.csv"
     assert run("bench", "--family", "lbgame", "--out", str(out)) == EXIT_OK

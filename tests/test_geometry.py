@@ -419,3 +419,15 @@ def test_gamma_interior_trivial_for_square_systems():
     h, boundary = cell_hpolytope(u, 1)
     g = gamma_interior(h, boundary, gamma=0.1)
     assert g.nrows == h.nrows
+
+
+def test_polytope_json_roundtrips():
+    rng = np.random.default_rng(43)
+    v = VPolytope(rng.random((5, 3)))
+    v2 = VPolytope.from_json(v.to_json())
+    assert np.array_equal(v.vertices, v2.vertices)
+    empty = VPolytope.from_json(VPolytope(np.zeros((0, 3))).to_json())
+    assert empty.is_empty and empty.dim == 3
+    h = corner_simplex_hpolytope(3)
+    h2 = HPolytope.from_json(h.to_json())
+    assert np.array_equal(h.normals, h2.normals) and np.array_equal(h.offsets, h2.offsets)

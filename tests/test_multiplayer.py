@@ -104,7 +104,39 @@ def test_labelling_query_budget_formula():
     assert total == n * net.count
     assert total <= n * (n * k / eps) ** (n * k)
     for lab in labs:
-        assert is_l1_close(lab, eps / 2, samples=2000)
+        assert is_l1_close(lab, eps / 2).is_close
+
+
+def test_oracles_read_the_utilities_once_at_construction():
+    g = random_game(3, 2, seed=10)
+    oracles, audit = make_multi_oracles(g, seed=0)
+    assert audit.purposes == ["oracle"] * 3
+    learn_multiplayer_labellings(oracles, 0.25)
+    assert audit.purposes == ["oracle"] * 3 and audit.clean
+
+
+@pytest.mark.parametrize("n, k", [(2, 3), (3, 2), (3, 3)])
+def test_oracle_answers_ignore_later_utility_writes(n, k):
+    rng = np.random.default_rng(11)
+    g = random_game(n, k, seed=12)
+    reference, _ = make_multi_oracles(random_game(n, k, seed=12), seed=3)
+    oracles, _ = make_multi_oracles(g, seed=3)
+    g.utilities[...] = 1.0 - g.utilities     # in place: the oracles hold copies
+    g.utilities = rng.random(g.utilities.shape)
+    for _ in range(40):
+        joint = np.concatenate([rng.dirichlet(np.ones(k))[1:] for _ in range(n - 1)])
+        assert [o(joint) for o in oracles] == [o(joint) for o in reference]
+
+
+def test_oracle_rejects_malformed_joint_mixes():
+    orc = MultiBrOracle(random_game(3, 3, seed=13), 2)
+    for bad in ([0.2, 0.2, 0.2], [0.2, 0.2, np.nan, 0.1], [0.7, 0.6, 0.1, 0.1],
+                [0.1, -0.2, 0.1, 0.1]):
+        with pytest.raises(ValueError):
+            orc(np.array(bad))
+    assert orc.log.count == 0
+    with pytest.raises(IndexError):
+        MultiBrOracle(random_game(3, 3, seed=13), 0)
 
 
 def test_two_player_reduction_matches_bimatrix_oracle():
@@ -278,6 +310,117 @@ def test_verifier_agrees_with_bimatrix_for_two_players():
             a = verify_wsne_multiplayer(g2, [u, v], eps).valid
             b = verify_wsne(bim, u, v, eps).valid
             assert a == b
+
+
+def test_game_rejects_empty_sizes():
+    with pytest.raises(ValueError, match="k = 0"):
+        NormalFormGame(3, 0, np.zeros((3, 0, 0, 0)))
+    with pytest.raises(ValueError, match="n = 0"):
+        NormalFormGame(0, 2, np.zeros((0,)))
+
+
+def _brute_l1(lab, X):
+    """Reference: (k, N) l1 distances by comparing every query row with
+    every stored point of each action."""
+    X = np.atleast_2d(X)
+    out = np.full((lab.k, X.shape[0]), np.inf)
+    for r, pts in lab.arrays().items():
+        if len(pts):
+            out[r - 1] = np.abs(X[:, None, :] - pts[None, :, :]).sum(axis=2).min(axis=1)
+    return out
+
+
+def _random_joint(rng, n, k, size):
+    return np.hstack([rng.dirichlet(np.ones(k), size=size)[:, 1:] for _ in range(n - 1)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(2, 2), (3, 2), (3, 3)]), st.integers(0, 2 ** 32 - 1))
+def test_l1_distances_match_brute_force(shape, seed):
+    # some actions stay empty, points repeat, and points added after a
+    # query must reach the next query
+    n, k = shape
+    rng = np.random.default_rng(seed)
+    lab = PointLabelling((k - 1) * (n - 1), k)
+    X = _random_joint(rng, n, k, 50)
+    for _round in range(3):
+        for r in rng.permutation(k)[:int(rng.integers(0, k + 1))]:
+            pts = _random_joint(rng, n, k, int(rng.integers(1, 8)))
+            for x in np.vstack([pts, pts[:int(rng.integers(0, 3))]]):
+                lab.add(x, int(r) + 1)
+        got = lab.l1_distances(X)
+        want = _brute_l1(lab, X)
+        assert np.array_equal(np.isinf(got), np.isinf(want))
+        fin = np.isfinite(want)
+        assert np.allclose(got[fin], want[fin], rtol=0.0, atol=1e-12)
+
+
+def _lattice_labelling(n, k, spacing, rng, drop=None):
+    net = build_net(n, k, spacing * (k - 1) * (n - 1) / 2.0)
+    lab = PointLabelling((k - 1) * (n - 1), k)
+    for j, x in enumerate(net.points):
+        if j != drop:
+            lab.add(x, int(rng.integers(1, k + 1)))
+    return lab, net.points
+
+
+@pytest.mark.parametrize("spacing", [1 / 8, 0.1])
+def test_is_l1_close_finds_every_single_hole(spacing):
+    # on [0, 1] a lattice of step s covers at s/2, and without one of its
+    # points only at s: every hole must give "not close" with a witness
+    rng = np.random.default_rng(14)
+    full, pts = _lattice_labelling(2, 2, spacing, rng)
+    for eps in (0.75 * spacing, spacing * (1 - 1e-5)):
+        assert is_l1_close(full, eps).is_close
+        for drop in range(len(pts)):
+            lab, _ = _lattice_labelling(2, 2, spacing, rng, drop)
+            rep = is_l1_close(lab, eps)
+            assert not rep.is_close
+            w = rep.witness
+            assert w.shape == (1,) and 0.0 <= w[0] <= 1.0
+            assert _brute_l1(lab, w).min() > eps
+            assert rep.witness_distance == pytest.approx(_brute_l1(lab, w).min())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.floats(0.8, 1.25))
+def test_is_l1_close_agrees_with_a_dense_lattice(seed, scale):
+    # k = 2, n = 3: the joint space is the unit square; a lattice of step h
+    # covers it at l1 radius h, so its maximum decides all but a band of
+    # width h above it
+    rng = np.random.default_rng(seed)
+    lab = PointLabelling(2, 2)
+    for _ in range(int(rng.integers(1, 13))):
+        lab.add(rng.random(2), int(rng.integers(1, 3)))
+    h = 1.0 / 256
+    axis = np.arange(257) * h
+    grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    top = float(_brute_l1(lab, grid).min(axis=0).max())
+    eps = top * scale
+    rep = is_l1_close(lab, eps)
+    if top > eps:
+        assert not rep.is_close
+    if top + h <= eps:
+        assert rep.is_close
+    if not rep.is_close:
+        assert np.all(rep.witness >= 0.0) and np.all(rep.witness <= 1.0)
+        assert _brute_l1(lab, rep.witness).min() > eps
+
+
+def test_is_l1_close_handles_the_simplex_boundary_and_the_cap():
+    # k = 3: each block is a corner 2-simplex, so boxes leave the space
+    rng = np.random.default_rng(15)
+    lab, pts = _lattice_labelling(2, 3, 0.25, rng)
+    assert is_l1_close(lab, 0.3).is_close
+    far = is_l1_close(lab, 0.2)
+    assert not far.is_close and far.witness.sum() <= 1.0 and np.all(far.witness >= 0.0)
+    assert _brute_l1(lab, far.witness).min() > 0.2
+    empty = is_l1_close(PointLabelling(2, 3), 0.5)
+    assert not empty.is_close and empty.witness_distance == np.inf
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(multiplayer, "MAX_CELLS", 8)
+        with pytest.raises(RuntimeError, match="cap"):
+            is_l1_close(lab, 0.3)
 
 
 def test_tensor_json_roundtrip():
