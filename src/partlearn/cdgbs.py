@@ -35,8 +35,28 @@ from .predicates import ETA
 
 
 def sub_eps(eps: float, m: int, n: int, t: float) -> float:
-    """Accuracy handed to the cross-section recursion at coordinate t."""
-    return eps * eps / (85.0 * (1.0 - t) * n * m ** 2.5)
+    """Accuracy handed to the cross-section recursion at coordinate t.
+
+    The paper's value ``eps^2 / (85 (1 - t) n m^2.5)``, floored at the
+    predicate band ETA.  The paper's value compounds with depth (to ~1e-17
+    two levels down), but nothing finer than ETA reaches a verdict:
+
+    * every lift is affine with Lipschitz constant at most 1 - t <= 1
+      (sections) or a small constant (faces), so a boundary located to ETA
+      in a section sits within a small multiple of ETA of where the paper's
+      accuracy would put it;
+    * the hull code quantises finer detail away: `convex_hull` snaps points
+      to an ETA grid, `_binary_search_1d` collapses a label's span of at
+      most ETA to one point, and `_Search.bracket` treats coordinates within
+      ETA as one.
+
+    Soundness never rested on this value: "close" verdicts come from
+    `verify_eps_net`, `slab_certificate_2d`, `is_eps_close` and the
+    full-information WSNE verifier, none of which read it.
+    `cdgbs_query_bound` stays the worst case: it counts searches at the
+    paper's accuracy, and a coarser one only gives a search fewer levels.
+    """
+    return max(eps * eps / (85.0 * (1.0 - t) * n * m ** 2.5), ETA)
 
 
 def uncovered_cap(m: int, n: int) -> int:
@@ -100,9 +120,13 @@ class RunStats:
     ``per_level_uncovered`` and ``suspects`` describe the top-level dyadic
     search; ``face_queries`` maps each face's vertex subset to its queries
     and ``fallback`` says cr_gbs ran the dimension recursion directly.
+    ``depth_queries[d]`` holds the queries issued by runs at lift depth d:
+    0 is the top-level search, its cross-sections or cr_gbs faces are 1,
+    their cross-sections 2, and so on; it sums to ``queries``.
     """
 
     queries: int = 0
+    depth_queries: list = field(default_factory=list)
     recursions: int = 0
     fixes: int = 0
     per_level_uncovered: list = field(default_factory=list)
@@ -189,7 +213,7 @@ class _Search:
     """One CD-GBS invocation on a local corner simplex."""
 
     def __init__(self, m: int, n: int, eps: float, query, adversarial: bool,
-                 cap: int, stats: RunStats, top: bool):
+                 cap: int, stats: RunStats, depth: int):
         self.m = m
         self.n = n
         self.eps = eps
@@ -197,7 +221,7 @@ class _Search:
         self.adversarial = adversarial
         self.cap = cap
         self.stats = stats
-        self.top = top
+        self.depth = depth
         self.nets = {}          # t -> {label: (k, m) array}
         self.coords = []        # sorted labelled coordinates
         self.flagged = False
@@ -211,11 +235,12 @@ class _Search:
 
     def recurse(self, t: float) -> None:
         """Learn the cross-section at t and pull its points back."""
-        res = _section(self.m, self.n, self.eps, t, self.query, self.adversarial, self.stats)
+        res = _section(self.m, self.n, self.eps, t, self.query, self.adversarial, self.stats,
+                       self.depth + 1)
         self._add_net(t, {lbl: blocks[0] for lbl, blocks in res.points.items()})
         if res.flagged and t not in self.suspects:
             self.suspects.append(t)
-            if self.top:
+            if self.depth == 0:
                 self.stats.suspects.append(t)
 
     def bracket(self, a: float, b: float):
@@ -260,7 +285,7 @@ class _Search:
                 frontier = []
                 break
             uncovered = [iv for iv in children if not self.slab_covered(*iv)]
-            if self.top:
+            if self.depth == 0:
                 self.stats.per_level_uncovered.append(len(uncovered))
             if not self.adversarial and len(uncovered) > self.cap:
                 self.stats.halted_cap = True
@@ -287,31 +312,44 @@ class _Search:
 
 
 def _run(m: int, n: int, eps: float, query, adversarial: bool, stats: RunStats,
-         top: bool = False) -> _RunOutput:
+         depth: int) -> _RunOutput:
     if m == 0:
         lbl = query(np.zeros(0))
         return _RunOutput({lbl: [np.zeros((1, 0))]}, False)
     if m == 1:
         return _binary_search_1d(eps, query, n)
     cap = uncovered_cap(m, n)
-    return _Search(m, n, eps, query, adversarial, cap, stats, top).run()
+    return _Search(m, n, eps, query, adversarial, cap, stats, depth).run()
 
 
 def _lift(inv, dim: int, n: int, eps: float, query, adversarial: bool,
-          stats: RunStats) -> _RunOutput:
+          stats: RunStats, depth: int) -> _RunOutput:
     """Search the corner dim-simplex through ``inv`` (the inverse map of a
-    cross-section or a face) and pull every labelled point back with it."""
-    res = _run(dim, n, eps, lambda z: query(inv(z)), adversarial, stats)
+    cross-section or a face) at lift depth ``depth`` and pull every
+    labelled point back with it.  Each query the search issues counts at
+    ``depth_queries[depth]``; `_learn` fills in depth 0, which no lift sees.
+    """
+    counts = stats.depth_queries
+    counts.extend([0] * (depth + 1 - len(counts)))
+
+    def lifted(z):
+        lbl = query(inv(z))
+        counts[depth] += 1
+        if depth > 1:
+            counts[depth - 1] -= 1   # the enclosing lift counted it too
+        return lbl
+
+    res = _run(dim, n, eps, lifted, adversarial, stats, depth)
     return _RunOutput({lbl: [inv(np.vstack(blocks))] for lbl, blocks in res.points.items()},
                       res.flagged)
 
 
 def _section(m: int, n: int, eps: float, t: float, query, adversarial: bool,
-             stats: RunStats) -> _RunOutput:
+             stats: RunStats, depth: int) -> _RunOutput:
     """One cross-section recursion at coordinate t, in the run's frame."""
     stats.recursions += 1
     return _lift(section_map(t, m).inverse, m - 1, n, sub_eps(eps, m, n, t), query,
-                 adversarial, stats)
+                 adversarial, stats, depth)
 
 
 def _ball_slab(x: float, eps: float, m: int) -> SimplexSlab:
@@ -383,7 +421,8 @@ def fix_uncovered_critical(lab: EmpiricalLabelling, x: float, cfg: GbsConfig, or
     adversarial = cfg.oracle_kind == "adversarial"
 
     def recurse(z: float) -> None:
-        _add_points(lab, _section(cfg.m, cfg.n, cfg.eps, z, oracle, adversarial, stats).points)
+        _add_points(lab, _section(cfg.m, cfg.n, cfg.eps, z, oracle, adversarial, stats,
+                                  1).points)
 
     _repair(x, cfg.eps, cfg.m, uncovered_cap(cfg.m, cfg.n), cfg.seed, lambda: _global_hulls(lab),
             recurse, stats)
@@ -407,13 +446,15 @@ def _learn(m: int, n: int, oracle, adversarial: bool, fill) -> EmpiricalLabellin
     else:
         stats.conflict_flag = interior_conflict(lab) is not None
     stats.queries = oracle.log.count - before
+    lifted = stats.depth_queries[1:]
+    stats.depth_queries = [stats.queries - sum(lifted)] + lifted
     lab.stats = stats
     return lab
 
 
 def _dyadic(cfg: GbsConfig, oracle, adversarial: bool) -> EmpiricalLabelling:
     def fill(lab, stats):
-        _add_points(lab, _run(cfg.m, cfg.n, cfg.eps, oracle, adversarial, stats, top=True).points)
+        _add_points(lab, _run(cfg.m, cfg.n, cfg.eps, oracle, adversarial, stats, 0).points)
 
     return _learn(cfg.m, cfg.n, oracle, adversarial, fill)
 

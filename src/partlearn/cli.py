@@ -1,8 +1,9 @@
 """Batch driver: instance generation, learning runs, solving, benchmarks.
 
 Exit codes: 0 success, 2 invalid input, 3 query budget exhausted, 4 search
-failure.  Every command is deterministic given its inputs and seed; wall
-times are the only nondeterministic outputs.
+failure, 5 the coverage verifier's cell cap exceeded.  Every command is
+deterministic given its inputs and seed; wall times are the only
+nondeterministic outputs.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import numpy as np
 from . import __version__
 from .bimatrix import BimatrixGame, lower_bound_game, make_br_oracles, solve_wsne, verify_wsne
 from .cdgbs import GbsConfig, cd_gbs, cd_gbs_adversarial
+from .coverage import CellCapError
 from .crgbs import CrConfig, cr_gbs
 from .labelling import is_eps_close
 from .multiplayer import (NormalFormGame, learn_multiplayer_labellings, make_multi_oracles,
@@ -29,6 +31,7 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_BUDGET = 3
 EXIT_SEARCH = 4
+EXIT_CELL_CAP = 5
 
 ORACLE_KINDS = {"lex": "lexicographic", "adv": "adversarial"}
 
@@ -142,6 +145,7 @@ def cmd_learn(args) -> int:
         "seed": args.seed,
         "instance": _digest(args.instance),
         "queries": queries,
+        "depth_queries": lab.stats.depth_queries,
         "per_level_uncovered": lab.stats.per_level_uncovered if args.algo == "cdgbs" else [],
         "merges": [list(m) for m in lab.stats.merges],
         "eps_close": bool(report.is_close),
@@ -286,6 +290,9 @@ def main(argv=None) -> int:
     except QueryBudgetError:
         print("error: query budget exhausted", file=sys.stderr)
         return EXIT_BUDGET
+    except CellCapError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CELL_CAP
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SEARCH

@@ -27,6 +27,10 @@ from .predicates import ETA
 MAX_CELLS = 2_000_000     # boxes one verify_eps_net call may refine
 
 
+class CellCapError(RuntimeError):
+    """Raised when a coverage refinement would examine more than MAX_CELLS boxes."""
+
+
 @dataclass(frozen=True)
 class SimplexSlab:
     """The part of the corner m-simplex with first coordinate in [lo, hi]."""
@@ -136,7 +140,7 @@ def verify_eps_net(region, hulls, eps: float) -> CoverageReport:
     while los.shape[0]:
         cells_touched += los.shape[0]
         if cells_touched > MAX_CELLS:
-            raise RuntimeError("coverage refinement exceeded the cell cap")
+            raise CellCapError(f"coverage refinement exceeded the cap of {MAX_CELLS} boxes")
         # feasible boxes: the low corner is the canonical region point
         feas = los.sum(axis=1) <= 1.0 + ETA
         los, his = los[feas], his[feas]

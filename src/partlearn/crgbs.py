@@ -72,7 +72,7 @@ def cr_gbs(cfg: CrConfig, oracle) -> EmpiricalLabelling:
                 lab.add_query(v, oracle(v))
             if cfg.k >= 1:
                 _add_points(lab, _lift(fmap.inverse, cfg.k, cfg.n, cfg.sub_eps, oracle,
-                                       adversarial, stats).points)
+                                       adversarial, stats, 1).points)
             stats.face_queries[face.vertex_subset] = oracle.log.count - before
 
     return _learn(cfg.m, cfg.n, oracle, adversarial, fill)

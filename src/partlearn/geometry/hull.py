@@ -279,8 +279,9 @@ class PointHull:
     * `distances`: 0 inside the facet form; outside, exact for hulls of
       effective dimension 1 to 3, where only the boundary simplices of the
       facets that see a point are measured (see the module docstring for
-      why that subset holds the nearest point); Frank-Wolfe upper estimates
-      otherwise.
+      why that subset holds the nearest point); otherwise Frank-Wolfe upper
+      estimates, capped at `upper_bounds` (both are distances to hull
+      points, so the smaller one is still an upper estimate).
     """
 
     def __init__(self, points: np.ndarray):
@@ -344,9 +345,13 @@ class PointHull:
         X = np.atleast_2d(X)
         if self.m == 0:
             return np.zeros(X.shape[0])
+        return self._nearest_sample(X)[0]
+
+    def _nearest_sample(self, X: np.ndarray):
+        """(distances, indices into ``_upper_pts``) of the nearest samples."""
         if self._tree is None:
             self._tree = _KDTree(self._upper_pts)
-        return self._tree.query(X)[0]
+        return self._tree.query(X)
 
     def contains_boxes(self, los: np.ndarray, his: np.ndarray) -> np.ndarray:
         """Mask of axis-aligned boxes wholly inside the hull.
@@ -429,7 +434,8 @@ class PointHull:
         return dist, near
 
     def project(self, X: np.ndarray, tol: float = 1e-9):
-        """(distances, nearest points) for a query block."""
+        """(distances, nearest points) for a query block; where Frank-Wolfe
+        runs, a nearer sample point replaces its iterate."""
         X = np.atleast_2d(X)
         n, m = X.shape
         if self.is_empty:
@@ -449,13 +455,22 @@ class PointHull:
         W[:, self._var_axes] = Wv
         if self._const_axes.size:
             W[:, self._const_axes] = self._const_vals
-        return np.sqrt(trans2 + axial2), W
+        d = np.sqrt(trans2 + axial2)
+        if todo.any() and self._surface is None:
+            # a Frank-Wolfe iterate farther than the nearest sample gives way to it
+            ub, idx = self._nearest_sample(X[todo])
+            closer = ub < d[todo]
+            rows = np.where(todo)[0][closer]
+            d[rows] = ub[closer]
+            W[rows] = self._upper_pts[idx[closer]]
+        return d, W
 
     def distances(self, X: np.ndarray, tol: float = 1e-9, offsets=None) -> np.ndarray:
         """Hull distances to absolute tolerance tol (upper estimates).
 
         Exact (to rounding) whenever a boundary decomposition is available,
-        which covers every hull of effective dimension at most three.
+        which covers every hull of effective dimension at most three; the
+        Frank-Wolfe answers elsewhere never exceed `upper_bounds`.
         ``offsets``, when given, are `facet_offsets` of X.
         """
         if self.is_empty:
@@ -477,4 +492,7 @@ class PointHull:
             else:
                 Z = project_onto_hull_batch(self._sub, Xv[todo], tol=tol)
                 trans2[todo] = ((Xv[todo] - Z) ** 2).sum(axis=1)
-        return np.sqrt(trans2 + axial2)
+        d = np.sqrt(trans2 + axial2)
+        if todo.any() and self._surface is None:
+            d[todo] = np.minimum(d[todo], self.upper_bounds(X[todo]))
+        return d

@@ -20,7 +20,8 @@ from scipy.spatial import cKDTree
 
 from .bimatrix import (REFINE_ROUNDS, SLACK_DIVISOR, STEP_DIVISOR, PayoffAudit, _first_fixed_point,
                        _mask_to_list, _support_masks, expand, supported_regrets)
-from .coverage import MAX_CELLS, CoverageReport, lattice_count, simplex_lattice, unit_step
+from .coverage import (MAX_CELLS, CellCapError, CoverageReport, lattice_count, simplex_lattice,
+                       unit_step)
 from .labelling import voronoi_band_masks
 from .partition import QueryLog, TieBreak
 from .predicates import ETA, as_point
@@ -268,17 +269,21 @@ def is_l1_close(lab: PointLabelling, eps: float) -> CoverageReport:
     Boxes of [0, 1]^dim are bisected along their longest side.  The l1
     distance D to the stored points is 1-Lipschitz in l1, so a box is
     covered when D at its centre plus its l1 half-diameter is at most
-    eps + ETA.  A box's low corner is a point of the space, and one with
+    eps + ETA, or when D at its low corner ``lo`` plus
+    ``sum_b min(l1 width of block b, 1 - sum lo_b)`` is: every point x of
+    the space in the box has ``x_b >= lo_b`` and ``sum x_b <= 1`` in each
+    block b.  A box's low corner is a point of the space, and one with
     D > eps + ETA is the witness of a "not close" verdict.  Bisecting
     [0, 1] keeps every coordinate dyadic, so the sums that drop boxes
     outside the space are exact.  A level that would hold more than
-    coverage.MAX_CELLS boxes raises RuntimeError.
+    coverage.MAX_CELLS boxes raises CellCapError.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     d, bs = lab.dim, lab.k - 1
     if bs < 1 or d % bs:
         raise ValueError("labelling dimension is not a multiple of k - 1")
+    blocks = (-1, d // bs, bs)
     los, his = np.zeros((1, d)), np.ones((1, d))
     touched = 0
     while los.shape[0]:
@@ -287,11 +292,15 @@ def is_l1_close(lab: PointLabelling, eps: float) -> CoverageReport:
         worst = int(np.argmax(at_lo))
         if at_lo[worst] > eps + ETA:
             return CoverageReport(eps, False, los[worst].copy(), ETA, float(at_lo[worst]), touched)
+        lo_sums = los.reshape(blocks).sum(axis=2)
+        widths = (his - los).reshape(blocks).sum(axis=2)
+        alive = at_lo + np.minimum(widths, 1.0 - lo_sums).sum(axis=1) > eps + ETA
+        los, his = los[alive], his[alive]
         radii = 0.5 * (his - los).sum(axis=1)
         alive = lab.l1_distances(0.5 * (los + his)).min(axis=0) + radii > eps + ETA
         los, his = los[alive], his[alive]
         if 2 * los.shape[0] > MAX_CELLS:
-            raise RuntimeError(f"l1 coverage refinement would exceed the cap of {MAX_CELLS} boxes")
+            raise CellCapError(f"l1 coverage refinement would exceed the cap of {MAX_CELLS} boxes")
         rows = np.arange(los.shape[0])
         axis = np.argmax(his - los, axis=1)
         mid = 0.5 * (los[rows, axis] + his[rows, axis])
@@ -299,7 +308,7 @@ def is_l1_close(lab: PointLabelling, eps: float) -> CoverageReport:
         left_hi[rows, axis] = mid
         right_lo[rows, axis] = mid
         los, his = np.vstack([los, right_lo]), np.vstack([left_hi, his])
-        inside = (los.reshape(-1, d // bs, bs).sum(axis=2) <= 1.0).all(axis=1)
+        inside = (los.reshape(blocks).sum(axis=2) <= 1.0).all(axis=1)
         los, his = los[inside], his[inside]
     return CoverageReport(eps, True, None, ETA, cells_touched=touched)
 

@@ -3,15 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from partlearn import cdgbs
 from partlearn.cdgbs import (
     DyadicInterval, GbsConfig, cd_gbs, cd_gbs_adversarial, cdgbs_query_bound,
-    fix_uncovered_critical, uncovered_cap, uncovered_intervals,
+    fix_uncovered_critical, sub_eps, uncovered_cap, uncovered_intervals,
 )
 from partlearn.geometry import VPolytope, distance_to_hull
 from partlearn.labelling import EmpiricalLabelling, is_eps_close
 from partlearn.partition import (
     PartitionGroundTruth, QueryBudgetError, UEPP, make_oracle, random_uepp, uepp_cells,
 )
+from partlearn.predicates import ETA
 
 
 def interval_uepp(boundaries):
@@ -307,3 +309,53 @@ def test_fix_attempts_stay_bounded_on_random_instances():
         total += lab.stats.fixes
         assert lab.stats.fixes <= uncovered_cap(2, 3)
     assert total <= 8 * uncovered_cap(2, 3)
+
+
+def _paper_sub_eps(eps, m, n, t):
+    return eps * eps / (85.0 * (1.0 - t) * n * m ** 2.5)
+
+
+@pytest.mark.parametrize("kind", ["lexicographic", "adversarial"])
+@pytest.mark.parametrize("n, eps, seed", [(3, 0.2, 40), (3, 0.1, 41), (4, 0.15, 42)])
+def test_eta_floor_against_the_paper_accuracy(kind, n, eps, seed):
+    # two levels down the paper's accuracy is far below ETA, so the floor binds
+    assert _paper_sub_eps(_paper_sub_eps(eps, 3, n, 0.5), 2, n, 0.5) < ETA
+    u = random_uepp(3, n, seed=seed)
+    search = cd_gbs if kind == "lexicographic" else cd_gbs_adversarial
+    floored = search(GbsConfig(3, n, eps, oracle_kind=kind), make_oracle(u, kind=kind))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cdgbs, "sub_eps", _paper_sub_eps)
+        paper = search(GbsConfig(3, n, eps, oracle_kind=kind), make_oracle(u, kind=kind))
+    for lab in (floored, paper):
+        assert is_eps_close(lab, None, eps).is_close
+        assert sum(lab.stats.depth_queries) == lab.stats.queries
+        assert len(lab.stats.depth_queries) == 3
+    assert floored.stats.queries <= paper.stats.queries
+    # the top-level search reads eps itself, so only the deeper counts move
+    assert floored.stats.depth_queries[2] < paper.stats.depth_queries[2]
+
+
+def test_sub_eps_never_below_eta():
+    for m in range(1, 9):
+        for n in range(1, 9):
+            for eps in (1.0, 0.1, 1e-3, 1e-6):
+                for t in (0.0, 0.5, 0.999):
+                    want = max(_paper_sub_eps(eps, m, n, t), ETA)
+                    assert sub_eps(eps, m, n, t) == want >= ETA
+
+
+def test_depth_queries_split_the_queries_by_lift_depth():
+    o = make_oracle(random_uepp(1, 3, seed=5))
+    lab = cd_gbs(GbsConfig(1, 3, 0.05), o)
+    assert lab.stats.depth_queries == [o.log.count]
+    o = make_oracle(random_uepp(3, 3, seed=5))
+    lab = cd_gbs(GbsConfig(3, 3, 0.1), o)
+    d = lab.stats.depth_queries
+    assert sum(d) == lab.stats.queries == o.log.count
+    # the top-level search asks only its apex, each of its 2-D sections
+    # (one at t = 0, one per uncovered slab) only its own apex, and every
+    # other query comes from the 1-D searches below them
+    assert lab.stats.fixes == 0
+    assert d[0] == 1
+    assert d[1] == 1 + sum(lab.stats.per_level_uncovered)
+    assert d[2] == o.log.count - d[0] - d[1]

@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from partlearn.cli import EXIT_BUDGET, EXIT_INVALID, EXIT_OK, main
+from partlearn import coverage
+from partlearn.cli import EXIT_BUDGET, EXIT_CELL_CAP, EXIT_INVALID, EXIT_OK, main
 
 
 def run(*argv):
@@ -42,6 +43,30 @@ def test_learn_uepp_roundtrip(tmp_path):
     assert manifest["eps_close"] is True
     import math
     assert manifest["queries"] <= 2 * math.ceil(math.log2(2 / 0.001)) + 2
+
+
+@pytest.mark.parametrize("algo, m, n", [("cdgbs", 3, 3), ("crgbs", 3, 2)])
+def test_learn_manifest_splits_queries_by_depth(tmp_path, algo, m, n):
+    inst = tmp_path / "u.json"
+    run("gen", "--kind", "uepp", "--m", str(m), "--n", str(n), "--seed", "4", "--out", str(inst))
+    out = tmp_path / "lab.json"
+    assert run("learn", "--instance", str(inst), "--algo", algo, "--eps", "0.2",
+               "--out", str(out)) == EXIT_OK
+    manifest = json.loads((tmp_path / "lab.json.manifest.json").read_text())
+    depth = manifest["depth_queries"]
+    assert len(depth) == (3 if algo == "cdgbs" else 2)
+    assert sum(depth) == manifest["queries"]
+
+
+def test_learn_cell_cap_overrun_has_its_own_exit_code(tmp_path, capsys, monkeypatch):
+    inst = tmp_path / "u.json"
+    run("gen", "--kind", "uepp", "--m", "3", "--n", "3", "--seed", "1", "--out", str(inst))
+    capsys.readouterr()
+    monkeypatch.setattr(coverage, "MAX_CELLS", 4)
+    out = tmp_path / "lab.json"
+    assert run("learn", "--instance", str(inst), "--eps", "0.2", "--out", str(out)) == EXIT_CELL_CAP
+    assert "cap of 4 boxes" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_learn_budget_exhaustion_leaves_no_files(tmp_path):

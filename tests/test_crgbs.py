@@ -21,6 +21,9 @@ def test_crgbs_close_with_face_budget(m):
     assert len(lab.stats.face_queries) == math.comb(m + 1, 2)
     per_face_cap = cdgbs_query_bound(1, n, cr_sub_eps(m, n, eps)) + 2
     assert o.log.count <= math.comb(m + 1, 2) * per_face_cap
+    # the face-vertex queries are the top level's; the face searches are depth 1
+    assert lab.stats.depth_queries == [2 * math.comb(m + 1, 2),
+                                       o.log.count - 2 * math.comb(m + 1, 2)]
 
 
 def test_crgbs_single_label_trivial():

@@ -225,6 +225,36 @@ def test_point_hull_kernels_match_brute_force(case):
     assert (d <= fw_hi + 1e-12).all()
 
 
+def test_frank_wolfe_never_exceeds_the_nearest_sample_on_a_thin_tilted_set():
+    # the first falsifying case of the kernel test at --hypothesis-seed 10:
+    # 14 coplanar points tilted in R^3 (singular values ~3.5, ~0.49 and
+    # ~7e-16), so Qhull rejects the set and distances run Frank-Wolfe
+    rng = np.random.default_rng(23031769)
+    dirs = rng.standard_normal((2, 3))
+    P = rng.random(3) + rng.random((14, 2)) @ dirs
+    X = np.vstack([rng.random((40, 3)) * 2.0 - 0.5,
+                   rng.dirichlet(np.ones(14), size=10) @ P, P])
+    h = PointHull(P)
+    assert h._surface is None and h._var_axes.size == 3
+    d, ub = h.distances(X), h.upper_bounds(X)
+    assert (d <= ub).all()
+    assert (h.lower_bounds(X) <= d + 1e-12).all()
+    # an exact reference: the hull of the points' 2-D coordinates in their
+    # own plane, plus the distance of X to that plane
+    c = P.mean(axis=0)
+    basis = np.linalg.svd(P - c)[2][:2]
+    flat = PointHull((P - c) @ basis.T)
+    assert flat._surface is not None
+    Y = (X - c) @ basis.T
+    off = np.linalg.norm((X - c) - Y @ basis, axis=1)
+    exact = np.sqrt(flat.distances(Y) ** 2 + off ** 2)
+    assert (d >= exact - 1e-9).all()
+    # project agrees, and its witness is a point at the reported distance
+    dp, W = h.project(X)
+    np.testing.assert_array_equal(dp, d)
+    np.testing.assert_allclose(np.linalg.norm(X - W, axis=1), d, rtol=0, atol=1e-12)
+
+
 # -- convex hull ---------------------------------------------------------------
 
 def test_hull_removes_collinear_point():

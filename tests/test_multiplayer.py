@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from partlearn import multiplayer
 from partlearn.bimatrix import BimatrixGame, verify_wsne
+from partlearn.coverage import CellCapError
 from partlearn.multiplayer import (
     MultiBrOracle, NormalFormGame, PointLabelling, build_net, dominant_game, expected_utility,
     is_l1_close, jordan_game, learn_multiplayer_labellings, make_multi_oracles, pure_values,
@@ -407,6 +408,48 @@ def test_is_l1_close_agrees_with_a_dense_lattice(seed, scale):
         assert _brute_l1(lab, rep.witness).min() > eps
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.floats(0.8, 1.25))
+def test_is_l1_close_agrees_with_a_dense_lattice_on_the_simplex(seed, scale):
+    # k = 3, n = 2: the joint space is the corner 2-simplex, where the
+    # low-corner rule clips boxes at the far facet; rounding a point of the
+    # simplex down to a lattice of step h stays in it and moves it by < 2h
+    # in l1, so the lattice maximum decides all but a band of width 2h
+    rng = np.random.default_rng(seed)
+    lab = PointLabelling(2, 3)
+    for _ in range(int(rng.integers(1, 13))):
+        lab.add(rng.dirichlet(np.ones(3))[1:], int(rng.integers(1, 4)))
+    h = 1.0 / 256
+    axis = np.arange(257) * h
+    grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    grid = grid[grid.sum(axis=1) <= 1.0]
+    top = float(_brute_l1(lab, grid).min(axis=0).max())
+    eps = top * scale
+    rep = is_l1_close(lab, eps)
+    if top > eps:
+        assert not rep.is_close
+    if top + 2 * h <= eps:
+        assert rep.is_close
+    if not rep.is_close:
+        assert np.all(rep.witness >= 0.0) and rep.witness.sum() <= 1.0
+        assert _brute_l1(lab, rep.witness).min() > eps
+
+
+@pytest.mark.parametrize("n, k, eps, cap", [(2, 3, 0.2, 2_100), (3, 3, 0.5, 30_000)])
+def test_is_l1_close_drops_boxes_by_their_low_corner(n, k, eps, cap):
+    # a full net checked at its own covering radius refines to ETA around
+    # every point at distance eps; with only the centre rule these take
+    # 2,844 and 66,671 boxes, the low-corner rule leaves 2,071 and 29,193
+    rng = np.random.default_rng(3)
+    net = build_net(n, k, eps)
+    lab = PointLabelling((k - 1) * (n - 1), k)
+    for x in net.points:
+        lab.add(x, int(rng.integers(1, k + 1)))
+    rep = is_l1_close(lab, eps)
+    assert rep.is_close
+    assert rep.cells_touched <= cap
+
+
 def test_is_l1_close_handles_the_simplex_boundary_and_the_cap():
     # k = 3: each block is a corner 2-simplex, so boxes leave the space
     rng = np.random.default_rng(15)
@@ -419,7 +462,7 @@ def test_is_l1_close_handles_the_simplex_boundary_and_the_cap():
     assert not empty.is_close and empty.witness_distance == np.inf
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(multiplayer, "MAX_CELLS", 8)
-        with pytest.raises(RuntimeError, match="cap"):
+        with pytest.raises(CellCapError, match="cap of 8 boxes"):
             is_l1_close(lab, 0.3)
 
 
