@@ -52,11 +52,27 @@ def sub_eps(eps: float, m: int, n: int, t: float) -> float:
 
     Soundness never rested on this value: "close" verdicts come from
     `verify_eps_net`, `slab_certificate_2d`, `is_eps_close` and the
-    full-information WSNE verifier, none of which read it.
-    `cdgbs_query_bound` stays the worst case: it counts searches at the
-    paper's accuracy, and a coarser one only gives a search fewer levels.
+    full-information WSNE verifier, none of which read it.  A section's
+    first pass runs coarser still (`_first_pass_eps`).
     """
     return max(eps * eps / (85.0 * (1.0 - t) * n * m ** 2.5), ETA)
+
+
+FIRST_PASS_DIVISOR = 4    # a section's first pass is learned at eps / 4; see _first_pass_eps
+
+
+def _first_pass_eps(eps: float, m: int, n: int, t: float) -> float:
+    """Accuracy of a cross-section's first pass: ``max(sub_eps, eps / 4)``.
+
+    A section that is an eps/4-net leaves about 3/4 of eps for the slab's
+    own width.  Certificate B of `slab_certificate_2d` (``hypot(W, h + W)
+    <= eps``) passes at hole radius ``h = eps/4`` for any distance
+    ``W <= 0.57 eps`` to a bracketing section, and the halves of the last
+    dyadic level's slabs have ``W <= eps/8``.  Where a certificate still
+    fails, `_Search` re-learns the coarse sections bracketing the slab at
+    `sub_eps`; soundness rests on the certificates, not on this value.
+    """
+    return max(sub_eps(eps, m, n, t), eps / FIRST_PASS_DIVISOR)
 
 
 def uncovered_cap(m: int, n: int) -> int:
@@ -123,11 +139,14 @@ class RunStats:
     ``depth_queries[d]`` holds the queries issued by runs at lift depth d:
     0 is the top-level search, its cross-sections or cr_gbs faces are 1,
     their cross-sections 2, and so on; it sums to ``queries``.
+    ``refinements`` counts the cross-sections re-learned at `sub_eps` after
+    a coarse first pass (each is also one of the ``recursions``).
     """
 
     queries: int = 0
     depth_queries: list = field(default_factory=list)
     recursions: int = 0
+    refinements: int = 0
     fixes: int = 0
     per_level_uncovered: list = field(default_factory=list)
     merges: list = field(default_factory=list)
@@ -148,7 +167,7 @@ class _RunOutput:
         self.flagged = flagged
 
 
-def _binary_search_1d(eps: float, query, n: int) -> _RunOutput:
+def _binary_search_1d(eps: float, query) -> _RunOutput:
     """Base case: learn a partition of the unit interval.
 
     Bisects every gap whose endpoint labels differ until gaps are at most
@@ -210,7 +229,16 @@ def _compress_labelwise(points: dict, m: int) -> dict:
 
 
 class _Search:
-    """One CD-GBS invocation on a local corner simplex."""
+    """One CD-GBS invocation on a local corner simplex.
+
+    Cross-sections are learned coarse first (`_first_pass_eps`) and
+    re-learned at `sub_eps` only where a slab they bracket fails its
+    certificate: each half of a last-level uncovered slab, and, before a
+    lexicographic search halts on ``cap``, each uncovered slab.  A half that
+    still fails is left to the end verifiers.  Repairs learn at `sub_eps`.
+    Each section's answers are cached, so re-learning it pays only for the
+    queries its coarse pass did not ask.
+    """
 
     def __init__(self, m: int, n: int, eps: float, query, adversarial: bool,
                  cap: int, stats: RunStats, depth: int):
@@ -226,22 +254,41 @@ class _Search:
         self.coords = []        # sorted labelled coordinates
         self.flagged = False
         self.suspects = []      # local recursion coords with flagged sub-runs
+        self.coarse = set()     # coords whose section has had only its first pass
+        self._answers = {}      # t -> answer cache of the section's lifted query
         self._bracket_hulls = {}
 
     def _add_net(self, t: float, net: dict) -> None:
+        old = self.nets.get(t)
+        if old is None:
+            insort(self.coords, t)
+        else:   # a re-learned section keeps its points, so hulls only grow
+            net = {**old, **{lbl: np.vstack([old[lbl], pts]) if lbl in old else pts
+                             for lbl, pts in net.items()}}
         self.nets[t] = net
-        insort(self.coords, t)
         self._bracket_hulls.clear()
 
-    def recurse(self, t: float) -> None:
-        """Learn the cross-section at t and pull its points back."""
-        res = _section(self.m, self.n, self.eps, t, self.query, self.adversarial, self.stats,
-                       self.depth + 1)
+    def recurse(self, t: float, fine: bool = False) -> None:
+        """Learn the cross-section at t, at `_first_pass_eps` or, if
+        ``fine``, at `sub_eps`, and pull its points back."""
+        paper = sub_eps(self.eps, self.m, self.n, t)
+        acc = paper if fine else _first_pass_eps(self.eps, self.m, self.n, t)
+        if acc > paper:
+            self.coarse.add(t)
+        else:
+            self.coarse.discard(t)
+        res = _section(self.m, self.n, acc, t, self.query, self.adversarial, self.stats,
+                       self.depth + 1, self._answers.setdefault(t, {}))
         self._add_net(t, {lbl: blocks[0] for lbl, blocks in res.points.items()})
         if res.flagged and t not in self.suspects:
             self.suspects.append(t)
             if self.depth == 0:
                 self.stats.suspects.append(t)
+
+    def refine(self, t: float) -> None:
+        """Re-learn the coarse section at t at `sub_eps`."""
+        self.stats.refinements += 1
+        self.recurse(t, fine=True)
 
     def bracket(self, a: float, b: float):
         """Nearest labelled coordinates enclosing [a, b]."""
@@ -273,7 +320,7 @@ class _Search:
         self._add_net(1.0, {lbl: apex[None, :]})
 
         levels = max(0, math.ceil(math.log2(2.0 / self.eps)))
-        frontier = [(0.0, 1.0)]
+        frontier, last = [(0.0, 1.0)], []   # last: slabs recursed at the last level
         for _k in range(1, levels + 1):
             children = []
             for a, b in frontier:
@@ -282,24 +329,45 @@ class _Search:
                     continue
                 children.extend([(a, mid), (mid, b)])
             if not children:
-                frontier = []
+                last = []
                 break
             uncovered = [iv for iv in children if not self.slab_covered(*iv)]
+            halt = not self.adversarial and len(uncovered) > self.cap
+            if halt and (coarse := self._coarse_brackets(uncovered)):
+                for t in coarse:
+                    self.refine(t)
+                uncovered = [iv for iv in uncovered if not self.slab_covered(*iv)]
+                halt = len(uncovered) > self.cap
             if self.depth == 0:
                 self.stats.per_level_uncovered.append(len(uncovered))
-            if not self.adversarial and len(uncovered) > self.cap:
+            if halt:
                 self.stats.halted_cap = True
                 self.flagged = True
                 break
             for a, b in uncovered:
                 self.recurse(0.5 * (a + b))
-            frontier = uncovered
+            frontier = last = uncovered
+
+        if not self.flagged:
+            for a, b in last:
+                mid = 0.5 * (a + b)
+                self._refine_slab(a, mid)
+                self._refine_slab(mid, b)
 
         if not self.adversarial and self.suspects and not self.stats.halted_cap:
             self._fix_suspects()
 
         points = _by_label(self.nets.values())
         return _RunOutput(_compress_labelwise(points, self.m), self.flagged)
+
+    def _coarse_brackets(self, slabs) -> list:
+        return sorted({t for iv in slabs for t in self.bracket(*iv)} & self.coarse)
+
+    def _refine_slab(self, a: float, b: float) -> None:
+        """Re-learn the coarse sections bracketing [a, b], one at a time,
+        while the slab fails its certificate."""
+        while (coarse := self._coarse_brackets([(a, b)])) and not self.slab_covered(a, b):
+            self.refine(coarse[0])
 
     def _hulls(self) -> list:
         return [PointHull(np.vstack(v)) for v in _by_label(self.nets.values()).values()]
@@ -308,7 +376,8 @@ class _Search:
         """Repair neighbourhoods of recursion coordinates whose sub-run was
         flagged (the degenerate-section escape hatch), in this run's frame."""
         for x in list(self.suspects):
-            _repair(x, self.eps, self.m, self.cap, 0, self._hulls, self.recurse, self.stats)
+            _repair(x, self.eps, self.m, self.cap, 0, self._hulls,
+                    lambda z: self.recurse(z, fine=True), self.stats)
 
 
 def _run(m: int, n: int, eps: float, query, adversarial: bool, stats: RunStats,
@@ -317,26 +386,39 @@ def _run(m: int, n: int, eps: float, query, adversarial: bool, stats: RunStats,
         lbl = query(np.zeros(0))
         return _RunOutput({lbl: [np.zeros((1, 0))]}, False)
     if m == 1:
-        return _binary_search_1d(eps, query, n)
+        return _binary_search_1d(eps, query)
     cap = uncovered_cap(m, n)
     return _Search(m, n, eps, query, adversarial, cap, stats, depth).run()
 
 
 def _lift(inv, dim: int, n: int, eps: float, query, adversarial: bool,
-          stats: RunStats, depth: int) -> _RunOutput:
+          stats: RunStats, depth: int, cache: dict | None = None) -> _RunOutput:
     """Search the corner dim-simplex through ``inv`` (the inverse map of a
     cross-section or a face) at lift depth ``depth`` and pull every
-    labelled point back with it.  Each query the search issues counts at
-    ``depth_queries[depth]``; `_learn` fills in depth 0, which no lift sees.
+    labelled point back with it.
+
+    Answers are kept in ``cache`` (keyed by the local point), so a search
+    run again through the same map pays only for points it has not asked.
+    A query that reaches the oracle counts at ``depth_queries[d]`` for the
+    depth d of the innermost lift that asked it: each lift hands d outward,
+    and the depth-1 lift, whose ``query`` is the oracle itself, books it.  A
+    cache hit at any level counts nowhere.  `_learn` fills in depth 0,
+    which no lift sees.
     """
     counts = stats.depth_queries
     counts.extend([0] * (depth + 1 - len(counts)))
+    cache = {} if cache is None else cache
 
-    def lifted(z):
-        lbl = query(inv(z))
-        counts[depth] += 1
-        if depth > 1:
-            counts[depth - 1] -= 1   # the enclosing lift counted it too
+    def lifted(z, origin=depth):
+        key = z.tobytes()
+        lbl = cache.get(key)
+        if lbl is None:
+            if depth == 1:
+                lbl = query(inv(z))
+                counts[origin] += 1
+            else:
+                lbl = query(inv(z), origin)
+            cache[key] = lbl
         return lbl
 
     res = _run(dim, n, eps, lifted, adversarial, stats, depth)
@@ -344,12 +426,13 @@ def _lift(inv, dim: int, n: int, eps: float, query, adversarial: bool,
                       res.flagged)
 
 
-def _section(m: int, n: int, eps: float, t: float, query, adversarial: bool,
-             stats: RunStats, depth: int) -> _RunOutput:
-    """One cross-section recursion at coordinate t, in the run's frame."""
+def _section(m: int, n: int, acc: float, t: float, query, adversarial: bool,
+             stats: RunStats, depth: int, cache: dict | None = None) -> _RunOutput:
+    """One cross-section recursion at coordinate t and accuracy ``acc``, in
+    the run's frame."""
     stats.recursions += 1
-    return _lift(section_map(t, m).inverse, m - 1, n, sub_eps(eps, m, n, t), query,
-                 adversarial, stats, depth)
+    return _lift(section_map(t, m).inverse, m - 1, n, acc, query, adversarial, stats, depth,
+                 cache)
 
 
 def _ball_slab(x: float, eps: float, m: int) -> SimplexSlab:
@@ -421,8 +504,8 @@ def fix_uncovered_critical(lab: EmpiricalLabelling, x: float, cfg: GbsConfig, or
     adversarial = cfg.oracle_kind == "adversarial"
 
     def recurse(z: float) -> None:
-        _add_points(lab, _section(cfg.m, cfg.n, cfg.eps, z, oracle, adversarial, stats,
-                                  1).points)
+        _add_points(lab, _section(cfg.m, cfg.n, sub_eps(cfg.eps, cfg.m, cfg.n, z), z, oracle,
+                                  adversarial, stats, 1).points)
 
     _repair(x, cfg.eps, cfg.m, uncovered_cap(cfg.m, cfg.n), cfg.seed, lambda: _global_hulls(lab),
             recurse, stats)

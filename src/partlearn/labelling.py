@@ -29,6 +29,7 @@ class EmpiricalLabelling:
         self.n = n
         self._points = {lbl: [] for lbl in range(1, n + 1)}   # label -> list of (k, m) blocks
         self._parent = list(range(n + 1))                      # union-find over 1..n
+        self._members = {lbl: [lbl] for lbl in range(1, n + 1)}  # root -> sorted raw labels
         self._hull_cache = {}
         self._pointhull_cache = {}
 
@@ -50,15 +51,13 @@ class EmpiricalLabelling:
             return
         lo, hi = min(ri, rj), max(ri, rj)
         self._parent[hi] = lo
+        self._members[lo] = sorted(self._members[lo] + self._members.pop(hi))
         self._hull_cache.clear()
         self._pointhull_cache.clear()
 
     def merge_classes(self) -> list:
         """Current classes as sorted lists of raw labels, one per root."""
-        groups = {}
-        for lbl in range(1, self.n + 1):
-            groups.setdefault(self.find(lbl), []).append(lbl)
-        return [sorted(v) for _, v in sorted(groups.items())]
+        return [list(v) for _, v in sorted(self._members.items())]
 
     # -- point bookkeeping --------------------------------------------------
     def add_query(self, x, label: int) -> None:
@@ -92,11 +91,7 @@ class EmpiricalLabelling:
 
     def points_of(self, label: int, merged: bool = True) -> np.ndarray:
         """All points of a label (or of its merged class)."""
-        if merged:
-            root = self.find(label)
-            members = [l for l in range(1, self.n + 1) if self.find(l) == root]
-        else:
-            members = [label]
+        members = self._members[self.find(label)] if merged else [label]
         blocks = [b for l in members for b in self._points[l]]
         if not blocks:
             return np.zeros((0, self.m))
@@ -106,7 +101,7 @@ class EmpiricalLabelling:
         return sum(b.shape[0] for blocks in self._points.values() for b in blocks)
 
     def class_roots(self) -> list:
-        return sorted({self.find(l) for l in range(1, self.n + 1)})
+        return sorted(self._members)
 
     def hull(self, label: int) -> VPolytope:
         root = self.find(label)

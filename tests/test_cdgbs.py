@@ -258,7 +258,7 @@ def test_1d_interleaving_sets_flag():
             return 1
         return 3
 
-    out = _binary_search_1d(2.0 ** -6, degenerate_query, 3)
+    out = _binary_search_1d(2.0 ** -6, degenerate_query)
     assert out.flagged
     assert 1 in out.points and 2 in out.points
 
@@ -324,7 +324,9 @@ def test_eta_floor_against_the_paper_accuracy(kind, n, eps, seed):
     search = cd_gbs if kind == "lexicographic" else cd_gbs_adversarial
     floored = search(GbsConfig(3, n, eps, oracle_kind=kind), make_oracle(u, kind=kind))
     with pytest.MonkeyPatch.context() as mp:
+        # the reference is the single-pass schedule at the paper's accuracy
         mp.setattr(cdgbs, "sub_eps", _paper_sub_eps)
+        mp.setattr(cdgbs, "_first_pass_eps", _paper_sub_eps)
         paper = search(GbsConfig(3, n, eps, oracle_kind=kind), make_oracle(u, kind=kind))
     for lab in (floored, paper):
         assert is_eps_close(lab, None, eps).is_close
@@ -359,3 +361,44 @@ def test_depth_queries_split_the_queries_by_lift_depth():
     assert d[0] == 1
     assert d[1] == 1 + sum(lab.stats.per_level_uncovered)
     assert d[2] == o.log.count - d[0] - d[1]
+
+
+@pytest.mark.parametrize("m, n, eps, seed, coarsen, depth", [
+    (2, 3, 0.1, 17, None, 1),   # a 1-D section of the top-level search
+    (3, 3, 0.15, 1, None, 2),   # a 1-D section of a 2-D section
+    # a 2-D section: a first pass at 4 eps leaves the top level's halves open
+    (3, 3, 0.3, 3, 4.0, 1),
+])
+def test_refined_sections_are_paid_once_and_counted_at_their_depth(m, n, eps, seed, coarsen,
+                                                                   depth):
+    refined = []
+    refine = cdgbs._Search.refine
+
+    def spy(search, t):
+        refined.append(search.depth + 1)
+        refine(search, t)
+
+    o = make_oracle(random_uepp(m, n, seed=seed))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cdgbs._Search, "refine", spy)
+        if coarsen:
+            mp.setattr(cdgbs, "_first_pass_eps", lambda e, *_: coarsen * e)
+        lab = cd_gbs(GbsConfig(m, n, eps), o)
+    st = lab.stats
+    assert depth in refined
+    assert st.refinements == len(refined)
+    assert is_eps_close(lab, None, eps).is_close
+    d = st.depth_queries
+    assert sum(d) == st.queries == o.log.count
+    assert min(d) >= 0
+    # a refined section re-asks its coarse points from the answer cache, so
+    # the oracle never sees a point twice
+    points = [pt for pt, _ in o.log.transcript]
+    assert len(set(points)) == len(points)
+    # only apexes are asked above the 1-D searches, and a refined section's
+    # apex is a cache hit: a query counted at a depth the oracle never saw
+    # would break these equalities
+    assert st.fixes == 0
+    assert d[0] == 1
+    if m == 3:
+        assert d[1] == 1 + sum(st.per_level_uncovered)

@@ -294,6 +294,26 @@ def test_merge_idempotent_commutative():
         lab.merge_labels(1, 1)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 7), st.lists(st.tuples(st.integers(1, 7), st.integers(1, 7)), max_size=8))
+def test_class_members_match_a_walk_over_the_union_find(n, merges):
+    lab = EmpiricalLabelling(1, n)
+    for lbl in range(1, n + 1):
+        lab.add_query([lbl / (n + 1)], lbl)
+    for i, j in merges:
+        if i <= n and j <= n and i != j:
+            lab.merge_labels(i, j)
+    for current in (lab, EmpiricalLabelling.from_json(lab.to_json())):
+        groups = {}
+        for lbl in range(1, n + 1):
+            groups.setdefault(current.find(lbl), []).append(lbl)
+        assert current.merge_classes() == [groups[r] for r in sorted(groups)]
+        assert current.class_roots() == sorted(groups)
+        for lbl in range(1, n + 1):
+            want = sorted(l / (n + 1) for l in groups[current.find(lbl)])
+            assert sorted(current.points_of(lbl).ravel()) == want
+
+
 def test_interior_conflict_none_for_disjoint():
     lab = EmpiricalLabelling(2, 2)
     lab.add_block(np.array([[0.0, 0.0], [0.2, 0.0], [0.0, 0.2]]), 1)
