@@ -328,13 +328,8 @@ def voronoi_label_masks(lab: EmpiricalLabelling, pts: np.ndarray, sigma: float) 
     n_pts = pts.shape[0]
     classes = [c for c in lab.merge_classes() if not lab.point_hull(c[0]).is_empty]
     hulls = [lab.point_hull(c[0]) for c in classes]
-    tol = max(1e-9, sigma * 1e-3)
     lbs = np.stack([h.lower_bounds(pts) for h in hulls])
-    dmin_ub = np.full(n_pts, np.inf)
-    for idx, h in enumerate(hulls):
-        inside = lbs[idx] <= 0.0
-        if h._facets is not None and inside.any():
-            dmin_ub[inside] = 0.0
+    dmin_ub = np.where((lbs <= 0.0).any(axis=0), 0.0, np.inf)
     loose = dmin_ub > 0.0
     if loose.any():
         sub = pts[loose]
@@ -346,7 +341,7 @@ def voronoi_label_masks(lab: EmpiricalLabelling, pts: np.ndarray, sigma: float) 
     for idx, h in enumerate(hulls):
         cand = lbs[idx] <= dmin_ub + sigma + ETA
         if cand.any():
-            dists[idx, cand] = h.distances(pts[cand], tol=tol)
+            dists[idx, cand] = h.distances(pts[cand])
     return voronoi_band_masks(dists, [sum(1 << (l - 1) for l in c) for c in classes], sigma)
 
 

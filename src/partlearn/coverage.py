@@ -25,6 +25,9 @@ from .geometry import PointHull, VPolytope, diameter
 from .predicates import ETA
 
 MAX_CELLS = 2_000_000     # boxes one verify_eps_net call may refine
+# `_fast_witness` ends a verification only at a probe beyond eps by
+# max(ETA, eps / SEAM_MARGIN_DIVISOR); the box refinement settles the rest.
+SEAM_MARGIN_DIVISOR = 50.0
 
 
 class CellCapError(RuntimeError):
@@ -82,9 +85,9 @@ def _min_upper_bounds(hulls, pts):
     return out
 
 
-def _min_dist_exact(hulls, pts, cap=None, tol=1e-9):
-    """Min distance over hulls, to tolerance tol; hulls whose lower bound
-    already exceeds the running minimum (or cap) are skipped."""
+def _min_dist_exact(hulls, pts, cap=None):
+    """Min distance over hulls; hulls whose lower bound already exceeds the
+    running minimum (or cap) are skipped."""
     n = pts.shape[0]
     out = np.full(n, np.inf)
     for h in hulls:
@@ -94,7 +97,7 @@ def _min_dist_exact(hulls, pts, cap=None, tol=1e-9):
         lb = h.lower_bounds(pts, offsets=off)
         todo = lb < out if cap is None else (lb < np.minimum(out, cap))
         if todo.any():
-            d = h.distances(pts[todo], tol=tol, offsets=None if off is None else off[todo])
+            d = h.distances(pts[todo], offsets=None if off is None else off[todo])
             out[todo] = np.minimum(out[todo], d)
     return out
 
@@ -103,7 +106,6 @@ def verify_eps_net(region, hulls, eps: float) -> CoverageReport:
     """Check that every region point is within eps of the union of hulls."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    dist_tol = max(1e-9, eps / 50.0)
     hulls = [h if isinstance(h, PointHull) else PointHull(h.vertices if isinstance(h, VPolytope) else h)
              for h in hulls]
     hulls = [h for h in hulls if not h.is_empty]
@@ -124,7 +126,7 @@ def verify_eps_net(region, hulls, eps: float) -> CoverageReport:
         w[0] = max(0.0, region.lo)
         return CoverageReport(eps, False, w, eps / 2, np.inf)
 
-    fast = _fast_witness(region, hulls, eps, dist_tol)
+    fast = _fast_witness(region, hulls, eps)
     if fast is not None:
         return CoverageReport(eps, False, fast[0], eps / 2, fast[1])
 
@@ -163,20 +165,20 @@ def verify_eps_net(region, hulls, eps: float) -> CoverageReport:
         # once cells reach eps scale, exact center distances settle them
         small = radii <= 4.0 * eps
         if small.any():
-            d = _min_dist_exact(hulls, centers[small], cap=eps + float(radii[small].max()), tol=dist_tol)
+            d = _min_dist_exact(hulls, centers[small], cap=eps + float(radii[small].max()))
             covered = d + radii[small] <= eps
             definitely_far = d - radii[small] > eps
             if definitely_far.any():
                 sub = np.where(small)[0][definitely_far]
                 w = los[sub[0]]
-                dw = float(_min_dist_exact(hulls, w[None, :], tol=dist_tol)[0])
+                dw = float(_min_dist_exact(hulls, w[None, :])[0])
                 return CoverageReport(eps, False, w.copy(), eps / 2, dw, cells_touched)
             at_floor = radii[small] <= floor_r
             undecided = at_floor & ~covered
             if undecided.any():
                 # grid floor rule: a region point within eps/2 certifies the box
                 sub = np.where(small)[0][undecided]
-                dw = _min_dist_exact(hulls, los[sub], cap=None, tol=dist_tol)
+                dw = _min_dist_exact(hulls, los[sub])
                 if (dw > eps / 2).any():
                     j = int(np.argmax(dw))
                     return CoverageReport(eps, False, los[sub[j]].copy(), eps / 2,
@@ -205,7 +207,7 @@ def _in_slab(region: SimplexSlab, pts: np.ndarray) -> np.ndarray:
     return ok
 
 
-def _fast_witness(region: SimplexSlab, hulls, eps: float, dist_tol: float):
+def _fast_witness(region: SimplexSlab, hulls, eps: float):
     """Probe seam midpoints between hull pairs for a quick uncovered verdict.
 
     Genuinely uncovered slabs almost always contain a crack between two
@@ -230,9 +232,9 @@ def _fast_witness(region: SimplexSlab, hulls, eps: float, dist_tol: float):
     pts = pts[_in_slab(region, pts)]
     if not len(pts):
         return None
-    d = _min_dist_exact(hulls, pts, tol=dist_tol)
+    d = _min_dist_exact(hulls, pts)
     worst = int(np.argmax(d))
-    if d[worst] > eps + dist_tol:
+    if d[worst] > eps + max(ETA, eps / SEAM_MARGIN_DIVISOR):
         return pts[worst].copy(), float(d[worst])
     return None
 
@@ -378,7 +380,7 @@ def _verify_on_lattice(region: VPolytope, hulls, eps: float) -> CoverageReport:
     todo = up > eps / 2
     d = up.copy()
     if todo.any():
-        d[todo] = _min_dist_exact(hulls, pts[todo], cap=eps, tol=max(1e-9, eps / 50.0))
+        d[todo] = _min_dist_exact(hulls, pts[todo], cap=eps)
     worst = int(np.argmax(d))
     if d[worst] <= eps / 2:
         return CoverageReport(eps, True, None, eps / 2, cells_touched=len(pts))

@@ -1,113 +1,60 @@
-"""Convex hulls and nearest-point computations on V-polytopes.
+"""Convex hulls of point sets and exact l2 distances to them.
 
-Projection onto a vertex hull uses pairwise (away-step) conditional-gradient
-descent, which is dimension agnostic and converges linearly; hulls of at
-most three vertices use exact point/segment/triangle formulas instead.
-Canonicalization keeps a vertex iff its distance to the hull of the others
-exceeds the predicate tolerance; full-dimensional point sets take a Qhull
-fast path that yields the same vertex set.
+Every point set is first reduced to its own affine hull.  Coordinate axes
+on which the set spans at most ETA are split off, and a query's squared
+distance along them is added to the rest (``axial2``), so cross-section
+nets, flat in their section coordinate, keep their plain coordinates.  If
+the set is still flat in some direction (every point within ETA of the
+centroid along it, found by an SVD of the centred points), Qhull runs on
+the set's coordinates in its span and the facet form is lifted back.  So
+the set is full-dimensional in its span, of effective dimension k; Qhull's
+facets are simplices of the set's own points, with unit normals ``a`` and
+offsets ``b``, and the hull lies in every ``a.x <= b``.
+
+A point inside the facet form is at its distance to the span, less the
+largest such distance of the set's own points (at most ETA per flat
+direction): distances are exact up to ETA along flat directions, and exact
+otherwise.  A point x outside the facet form (``a.x - b > ETA`` for some
+facet) is measured on the facets that see it (``a.x - b > -ETA``):
+
+* The nearest hull point p lies on such a facet: the residual ``x - p`` is
+  in the normal cone at p, so some facet through p has ``a.(x - p) > 0``.
+* If x projects into a facet that sees it, that projection is the nearest
+  point, because the hull lies in the facet's halfspace (for x in the span,
+  x is exactly ``a.x - b`` away).  Each facet's barycentric map is
+  computed once per hull.
+* Otherwise the nearest point lies on a lower face of a visible facet.  At
+  each face, the projection of x onto the face's affine hull is the face's
+  nearest point when its barycentric coordinates are >= 0; otherwise the
+  face's own faces are searched, down to triangles (Johnson's distance
+  sub-algorithm; Gilbert, Johnson & Keerthi, IEEE J. Robotics & Automation
+  4(2), 1988).  For k <= 3 the facets are segments or triangles, measured
+  directly.
+
+Every face measured lies in the hull, so the minimum never falls below the
+true distance, and the face holding the nearest point is always among those
+measured; results equal the minimum over all faces up to rounding.
 
 The segment and triangle kernels work row by row on broadcastable arrays:
 one form serves a point against a fixed simplex, (point, simplex) pairs,
-and all-pairs tables.  Two rules keep `PointHull`'s answers to the
-coverage verifier's distance queries cheap:
-
-* the upper bound is the distance to the nearest sampled hull point, found
-  by a KD-tree over the samples (built once per hull, on first use);
-* the exact distance of a point outside a hull of effective dimension 2 or
-  3 is the minimum over the boundary simplices of the facets that see it
-  (``a.x - b > -ETA``).  Every boundary simplex lies in the hull, so a
-  minimum over any subset never falls below the true distance; and the
-  nearest boundary point lies on a facet that sees the point (the residual
-  ``x - p`` is in the normal cone at ``p``, so some facet through ``p`` has
-  ``a.(x - p) > 0``), so a visible simplex contains it.  Results equal the
-  all-simplex minimum up to rounding: where the nearest point lies on an
-  edge shared with a facet that does not see the point, the two triangles
-  compute it with different roundings.
+and all-pairs tables.  The cheap upper bound is the distance to the
+nearest sampled hull point, found by a KD-tree over the samples (built once
+per hull, on first use).
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 from scipy.spatial import ConvexHull as _QHull
-from scipy.spatial import QhullError as _QhullError
 from scipy.spatial import cKDTree as _KDTree
 
 from ..predicates import ETA, as_point
 from .polytope import VPolytope, empty_polytope
 
-_FW_MAX_ITER = 400
 _PAIR_CHUNK = 1 << 16   # (point, simplex) pairs per distance block
-
-
-def project_onto_hull_batch(V: np.ndarray, X: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Nearest points in conv(V) to each row of X via pairwise Frank-Wolfe.
-
-    Vectorized over query points; stops per point when the duality gap
-    certifies the distance estimate (always an upper bound) is within the
-    absolute tolerance tol of the true distance.
-    """
-    V = np.atleast_2d(np.asarray(V, dtype=float))
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    v, m = V.shape
-    n = X.shape[0]
-    if v == 0:
-        raise ValueError("empty hull")
-    if m == 0 or v == 1:
-        return np.repeat(V[:1], n, axis=0)
-    if v <= 3:
-        return _simplex_points(X, V)
-
-    # start from the nearest vertex per query
-    d2 = ((X[:, None, :] - V[None, :, :]) ** 2).sum(axis=2) if v * n * m <= 4e7 else None
-    if d2 is None:
-        start = np.empty(n, dtype=int)
-        for i in range(n):
-            start[i] = int(np.argmin(((X[i] - V) ** 2).sum(axis=1)))
-    else:
-        start = np.argmin(d2, axis=1)
-    lam = np.zeros((n, v))
-    lam[np.arange(n), start] = 1.0
-    Z = V[start].copy()
-    active = np.arange(n)
-    # dist error <= sqrt(2 * gap); the floor keeps the target reachable in
-    # double precision (stalled points return sound upper estimates)
-    gap_stop = max(0.5 * tol * tol, 1e-17)
-    for _ in range(_FW_MAX_ITER):
-        if active.size == 0:
-            break
-        G = Z[active] - X[active]                     # gradient/2
-        scores = G @ V.T                              # (na, v)
-        s_idx = np.argmin(scores, axis=1)
-        gap = (G * Z[active]).sum(axis=1) - scores[np.arange(active.size), s_idx]
-        done = gap <= gap_stop
-        if np.any(done):
-            keep = ~done
-            active = active[keep]
-            if active.size == 0:
-                break
-            G = G[keep]
-            scores = scores[keep]
-            s_idx = s_idx[keep]
-        masked = np.where(lam[active] > 1e-14, scores, -np.inf)
-        a_idx = np.argmax(masked, axis=1)
-        D = V[s_idx] - V[a_idx]
-        dd = (D * D).sum(axis=1)
-        stalled = dd <= 1e-30
-        if stalled.any():
-            # toward-vertex and away-vertex coincide: already optimal here
-            active = active[~stalled]
-            if active.size == 0:
-                break
-            D, dd = D[~stalled], dd[~stalled]
-            G, s_idx, a_idx = G[~stalled], s_idx[~stalled], a_idx[~stalled]
-        step = -(G * D).sum(axis=1) / dd
-        amax = lam[active, a_idx]
-        step = np.clip(step, 0.0, amax)
-        lam[active, s_idx] += step
-        lam[active, a_idx] -= step
-        Z[active] += step[:, None] * D
-    return Z
+_FLAT_GRAM = 1e-12      # faces with det(Gram) <= this * prod(diag) are flat
 
 
 def _segment_points(X: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -120,7 +67,7 @@ def _segment_points(X: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     dd = (D * D).sum(axis=-1)
     dd = np.where(dd < 1e-30, 1.0, dd)
     t = np.clip(((X - A) * D).sum(axis=-1) / dd, 0.0, 1.0)
-    return A + t[..., None] * D
+    return np.where((t < 1.0)[..., None], A + t[..., None] * D, B)
 
 
 def _triangle_points(X: np.ndarray, A: np.ndarray, B: np.ndarray,
@@ -211,77 +158,104 @@ def distance_to_hull(x, p, norm: str = "l2"):
         return l1_distance_to_hull(x, V)
     if norm != "l2":
         raise ValueError("norm must be 'l2' or 'l1'")
-    if V.shape[0] <= 3:
-        z = project_onto_hull_batch(V, x[None, :])[0]
-        return float(np.linalg.norm(x - z)), z
     d, W = PointHull(V).project(x[None, :])
     return float(d[0]), W[0]
-
-
-def _canonical_by_distance(pts: np.ndarray) -> np.ndarray:
-    """Keep each point iff it is > ETA from the hull of the others."""
-    keep = list(range(pts.shape[0]))
-    i = 0
-    while i < len(keep) and len(keep) > 1:
-        idx = keep[i]
-        others = pts[[j for j in keep if j != idx]]
-        d, _ = distance_to_hull(pts[idx], VPolytope(others))
-        if d <= ETA:
-            keep.pop(i)
-        else:
-            i += 1
-    return pts[keep]
 
 
 def convex_hull(points) -> VPolytope:
     """Canonical vertex list of the hull of a point set; idempotent.
 
-    Interior and duplicate points are removed.  Full-dimensional sets in
-    dimension >= 2 go through Qhull; degenerate sets fall back to the
-    distance rule.
+    Points are snapped to an ETA grid and duplicates dropped.  The vertices
+    are Qhull's in the set's own span (`PointHull`'s reduction), in input
+    order: a point in the hull of the others to Qhull's rounding is dropped,
+    one farther out is kept.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts.reshape(-1, 1) if pts.size else pts.reshape(0, 0)
     if pts.shape[0] == 0:
         return empty_polytope(pts.shape[1] if pts.ndim == 2 else 0)
-    m = pts.shape[1]
     # drop exact duplicates early
     pts = np.unique(np.round(pts / ETA) * ETA, axis=0) if pts.shape[0] > 1 else pts
-    if m == 0 or pts.shape[0] == 1:
-        return VPolytope(pts[:1])
-    if m == 1:
-        lo, hi = float(pts.min()), float(pts.max())
-        if hi - lo <= ETA:
-            return VPolytope(np.array([[lo]]))
-        return VPolytope(np.array([[lo], [hi]]))
-    if pts.shape[0] > m + 1:
-        try:
-            hull = _QHull(pts)
-            return VPolytope(pts[np.sort(hull.vertices)])
-        except (_QhullError, ValueError):
-            pass  # degenerate: fall through to the distance rule
-    return VPolytope(_canonical_by_distance(pts))
+    return VPolytope(pts[PointHull(pts).vertex_indices])
+
+
+def _flat_frame(P: np.ndarray):
+    """Flat directions of a point set beyond its coordinate axes, or None.
+
+    A direction is flat when every point lies within ETA of the centroid
+    along it.  Returns ``(centre, basis, normal)``: the centroid and
+    orthonormal rows (an SVD of the centred points) spanning the other
+    directions and the flat ones; None when no direction is flat.
+    """
+    centre = P.mean(axis=0)
+    Y = P - centre
+    pad = np.zeros((max(0, P.shape[1] - P.shape[0]), P.shape[1]))   # a square SVD
+    Vt = np.linalg.svd(np.vstack([Y, pad]), full_matrices=False)[2]
+    flat = np.abs(Y @ Vt.T).max(axis=0) <= ETA
+    if not flat.any():
+        return None
+    return centre, Vt[~flat], Vt[flat]
+
+
+def _face_levels(verts: np.ndarray, facets: np.ndarray):
+    """The face lattice of a simplicial boundary, from the facets down to
+    triangles.
+
+    ``facets`` holds vertex indices into ``verts`` (k per facet, k >= 4).
+    Returns ``(levels, triangles)``: one level per face size j = k, ..., 4,
+    each ``(v0, E, M, flat, children)`` with a face's first vertex, its edge
+    vectors from it, the barycentric map ``M = (E E^T)^-1 E``, whether it is
+    too flat for one, and the indices of its j faces in the next level; and
+    the triangles' vertex coordinates.
+    """
+    levels = []
+    faces = np.sort(facets, axis=1)
+    while faces.shape[1] > 3:
+        j = faces.shape[1]
+        subs = np.stack([np.delete(faces, d, axis=1) for d in range(j)], axis=1)
+        below, children = np.unique(subs.reshape(-1, j - 1), axis=0, return_inverse=True)
+        v0 = verts[faces[:, 0]]
+        E = verts[faces[:, 1:]] - v0[:, None, :]
+        G = E @ E.transpose(0, 2, 1)
+        diag = np.prod(np.diagonal(G, axis1=1, axis2=2), axis=1)
+        flat = np.linalg.det(G) <= _FLAT_GRAM * diag
+        G[flat] = np.eye(j - 1)
+        M = np.linalg.solve(G, E)
+        levels.append((v0, E, M, flat, children.reshape(-1, j)))
+        faces = below
+    return levels, verts[faces]
+
+
+def _record(dist, near, rows, d, P):
+    """Fold candidate distances ``d`` (nearest points ``P``) of the points
+    ``rows`` into the running minima ``dist`` and ``near``."""
+    np.minimum.at(dist, rows, d)
+    hit = d <= dist[rows]
+    near[rows[hit]] = P[hit]
 
 
 class PointHull:
-    """Distance queries against the hull of a point set, with cheap bounds.
+    """Exact l2 distance queries against the hull of a point set, with
+    cheap bounds.
 
-    Precomputes a facet form via Qhull when the set is full-dimensional, and
-    factors out coordinates that are constant across the set (cross-section
-    nets are flat in their section coordinate).  Distances are l2.
+    The set is reduced to its own affine hull (see the module docstring), of
+    effective dimension ``k``; ``vertex_indices`` are its vertices' rows in
+    the point set.  Queries work on the axes along which the set varies,
+    and the constant axes add ``axial2``.  The facet form (Qhull's, for
+    k >= 2) is kept on those axes, lifted back from the set's span when the
+    set is flat in a direction that is no axis.
 
-    * `lower_bounds`: the largest facet violation (sound: each facet's
-      halfspace contains the hull).
+    * `lower_bounds`: the largest facet violation, with the distance to the
+      set's span (sound: each facet's halfspace contains the hull).
     * `upper_bounds`: the distance to the nearest of the points and, for at
       most 40 points, their pair midpoints, answered by a KD-tree (sound:
       each sample lies in the hull).
-    * `distances`: 0 inside the facet form; outside, exact for hulls of
-      effective dimension 1 to 3, where only the boundary simplices of the
-      facets that see a point are measured (see the module docstring for
-      why that subset holds the nearest point); otherwise Frank-Wolfe upper
-      estimates, capped at `upper_bounds` (both are distances to hull
-      points, so the smaller one is still an upper estimate).
+    * `distances` and `project`: inside the facet form, the distance to the
+      span; outside, exact in every dimension, measured only on the facets
+      that see a point and, where its projection misses them, on their
+      lower faces (the module docstring gives why that subset holds the
+      nearest point).
     """
 
     def __init__(self, points: np.ndarray):
@@ -291,12 +265,14 @@ class PointHull:
         self.points = P
         self.m = P.shape[1]
         self.is_empty = P.shape[0] == 0
+        self.k = 0                # effective dimension: that of the span
         self._const_axes = np.zeros(0, dtype=int)
         self._const_vals = np.zeros(0)
         self._var_axes = np.arange(self.m)
-        self._sub = None          # reduced point set on varying axes
-        self._facets = None       # (A, b) with A x <= b on varying axes
-        self._tree = None         # KD-tree over _upper_pts, built on first use
+        self._tilt = None         # (centre, normal, band) of a flat set's span
+        self._facets = None       # (A, b) with A x <= b on the varying axes
+        self._surface = None      # boundary simplices on the varying axes (k <= 3)
+        self._levels = None       # face lattice (k >= 4), built on first use
         if self.is_empty:
             return
         span = P.max(axis=0) - P.min(axis=0)
@@ -305,31 +281,53 @@ class PointHull:
             self._const_axes = np.where(const)[0]
             self._const_vals = P[0, self._const_axes]
             self._var_axes = np.where(~const)[0]
-        self._sub = P[:, self._var_axes]
-        self._upper_pts = P
-        k = self._sub.shape[1]
-        self._surface = None      # boundary simplices on varying axes
-        if k >= 2 and P.shape[0] >= k + 1:
-            try:
-                hull = _QHull(self._sub)
-                eq = hull.equations  # A x + b <= 0 with unit A rows
-                self._facets = (eq[:, :-1], -eq[:, -1])
-                if k <= 3:
-                    self._surface = self._sub[hull.simplices]
-                self._sub = self._sub[np.sort(hull.vertices)]
-            except (_QhullError, ValueError):
-                self._facets = None
+        Pv = P[:, self._var_axes]
+        Q = Pv
+        frame = _flat_frame(Pv) if Pv.shape[1] else None
+        if frame is not None:
+            centre, basis, normal = frame
+            Q = (Pv - centre) @ basis.T
+            self._tilt = (centre, normal, 0.0)     # the band: the points' own offsets
+            self._tilt = (centre, normal, self._off_span(Pv)[0].max())
+        self.k = k = Q.shape[1]
+        if k == 0:
+            self.vertex_indices = np.zeros(1, dtype=int)
         elif k == 1:
-            lo, hi = float(self._sub.min()), float(self._sub.max())
-            self._facets = (np.array([[1.0], [-1.0]]), np.array([hi, -lo]))
-            self._sub = np.array([[lo], [hi]])
-        # densify the upper-bound sample with pair midpoints so cells deep
-        # inside the hull prune without exact projections
+            lo, hi = int(Q[:, 0].argmin()), int(Q[:, 0].argmax())
+            self.vertex_indices = np.array(sorted((lo, hi)))
+            A, b = np.array([[1.0], [-1.0]]), np.array([Q[hi, 0], -Q[lo, 0]])
+            simplices = np.array([[lo, hi], [lo, hi]])     # both ends: the segment
+        else:
+            hull = _QHull(Q)
+            eq = hull.equations  # A x + b <= 0 with unit A rows
+            A, b = eq[:, :-1], -eq[:, -1]
+            simplices = hull.simplices
+            self.vertex_indices = np.sort(hull.vertices)
+        if k:
+            if frame is not None:
+                # a.(basis (x - centre)) <= b, as a facet on the varying axes
+                A = A @ basis
+                b = b + A @ centre
+            self._facets = (A, b)
+            if k <= 3:
+                self._surface = Pv[simplices]
+            else:
+                self._verts, self._simplices = Pv, simplices
+
+    @cached_property
+    def _upper_pts(self) -> np.ndarray:
+        """The upper-bound sample: the points and, for at most 40 of them,
+        their pair midpoints, so cells deep inside the hull prune without
+        exact projections."""
         v = self.points.shape[0]
-        if 1 < v <= 40 and self.m:
-            ii, jj = np.triu_indices(v, k=1)
-            mids = 0.5 * (self.points[ii] + self.points[jj])
-            self._upper_pts = np.vstack([self.points, mids])
+        if not 1 < v <= 40 or not self.m:
+            return self.points
+        ii, jj = np.triu_indices(v, k=1)
+        return np.vstack([self.points, 0.5 * (self.points[ii] + self.points[jj])])
+
+    @cached_property
+    def _tree(self):
+        return _KDTree(self._upper_pts)
 
     def _split(self, X: np.ndarray):
         """(coordinates on the varying axes, squared distance on the constant axes)."""
@@ -338,6 +336,21 @@ class PointHull:
         axial2 = ((X[:, self._const_axes] - self._const_vals) ** 2).sum(axis=1)
         return X[:, self._var_axes], axial2
 
+    def _off_span(self, Xv: np.ndarray):
+        """(distance to the band of a flat set's span, the step back to it).
+
+        The set's own points lie within ``band`` of its span, so they
+        measure 0.
+        """
+        if self._tilt is None:
+            return np.zeros(Xv.shape[0]), np.zeros_like(Xv)
+        centre, normal, band = self._tilt
+        # summed elementwise, so a row's value does not depend on its block
+        coef = ((Xv - centre)[:, None, :] * normal).sum(axis=2)
+        r = np.sqrt((coef * coef).sum(axis=1))
+        out = np.clip(r - band, 0.0, None)
+        return out, (coef * (out / np.where(r > 0.0, r, 1.0))[:, None]) @ normal
+
     def upper_bounds(self, X: np.ndarray) -> np.ndarray:
         """Distance to the nearest sampled hull point (>= true hull distance)."""
         if self.is_empty:
@@ -345,24 +358,19 @@ class PointHull:
         X = np.atleast_2d(X)
         if self.m == 0:
             return np.zeros(X.shape[0])
-        return self._nearest_sample(X)[0]
-
-    def _nearest_sample(self, X: np.ndarray):
-        """(distances, indices into ``_upper_pts``) of the nearest samples."""
-        if self._tree is None:
-            self._tree = _KDTree(self._upper_pts)
-        return self._tree.query(X)
+        return self._tree.query(X)[0]
 
     def contains_boxes(self, los: np.ndarray, his: np.ndarray) -> np.ndarray:
         """Mask of axis-aligned boxes wholly inside the hull.
 
         Uses the facet form on the varying axes; boxes must be flat to
         within tolerance on the hull's constant axes to qualify.  Returns
-        all-False when no facet form is available (a sound under-report).
+        all-False for a hull of effective dimension 0, or flat in a
+        direction that is no axis (a sound under-report).
         """
         n = los.shape[0]
         out = np.zeros(n, dtype=bool)
-        if self.is_empty or self._facets is None:
+        if self.is_empty or self._facets is None or self._tilt is not None:
             return out
         ok = np.ones(n, dtype=bool)
         if self._const_axes.size:
@@ -380,7 +388,8 @@ class PointHull:
 
     def facet_offsets(self, X: np.ndarray):
         """Facet offsets ``A x - b`` of a query block on the varying axes,
-        positive where a facet sees the point; None without a facet form.
+        positive where a facet sees the point; None for a hull of effective
+        dimension 0, which has no facets.
 
         Callers that need both `lower_bounds` and `distances` of one block
         compute these once and pass their rows to both.
@@ -394,7 +403,7 @@ class PointHull:
         return Xv @ A.T - b
 
     def lower_bounds(self, X: np.ndarray, offsets=None) -> np.ndarray:
-        """Sound lower bound on hull distance (0 when inside or unknown)."""
+        """Sound lower bound on hull distance (0 when inside)."""
         if self.is_empty:
             return np.full(X.shape[0], np.inf)
         X = np.atleast_2d(X)
@@ -404,95 +413,96 @@ class PointHull:
             trans = np.clip(viol.max(axis=1), 0.0, None)
         else:
             trans = np.zeros(X.shape[0])
+        if self._tilt is not None:
+            axial2 = axial2 + self._off_span(Xv)[0] ** 2
         return np.sqrt(trans ** 2 + axial2)
-
-    def _outside(self, Xv: np.ndarray, offsets):
-        """Mask of points outside the facet form, and their facet offsets
-        (without a facet form every point counts as outside)."""
-        viol = self._offsets(Xv) if offsets is None else offsets
-        if viol is None:
-            return np.ones(Xv.shape[0], dtype=bool), None
-        out = viol.max(axis=1) > ETA
-        return out, viol[out]
 
     def _surface_nearest(self, Xv: np.ndarray, viol: np.ndarray):
         """(distances, nearest points) of the boundary for outside points.
 
-        Each point is measured only against the simplices of the facets that
-        see it (``viol > -ETA``), as (point, simplex) pairs in bounded chunks.
+        Each point is measured only on the facets that see it
+        (``viol > -ETA``) and, for k >= 4, on the lower faces `_descend`
+        leaves, as (point, simplex) pairs in bounded chunks.
         """
         rows, simp = np.nonzero(viol > -ETA)
         dist = np.full(Xv.shape[0], np.inf)
         near = np.empty_like(Xv)
+        surface = self._surface
+        if self.k >= 4:
+            rows, simp, surface = self._descend(Xv, viol, rows, simp, dist, near)
         for s in range(0, rows.size, _PAIR_CHUNK):
             i, f = rows[s:s + _PAIR_CHUNK], simp[s:s + _PAIR_CHUNK]
-            P = _simplex_points(Xv[i], self._surface[f])
+            P = _simplex_points(Xv[i], surface[f])
             d = np.linalg.norm(Xv[i] - P, axis=1)
-            np.minimum.at(dist, i, d)
-            hit = d <= dist[i]
-            near[i[hit]] = P[hit]
+            _record(dist, near, i, d, P)
         return dist, near
 
-    def project(self, X: np.ndarray, tol: float = 1e-9):
-        """(distances, nearest points) for a query block; where Frank-Wolfe
-        runs, a nearer sample point replaces its iterate."""
+    def _descend(self, Xv, viol, rows, face, dist, near):
+        """Johnson's face recursion from the visible facets down to triangles.
+
+        A point that projects into a facet that sees it is settled there.
+        At every lower face, a projection with barycentric coordinates >= 0
+        is a candidate and the face's own faces are not searched; the other
+        faces hand their faces to the next level.  Folds the candidates into
+        ``dist``/``near`` and returns the (point, triangle) pairs left, with
+        the triangles' coordinates.
+        """
+        if self._levels is None:
+            self._levels = _face_levels(self._verts, self._simplices)
+        levels, triangles = self._levels
+        for depth, (v0, E, M, flat, children) in enumerate(levels):
+            feasible = np.zeros(rows.size, dtype=bool)
+            for s in range(0, rows.size, _PAIR_CHUNK):
+                i, f = rows[s:s + _PAIR_CHUNK], face[s:s + _PAIR_CHUNK]
+                lam = np.einsum("pjk,pk->pj", M[f], Xv[i] - v0[f])
+                ok = ~flat[f] & (lam >= 0.0).all(axis=1) & (lam.sum(axis=1) <= 1.0)
+                if depth == 0:
+                    ok &= viol[i, f] > 0.0
+                i, f = i[ok], f[ok]
+                P = v0[f] + np.einsum("pj,pjk->pk", lam[ok], E[f])
+                _record(dist, near, i, np.linalg.norm(Xv[i] - P, axis=1), P)
+                feasible[s:s + _PAIR_CHUNK] = ok
+            # settled points stop at the facets; below them a feasible face
+            # stops only its own descent
+            keep = ~np.isfinite(dist[rows]) if depth == 0 else ~feasible
+            n_below = int(children.max()) + 1
+            pairs = np.sort((rows[keep][:, None] * n_below + children[face[keep]]).ravel())
+            pairs = pairs[np.diff(pairs, prepend=-1) != 0]
+            rows, face = pairs // n_below, pairs % n_below
+        return rows, face, triangles
+
+    def _nearest(self, Xv: np.ndarray, offsets):
+        """(distances, nearest points) on the varying axes."""
+        t, step = self._off_span(Xv)
+        W = Xv - step
+        viol = self._offsets(Xv) if offsets is None else offsets
+        if viol is not None:
+            todo = viol.max(axis=1) > ETA
+            if todo.any():
+                t[todo], W[todo] = self._surface_nearest(Xv[todo], viol[todo])
+        return t, W
+
+    def project(self, X: np.ndarray):
+        """(distances, nearest points) for a query block; the distances
+        are those of `distances`."""
         X = np.atleast_2d(X)
-        n, m = X.shape
         if self.is_empty:
-            return np.full(n, np.inf), None
+            return np.full(X.shape[0], np.inf), None
         Xv, axial2 = self._split(X)
-        W = np.tile(self.points[0], (n, 1))
-        if Xv.shape[1] == 0:
-            return np.sqrt(axial2), W
-        todo, viol = self._outside(Xv, None)
-        Wv = Xv.copy()
-        if todo.any():
-            if self._surface is not None:
-                Wv[todo] = self._surface_nearest(Xv[todo], viol)[1]
-            else:
-                Wv[todo] = project_onto_hull_batch(self._sub, Xv[todo], tol=tol)
-        trans2 = ((Xv - Wv) ** 2).sum(axis=1)
+        t, Wv = self._nearest(Xv, None)
+        W = np.empty(X.shape)
         W[:, self._var_axes] = Wv
-        if self._const_axes.size:
-            W[:, self._const_axes] = self._const_vals
-        d = np.sqrt(trans2 + axial2)
-        if todo.any() and self._surface is None:
-            # a Frank-Wolfe iterate farther than the nearest sample gives way to it
-            ub, idx = self._nearest_sample(X[todo])
-            closer = ub < d[todo]
-            rows = np.where(todo)[0][closer]
-            d[rows] = ub[closer]
-            W[rows] = self._upper_pts[idx[closer]]
-        return d, W
+        W[:, self._const_axes] = self._const_vals
+        return np.sqrt(t * t + axial2), W
 
-    def distances(self, X: np.ndarray, tol: float = 1e-9, offsets=None) -> np.ndarray:
-        """Hull distances to absolute tolerance tol (upper estimates).
+    def distances(self, X: np.ndarray, offsets=None) -> np.ndarray:
+        """Exact hull distances (within ETA along the set's flat directions).
 
-        Exact (to rounding) whenever a boundary decomposition is available,
-        which covers every hull of effective dimension at most three; the
-        Frank-Wolfe answers elsewhere never exceed `upper_bounds`.
         ``offsets``, when given, are `facet_offsets` of X.
         """
         if self.is_empty:
             return np.full(np.atleast_2d(X).shape[0], np.inf)
         X = np.atleast_2d(X)
         Xv, axial2 = self._split(X)
-        if Xv.shape[1] == 0:
-            return np.sqrt(axial2)
-        if Xv.shape[1] == 1:
-            lo, hi = float(self._sub.min()), float(self._sub.max())
-            t = np.clip(np.maximum(lo - Xv[:, 0], Xv[:, 0] - hi), 0.0, None)
-            return np.sqrt(t * t + axial2)
-        todo, viol = self._outside(Xv, offsets)
-        trans2 = np.zeros(X.shape[0])
-        if todo.any():
-            if self._surface is not None:
-                d = self._surface_nearest(Xv[todo], viol)[0]
-                trans2[todo] = d * d
-            else:
-                Z = project_onto_hull_batch(self._sub, Xv[todo], tol=tol)
-                trans2[todo] = ((Xv[todo] - Z) ** 2).sum(axis=1)
-        d = np.sqrt(trans2 + axial2)
-        if todo.any() and self._surface is None:
-            d[todo] = np.minimum(d[todo], self.upper_bounds(X[todo]))
-        return d
+        t = self._nearest(Xv, offsets)[0]
+        return np.sqrt(t * t + axial2)

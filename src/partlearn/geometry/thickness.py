@@ -39,7 +39,7 @@ def vpolytope_thickness(p: VPolytope) -> float:
     if p.is_empty or p.dim == 0:
         return 0.0
     hull = PointHull(p.vertices)
-    if hull._const_axes.size or hull._facets is None:
+    if hull.k < p.dim:
         return 0.0
     A, b = hull._facets          # A x <= b on all axes
     r, _ = chebyshev(HPolytope(-A, -b))

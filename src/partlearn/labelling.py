@@ -275,7 +275,7 @@ def interior_conflict(l: EmpiricalLabelling, tol: float = CONFLICT_MARGIN):
                 ii, jj = np.triu_indices(len(vj), k=1)
                 cand = np.vstack([vj, 0.5 * (vj[ii] + vj[jj])])
             offsets = hull_i.facet_offsets(cand)
-            if offsets is None:     # no facet form: Qhull-degenerate or m == 0
+            if offsets is None:     # no facet form: m == 0
                 break
             inside = offsets.max(axis=1) <= -tol
             if inside.any():

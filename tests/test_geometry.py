@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from partlearn.geometry import (
     HPolytope, VPolytope, chebyshev, convex_hull, corner_simplex_hpolytope,
     corner_simplex_vertices, cross_section, diameter, distance_to_hull,
     enumerate_k_faces, gamma_interior, lambda_embed, section_map, slice_polytope,
 )
-from partlearn.geometry.hull import PointHull, _simplex_points, project_onto_hull_batch
+from partlearn.geometry.hull import PointHull, _simplex_points
 from partlearn.geometry.polytope import all_faces
 from partlearn.predicates import ETA
 
@@ -177,15 +178,43 @@ def hull_cases(draw):
     return P, far, inside
 
 
+def _enumerated_distances(P, X):
+    """Distances from the rows of X to conv(P), by enumerating vertex
+    subsets: each subset's affine-hull projection counts where its
+    barycentric coordinates are >= 0 (an independent exact reference).
+
+    A feasible projection is a convex combination of the subset, so it
+    never under-reports; the affinely independent subsets include the one
+    whose relative interior holds the nearest point.  Two steps of
+    iterative refinement keep ill-conditioned subsets accurate.
+    """
+    n, m = P.shape
+    best = np.sqrt(((X[:, None, :] - P[None]) ** 2).sum(axis=2)).min(axis=1)
+    for s in range(2, min(n, m + 1) + 1):
+        idx = np.array(list(itertools.combinations(range(n), s)))
+        v0 = P[idx[:, 0]]
+        E = P[idx[:, 1:]] - v0[:, None, :]
+        G_inv = np.linalg.pinv(E @ E.transpose(0, 2, 1))
+        lam = np.zeros((len(X), len(idx), s - 1))
+        for _ in range(3):
+            resid = X[:, None, :] - v0[None] - np.einsum("xcj,cjk->xck", lam, E)
+            lam = lam + np.einsum("cij,cjk,xck->xci", G_inv, E, resid)
+        feasible = (lam >= 0).all(axis=2) & (lam.sum(axis=2) <= 1)
+        d = np.linalg.norm(X[:, None, :] - v0[None] - np.einsum("xcj,cjk->xck", lam, E), axis=2)
+        best = np.minimum(best, np.where(feasible, d, np.inf).min(axis=1))
+    return best
+
+
 def _all_surface_distances(h, X):
     """Distances with every outside point measured against *all* boundary
-    simplices (the scan the visible-facet rule replaced)."""
+    simplices (the scan the visible-facet rule replaced); inside points of a
+    tilted flat set are at their distance to its span."""
     Xv, axial2 = h._split(X)
     S = h._surface
     P = _simplex_points(Xv[:, None, :], S[None])
     d = np.linalg.norm(Xv[:, None, :] - P, axis=2).min(axis=1)
     outside = h.facet_offsets(X).max(axis=1) > ETA
-    return np.sqrt(np.where(outside, d * d, 0.0) + axial2)
+    return np.sqrt(np.where(outside, d * d, h._off_span(Xv)[0] ** 2) + axial2)
 
 
 @settings(max_examples=300, deadline=None)
@@ -207,35 +236,25 @@ def test_point_hull_kernels_match_brute_force(case):
     off = h.facet_offsets(X)
     assert np.array_equal(h.lower_bounds(X, offsets=off), lb)
     assert np.array_equal(h.distances(X, offsets=off), d)
-    # Frank-Wolfe on the raw point set brackets the distance: its iterate is a
-    # hull point, and its duality gap bounds how far it can be from optimal
-    Z = project_onto_hull_batch(P, X)
-    G = Z - X
-    gap = (G * Z).sum(axis=1) - (G @ P.T).min(axis=1)
-    fw_hi = np.linalg.norm(G, axis=1)
-    fw_lo = np.sqrt(np.clip(fw_hi ** 2 - 2.0 * gap, 0.0, None))
-    assert (d >= fw_lo - 1e-8).all()
-    if h._surface is None and h._var_axes.size > 1:
-        return    # distances itself runs Frank-Wolfe here, capped at 400 steps
-    # exact hulls: 0 inside, the visible facets give the all-simplex minimum,
-    # and no Frank-Wolfe iterate is closer
+    # every hull is exact: the enumeration of vertex subsets agrees, hull
+    # points are at 0, and the visible facets give the all-simplex minimum
+    np.testing.assert_allclose(d, _enumerated_distances(P, X), rtol=0, atol=1e-12)
     assert (d[len(far):] <= 1e-12).all()
     if h._surface is not None:
         np.testing.assert_allclose(d, _all_surface_distances(h, X), rtol=0, atol=1e-12)
-    assert (d <= fw_hi + 1e-12).all()
 
 
 def test_frank_wolfe_never_exceeds_the_nearest_sample_on_a_thin_tilted_set():
     # the first falsifying case of the kernel test at --hypothesis-seed 10:
     # 14 coplanar points tilted in R^3 (singular values ~3.5, ~0.49 and
-    # ~7e-16), so Qhull rejects the set and distances run Frank-Wolfe
+    # ~7e-16); the affine reduction gives it a facet form in its own plane
     rng = np.random.default_rng(23031769)
     dirs = rng.standard_normal((2, 3))
     P = rng.random(3) + rng.random((14, 2)) @ dirs
     X = np.vstack([rng.random((40, 3)) * 2.0 - 0.5,
                    rng.dirichlet(np.ones(14), size=10) @ P, P])
     h = PointHull(P)
-    assert h._surface is None and h._var_axes.size == 3
+    assert h._facets is not None and h._var_axes.size == 3
     d, ub = h.distances(X), h.upper_bounds(X)
     assert (d <= ub).all()
     assert (h.lower_bounds(X) <= d + 1e-12).all()
@@ -248,11 +267,46 @@ def test_frank_wolfe_never_exceeds_the_nearest_sample_on_a_thin_tilted_set():
     Y = (X - c) @ basis.T
     off = np.linalg.norm((X - c) - Y @ basis, axis=1)
     exact = np.sqrt(flat.distances(Y) ** 2 + off ** 2)
-    assert (d >= exact - 1e-9).all()
+    assert (np.abs(d - exact) <= 1e-12).all()
     # project agrees, and its witness is a point at the reported distance
     dp, W = h.project(X)
     np.testing.assert_array_equal(dp, d)
     np.testing.assert_allclose(np.linalg.norm(X - W, axis=1), d, rtol=0, atol=1e-12)
+
+
+@st.composite
+def tilted_cases(draw):
+    """(points, queries) in R^4 or R^5: full-dimensional, or tilted coplanar
+    or collinear sets."""
+    m = draw(st.integers(4, 5))
+    shape = draw(st.sampled_from(["general", "coplanar", "collinear"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if shape == "general":
+        P = rng.random((draw(st.integers(m + 1, 12 if m == 4 else 10)), m))
+    else:
+        dirs = rng.standard_normal((2 if shape == "coplanar" else 1, m))
+        P = rng.random(m) + rng.random((draw(st.integers(len(dirs) + 1, 12)), len(dirs))) @ dirs
+    X = np.vstack([rng.random((30, m)) * 2.0 - 0.5,
+                   rng.dirichlet(np.ones(len(P)), size=8) @ P, P])
+    return P, X, {"general": m, "coplanar": 2, "collinear": 1}[shape]
+
+
+@settings(max_examples=100, deadline=None)
+@given(tilted_cases())
+def test_point_hull_distances_match_face_enumeration(case):
+    P, X, k = case
+    h = PointHull(P)
+    assert h.k == k and h._facets is not None
+    d = h.distances(X)
+    np.testing.assert_allclose(d, _enumerated_distances(P, X), rtol=0, atol=1e-12)
+    # one row at a time: blocks whose points all settle on a facet
+    single = np.concatenate([h.distances(x[None, :]) for x in X])
+    np.testing.assert_allclose(single, d, rtol=0, atol=1e-12)
+    # the witness is a hull point at the reported distance
+    dp, W = h.project(X)
+    np.testing.assert_array_equal(dp, d)
+    np.testing.assert_allclose(np.linalg.norm(X - W, axis=1), d, rtol=0, atol=1e-12)
+    assert (_enumerated_distances(P, W) <= 1e-12).all()
 
 
 # -- convex hull ---------------------------------------------------------------
@@ -280,6 +334,49 @@ def test_hull_idempotent_and_order_invariant(seed):
     perm = rng.permutation(len(pts))
     h3 = convex_hull(pts[perm])
     assert sorted(map(tuple, h1.vertices)) == sorted(map(tuple, h3.vertices))
+
+
+def _linprog_vertices(P):
+    """Distinct points of P that are no convex combination of the others
+    within ETA (per coordinate), by scipy's LP."""
+    P = np.unique(P, axis=0)
+    keep = []
+    for i in range(len(P)):
+        others = np.delete(P, i, axis=0)
+        if not len(others):
+            keep.append(i)
+            continue
+        res = linprog(np.zeros(len(others)),
+                      A_ub=np.vstack([others.T, -others.T]),
+                      b_ub=np.concatenate([P[i] + ETA, ETA - P[i]]),
+                      A_eq=np.ones((1, len(others))), b_eq=[1.0], bounds=(0, None),
+                      method="highs")
+        assert res.status in (0, 2)
+        if res.status == 2:         # infeasible: a vertex
+            keep.append(i)
+    return P[keep]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5), st.sampled_from(["grid", "tilted", "duplicate"]),
+       st.integers(1, 13), st.integers(0, 2**32 - 1))
+def test_hull_vertices_match_linprog_reference(m, shape, n, seed):
+    # dyadic coordinates are exact, so every point is either a vertex by far
+    # more than ETA or in the hull of the others to rounding
+    rng = np.random.default_rng(seed)
+    if shape == "grid":                 # repeated, collinear and coplanar points
+        P = rng.integers(0, 3, size=(n, m)) / 2.0
+    elif shape == "tilted":             # a tilted line or plane
+        k = int(rng.integers(1, 3))
+        dirs = rng.integers(-4, 5, size=(k, m)) / 8.0
+        P = rng.integers(0, 8, size=m) / 8.0 + rng.integers(-3, 4, size=(n, k)) @ dirs
+    else:
+        P = rng.integers(0, 9, size=(n, m)) / 8.0
+        P = np.vstack([P, P[rng.integers(0, n, size=3)]])
+    got = convex_hull(P).vertices
+    want = _linprog_vertices(P)
+    assert len(got) == len(want)
+    assert all(np.abs(want - v).max(axis=1).min() <= ETA for v in got)
 
 
 def test_hull_contains_all_inputs():
