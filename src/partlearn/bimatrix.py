@@ -20,21 +20,28 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cdgbs import GbsConfig, cd_gbs_adversarial
-from .coverage import simplex_lattice, unit_step
+from .coverage import lattice_count, simplex_lattice, unit_step
 from .crgbs import CrConfig, cr_gbs
 from .geometry import corner_simplex_vertices
 from .labelling import EmpiricalLabelling, voronoi_band_masks
 from .partition import UEPP, Oracle, QueryLog
 from .predicates import ETA, as_point
 
-# The scan's fixed settings.  The lattice step starts at eps / STEP_DIVISOR,
-# rounded down to a step 1/K, and halves after each round without a fixed
-# point; the Voronoi slack is eps / SLACK_DIVISOR.
+# The scan's fixed settings.  The scan tries its lattices coarsest first
+# (`_scan_steps`): COARSE_ROUNDS steps of about 2^c times the base step, c =
+# COARSE_ROUNDS..1, then the base step eps / STEP_DIVISOR (rounded down to a
+# step 1/K) halved REFINE_ROUNDS - 1 times.  The step only makes a lattice
+# fixed point exist; an accepted profile's regret bound rests on the learned
+# accuracy and the Voronoi slack eps / SLACK_DIVISOR alone, so the first
+# lattice with a fixed point serves.  Masking runs in blocks of VORONOI_BLOCK
+# lattice rows, which bounds its facet-offset arrays whatever the lattice.
 SUPPORT_MASS = 1e-9          # a strategy is in the support above this mass
 STEP_DIVISOR = 8.0
 SLACK_DIVISOR = 8.0
+COARSE_ROUNDS = 2
 REFINE_ROUNDS = 3
 LATTICE_CAP = 8_000_000      # points of one player's scan lattice
+VORONOI_BLOCK = 2048
 
 
 class PayoffAuditError(RuntimeError):
@@ -323,26 +330,33 @@ def voronoi_label_masks(lab: EmpiricalLabelling, pts: np.ndarray, sigma: float) 
     the minimum.  Bit (label-1) is set for every raw label in the class.
 
     Exact distances are only computed inside the band where they can affect
-    the verdict; everywhere else cheap facet/sample bounds decide.
+    the verdict; everywhere else cheap facet/sample bounds decide.  Points
+    go in blocks of VORONOI_BLOCK rows, and each hull's facet offsets of a
+    block serve both its lower bounds and its exact distances.
     """
-    n_pts = pts.shape[0]
     classes = [c for c in lab.merge_classes() if not lab.point_hull(c[0]).is_empty]
     hulls = [lab.point_hull(c[0]) for c in classes]
-    lbs = np.stack([h.lower_bounds(pts) for h in hulls])
-    dmin_ub = np.where((lbs <= 0.0).any(axis=0), 0.0, np.inf)
-    loose = dmin_ub > 0.0
-    if loose.any():
-        sub = pts[loose]
-        best = dmin_ub[loose]
-        for h in hulls:
-            best = np.minimum(best, h.upper_bounds(sub))
-        dmin_ub[loose] = best
-    dists = np.full((len(hulls), n_pts), np.inf)
-    for idx, h in enumerate(hulls):
-        cand = lbs[idx] <= dmin_ub + sigma + ETA
-        if cand.any():
-            dists[idx, cand] = h.distances(pts[cand])
-    return voronoi_band_masks(dists, [sum(1 << (l - 1) for l in c) for c in classes], sigma)
+    bits = [sum(1 << (l - 1) for l in c) for c in classes]
+    masks = np.empty(pts.shape[0], dtype=np.int64)
+    for start in range(0, pts.shape[0], VORONOI_BLOCK):
+        block = pts[start:start + VORONOI_BLOCK]
+        offsets = [h.facet_offsets(block) for h in hulls]
+        lbs = np.stack([h.lower_bounds(block, off) for h, off in zip(hulls, offsets)])
+        dmin_ub = np.where((lbs <= 0.0).any(axis=0), 0.0, np.inf)
+        loose = dmin_ub > 0.0
+        if loose.any():
+            sub = block[loose]
+            best = dmin_ub[loose]
+            for h in hulls:
+                best = np.minimum(best, h.upper_bounds(sub))
+            dmin_ub[loose] = best
+        dists = np.full(lbs.shape, np.inf)
+        for idx, (h, off) in enumerate(zip(hulls, offsets)):
+            cand = lbs[idx] <= dmin_ub + sigma + ETA
+            if cand.any():
+                dists[idx, cand] = h.distances(block[cand], None if off is None else off[cand])
+        masks[start:start + VORONOI_BLOCK] = voronoi_band_masks(dists, bits, sigma)
+    return masks
 
 
 def _support_masks(lattice: np.ndarray) -> np.ndarray:
@@ -395,13 +409,28 @@ def _first_fixed_point(supports: list, voronoi: list):
     return tuple(int(f[k]) for f, k in zip(firsts, np.unravel_index(hits[0], ok.shape)))
 
 
+def _scan_steps(first: float) -> list:
+    """The scan's lattice steps, coarsest first, each a step 1/K: about
+    2^c times ``first`` for c = COARSE_ROUNDS..1, then ``first`` (itself a
+    step 1/K) halved REFINE_ROUNDS - 1 times.  A step that rounds to one
+    already listed (steps near 1) is scanned once."""
+    steps = [unit_step(first * 2.0 ** c) for c in range(COARSE_ROUNDS, 0, -1)]
+    steps += [first / 2.0 ** r for r in range(REFINE_ROUNDS)]
+    return sorted(set(steps), reverse=True)
+
+
 def solve_wsne(oracles: BrOracles, eps: float) -> WsneCertificate:
     """Compute an eps-WSNE from best-response queries alone.
 
-    Learns both best-response partitions adversarially, then scans a
-    deterministic product lattice for a profile whose supports lie inside
-    slack Voronoi best-response sets; the lattice refines (up to
-    REFINE_ROUNDS) if no profile is accepted.
+    Learns both best-response partitions adversarially, then scans
+    deterministic product lattices, coarsest first (`_scan_steps` of
+    eps / STEP_DIVISOR rounded down to a step 1/K), for a profile whose
+    supports lie inside slack Voronoi best-response sets.  The certificate
+    is the lexicographically first such profile of the coarsest lattice
+    that has one; ``grid_resolution`` is that lattice's step.  Raises
+    RuntimeError naming the last step scanned when no lattice has one, and
+    naming the cap and the step when a lattice would exceed LATTICE_CAP
+    points.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -414,15 +443,13 @@ def solve_wsne(oracles: BrOracles, eps: float) -> WsneCertificate:
     row_lab = _learn_partition(oracles.row, dim_v, m, eps_r / 2.0)
     col_lab = _learn_partition(oracles.column, dim_u, n, eps_c / 2.0)
 
-    # a step of 1/K keeps the pure profiles on the lattice
-    delta = unit_step(eps / STEP_DIVISOR)
     sigma = eps / SLACK_DIVISOR
-    for _round in range(REFINE_ROUNDS):
-        try:
-            u_grid = simplex_lattice(dim_u, delta, LATTICE_CAP) if dim_u else np.zeros((1, 0))
-            v_grid = simplex_lattice(dim_v, delta, LATTICE_CAP) if dim_v else np.zeros((1, 0))
-        except ValueError:
-            break
+    # a step of 1/K keeps the pure profiles on the lattice
+    for delta in _scan_steps(unit_step(eps / STEP_DIVISOR)):
+        if max(lattice_count(dim_u, delta), lattice_count(dim_v, delta)) > LATTICE_CAP:
+            raise RuntimeError(f"fixed point not found before the scan lattice at step "
+                               f"{delta:g} exceeded the cap of {LATTICE_CAP} points")
+        u_grid, v_grid = simplex_lattice(dim_u, delta), simplex_lattice(dim_v, delta)
         supp_u, supp_v = _support_masks(u_grid), _support_masks(v_grid)
         vor_col = voronoi_label_masks(col_lab, u_grid, sigma)   # column BRs to u
         vor_row = voronoi_label_masks(row_lab, v_grid, sigma)   # row BRs to v
@@ -436,5 +463,4 @@ def solve_wsne(oracles: BrOracles, eps: float) -> WsneCertificate:
                 queries_row=oracles.row.log.count - q0r,
                 queries_col=oracles.column.log.count - q0c,
                 grid_resolution=delta)
-        delta /= 2.0
     raise RuntimeError(f"fixed point not found at resolution {delta:g}")

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .bimatrix import (REFINE_ROUNDS, SLACK_DIVISOR, STEP_DIVISOR, PayoffAudit, _first_fixed_point,
-                       _mask_to_list, _support_masks, expand, supported_regrets)
+from .bimatrix import (SLACK_DIVISOR, STEP_DIVISOR, PayoffAudit, _first_fixed_point, _mask_to_list,
+                       _scan_steps, _support_masks, expand, supported_regrets)
 from .coverage import (MAX_CELLS, CellCapError, CoverageReport, lattice_count, simplex_lattice,
                        unit_step)
 from .labelling import voronoi_band_masks
@@ -354,7 +354,14 @@ def solve_wsne_multiplayer(labellings, g_for_verification: NormalFormGame, eps: 
 
     ``labellings`` must be (eps/2)-close in l1 (as produced by
     learn_multiplayer_labellings); the verification game is consulted only
-    to fill the certificate's regrets afterwards.
+    to fill the certificate's regrets afterwards.  The lattices are those
+    of `bimatrix._scan_steps`, coarsest first, from the spacing of l1
+    resolution eps / STEP_DIVISOR; the certificate is the lexicographically
+    first fixed point of the coarsest lattice that has one, and
+    ``grid_resolution`` is that lattice's l1 resolution.  Raises
+    RuntimeError naming the last resolution scanned when no lattice has a
+    fixed point, and naming the cap and the spacing when a lattice would
+    exceed PROFILE_CAP profiles.
     """
     g = g_for_verification
     n, k = g.n, g.k
@@ -363,12 +370,12 @@ def solve_wsne_multiplayer(labellings, g_for_verification: NormalFormGame, eps: 
     sigma = eps / SLACK_DIVISOR
     # l1 resolution delta needs lattice spacing 2 delta / d; a spacing of
     # 1/K keeps the pure profiles on the lattice
-    spacing = unit_step(min(2.0 * delta / max(d, 1), 1.0))
-
-    for _round in range(REFINE_ROUNDS):
-        grid = simplex_lattice(d, spacing) if d else np.zeros((1, 0))
-        if grid.shape[0] ** n > PROFILE_CAP:
-            raise RuntimeError(f"profile lattice beyond the cap of {PROFILE_CAP} profiles")
+    for spacing in _scan_steps(unit_step(min(2.0 * delta / max(d, 1), 1.0))):
+        resolution = spacing * max(d, 1) / 2.0
+        if lattice_count(d, spacing) ** n > PROFILE_CAP:
+            raise RuntimeError(f"fixed point not found before the profile lattice at spacing "
+                               f"{spacing:g} exceeded the cap of {PROFILE_CAP} profiles")
+        grid = simplex_lattice(d, spacing)
         # Voronoi masks per player over the joint grids of the others
         joints = _product([grid] * (n - 1))
         voronoi = [voronoi_band_masks(lab.l1_distances(joints), 1 << np.arange(k), sigma)
@@ -378,6 +385,5 @@ def solve_wsne_multiplayer(labellings, g_for_verification: NormalFormGame, eps: 
         if hit is not None:
             return MultiWsneCertificate(
                 [grid[p].copy() for p in hit], eps, [_mask_to_list(int(supp[p])) for p in hit],
-                queries=queries, grid_resolution=spacing * max(d, 1) / 2.0)
-        spacing /= 2.0
-    raise RuntimeError(f"fixed point not found at resolution {spacing * max(d, 1) / 2.0:g}")
+                queries=queries, grid_resolution=resolution)
+    raise RuntimeError(f"fixed point not found at resolution {resolution:g}")

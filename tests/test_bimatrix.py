@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from partlearn import bimatrix
 from partlearn.bimatrix import (
-    BimatrixGame, GuardedGame, PayoffAudit, PayoffAuditError, _first_fixed_point, best_value,
-    br_oracle, br_partition, expand, lower_bound_game, make_br_oracles, pure_utilities,
-    solve_wsne, utilities, verify_wsne,
+    BimatrixGame, GuardedGame, PayoffAudit, PayoffAuditError, _first_fixed_point, _learn_partition,
+    _scan_steps, _support_masks, best_value, br_oracle, br_partition, expand, lower_bound_game,
+    make_br_oracles, pure_utilities, solve_wsne, utilities, verify_wsne, voronoi_label_masks,
 )
+from partlearn.coverage import simplex_lattice, unit_step
 from partlearn.partition import uepp_label_set
 
 
@@ -219,7 +221,6 @@ def test_voronoi_labels_are_eps_best_responses():
     # are eps-best responses by true utilities
     eps = 0.1
     g = random_game(3, 3, seed=12)
-    from partlearn.bimatrix import _learn_partition, voronoi_label_masks
     oracles = make_br_oracles(g, seed=3)
     eps_r = eps / (2 * math.sqrt(max(g.n - 1, 1)))
     row_lab = _learn_partition(oracles.row, g.n - 1, g.m, eps_r / 2)
@@ -279,6 +280,78 @@ def test_first_fixed_point_reports_none(n):
     voronoi = [np.zeros(3 ** (n - 1), dtype=np.int64)] * n
     assert _first_fixed_point(supports, voronoi) is None
     assert brute_first_fixed_point(supports, voronoi) is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=1e-4, max_value=1.0, exclude_max=True))
+def test_scan_steps_go_coarse_to_fine_and_end_on_the_fixed_rounds(eps):
+    # the first steps of the bimatrix scan and of the multiplayer scan for
+    # k - 1 = 1..3; both scans end on the three rounds they always ran
+    firsts = [unit_step(eps / 8)] + [unit_step(min(2 * (eps / 8) / d, 1.0)) for d in (1, 2, 3)]
+    for first in firsts:
+        steps = _scan_steps(first)
+        assert len(steps) == 5
+        assert all(1.0 / s == pytest.approx(round(1.0 / s), abs=1e-6) for s in steps)
+        assert all(a > b for a, b in zip(steps, steps[1:]))
+        assert steps[-3:] == [first, first / 2, first / 4]
+
+
+def _missing(sizes, misses=math.inf):
+    """A `_first_fixed_point` that expects lattices of the given sizes, in
+    order (it fails at once on another, before a larger lattice is masked),
+    and misses on the first ``misses`` of them; and the sizes it saw."""
+    seen = []
+
+    def first_fixed_point(supports, voronoi):
+        seen.append(len(supports[1]))
+        assert seen == sizes[:len(seen)]
+        return None if len(seen) <= misses else _first_fixed_point(supports, voronoi)
+    return first_fixed_point, seen
+
+
+def test_scan_failure_names_the_last_step_scanned(monkeypatch):
+    # 2-D lattices at steps 1/20, 1/40, 1/80, 1/160, 1/320
+    sizes = [math.comb(K + 2, 2) for K in (20, 40, 80, 160, 320)]
+    missing, seen = _missing(sizes)
+    monkeypatch.setattr(bimatrix, "_first_fixed_point", missing)
+    with pytest.raises(RuntimeError, match=r"not found at resolution 0\.003125$"):
+        solve_wsne(make_br_oracles(random_game(3, 3, seed=20), seed=0), 0.1)
+    assert seen == sizes
+
+
+def test_scan_lattice_cap_stop_names_the_cap_and_the_step(monkeypatch):
+    # 21 points at step 1/20 are scanned; 41 at step 1/40 exceed the cap
+    missing, seen = _missing([21])
+    monkeypatch.setattr(bimatrix, "_first_fixed_point", missing)
+    monkeypatch.setattr(bimatrix, "LATTICE_CAP", 30)
+    with pytest.raises(RuntimeError, match=r"lattice at step 0\.025 exceeded the cap of 30 points"):
+        solve_wsne(make_br_oracles(random_game(2, 2, seed=21), seed=0), 0.1)
+    assert seen == [21]
+
+
+def test_scan_past_the_coarse_lattices_returns_the_fine_lattice_certificate(monkeypatch):
+    # missing on the 1/20 and 1/40 lattices, the scan must return the first
+    # fixed point of the 1/80 lattice, computed here from the labellings the
+    # scan is handed
+    eps, g = 0.1, random_game(4, 3, seed=100)
+    oracles = make_br_oracles(g, seed=0)
+    row_lab = _learn_partition(oracles.row, 2, 4, eps / (2 * math.sqrt(2)) / 2)
+    col_lab = _learn_partition(oracles.column, 3, 3, eps / (2 * math.sqrt(3)) / 2)
+    learned = {oracles.row: row_lab, oracles.column: col_lab}
+    monkeypatch.setattr(bimatrix, "_learn_partition", lambda oracle, *args: learned[oracle])
+    u_grid, v_grid = simplex_lattice(3, 1 / 80), simplex_lattice(2, 1 / 80)
+    j, i = _first_fixed_point(
+        [_support_masks(v_grid), _support_masks(u_grid)],
+        [voronoi_label_masks(col_lab, u_grid, eps / 8), voronoi_label_masks(row_lab, v_grid, eps / 8)])
+
+    sizes = [math.comb(K + 3, 3) for K in (20, 40, 80)]
+    missing, seen = _missing(sizes, misses=2)
+    monkeypatch.setattr(bimatrix, "_first_fixed_point", missing)
+    cert = solve_wsne(oracles, eps)
+    assert seen == sizes
+    assert cert.grid_resolution == 1 / 80
+    assert np.array_equal(cert.u, u_grid[i]) and np.array_equal(cert.v, v_grid[j])
+    assert verify_wsne(g, cert.u, cert.v, eps).valid
 
 
 def test_certificate_json_fields():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull, QhullError
 
+from partlearn import bimatrix
 from partlearn.bimatrix import voronoi_label_masks
 from partlearn.coverage import SimplexSlab, barycentric_lattice, simplex_lattice, verify_eps_net
 from partlearn.geometry import PointHull, VPolytope, corner_simplex_vertices, distance_to_hull
@@ -238,6 +239,29 @@ def test_voronoi_label_masks_match_scalar_reference(drawn, sigma):
         if np.any(np.abs(d - (d.min() + sigma + ETA)) <= 1e-9):
             continue    # on the band edge rounding decides
         assert mask == class_bits(lab, voronoi_labels(x, lab, slack=sigma))
+
+@settings(max_examples=40, deadline=None)
+@given(labellings, st.sampled_from([1, 7, 32]))
+def test_voronoi_label_masks_in_row_blocks_match_scalar_reference(drawn, block):
+    # lattice points (vertices and shared edges of the labelled cells) and
+    # random points, masked in blocks that leave a partial last block
+    m, n, seed = drawn
+    rng = np.random.default_rng(seed)
+    lab = random_labelling(m, n, rng)
+    pts = np.vstack([simplex_lattice(m, 1 / 3), rng.dirichlet(np.ones(m + 1), size=30)[:, :m]])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bimatrix, "VORONOI_BLOCK", block)
+        masks = voronoi_label_masks(lab, pts, 0.1)
+    roots = [r for r in lab.class_roots() if not lab.hull(r).is_empty]
+    checked = 0
+    for x, mask in zip(pts, masks):
+        d = np.array([distance_to_hull(x, lab.hull(r))[0] for r in roots])
+        if np.any(np.abs(d - (d.min() + 0.1 + ETA)) <= 1e-9):
+            continue    # on the band edge rounding decides
+        assert mask == class_bits(lab, voronoi_labels(x, lab, slack=0.1))
+        checked += 1
+    assert checked >= len(pts) // 2
+
 
 def test_voronoi_inside_hull():
     lab = EmpiricalLabelling(2, 3)

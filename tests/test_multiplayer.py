@@ -233,6 +233,48 @@ def test_random_games_verify(seed):
     assert verify_wsne_multiplayer(g, cert.profile, 0.25).valid
 
 
+@pytest.mark.parametrize("seed", [0, 11, 29])
+def test_two_player_three_action_games_solve_within_the_profile_cap(seed):
+    # the 1/40 lattice of these games holds 861^2 profiles, beyond PROFILE_CAP
+    g = random_game(2, 3, seed=seed)
+    oracles, audit = make_multi_oracles(g, seed=seed)
+    labs, _ = learn_multiplayer_labellings(oracles, 0.2)
+    cert = solve_wsne_multiplayer(labs, g, 0.2)
+    assert cert.grid_resolution > 1 / 40
+    assert verify_wsne_multiplayer(g, cert.profile, 0.2).valid
+    assert audit.clean
+
+
+def _missing_scan(monkeypatch, g, eps):
+    """Lattice sizes the scan tried on g's labellings, every lattice
+    missing, and the scan's error."""
+    seen = []
+
+    def first_fixed_point(supports, voronoi):
+        seen.append(len(supports[0]))
+
+    monkeypatch.setattr(multiplayer, "_first_fixed_point", first_fixed_point)
+    labs, _ = learn_multiplayer_labellings(make_multi_oracles(g, seed=0)[0], eps)
+    with pytest.raises(RuntimeError) as err:
+        solve_wsne_multiplayer(labs, g, eps)
+    return seen, str(err.value)
+
+
+def test_scan_failure_names_the_last_resolution_scanned(monkeypatch):
+    # spacings 1/10 .. 1/160; the last has l1 resolution 1/320
+    seen, msg = _missing_scan(monkeypatch, random_game(2, 2, seed=3), 0.1)
+    assert seen == [11, 21, 41, 81, 161]
+    assert msg.endswith("not found at resolution 0.003125")
+
+
+def test_profile_cap_stop_names_the_cap_and_the_spacing(monkeypatch):
+    # 11^2 profiles at spacing 1/10 are scanned; 21^2 at 1/20 exceed the cap
+    monkeypatch.setattr(multiplayer, "PROFILE_CAP", 200)
+    seen, msg = _missing_scan(monkeypatch, random_game(2, 2, seed=3), 0.1)
+    assert seen == [11]
+    assert "lattice at spacing 0.05 exceeded the cap of 200 profiles" in msg
+
+
 class _FirstRound(Exception):
     pass
 
