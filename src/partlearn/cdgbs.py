@@ -31,6 +31,7 @@ import numpy as np
 from .coverage import SimplexSlab, slab_certificate_2d, verify_eps_net
 from .geometry import PointHull, convex_hull, section_map
 from .labelling import EmpiricalLabelling, interior_conflict, is_slice_covered
+from .partition import KINDS
 from .predicates import ETA
 
 
@@ -45,7 +46,7 @@ def sub_eps(eps: float, m: int, n: int, t: float) -> float:
       (sections) or a small constant (faces), so a boundary located to ETA
       in a section sits within a small multiple of ETA of where the paper's
       accuracy would put it;
-    * the hull code quantises finer detail away: `convex_hull` snaps points
+    * the hull code quantises finer detail away: `snap_points` snaps points
       to an ETA grid, `_binary_search_1d` collapses a label's span of at
       most ETA to one point, and `_Search.bracket` treats coordinates within
       ETA as one.
@@ -91,8 +92,8 @@ def cdgbs_query_bound(m: int, n: int, eps: float) -> float:
 
 @dataclass
 class GbsConfig:
-    """``seed`` only drives the repair offsets of `fix_uncovered_critical`;
-    the searches themselves never read it."""
+    """``oracle_kind`` must name the search run; ``seed`` only drives the
+    repair offsets of `fix_uncovered_critical`."""
 
     m: int
     n: int
@@ -103,6 +104,8 @@ class GbsConfig:
     def __post_init__(self):
         if self.eps <= 0:
             raise ValueError("eps must be positive")
+        if self.oracle_kind not in KINDS:
+            raise ValueError(f"oracle_kind must be one of {KINDS}")
 
 
 @dataclass(frozen=True)
@@ -536,6 +539,10 @@ def _learn(m: int, n: int, oracle, adversarial: bool, fill) -> EmpiricalLabellin
 
 
 def _dyadic(cfg: GbsConfig, oracle, adversarial: bool) -> EmpiricalLabelling:
+    kind = "adversarial" if adversarial else "lexicographic"
+    if cfg.oracle_kind != kind:
+        raise ValueError(f"this search needs oracle_kind {kind!r}, not {cfg.oracle_kind!r}")
+
     def fill(lab, stats):
         _add_points(lab, _run(cfg.m, cfg.n, cfg.eps, oracle, adversarial, stats, 0).points)
 

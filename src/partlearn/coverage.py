@@ -7,6 +7,11 @@ an exact distance at a region point of at most eps/2 certifies the box.
 This is equivalent in guarantees to checking a deterministic grid of mesh
 eps/2: a "close" verdict holds for the continuum by the triangle inequality,
 while a "not close" verdict is conservative and carries a witness point.
+The refinement is the only path to a verdict.  It stops at the first box
+that lies wholly beyond eps of every hull, or at the first floor box whose
+low corner lies beyond eps/2; that low corner, a region point, is the
+witness.  A box holding a point beyond eps of every hull is never pruned,
+so it ends in one of those two ways.
 
 Regions are slabs of the corner simplex (the whole simplex being the [0, 1]
 slab) or, as a desk-scale fallback, arbitrary V-polytopes checked on a
@@ -21,13 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PointHull, VPolytope, diameter
+from .geometry import VPolytope, diameter
 from .predicates import ETA
 
 MAX_CELLS = 2_000_000     # boxes one verify_eps_net call may refine
-# `_fast_witness` ends a verification only at a probe beyond eps by
-# max(ETA, eps / SEAM_MARGIN_DIVISOR); the box refinement settles the rest.
-SEAM_MARGIN_DIVISOR = 50.0
 
 
 class CellCapError(RuntimeError):
@@ -54,8 +56,8 @@ class CoverageReport:
     """Verdict of `verify_eps_net`.
 
     ``cells_touched`` counts the boxes the refinement examined (lattice
-    points on the V-polytope path); it is 0 when no box was examined: an
-    empty or 0-dimensional region, no hulls, or a seam-probe witness.
+    points on the V-polytope path); it is 0 only when no box was examined:
+    an empty or 0-dimensional region, or no hulls.
     """
 
     eps: float
@@ -77,22 +79,19 @@ class CoverageReport:
 
 
 def _min_upper_bounds(hulls, pts):
-    """Pointwise min over hulls of the sampled-point distance upper bounds."""
+    """Pointwise min over (non-empty) hulls of the sampled-point distance
+    upper bounds."""
     out = np.full(pts.shape[0], np.inf)
     for h in hulls:
-        if not h.is_empty:
-            np.minimum(out, h.upper_bounds(pts), out=out)
+        np.minimum(out, h.upper_bounds(pts), out=out)
     return out
 
 
 def _min_dist_exact(hulls, pts, cap=None):
-    """Min distance over hulls; hulls whose lower bound already exceeds the
-    running minimum (or cap) are skipped."""
-    n = pts.shape[0]
-    out = np.full(n, np.inf)
+    """Min distance over (non-empty) hulls; hulls whose lower bound already
+    exceeds the running minimum (or cap) are skipped."""
+    out = np.full(pts.shape[0], np.inf)
     for h in hulls:
-        if h.is_empty:
-            continue
         off = h.facet_offsets(pts)
         lb = h.lower_bounds(pts, offsets=off)
         todo = lb < out if cap is None else (lb < np.minimum(out, cap))
@@ -103,11 +102,10 @@ def _min_dist_exact(hulls, pts, cap=None):
 
 
 def verify_eps_net(region, hulls, eps: float) -> CoverageReport:
-    """Check that every region point is within eps of the union of hulls."""
+    """Check that every region point is within eps of the union of
+    ``hulls``, a list of `PointHull`s."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    hulls = [h if isinstance(h, PointHull) else PointHull(h.vertices if isinstance(h, VPolytope) else h)
-             for h in hulls]
     hulls = [h for h in hulls if not h.is_empty]
     if isinstance(region, VPolytope):
         return _verify_on_lattice(region, hulls, eps)
@@ -117,18 +115,12 @@ def verify_eps_net(region, hulls, eps: float) -> CoverageReport:
         return CoverageReport(eps, True, None, eps / 2)
     m = region.m
     if m == 0:
-        pt = np.zeros((1, 0))
         ok = bool(hulls)
-        return CoverageReport(eps, ok, None if ok else pt[0], eps / 2,
-                              None if ok else np.inf)
+        return CoverageReport(eps, ok, None if ok else np.zeros(0), eps / 2, None if ok else np.inf)
     if not hulls:
         w = np.zeros(m)
         w[0] = max(0.0, region.lo)
         return CoverageReport(eps, False, w, eps / 2, np.inf)
-
-    fast = _fast_witness(region, hulls, eps)
-    if fast is not None:
-        return CoverageReport(eps, False, fast[0], eps / 2, fast[1])
 
     lo0 = np.zeros(m)
     hi0 = np.ones(m)
@@ -198,45 +190,6 @@ def verify_eps_net(region, hulls, eps: float) -> CoverageReport:
         los = np.vstack([los, right_lo])
         his = np.vstack([left_hi, his])
     return CoverageReport(eps, True, None, eps / 2, cells_touched=cells_touched)
-
-
-def _in_slab(region: SimplexSlab, pts: np.ndarray) -> np.ndarray:
-    ok = (pts >= -ETA).all(axis=1) & (pts.sum(axis=1) <= 1.0 + ETA)
-    if region.m:
-        ok &= (pts[:, 0] >= region.lo - ETA) & (pts[:, 0] <= region.hi + ETA)
-    return ok
-
-
-def _fast_witness(region: SimplexSlab, hulls, eps: float):
-    """Probe seam midpoints between hull pairs for a quick uncovered verdict.
-
-    Genuinely uncovered slabs almost always contain a crack between two
-    class hulls; the midpoints of nearest cross-hull sample pairs land in
-    it.  Returns (witness, distance) or None.
-    """
-    if len(hulls) < 2 or region.m == 0:
-        return None
-    cands = []
-    for a in range(len(hulls)):
-        for b in range(a + 1, len(hulls)):
-            P, Q = hulls[a]._upper_pts, hulls[b]._upper_pts
-            if P.shape[0] * Q.shape[0] > 250_000:
-                continue
-            d2 = ((P[:, None, :] - Q[None, :, :]) ** 2).sum(axis=2)
-            flat = np.argsort(d2, axis=None)[:8]
-            ii, jj = np.unravel_index(flat, d2.shape)
-            cands.append(0.5 * (P[ii] + Q[jj]))
-    if not cands:
-        return None
-    pts = np.vstack(cands)
-    pts = pts[_in_slab(region, pts)]
-    if not len(pts):
-        return None
-    d = _min_dist_exact(hulls, pts)
-    worst = int(np.argmax(d))
-    if d[worst] > eps + max(ETA, eps / SEAM_MARGIN_DIVISOR):
-        return pts[worst].copy(), float(d[worst])
-    return None
 
 
 def _section_hole_radius(ys: np.ndarray, top: float) -> float:

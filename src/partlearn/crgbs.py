@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from .cdgbs import GbsConfig, _add_points, _learn, _lift, cd_gbs, cd_gbs_adversarial
 from .geometry import enumerate_k_faces
+from .partition import KINDS
 # interior_conflict stays bound here (the merge loop is cdgbs._learn's):
 # perfbench's outside-in tracer patches every module binding of it
 from .labelling import EmpiricalLabelling, interior_conflict  # noqa: F401
@@ -48,6 +49,8 @@ class CrConfig:
     def __post_init__(self):
         if self.eps <= 0:
             raise ValueError("eps must be positive")
+        if self.oracle_kind not in KINDS:
+            raise ValueError(f"oracle_kind must be one of {KINDS}")
         self.k = math.comb(self.n, 2)
         self.sub_eps = cr_sub_eps(self.m, self.n, self.eps)
 

@@ -51,7 +51,7 @@ from scipy.spatial import ConvexHull as _QHull
 from scipy.spatial import cKDTree as _KDTree
 
 from ..predicates import ETA, as_point
-from .polytope import VPolytope, empty_polytope
+from .polytope import VPolytope
 
 _PAIR_CHUNK = 1 << 16   # (point, simplex) pairs per distance block
 _FLAT_GRAM = 1e-12      # faces with det(Gram) <= this * prod(diag) are flat
@@ -162,22 +162,25 @@ def distance_to_hull(x, p, norm: str = "l2"):
     return float(d[0]), W[0]
 
 
+def snap_points(pts: np.ndarray) -> np.ndarray:
+    """A (v, m) point set snapped to the ETA grid, duplicates dropped (rows
+    sorted); a single point is kept as given."""
+    return np.unique(np.round(pts / ETA) * ETA, axis=0) if pts.shape[0] > 1 else pts
+
+
 def convex_hull(points) -> VPolytope:
     """Canonical vertex list of the hull of a point set; idempotent.
 
-    Points are snapped to an ETA grid and duplicates dropped.  The vertices
-    are Qhull's in the set's own span (`PointHull`'s reduction), in input
-    order: a point in the hull of the others to Qhull's rounding is dropped,
-    one farther out is kept.
+    Points go through `snap_points` first.  The vertices are Qhull's in the
+    set's own span (`PointHull`'s reduction), in snapped-row order: a point
+    in the hull of the others to Qhull's rounding is dropped, one farther
+    out is kept.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts.reshape(-1, 1) if pts.size else pts.reshape(0, 0)
-    if pts.shape[0] == 0:
-        return empty_polytope(pts.shape[1] if pts.ndim == 2 else 0)
-    # drop exact duplicates early
-    pts = np.unique(np.round(pts / ETA) * ETA, axis=0) if pts.shape[0] > 1 else pts
-    return VPolytope(pts[PointHull(pts).vertex_indices])
+    h = PointHull(snap_points(pts))
+    return VPolytope(h.points[h.vertex_indices])
 
 
 def _flat_frame(P: np.ndarray):
@@ -248,9 +251,9 @@ class PointHull:
 
     * `lower_bounds`: the largest facet violation, with the distance to the
       set's span (sound: each facet's halfspace contains the hull).
-    * `upper_bounds`: the distance to the nearest of the points and, for at
-      most 40 points, their pair midpoints, answered by a KD-tree (sound:
-      each sample lies in the hull).
+    * `upper_bounds`: the distance to the nearest of the vertices and, for
+      at most 40 vertices, their pair midpoints, answered by a KD-tree
+      (sound: each sample lies in the hull).
     * `distances` and `project`: inside the facet form, the distance to the
       span; outside, exact in every dimension, measured only on the facets
       that see a point and, where its projection misses them, on their
@@ -265,6 +268,7 @@ class PointHull:
         self.points = P
         self.m = P.shape[1]
         self.is_empty = P.shape[0] == 0
+        self.vertex_indices = np.zeros(0, dtype=int)
         self.k = 0                # effective dimension: that of the span
         self._const_axes = np.zeros(0, dtype=int)
         self._const_vals = np.zeros(0)
@@ -316,14 +320,15 @@ class PointHull:
 
     @cached_property
     def _upper_pts(self) -> np.ndarray:
-        """The upper-bound sample: the points and, for at most 40 of them,
+        """The upper-bound sample: the vertices and, for at most 40 of them,
         their pair midpoints, so cells deep inside the hull prune without
         exact projections."""
-        v = self.points.shape[0]
+        V = self.points[self.vertex_indices]
+        v = V.shape[0]
         if not 1 < v <= 40 or not self.m:
-            return self.points
+            return V
         ii, jj = np.triu_indices(v, k=1)
-        return np.vstack([self.points, 0.5 * (self.points[ii] + self.points[jj])])
+        return np.vstack([V, 0.5 * (V[ii] + V[jj])])
 
     @cached_property
     def _tree(self):

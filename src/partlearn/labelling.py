@@ -2,10 +2,10 @@
 
 An empirical labelling stores every oracle-labelled point under its raw
 label, a union-find over labels (labels merged when the ground truth forces
-cells to coincide), and cached hulls per merged class.  Closeness checks
-delegate to the coverage verifier; slice checks use only the points at the
-two endpoint coordinates of the slice, which is the quantity the learning
-algorithms reason about.
+cells to coincide), and one cached `PointHull` per merged class.  Closeness
+checks delegate to the coverage verifier; slice checks use only the points
+at the two endpoint coordinates of the slice, which is the quantity the
+learning algorithms reason about.
 """
 
 from __future__ import annotations
@@ -15,12 +15,12 @@ import json
 import numpy as np
 
 from .coverage import CoverageReport, SimplexSlab, verify_eps_net
-from .geometry import PointHull, VPolytope, convex_hull, distance_to_hull, empty_polytope
-from .predicates import ETA, as_point, in_corner_simplex
+from .geometry import PointHull, VPolytope, snap_points
+from .predicates import ETA, as_point
 
 
 class EmpiricalLabelling:
-    """Per-label queried points with merge bookkeeping and hull caches."""
+    """Per-label queried points with merge bookkeeping and a hull cache."""
 
     def __init__(self, m: int, n: int):
         if n < 1 or m < 0:
@@ -30,8 +30,7 @@ class EmpiricalLabelling:
         self._points = {lbl: [] for lbl in range(1, n + 1)}   # label -> list of (k, m) blocks
         self._parent = list(range(n + 1))                      # union-find over 1..n
         self._members = {lbl: [lbl] for lbl in range(1, n + 1)}  # root -> sorted raw labels
-        self._hull_cache = {}
-        self._pointhull_cache = {}
+        self._hulls = {}                                        # root -> PointHull
 
     # -- union-find ---------------------------------------------------------
     def find(self, label: int) -> int:
@@ -46,14 +45,15 @@ class EmpiricalLabelling:
         """Merge the classes of labels i and j (kept root is the smaller)."""
         if i == j:
             raise ValueError("cannot merge a label with itself")
+        if not (1 <= i <= self.n and 1 <= j <= self.n):
+            raise ValueError("label out of range")
         ri, rj = self.find(i), self.find(j)
         if ri == rj:
             return
         lo, hi = min(ri, rj), max(ri, rj)
         self._parent[hi] = lo
         self._members[lo] = sorted(self._members[lo] + self._members.pop(hi))
-        self._hull_cache.clear()
-        self._pointhull_cache.clear()
+        self._hulls.clear()
 
     def merge_classes(self) -> list:
         """Current classes as sorted lists of raw labels, one per root."""
@@ -62,18 +62,13 @@ class EmpiricalLabelling:
     # -- point bookkeeping --------------------------------------------------
     def add_query(self, x, label: int) -> None:
         """Record one oracle-labelled point."""
-        if not 1 <= label <= self.n:
-            raise ValueError("label out of range")
-        x = as_point(x)
-        if x.size != self.m:
-            raise ValueError("dimension mismatch")
-        if not in_corner_simplex(x, tol=1e-7):
-            raise ValueError("point outside the simplex")
-        self._points[label].append(x.reshape(1, -1))
-        self._invalidate(label)
+        self.add_block(as_point(x)[None, :], label)
 
     def add_block(self, pts, label: int) -> None:
-        """Record a block of points that all received the same label."""
+        """Record a block of points that all received the same label.
+
+        Every point must be finite and in the corner simplex to within 1e-7.
+        """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         if pts.shape[0] == 0:
             return
@@ -81,13 +76,12 @@ class EmpiricalLabelling:
             raise ValueError("dimension mismatch")
         if not 1 <= label <= self.n:
             raise ValueError("label out of range")
+        if not np.isfinite(pts).all():
+            raise ValueError("point has non-finite entries")
+        if (pts < -1e-7).any() or (pts.sum(axis=1) > 1.0 + 1e-7).any():
+            raise ValueError("point outside the simplex")
         self._points[label].append(pts)
-        self._invalidate(label)
-
-    def _invalidate(self, label: int) -> None:
-        root = self.find(label)
-        self._hull_cache.pop(root, None)
-        self._pointhull_cache.pop(root, None)
+        self._hulls.pop(self.find(label), None)
 
     def points_of(self, label: int, merged: bool = True) -> np.ndarray:
         """All points of a label (or of its merged class)."""
@@ -103,21 +97,17 @@ class EmpiricalLabelling:
     def class_roots(self) -> list:
         return sorted(self._members)
 
-    def hull(self, label: int) -> VPolytope:
-        root = self.find(label)
-        if root not in self._hull_cache:
-            pts = self.points_of(root)
-            self._hull_cache[root] = convex_hull(pts) if len(pts) else empty_polytope(self.m)
-        return self._hull_cache[root]
-
-    def hulls(self) -> dict:
-        return {root: self.hull(root) for root in self.class_roots()}
-
     def point_hull(self, label: int) -> PointHull:
+        """The hull of a label's class, built once per change to the class."""
         root = self.find(label)
-        if root not in self._pointhull_cache:
-            self._pointhull_cache[root] = PointHull(self.hull(root).vertices)
-        return self._pointhull_cache[root]
+        if root not in self._hulls:
+            self._hulls[root] = PointHull(snap_points(self.points_of(root)))
+        return self._hulls[root]
+
+    def hull(self, label: int) -> VPolytope:
+        """The vertices of `point_hull`: exactly ``convex_hull(points_of(label))``."""
+        h = self.point_hull(label)
+        return VPolytope(h.points[h.vertex_indices])
 
     def compress(self) -> None:
         """Replace each class's point blocks by its hull vertices.
@@ -208,22 +198,20 @@ def is_slice_covered(l: EmpiricalLabelling, interval, eps: float) -> bool:
     x, y = float(interval[0]), float(interval[1])
     if not 0.0 <= x <= y <= 1.0 + ETA:
         raise ValueError("need 0 <= x <= y <= 1")
-    nets = section_points(l, (x, y))
-    hulls = [PointHull(p) for p in nets.values()]
-    report = verify_eps_net(SimplexSlab(l.m, x, y), hulls, eps)
-    return report.is_close
+    hulls = [PointHull(p) for p in section_points(l, (x, y)).values()]
+    return verify_eps_net(SimplexSlab(l.m, x, y), hulls, eps).is_close
 
 
 def voronoi_labels(x, l: EmpiricalLabelling, slack: float = 0.0) -> set:
     """Classes within ``slack`` of x's nearest hull; `voronoi_band_masks`' scalar reference."""
-    x = as_point(x)
+    x = as_point(x)[None, :]
+    if x.shape[1] != l.m:
+        raise ValueError("dimension mismatch")
     dists = {}
     for root in l.class_roots():
-        hull = l.hull(root)
-        if hull.is_empty:
-            continue
-        d, _ = distance_to_hull(x, hull)
-        dists[root] = d
+        h = l.point_hull(root)
+        if not h.is_empty:
+            dists[root] = float(h.distances(x)[0])
     if not dists:
         raise ValueError("all hulls empty")
     best = min(dists.values())
@@ -248,7 +236,9 @@ CONFLICT_MARGIN = 1e-6
 def interior_conflict(l: EmpiricalLabelling, tol: float = CONFLICT_MARGIN):
     """A pair of classes whose hulls overlap beyond a shared boundary.
 
-    Searches for classes i != j and a stored vertex z of class j strictly
+    Searches for classes i != j and a point z of class j's upper-bound
+    sample (its hull's vertices and, for at most 40 of them, their pair
+    midpoints, which catch overlaps not witnessed at a vertex) strictly
     inside the full-dimensional hull of class i (its facet offsets shrunk by
     tol).  Returns (i, j, z) or None.
 
@@ -259,21 +249,13 @@ def interior_conflict(l: EmpiricalLabelling, tol: float = CONFLICT_MARGIN):
     """
     roots = l.class_roots()
     for i in roots:
-        if l.hull(i).affine_dim() < l.m:
-            continue
         hull_i = l.point_hull(i)
+        if hull_i.k < l.m:
+            continue
         for j in roots:
-            if j == i:
+            if j == i or l.point_hull(j).is_empty:
                 continue
-            vj = l.hull(j).vertices
-            if not len(vj):
-                continue
-            cand = vj
-            if 1 < len(vj) <= 40:
-                # pair midpoints are still points of the hull; they catch
-                # overlaps whose witnesses are not vertices
-                ii, jj = np.triu_indices(len(vj), k=1)
-                cand = np.vstack([vj, 0.5 * (vj[ii] + vj[jj])])
+            cand = l.point_hull(j)._upper_pts
             offsets = hull_i.facet_offsets(cand)
             if offsets is None:     # no facet form: m == 0
                 break

@@ -214,6 +214,7 @@ class QueryLog:
 
 
 POLICIES = ("seeded", "roundrobin", "maxindex", "antilearner")
+KINDS = ("lexicographic", "adversarial")
 
 
 class TieBreak:
@@ -226,8 +227,8 @@ class TieBreak:
     """
 
     def __init__(self, kind: str, policy: str, seed: int):
-        if kind not in ("lexicographic", "adversarial"):
-            raise ValueError("kind must be 'lexicographic' or 'adversarial'")
+        if kind not in KINDS:
+            raise ValueError(f"kind must be one of {KINDS}")
         if policy not in POLICIES:
             raise ValueError(f"policy must be one of {POLICIES}")
         self.kind = kind

@@ -88,6 +88,16 @@ def test_soundness_of_learned_hulls():
             assert distance_to_hull(w, gt[root])[0] <= 1e-6
 
 
+def test_config_and_search_reject_an_oracle_kind_they_do_not_run():
+    with pytest.raises(ValueError):
+        GbsConfig(2, 3, 0.1, oracle_kind="adv")
+    u = random_uepp(2, 3, seed=5)
+    with pytest.raises(ValueError):
+        cd_gbs(GbsConfig(2, 3, 0.1, oracle_kind="adversarial"), make_oracle(u, kind="adversarial"))
+    with pytest.raises(ValueError):
+        cd_gbs_adversarial(GbsConfig(2, 3, 0.1), make_oracle(u))
+
+
 def test_determinism_of_transcripts():
     u = random_uepp(2, 3, seed=5)
     logs = []

@@ -26,6 +26,13 @@ def test_crgbs_close_with_face_budget(m):
                                        o.log.count - 2 * math.comb(m + 1, 2)]
 
 
+def test_config_rejects_an_unknown_oracle_kind():
+    o = make_oracle(random_uepp(4, 2, seed=1), kind="adversarial", record=False)
+    with pytest.raises(ValueError):
+        cr_gbs(CrConfig(4, 2, 0.15, oracle_kind="adv"), o)
+    assert o.log.count == 0
+
+
 def test_crgbs_single_label_trivial():
     u = random_uepp(3, 1, seed=0)
     o = make_oracle(u, record=False)

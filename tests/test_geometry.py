@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from partlearn.coverage import SimplexSlab, verify_eps_net
 from partlearn.geometry import (
     HPolytope, VPolytope, chebyshev, convex_hull, corner_simplex_hpolytope,
     corner_simplex_vertices, cross_section, diameter, distance_to_hull,
@@ -307,6 +308,39 @@ def test_point_hull_distances_match_face_enumeration(case):
     np.testing.assert_array_equal(dp, d)
     np.testing.assert_allclose(np.linalg.norm(X - W, axis=1), d, rtol=0, atol=1e-12)
     assert (_enumerated_distances(P, W) <= 1e-12).all()
+
+
+# -- the coverage verifier's "not close" path ----------------------------------
+
+def _simplex_part(m, lo, hi):
+    """Vertices of the part of the corner m-simplex with first coordinate
+    in [lo, hi]: the two sections' vertices."""
+    out = []
+    for c in (lo, hi):
+        out.append(np.eye(m)[0] * c)
+        out.extend(np.eye(m)[0] * c + np.eye(m)[i] * (1.0 - c) for i in range(1, m))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("m, gap, eps, slab", [
+    (2, (0.3, 0.7), 0.1, (0.25, 0.75)),
+    (2, (0.45, 0.7), 0.1, (0.0, 1.0)),
+    (3, (0.3, 0.6), 0.1, (0.3, 0.6)),
+    (3, (0.2, 0.5), 0.05, (0.0, 1.0)),
+])
+def test_verifier_reports_a_gap_between_two_hulls_from_its_boxes(m, gap, eps, slab):
+    # two class hulls with a gap of width > 2 eps between them: the seam
+    # case, settled by the box refinement alone
+    a, b = gap
+    parts = [_simplex_part(m, 0.0, a), _simplex_part(m, b, 1.0)]
+    rep = verify_eps_net(SimplexSlab(m, *slab), [PointHull(P) for P in parts], eps)
+    assert not rep.is_close and rep.cells_touched > 0
+    w = rep.witness
+    assert (w >= -ETA).all() and w.sum() <= 1.0 + ETA
+    assert slab[0] - ETA <= w[0] <= slab[1] + ETA
+    assert rep.witness_distance > eps / 2
+    want = min(_enumerated_distances(P, w[None, :])[0] for P in parts)
+    assert abs(rep.witness_distance - want) <= 1e-12
 
 
 # -- convex hull ---------------------------------------------------------------

@@ -10,7 +10,9 @@ from scipy.spatial import ConvexHull, QhullError
 from partlearn import bimatrix
 from partlearn.bimatrix import voronoi_label_masks
 from partlearn.coverage import SimplexSlab, barycentric_lattice, simplex_lattice, verify_eps_net
-from partlearn.geometry import PointHull, VPolytope, corner_simplex_vertices, distance_to_hull
+from partlearn.geometry import (
+    PointHull, VPolytope, convex_hull, corner_simplex_vertices, distance_to_hull,
+)
 from partlearn.labelling import (
     CONFLICT_MARGIN, EmpiricalLabelling, interior_conflict, is_eps_close, is_slice_covered,
     merge_labels, voronoi_labels,
@@ -51,6 +53,65 @@ def test_add_query_validates():
         lab.add_query([0.1, 0.1], 5)
     with pytest.raises(ValueError):
         lab.add_query([0.9, 0.9], 1)
+
+
+def test_add_block_validates_like_add_query():
+    lab = EmpiricalLabelling(2, 2)
+    for bad in ([[np.nan, 0.1]], [[0.1, 0.1], [np.inf, 0.0]], [[0.6, 0.6]], [[-1e-6, 0.5]]):
+        with pytest.raises(ValueError):
+            lab.add_block(np.array(bad), 1)
+    # the same 1e-7 band as add_query
+    lab.add_block(np.array([[-5e-8, 0.5], [0.5, 0.5 + 5e-8]]), 1)
+    lab.add_query([0.5, 0.5 + 5e-8], 2)
+    assert lab.total_points() == 3
+
+
+def test_from_json_rejects_bad_points_and_merges():
+    good = {"m": 2, "n": 2, "points": {"1": [[0.1, 0.1]], "2": [[0.5, 0.2]]}, "merges": []}
+    EmpiricalLabelling.from_json(json.dumps(good))
+    with pytest.raises(ValueError):
+        EmpiricalLabelling.from_json(json.dumps({**good, "points": {"1": [[float("nan"), 0.1]]}}))
+    with pytest.raises(ValueError):
+        EmpiricalLabelling.from_json(json.dumps({**good, "merges": [[1, 7]]}))
+    lab = EmpiricalLabelling(2, 2)
+    for i, j in ((0, 1), (1, 3)):
+        with pytest.raises(ValueError):
+            lab.merge_labels(i, j)
+
+
+def test_one_hull_build_per_class_per_change(monkeypatch):
+    builds = []
+    init = PointHull.__init__
+
+    def counting(self, points):
+        builds.append(1)
+        init(self, points)
+
+    monkeypatch.setattr(PointHull, "__init__", counting)
+    o = make_oracle(random_uepp(2, 3, seed=3), record=False)
+    lab = EmpiricalLabelling(2, 3)
+    rng = np.random.default_rng(5)
+    for x in rng.dirichlet(np.ones(3), size=60)[:, :2]:
+        lab.add_query(x, o(x))
+    assert all(len(lab.points_of(r)) for r in lab.class_roots())
+
+    def builds_for(change):
+        change()
+        builds.clear()
+        for r in lab.class_roots():
+            lab.hull(r)
+            lab.point_hull(r)
+        interior_conflict(lab)
+        is_eps_close(lab, None, 0.3)
+        n = len(builds)
+        for r in lab.class_roots():
+            assert np.array_equal(lab.hull(r).vertices, convex_hull(lab.points_of(r)).vertices)
+        return n
+
+    assert builds_for(lambda: None) == 3
+    assert builds_for(lambda: None) == 0                # all cached
+    assert builds_for(lambda: lab.add_query([0.2, 0.3], o([0.2, 0.3]))) == 1
+    assert builds_for(lambda: lab.merge_labels(1, 3)) == 2
 
 
 def test_hulls_stay_inside_true_cells():
