@@ -180,10 +180,10 @@ class StrongBrOracle:
         self.log = QueryLog(budget=budget, record=record)
 
     def __call__(self, mix) -> set:
+        # an outside point is refused before it is charged
         mix = as_point(mix)
-        self.log.charge(mix)
         labels = self.uepp.label_set(mix)
-        self.log.amend_last_label(tuple(sorted(labels)))
+        self.log.charge(mix, tuple(sorted(labels)))
         return labels
 
 

@@ -254,14 +254,22 @@ def slab_certificate_2d(nets_l: dict, nets_r: dict, t_l: float, t_r: float,
     return float(np.hypot(W, max(hole_l, hole_r) + W)) <= eps
 
 
-def _compositions(total: int, parts: int):
-    """All nonnegative integer vectors of length `parts` summing to `total`."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+def _lattice_table(total: int, parts: int):
+    """All nonnegative integer vectors of length ``parts`` with sum at most
+    ``total``, as the rows of a table in lex order, and each row's
+    remaining budget ``total - sum``.
+
+    Built one coordinate at a time: each row so far is repeated once per
+    value 0..left of the next coordinate, where left is its remaining budget.
+    """
+    table = np.zeros((1, 0), dtype=np.int64)
+    left = np.array([total], dtype=np.int64)
+    for _ in range(parts):
+        rows = np.repeat(np.arange(left.size), left + 1)
+        value = np.arange(rows.size) - np.repeat(np.cumsum(left + 1) - (left + 1), left + 1)
+        table = np.column_stack([table[rows], value])
+        left = left[rows] - value
+    return table, left
 
 
 def unit_step(spacing: float) -> float:
@@ -286,23 +294,11 @@ def lattice_count(d: int, spacing: float) -> int:
 
 def simplex_lattice(d: int, spacing: float, max_points: int = 20_000_000) -> np.ndarray:
     """Points of (spacing Z)^d inside the corner d-simplex, lex ordered."""
-    if d == 0:
-        return np.zeros((1, 0))
     K = _lattice_steps(spacing)
     count = math.comb(K + d, d)
     if count > max_points:
         raise ValueError(f"lattice of {count} points exceeds the cap")
-    if d <= 3:
-        axes = [np.arange(K + 1)] * d
-        grid = np.stack(np.meshgrid(*axes, indexing="ij")).reshape(d, -1).T
-        grid = grid[grid.sum(axis=1) <= K]
-        return grid.astype(float) * spacing
-    out = np.empty((count, d))
-    row = 0
-    for combo in _compositions(K, d + 1):
-        out[row] = np.array(combo[:d], dtype=float) * spacing
-        row += 1
-    return out
+    return _lattice_table(K, d)[0] * spacing
 
 
 def barycentric_lattice(p: VPolytope, mesh: float, max_points: int = 500_000) -> np.ndarray:
@@ -319,7 +315,8 @@ def barycentric_lattice(p: VPolytope, mesh: float, max_points: int = 500_000) ->
     from math import comb
     if comb(K + v - 1, v - 1) > max_points:
         raise ValueError("barycentric lattice beyond the point cap")
-    weights = np.array(list(_compositions(K, v)), dtype=float) / K
+    table, left = _lattice_table(K, v - 1)
+    weights = np.column_stack([table, left]) / K
     return weights @ p.vertices
 
 

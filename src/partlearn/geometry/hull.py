@@ -5,43 +5,41 @@ on which the set spans at most ETA are split off, and a query's squared
 distance along them is added to the rest (``axial2``), so cross-section
 nets, flat in their section coordinate, keep their plain coordinates.  If
 the set is still flat in some direction (every point within ETA of the
-centroid along it, found by an SVD of the centred points), Qhull runs on
-the set's coordinates in its span and the facet form is lifted back.  So
-the set is full-dimensional in its span, of effective dimension k; Qhull's
-facets are simplices of the set's own points, with unit normals ``a`` and
-offsets ``b``, and the hull lies in every ``a.x <= b``.
+centroid along it, found by an SVD of the centred points), the facet form
+is found in the set's coordinates in its span and lifted back.  So the set
+is full-dimensional in its span, of effective dimension k; its facets are
+simplices of the set's own points (Qhull's for k >= 2; for k = 1 the
+segment's two end points), with unit normals ``a`` and offsets ``b``, and
+the hull lies in every ``a.x <= b``.
 
 A point inside the facet form is at its distance to the span, less the
 largest such distance of the set's own points (at most ETA per flat
 direction): distances are exact up to ETA along flat directions, and exact
 otherwise.  A point x outside the facet form (``a.x - b > ETA`` for some
-facet) is measured on the facets that see it (``a.x - b > -ETA``):
+facet) is measured by Johnson's distance sub-algorithm (Gilbert, Johnson &
+Keerthi, IEEE J. Robotics & Automation 4(2), 1988), the same way for every
+k, on the faces of the facets that see it (``a.x - b > -ETA``):
 
 * The nearest hull point p lies on such a facet: the residual ``x - p`` is
   in the normal cone at p, so some facet through p has ``a.(x - p) > 0``.
 * If x projects into a facet that sees it, that projection is the nearest
   point, because the hull lies in the facet's halfspace (for x in the span,
-  x is exactly ``a.x - b`` away).  Each facet's barycentric map is
-  computed once per hull.
-* Otherwise the nearest point lies on a lower face of a visible facet.  At
-  each face, the projection of x onto the face's affine hull is the face's
-  nearest point when its barycentric coordinates are >= 0; otherwise the
-  face's own faces are searched, down to triangles (Johnson's distance
-  sub-algorithm; Gilbert, Johnson & Keerthi, IEEE J. Robotics & Automation
-  4(2), 1988).  For k <= 3 the facets are segments or triangles, measured
-  directly.
+  x is exactly ``a.x - b`` away).
+* Otherwise the faces are searched level by level, from the facets down to
+  the edges and then the vertices.  At each face the projection of x onto
+  the face's affine hull is a candidate when its barycentric coordinates
+  are >= 0, and that face's own faces are not searched; the other faces
+  hand theirs to the next level.  If p lies in the relative interior of a
+  face G, it is x's projection onto G's affine hull, and every face above
+  G whose projection is feasible has p as that projection; so p is always
+  among the candidates.  Each face's barycentric map is computed once per
+  hull, on first use.
 
-Every face measured lies in the hull, so the minimum never falls below the
-true distance, and the face holding the nearest point is always among those
-measured; results equal the minimum over all faces up to rounding.
-
-The segment and triangle kernels work row by row on broadcastable arrays:
-one form serves a point against a fixed simplex, (point, simplex) pairs,
-and all-pairs tables.  The cheap upper bound is the distance to the
-nearest sampled hull point, found by a KD-tree over the samples (built once
-per hull, on first use).
+Every candidate lies in the hull, so the minimum never falls below the true
+distance; results equal the minimum over all faces up to rounding.  The
+cheap upper bound is the distance to the nearest sampled hull point, found
+by a KD-tree over the samples (built once per hull, on first use).
 """
-
 from __future__ import annotations
 
 from functools import cached_property
@@ -53,88 +51,8 @@ from scipy.spatial import cKDTree as _KDTree
 from ..predicates import ETA, as_point
 from .polytope import VPolytope
 
-_PAIR_CHUNK = 1 << 16   # (point, simplex) pairs per distance block
+_PAIR_CHUNK = 1 << 16   # (point, face) pairs per distance block
 _FLAT_GRAM = 1e-12      # faces with det(Gram) <= this * prod(diag) are flat
-
-
-def _segment_points(X: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Nearest point of segment [A, B] to X, row by row.
-
-    All arguments broadcast against each other over their leading axes; the
-    last axis is the coordinate axis.
-    """
-    D = B - A
-    dd = (D * D).sum(axis=-1)
-    dd = np.where(dd < 1e-30, 1.0, dd)
-    t = np.clip(((X - A) * D).sum(axis=-1) / dd, 0.0, 1.0)
-    return np.where((t < 1.0)[..., None], A + t[..., None] * D, B)
-
-
-def _triangle_points(X: np.ndarray, A: np.ndarray, B: np.ndarray,
-                     C: np.ndarray) -> np.ndarray:
-    """Nearest point of triangle ABC to X, row by row (any ambient dim).
-
-    Voronoi-region point/triangle classification; arguments broadcast as in
-    `_segment_points`.  The region formulas cannot resolve a flat triangle
-    (sin^2 of its angle at A at most 1e-12: repeated or collinear vertices up
-    to rounding).  Such a triangle lies within 1e-6 of its longest edge's
-    length of that edge, so it takes the nearest point of that edge, a point
-    of the triangle: the distance is never under-reported.
-    """
-    ab, ac, bc = B - A, C - A, C - B
-    AP, BP, CP = X - A, X - B, X - C
-    d1 = (AP * ab).sum(-1)
-    d2 = (AP * ac).sum(-1)
-    d3 = (BP * ab).sum(-1)
-    d4 = (BP * ac).sum(-1)
-    d5 = (CP * ab).sum(-1)
-    d6 = (CP * ac).sum(-1)
-    vc = d1 * d4 - d3 * d2
-    vb = d5 * d2 - d1 * d6
-    va = d3 * d6 - d5 * d4
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_ab = np.clip(d1 / np.where(np.abs(d1 - d3) < 1e-30, 1.0, d1 - d3), 0.0, 1.0)
-        t_ac = np.clip(d2 / np.where(np.abs(d2 - d6) < 1e-30, 1.0, d2 - d6), 0.0, 1.0)
-        den_bc = (d4 - d3) + (d5 - d6)
-        t_bc = np.clip((d4 - d3) / np.where(np.abs(den_bc) < 1e-30, 1.0, den_bc), 0.0, 1.0)
-        den = va + vb + vc
-        den = np.where(np.abs(den) < 1e-30, 1.0, den)
-        v_in = vb / den
-        w_in = vc / den
-
-    on_ab = A + t_ab[..., None] * ab
-    on_ac = A + t_ac[..., None] * ac
-    on_bc = B + t_bc[..., None] * bc
-    P = A + v_in[..., None] * ab + w_in[..., None] * ac
-    r6 = (va <= 0) & ((d4 - d3) >= 0) & ((d5 - d6) >= 0)
-    P = np.where(r6[..., None], on_bc, P)
-    r5 = (vb <= 0) & (d2 >= 0) & (d6 <= 0)
-    P = np.where(r5[..., None], on_ac, P)
-    r4 = (d6 >= 0) & (d5 <= d6)
-    P = np.where(r4[..., None], C, P)
-    r3 = (vc <= 0) & (d1 >= 0) & (d3 <= 0)
-    P = np.where(r3[..., None], on_ab, P)
-    r2 = (d3 >= 0) & (d4 <= d3)
-    P = np.where(r2[..., None], B, P)
-    r1 = (d1 <= 0) & (d2 <= 0)
-    P = np.where(r1[..., None], A, P)
-    # a flat triangle lies within its longest edge: project onto that edge
-    ab2, ac2 = (ab * ab).sum(-1), (ac * ac).sum(-1)
-    flat = ab2 * ac2 - (ab * ac).sum(-1) ** 2 <= 1e-12 * ab2 * ac2
-    if flat.any():
-        bc2 = (bc * bc).sum(-1)
-        edge = np.where(((ab2 >= ac2) & (ab2 >= bc2))[..., None], on_ab,
-                        np.where((ac2 >= bc2)[..., None], on_ac, on_bc))
-        P = np.where(flat[..., None], edge, P)
-    return P
-
-
-def _simplex_points(X: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """Nearest point to X of each segment or triangle S[..., j, :], row by row."""
-    if S.shape[-2] == 2:
-        return _segment_points(X, S[..., 0, :], S[..., 1, :])
-    return _triangle_points(X, S[..., 0, :], S[..., 1, :], S[..., 2, :])
 
 
 def distance_to_hull(x, p, norm: str = "l2"):
@@ -203,21 +121,20 @@ def _flat_frame(P: np.ndarray):
 
 def _face_levels(verts: np.ndarray, facets: np.ndarray):
     """The face lattice of a simplicial boundary, from the facets down to
-    triangles.
+    the edges.
 
-    ``facets`` holds vertex indices into ``verts`` (k per facet, k >= 4).
-    Returns ``(levels, triangles)``: one level per face size j = k, ..., 4,
-    each ``(v0, E, M, flat, children)`` with a face's first vertex, its edge
+    ``facets`` holds vertex indices into ``verts``, k per facet.  Returns
+    ``(levels, ends)``: one level per face size j = k, ..., 2, each
+    ``(v0, E, M, flat, children)`` with a face's first vertex, its edge
     vectors from it, the barycentric map ``M = (E E^T)^-1 E``, whether it is
-    too flat for one, and the indices of its j faces in the next level; and
-    the triangles' vertex coordinates.
+    too flat for one, and the indices of its j faces in the next level (an
+    edge's children are its two vertex rows); and ``ends``, the points the
+    last level's indices name (the vertices; for k = 1, the facets).
     """
     levels = []
     faces = np.sort(facets, axis=1)
-    while faces.shape[1] > 3:
+    while faces.shape[1] > 1:
         j = faces.shape[1]
-        subs = np.stack([np.delete(faces, d, axis=1) for d in range(j)], axis=1)
-        below, children = np.unique(subs.reshape(-1, j - 1), axis=0, return_inverse=True)
         v0 = verts[faces[:, 0]]
         E = verts[faces[:, 1:]] - v0[:, None, :]
         G = E @ E.transpose(0, 2, 1)
@@ -225,9 +142,17 @@ def _face_levels(verts: np.ndarray, facets: np.ndarray):
         flat = np.linalg.det(G) <= _FLAT_GRAM * diag
         G[flat] = np.eye(j - 1)
         M = np.linalg.solve(G, E)
+        if j == 2:
+            children, faces = faces, np.arange(verts.shape[0])[:, None]
+        else:
+            drop = np.nonzero(~np.eye(j, dtype=bool))[1].reshape(j, j - 1)  # row d: all but d
+            subs = faces[:, drop].reshape(-1, j - 1)
+            # one bytes key per row: np.unique's axis=0 path is ~2x slower
+            keys = subs.view(np.dtype((np.void, subs.itemsize * (j - 1)))).ravel()
+            _, first, children = np.unique(keys, return_index=True, return_inverse=True)
+            faces = subs[first]
         levels.append((v0, E, M, flat, children.reshape(-1, j)))
-        faces = below
-    return levels, verts[faces]
+    return levels, verts[faces[:, 0]]
 
 
 def _record(dist, near, rows, d, P):
@@ -245,9 +170,10 @@ class PointHull:
     The set is reduced to its own affine hull (see the module docstring), of
     effective dimension ``k``; ``vertex_indices`` are its vertices' rows in
     the point set.  Queries work on the axes along which the set varies,
-    and the constant axes add ``axial2``.  The facet form (Qhull's, for
-    k >= 2) is kept on those axes, lifted back from the set's span when the
-    set is flat in a direction that is no axis.
+    and the constant axes add ``axial2``.  For k >= 1 the facet form
+    ``(A, b)`` and the boundary facets (rows of the point set, k each) are
+    kept on those axes, lifted back from the set's span when the set is
+    flat in a direction that is no axis.
 
     * `lower_bounds`: the largest facet violation, with the distance to the
       set's span (sound: each facet's halfspace contains the hull).
@@ -255,10 +181,10 @@ class PointHull:
       at most 40 vertices, their pair midpoints, answered by a KD-tree
       (sound: each sample lies in the hull).
     * `distances` and `project`: inside the facet form, the distance to the
-      span; outside, exact in every dimension, measured only on the facets
-      that see a point and, where its projection misses them, on their
-      lower faces (the module docstring gives why that subset holds the
-      nearest point).
+      span; outside, exact, by one face recursion for every k: the facets
+      that see a point and, where its projection misses them, their faces
+      down to the vertices (the module docstring gives why that subset
+      holds the nearest point).
     """
 
     def __init__(self, points: np.ndarray):
@@ -275,8 +201,6 @@ class PointHull:
         self._var_axes = np.arange(self.m)
         self._tilt = None         # (centre, normal, band) of a flat set's span
         self._facets = None       # (A, b) with A x <= b on the varying axes
-        self._surface = None      # boundary simplices on the varying axes (k <= 3)
-        self._levels = None       # face lattice (k >= 4), built on first use
         if self.is_empty:
             return
         span = P.max(axis=0) - P.min(axis=0)
@@ -300,7 +224,7 @@ class PointHull:
             lo, hi = int(Q[:, 0].argmin()), int(Q[:, 0].argmax())
             self.vertex_indices = np.array(sorted((lo, hi)))
             A, b = np.array([[1.0], [-1.0]]), np.array([Q[hi, 0], -Q[lo, 0]])
-            simplices = np.array([[lo, hi], [lo, hi]])     # both ends: the segment
+            simplices = np.array([[hi], [lo]])     # each facet: one end point
         else:
             hull = _QHull(Q)
             eq = hull.equations  # A x + b <= 0 with unit A rows
@@ -313,10 +237,7 @@ class PointHull:
                 A = A @ basis
                 b = b + A @ centre
             self._facets = (A, b)
-            if k <= 3:
-                self._surface = Pv[simplices]
-            else:
-                self._verts, self._simplices = Pv, simplices
+            self._verts, self._simplices = Pv, simplices
 
     @cached_property
     def _upper_pts(self) -> np.ndarray:
@@ -333,6 +254,10 @@ class PointHull:
     @cached_property
     def _tree(self):
         return _KDTree(self._upper_pts)
+
+    @cached_property
+    def _levels(self):
+        return _face_levels(self._verts, self._simplices)
 
     def _split(self, X: np.ndarray):
         """(coordinates on the varying axes, squared distance on the constant axes)."""
@@ -425,36 +350,18 @@ class PointHull:
     def _surface_nearest(self, Xv: np.ndarray, viol: np.ndarray):
         """(distances, nearest points) of the boundary for outside points.
 
-        Each point is measured only on the facets that see it
-        (``viol > -ETA``) and, for k >= 4, on the lower faces `_descend`
-        leaves, as (point, simplex) pairs in bounded chunks.
+        Johnson's face recursion, as (point, face) pairs in bounded chunks,
+        from the facets that see a point (``viol > -ETA``) down to the
+        vertices.  A point that projects into a facet that sees it is
+        settled there.  At every lower face, a projection with barycentric
+        coordinates >= 0 is a candidate and the face's own faces are not
+        searched; the other faces hand their faces to the next level.  The
+        pairs left after the edges are measured against their vertices.
         """
-        rows, simp = np.nonzero(viol > -ETA)
+        levels, ends = self._levels
+        rows, face = np.nonzero(viol > -ETA)
         dist = np.full(Xv.shape[0], np.inf)
         near = np.empty_like(Xv)
-        surface = self._surface
-        if self.k >= 4:
-            rows, simp, surface = self._descend(Xv, viol, rows, simp, dist, near)
-        for s in range(0, rows.size, _PAIR_CHUNK):
-            i, f = rows[s:s + _PAIR_CHUNK], simp[s:s + _PAIR_CHUNK]
-            P = _simplex_points(Xv[i], surface[f])
-            d = np.linalg.norm(Xv[i] - P, axis=1)
-            _record(dist, near, i, d, P)
-        return dist, near
-
-    def _descend(self, Xv, viol, rows, face, dist, near):
-        """Johnson's face recursion from the visible facets down to triangles.
-
-        A point that projects into a facet that sees it is settled there.
-        At every lower face, a projection with barycentric coordinates >= 0
-        is a candidate and the face's own faces are not searched; the other
-        faces hand their faces to the next level.  Folds the candidates into
-        ``dist``/``near`` and returns the (point, triangle) pairs left, with
-        the triangles' coordinates.
-        """
-        if self._levels is None:
-            self._levels = _face_levels(self._verts, self._simplices)
-        levels, triangles = self._levels
         for depth, (v0, E, M, flat, children) in enumerate(levels):
             feasible = np.zeros(rows.size, dtype=bool)
             for s in range(0, rows.size, _PAIR_CHUNK):
@@ -472,9 +379,14 @@ class PointHull:
             keep = ~np.isfinite(dist[rows]) if depth == 0 else ~feasible
             n_below = int(children.max()) + 1
             pairs = np.sort((rows[keep][:, None] * n_below + children[face[keep]]).ravel())
-            pairs = pairs[np.diff(pairs, prepend=-1) != 0]
-            rows, face = pairs // n_below, pairs % n_below
-        return rows, face, triangles
+            # distinct pairs by hand: np.unique hashes integers, ~10x slower here
+            first = np.ones(pairs.size, dtype=bool)
+            first[1:] = pairs[1:] != pairs[:-1]
+            rows, face = np.divmod(pairs[first], n_below)
+        for s in range(0, rows.size, _PAIR_CHUNK):
+            i, P = rows[s:s + _PAIR_CHUNK], ends[face[s:s + _PAIR_CHUNK]]
+            _record(dist, near, i, np.linalg.norm(Xv[i] - P, axis=1), P)
+        return dist, near
 
     def _nearest(self, Xv: np.ndarray, offsets):
         """(distances, nearest points) on the varying axes."""

@@ -131,7 +131,7 @@ def uepp_cells(u: UEPP, max_m: int = 4, max_n: int = 8) -> PartitionGroundTruth:
     return PartitionGroundTruth(u.m, cells, u)
 
 
-def _enumerate_vertices(A: np.ndarray, b: np.ndarray, m: int, tol: float = 1e-9) -> np.ndarray:
+def _enumerate_vertices(A: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
     out = []
     nr = A.shape[0]
     for combo in itertools.combinations(range(nr), m):
@@ -295,9 +295,11 @@ class Oracle:
         return self.ground_truth.label_set(y)
 
     def __call__(self, y) -> int:
+        # an outside point is refused before it is charged
         y = as_point(y)
+        labels = self.label_set(y)
         self.log.charge(y)
-        ans = self.tie_break(y, self.label_set(y))
+        ans = self.tie_break(y, labels)
         self.log.amend_last_label(ans)
         return ans
 
@@ -419,7 +421,7 @@ def critical_coordinates(u: UEPP, alpha: float, tol: float = 1e-9) -> list:
         if not cell.is_empty:
             coords.extend(float(v) for v in cell.vertices[:, 0])
     for i in range(1, u.n + 1):
-        lr = alpha_critical(u, i, alpha)
+        lr = alpha_critical(u, i, alpha, tol)
         if lr is not None:
             coords.extend(lr)
     coords.sort()

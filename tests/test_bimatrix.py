@@ -73,6 +73,16 @@ def test_strong_oracle_returns_tie_set():
     assert o.log.count == 1
 
 
+def test_strong_oracle_refuses_before_it_charges():
+    g = BimatrixGame(np.array([[0.5, 0.5], [0.2, 0.8]]), np.eye(2) * 0.5)
+    o = br_oracle(g, "row", kind="strong", budget=1)
+    with pytest.raises(ValueError):
+        o(np.array([1.5]))
+    assert o.log.count == 0 and o.log.transcript == []
+    assert o(np.array([0.5])) == {1, 2}
+    assert o.log.count == 1 and o.log.transcript == [((0.5,), (1, 2))]
+
+
 def test_lexicographic_oracle_min_index():
     g = BimatrixGame(np.array([[0.5, 0.5], [0.2, 0.8]]), np.eye(2) * 0.5)
     o = br_oracle(g, "row", kind="lexicographic")

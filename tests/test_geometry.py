@@ -13,7 +13,7 @@ from partlearn.geometry import (
     corner_simplex_vertices, cross_section, diameter, distance_to_hull,
     enumerate_k_faces, gamma_interior, lambda_embed, section_map, slice_polytope,
 )
-from partlearn.geometry.hull import PointHull, _simplex_points
+from partlearn.geometry.hull import PointHull
 from partlearn.geometry.polytope import all_faces
 from partlearn.predicates import ETA
 
@@ -208,12 +208,11 @@ def _enumerated_distances(P, X):
 
 def _all_surface_distances(h, X):
     """Distances with every outside point measured against *all* boundary
-    simplices (the scan the visible-facet rule replaced); inside points of a
-    tilted flat set are at their distance to its span."""
+    facets, each by the vertex-subset enumeration (the scan the
+    visible-facet rule replaced); inside points of a tilted flat set are at
+    their distance to its span."""
     Xv, axial2 = h._split(X)
-    S = h._surface
-    P = _simplex_points(Xv[:, None, :], S[None])
-    d = np.linalg.norm(Xv[:, None, :] - P, axis=2).min(axis=1)
+    d = np.min([_enumerated_distances(h._verts[f], Xv) for f in h._simplices], axis=0)
     outside = h.facet_offsets(X).max(axis=1) > ETA
     return np.sqrt(np.where(outside, d * d, h._off_span(Xv)[0] ** 2) + axial2)
 
@@ -241,7 +240,7 @@ def test_point_hull_kernels_match_brute_force(case):
     # points are at 0, and the visible facets give the all-simplex minimum
     np.testing.assert_allclose(d, _enumerated_distances(P, X), rtol=0, atol=1e-12)
     assert (d[len(far):] <= 1e-12).all()
-    if h._surface is not None:
+    if h._facets is not None:
         np.testing.assert_allclose(d, _all_surface_distances(h, X), rtol=0, atol=1e-12)
 
 
@@ -264,7 +263,7 @@ def test_frank_wolfe_never_exceeds_the_nearest_sample_on_a_thin_tilted_set():
     c = P.mean(axis=0)
     basis = np.linalg.svd(P - c)[2][:2]
     flat = PointHull((P - c) @ basis.T)
-    assert flat._surface is not None
+    assert flat._facets is not None
     Y = (X - c) @ basis.T
     off = np.linalg.norm((X - c) - Y @ basis, axis=1)
     exact = np.sqrt(flat.distances(Y) ** 2 + off ** 2)
@@ -300,6 +299,7 @@ def test_point_hull_distances_match_face_enumeration(case):
     assert h.k == k and h._facets is not None
     d = h.distances(X)
     np.testing.assert_allclose(d, _enumerated_distances(P, X), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(d, _all_surface_distances(h, X), rtol=0, atol=1e-12)
     # one row at a time: blocks whose points all settle on a facet
     single = np.concatenate([h.distances(x[None, :]) for x in X])
     np.testing.assert_allclose(single, d, rtol=0, atol=1e-12)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -9,7 +10,9 @@ from scipy.spatial import ConvexHull, QhullError
 
 from partlearn import bimatrix
 from partlearn.bimatrix import voronoi_label_masks
-from partlearn.coverage import SimplexSlab, barycentric_lattice, simplex_lattice, verify_eps_net
+from partlearn.coverage import (
+    SimplexSlab, barycentric_lattice, lattice_count, simplex_lattice, verify_eps_net,
+)
 from partlearn.geometry import (
     PointHull, VPolytope, convex_hull, corner_simplex_vertices, distance_to_hull,
 )
@@ -191,6 +194,27 @@ def test_empty_region_trivially_close():
     lab = EmpiricalLabelling(2, 1)
     rep = verify_eps_net(SimplexSlab(2, 0.8, 0.2), [], 0.1)
     assert rep.is_close
+
+
+@pytest.mark.parametrize("d", range(6))
+@pytest.mark.parametrize("K", [1, 2, 5])
+def test_simplex_lattice_matches_product_reference(d, K):
+    # lex-ordered product of 0..K per coordinate, kept where the sum <= K
+    spacing = 1 / K
+    rows = [c for c in itertools.product(range(K + 1), repeat=d) if sum(c) <= K]
+    want = np.array(rows, dtype=float).reshape(len(rows), d) * spacing
+    got = simplex_lattice(d, spacing)
+    assert got.shape == want.shape == (lattice_count(d, spacing), d)
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("v", [2, 3, 4])
+def test_barycentric_lattice_weights_match_product_reference(v):
+    # on the unit vectors the lattice points are the weights themselves
+    p = VPolytope(np.eye(v))
+    K = math.ceil(v * math.sqrt(2) / 0.5)
+    want = np.array([c for c in itertools.product(range(K + 1), repeat=v) if sum(c) == K]) / K
+    np.testing.assert_array_equal(barycentric_lattice(p, 0.5), want)
 
 
 def test_barycentric_lattice_mesh():

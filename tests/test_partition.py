@@ -71,6 +71,16 @@ def test_oracle_budget_error_is_distinct():
         o2([2.0, 2.0])
 
 
+def test_refused_query_is_not_charged():
+    o = make_oracle(three_cell_uepp(), budget=1)
+    with pytest.raises(ValueError):
+        o([2.0, 0.0])
+    assert o.log.count == 0 and o.log.transcript == []
+    # the refusal used up no budget: the one allowed query is still answered
+    assert o([0.8, 0.1]) == 1
+    assert o.log.count == 1 and o.log.transcript == [((0.8, 0.1), 1)]
+
+
 def test_oracle_clone_resets_log():
     o = make_oracle(three_cell_uepp(), kind="adversarial", seed=3)
     o([0.1, 0.1])
