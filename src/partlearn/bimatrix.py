@@ -5,9 +5,11 @@ Best-response regions of each player form upper-envelope partitions of the
 opponent's mixed-strategy simplex, so learning them is a labelling problem
 over reduced coordinates (first strategy's probability implicit).  The
 solver learns both partitions through adversarial best-response queries
-only, then grid-searches for a profile whose supports sit inside slack
-Voronoi best-response sets; payoff access is gated by an audit so the query
-path provably never touches utilities.
+only, coarse first, and grid-searches each round's labellings for a profile
+whose supports sit inside slack Voronoi best-response sets; a coarse round's
+profile is accepted only when the learned hulls witness it (`witness_radius`).
+Payoff access is gated by an audit so the query path provably never touches
+utilities.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from .cdgbs import GbsConfig, cd_gbs_adversarial
 from .coverage import lattice_count, simplex_lattice, unit_step
-from .crgbs import CrConfig, cr_gbs
+from .crgbs import CrConfig, cr_gbs, cr_sub_eps
 from .geometry import corner_simplex_vertices
 from .labelling import EmpiricalLabelling, voronoi_band_masks
 from .partition import UEPP, Oracle, QueryLog
@@ -35,11 +37,16 @@ from .predicates import ETA, as_point
 # accuracy and the Voronoi slack eps / SLACK_DIVISOR alone, so the first
 # lattice with a fixed point serves.  Masking runs in blocks of VORONOI_BLOCK
 # lattice rows, which bounds its facet-offset arrays whatever the lattice.
+# `solve_wsne` learns the partitions in rounds, at LEARN_ROUNDS times the
+# final accuracy, coarsest first; a coarse round's profile must pass the
+# witness rule, whose radius WITNESS_MARGIN shrinks (`witness_radius`).
 SUPPORT_MASS = 1e-9          # a strategy is in the support above this mass
 STEP_DIVISOR = 8.0
 SLACK_DIVISOR = 8.0
 COARSE_ROUNDS = 2
 REFINE_ROUNDS = 3
+LEARN_ROUNDS = (4.0, 2.0, 1.0)
+WITNESS_MARGIN = 1e3 * ETA
 LATTICE_CAP = 8_000_000      # points of one player's scan lattice
 VORONOI_BLOCK = 2048
 
@@ -229,6 +236,15 @@ class WsneCertificate:
     queries_row: int = 0
     queries_col: int = 0
     grid_resolution: float | None = None
+    # the accepting round's learning accuracies, and each supported
+    # strategy's hull distance (`witness_distances`) against its side's
+    # `witness_radius`
+    accuracy_row: float | None = None
+    accuracy_col: float | None = None
+    row_witness: dict | None = None
+    col_witness: dict | None = None
+    row_witness_radius: float | None = None
+    col_witness_radius: float | None = None
 
     def to_json(self) -> str:
         return json.dumps({
@@ -243,6 +259,12 @@ class WsneCertificate:
             "queries_row": self.queries_row,
             "queries_col": self.queries_col,
             "grid_resolution": self.grid_resolution,
+            "accuracy_row": self.accuracy_row,
+            "accuracy_col": self.accuracy_col,
+            "row_witness": self.row_witness,
+            "col_witness": self.col_witness,
+            "row_witness_radius": self.row_witness_radius,
+            "col_witness_radius": self.col_witness_radius,
         })
 
 
@@ -282,9 +304,32 @@ def verify_wsne(g: BimatrixGame, u, v, eps: float) -> WsneCertificate:
                            list(col_regrets), row_regrets, col_regrets, bool(ok))
 
 
+class AnswerMemo:
+    """One player's best-response oracle with its answers kept by query point.
+
+    A point asked again is answered from memory: it neither reaches the
+    oracle nor is charged.  ``log`` is the oracle's own, so its count is the
+    number of distinct points asked.  `solve_wsne`'s learning rounds ask
+    many of the same points, and the memo makes each round pay only for the
+    points no earlier round asked.
+    """
+
+    def __init__(self, oracle):
+        self.oracle = oracle
+        self.log = oracle.log
+        self._answers = {}
+
+    def __call__(self, y):
+        key = as_point(y).tobytes()
+        if key not in self._answers:
+            self._answers[key] = self.oracle(y)
+        return self._answers[key]
+
+
 @dataclass
 class BrOracles:
-    """Best-response oracles plus the dimensions the solver may know."""
+    """Best-response oracles (each in its `AnswerMemo`) plus the dimensions
+    the solver may know."""
 
     row: object
     column: object
@@ -300,7 +345,7 @@ def make_br_oracles(game: BimatrixGame, kind: str = "adversarial", policy: str =
                     budget=budget, record=record)
     col = br_oracle(guarded, "column", kind=kind, policy=policy, seed=seed + 1,
                     budget=budget, record=record)
-    return BrOracles(row, col, game.m, game.n, guarded.audit)
+    return BrOracles(AnswerMemo(row), AnswerMemo(col), game.m, game.n, guarded.audit)
 
 
 def _single_label_labelling(dim: int, n_labels: int) -> EmpiricalLabelling:
@@ -319,7 +364,6 @@ def _learn_partition(oracle, dim: int, labels: int, eps: float) -> EmpiricalLabe
     if labels == 1:
         return _single_label_labelling(dim, labels)
     k = math.comb(labels, 2)
-    from .crgbs import cr_sub_eps
     if dim > k and (k == 1 or cr_sub_eps(dim, labels, eps) >= 1e-3):
         return cr_gbs(CrConfig(dim, labels, eps, oracle_kind="adversarial"), oracle)
     return cd_gbs_adversarial(GbsConfig(dim, labels, eps, oracle_kind="adversarial"), oracle)
@@ -419,18 +463,109 @@ def _scan_steps(first: float) -> list:
     return sorted(set(steps), reverse=True)
 
 
+def witness_radius(eps: float, dim: int) -> float:
+    """How near the opponent's mix every supported strategy's hull must lie
+    for the witness rule to prove a profile an eps-WSNE.
+
+    Let H_j be the hull of the points the oracle answered j, over the
+    opponent's reduced mixes in ``dim`` coordinates.  Each such point lies
+    in j's best-response cell widened by the oracle's tie band ETA, an
+    intersection of halfspaces and so convex; so j's regret is at most ETA
+    on all of H_j, however coarse the labelling.  Every strategy's utility
+    is 1-Lipschitz in the l1 norm of reduced coordinates (criterion 7), so
+    a regret (the best utility minus j's) is 2-Lipschitz in l1 and
+    2 sqrt(dim)-Lipschitz in l2.  So j's regret at a mix x is at most
+    ETA + 2 sqrt(dim) dist(x, H_j), which is at most eps once
+    dist(x, H_j) <= eps / (2 sqrt(dim)) less a margin.  WITNESS_MARGIN
+    covers, with room to spare, the tie band, the moves of `snap_points`
+    (at most sqrt(dim) ETA / 2 per snap, one snap per lift level) and the
+    ETA to which `PointHull` distances are exact.
+    """
+    return eps / (2.0 * math.sqrt(max(dim, 1))) - WITNESS_MARGIN
+
+
+def witness_distances(lab: EmpiricalLabelling, mix, support: list) -> dict:
+    """Distance from the opponent's ``mix`` to the hull of the points
+    answered j (`EmpiricalLabelling.label_hull`, merges aside: a merged
+    class's hull may reach beyond j's cell), for each strategy j of
+    ``support``; inf for a strategy never answered."""
+    x = as_point(mix)[None, :]
+    return {j: float(lab.label_hull(j).distances(x)[0]) for j in support}
+
+
+def _fitting_masks(lab: EmpiricalLabelling, grid: np.ndarray, supports: np.ndarray,
+                   other: np.ndarray, sigma: float) -> np.ndarray:
+    """`voronoi_label_masks` of the lattice points whose support lies
+    inside some mask of ``other`` (the opponent's masks over its lattice),
+    and 0 elsewhere.  A point whose support fits no opponent mask is in no
+    fixed point whatever its own mask, so the scan's first fixed point is
+    the one the full masks give."""
+    fits = np.zeros(len(grid), dtype=bool)
+    for mask in np.unique(other):
+        fits |= (supports & ~mask) == 0
+    masks = np.zeros(len(grid), dtype=np.int64)
+    masks[fits] = voronoi_label_masks(lab, grid[fits], sigma)
+    return masks
+
+
+def _scan(row_lab: EmpiricalLabelling, col_lab: EmpiricalLabelling, dim_u: int, dim_v: int,
+          steps: list, sigma: float):
+    """The scan's candidate: (u, v, u's support, v's support, step) of the
+    lexicographically first fixed point of the first lattice of ``steps``
+    that has one, or None.  Raises RuntimeError naming the cap and the step
+    when a lattice would exceed LATTICE_CAP points."""
+    for delta in steps:
+        if max(lattice_count(dim_u, delta), lattice_count(dim_v, delta)) > LATTICE_CAP:
+            raise RuntimeError(f"fixed point not found before the scan lattice at step "
+                               f"{delta:g} exceeded the cap of {LATTICE_CAP} points")
+        u_grid, v_grid = simplex_lattice(dim_u, delta), simplex_lattice(dim_v, delta)
+        supp_u, supp_v = _support_masks(u_grid), _support_masks(v_grid)
+        # column BRs to u and row BRs to v; the larger lattice is masked
+        # only where its support fits some mask of the smaller one
+        if len(u_grid) >= len(v_grid):
+            vor_row = voronoi_label_masks(row_lab, v_grid, sigma)
+            vor_col = _fitting_masks(col_lab, u_grid, supp_u, vor_row, sigma)
+        else:
+            vor_col = voronoi_label_masks(col_lab, u_grid, sigma)
+            vor_row = _fitting_masks(row_lab, v_grid, supp_v, vor_col, sigma)
+        # the column player first: the first v, then the first u that fits it
+        hit = _first_fixed_point([supp_v, supp_u], [vor_col, vor_row])
+        if hit is not None:
+            j, i = hit
+            return (u_grid[i].copy(), v_grid[j].copy(), _mask_to_list(int(supp_u[i])),
+                    _mask_to_list(int(supp_v[j])), delta)
+    return None
+
+
 def solve_wsne(oracles: BrOracles, eps: float) -> WsneCertificate:
     """Compute an eps-WSNE from best-response queries alone.
 
-    Learns both best-response partitions adversarially, then scans
-    deterministic product lattices, coarsest first (`_scan_steps` of
-    eps / STEP_DIVISOR rounded down to a step 1/K), for a profile whose
-    supports lie inside slack Voronoi best-response sets.  The certificate
-    is the lexicographically first such profile of the coarsest lattice
-    that has one; ``grid_resolution`` is that lattice's step.  Raises
-    RuntimeError naming the last step scanned when no lattice has one, and
-    naming the cap and the step when a lattice would exceed LATTICE_CAP
-    points.
+    Learns both best-response partitions adversarially in rounds, at
+    LEARN_ROUNDS times the final accuracies ``eps_r / 2`` and ``eps_c / 2``
+    (``eps_r = eps / (2 sqrt(n - 1))``, ``eps_c = eps / (2 sqrt(m - 1))``),
+    coarsest first.  Each round scans deterministic product lattices,
+    coarsest first (`_scan_steps` of eps / STEP_DIVISOR rounded down to a
+    step 1/K), for a profile whose supports lie inside slack Voronoi
+    best-response sets, and takes the lexicographically first such profile
+    of the coarsest lattice that has one.
+
+    A coarse round returns its profile only when the witness rule accepts
+    it: every supported strategy's hull (`witness_distances`) lies within
+    `witness_radius` of the opponent's mix, which proves the profile an
+    eps-WSNE whatever the labellings' accuracy.  A coarse round with no
+    fixed point, or whose profile fails the rule, moves on.  The final round
+    returns its profile with no witness requirement, so it asks the points
+    and returns the certificate of a single round at the final accuracy
+    (the oracle may answer a tie point as it did in an earlier round).
+    Every answer is kept across rounds (`AnswerMemo`), so a later round
+    pays only for points no earlier round asked.
+
+    The certificate records the accepting round's accuracies and the
+    supported hulls' distances against the witness radii;
+    ``grid_resolution`` is the step of the lattice the profile lies on.
+    Raises RuntimeError naming the last step scanned when the final round
+    finds no fixed point, and naming the cap and the step as soon as a
+    lattice would exceed LATTICE_CAP points.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -438,29 +573,29 @@ def solve_wsne(oracles: BrOracles, eps: float) -> WsneCertificate:
     dim_u, dim_v = m - 1, n - 1
     eps_r = eps / (2.0 * math.sqrt(max(n - 1, 1)))
     eps_c = eps / (2.0 * math.sqrt(max(m - 1, 1)))
+    radius_row, radius_col = witness_radius(eps, dim_v), witness_radius(eps, dim_u)
     q0r, q0c = oracles.row.log.count, oracles.column.log.count
-    # row best-response partition lives over column mixes, and vice versa
-    row_lab = _learn_partition(oracles.row, dim_v, m, eps_r / 2.0)
-    col_lab = _learn_partition(oracles.column, dim_u, n, eps_c / 2.0)
-
-    sigma = eps / SLACK_DIVISOR
     # a step of 1/K keeps the pure profiles on the lattice
-    for delta in _scan_steps(unit_step(eps / STEP_DIVISOR)):
-        if max(lattice_count(dim_u, delta), lattice_count(dim_v, delta)) > LATTICE_CAP:
-            raise RuntimeError(f"fixed point not found before the scan lattice at step "
-                               f"{delta:g} exceeded the cap of {LATTICE_CAP} points")
-        u_grid, v_grid = simplex_lattice(dim_u, delta), simplex_lattice(dim_v, delta)
-        supp_u, supp_v = _support_masks(u_grid), _support_masks(v_grid)
-        vor_col = voronoi_label_masks(col_lab, u_grid, sigma)   # column BRs to u
-        vor_row = voronoi_label_masks(row_lab, v_grid, sigma)   # row BRs to v
-        # the column player first: the first v, then the first u that fits it
-        hit = _first_fixed_point([supp_v, supp_u], [vor_col, vor_row])
-        if hit is not None:
-            j, i = hit
+    steps = _scan_steps(unit_step(eps / STEP_DIVISOR))
+    for factor in LEARN_ROUNDS:
+        acc_r, acc_c = factor * eps_r / 2.0, factor * eps_c / 2.0
+        # row best-response partition lives over column mixes, and vice versa
+        row_lab = _learn_partition(oracles.row, dim_v, m, acc_r)
+        col_lab = _learn_partition(oracles.column, dim_u, n, acc_c)
+        hit = _scan(row_lab, col_lab, dim_u, dim_v, steps, eps / SLACK_DIVISOR)
+        if hit is None:
+            continue
+        u, v, row_support, col_support, delta = hit
+        row_witness = witness_distances(row_lab, v, row_support)
+        col_witness = witness_distances(col_lab, u, col_support)
+        witnessed = max(row_witness.values()) <= radius_row and \
+            max(col_witness.values()) <= radius_col
+        if witnessed or factor == LEARN_ROUNDS[-1]:
             return WsneCertificate(
-                u_grid[i].copy(), v_grid[j].copy(), eps,
-                _mask_to_list(int(supp_u[i])), _mask_to_list(int(supp_v[j])),
+                u, v, eps, row_support, col_support,
                 queries_row=oracles.row.log.count - q0r,
                 queries_col=oracles.column.log.count - q0c,
-                grid_resolution=delta)
-    raise RuntimeError(f"fixed point not found at resolution {delta:g}")
+                grid_resolution=delta, accuracy_row=acc_r, accuracy_col=acc_c,
+                row_witness=row_witness, col_witness=col_witness,
+                row_witness_radius=radius_row, col_witness_radius=radius_col)
+    raise RuntimeError(f"fixed point not found at resolution {steps[-1]:g}")

@@ -104,6 +104,13 @@ class EmpiricalLabelling:
             self._hulls[root] = PointHull(snap_points(self.points_of(root)))
         return self._hulls[root]
 
+    def label_hull(self, label: int) -> PointHull:
+        """The hull of the points stored under one raw label, merges aside:
+        the cached `point_hull` when the label's class is the label alone."""
+        if self._members[self.find(label)] == [label]:
+            return self.point_hull(label)
+        return PointHull(snap_points(self.points_of(label, merged=False)))
+
     def hull(self, label: int) -> VPolytope:
         """The vertices of `point_hull`: exactly ``convex_hull(points_of(label))``."""
         h = self.point_hull(label)

@@ -12,10 +12,12 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .geometry import VPolytope, chebyshev, convex_hull, corner_simplex_hpolytope, empty_polytope
+from .geometry import (PointHull, VPolytope, chebyshev, convex_hull, corner_simplex_hpolytope,
+                       empty_polytope)
 from .geometry.polytope import HPolytope
 from .predicates import ETA, as_point, in_corner_simplex
 
@@ -88,7 +90,8 @@ def uepp_label_set(u: UEPP, y, tol: float = ETA) -> set:
 
 @dataclass
 class PartitionGroundTruth:
-    """Explicit cells of a partition: list of (label, VPolytope)."""
+    """Explicit cells of a partition: list of (label, VPolytope), fixed
+    once the first query is answered (each cell's `PointHull` is cached)."""
 
     m: int
     cells: list  # [(label, VPolytope)]
@@ -98,16 +101,19 @@ class PartitionGroundTruth:
     def n(self) -> int:
         return max(lbl for lbl, _ in self.cells)
 
+    @cached_property
+    def _hulls(self) -> list:
+        """(label, PointHull) of every nonempty cell, built on first use."""
+        return [(lbl, PointHull(cell.vertices)) for lbl, cell in self.cells if not cell.is_empty]
+
     def label_set(self, y, tol: float = 1e-7) -> set:
-        from .geometry import distance_to_hull
         y = as_point(y)
-        out = set()
-        for lbl, cell in self.cells:
-            if cell.is_empty:
-                continue
-            d, _ = distance_to_hull(y, cell)
-            if d <= tol:
-                out.add(lbl)
+        if y.size != self.m:
+            raise ValueError("dimension mismatch")
+        y = y[None, :]
+        # the facet bound is a lower bound: cells it puts beyond tol are skipped
+        out = {lbl for lbl, h in self._hulls
+               if h.lower_bounds(y)[0] <= tol and h.distances(y)[0] <= tol}
         if not out:
             raise ValueError("point not covered by any cell")
         return out

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from partlearn import bimatrix
 from partlearn.bimatrix import (
     BimatrixGame, GuardedGame, PayoffAudit, PayoffAuditError, _first_fixed_point, _learn_partition,
-    _scan_steps, _support_masks, best_value, br_oracle, br_partition, expand, lower_bound_game,
-    make_br_oracles, pure_utilities, solve_wsne, utilities, verify_wsne, voronoi_label_masks,
+    _scan, _scan_steps, _support_masks, best_value, br_oracle, br_partition, expand,
+    lower_bound_game, make_br_oracles, pure_utilities, solve_wsne, utilities, verify_wsne,
+    voronoi_label_masks, witness_distances, witness_radius,
 )
 from partlearn.coverage import simplex_lattice, unit_step
 from partlearn.partition import uepp_label_set
@@ -220,7 +221,7 @@ def test_degenerate_single_strategy_side():
     g = random_game(1, 3, seed=11)
     oracles = make_br_oracles(g, seed=2)
     cert = solve_wsne(oracles, 0.1)
-    assert cert.queries_col == 0 or cert.queries_col >= 0
+    assert cert.queries_col == oracles.column.log.count
     assert verify_wsne(g, cert.u, cert.v, 0.1).valid
     # the row side needs no learning at all: single-label partition
     assert cert.queries_row == 0
@@ -320,8 +321,9 @@ def _missing(sizes, misses=math.inf):
 
 
 def test_scan_failure_names_the_last_step_scanned(monkeypatch):
-    # 2-D lattices at steps 1/20, 1/40, 1/80, 1/160, 1/320
-    sizes = [math.comb(K + 2, 2) for K in (20, 40, 80, 160, 320)]
+    # 2-D lattices at steps 1/20, 1/40, 1/80, 1/160, 1/320, scanned in full
+    # by every learning round
+    sizes = [math.comb(K + 2, 2) for K in (20, 40, 80, 160, 320)] * len(bimatrix.LEARN_ROUNDS)
     missing, seen = _missing(sizes)
     monkeypatch.setattr(bimatrix, "_first_fixed_point", missing)
     with pytest.raises(RuntimeError, match=r"not found at resolution 0\.003125$"):
@@ -364,14 +366,178 @@ def test_scan_past_the_coarse_lattices_returns_the_fine_lattice_certificate(monk
     assert verify_wsne(g, cert.u, cert.v, eps).valid
 
 
+@pytest.mark.parametrize("m,n,seed", [(4, 3, 101), (4, 3, 119), (3, 4, 5), (3, 3, 6)])
+@pytest.mark.parametrize("slack", [1.0, 8.0])
+def test_scan_matches_the_fully_masked_scan(m, n, seed, slack):
+    # the scan masks the larger lattice only where a support fits a mask of
+    # the smaller one; the first fixed point must be the full masks' one
+    eps = 0.1
+    oracles = make_br_oracles(random_game(m, n, seed), seed=0)
+    row_lab = _learn_partition(oracles.row, n - 1, m, 4 * eps / (4 * math.sqrt(n - 1)))
+    col_lab = _learn_partition(oracles.column, m - 1, n, 4 * eps / (4 * math.sqrt(m - 1)))
+    sigma = slack * eps / 8
+    expected = None
+    for delta in _scan_steps(unit_step(eps / 8)):
+        u_grid, v_grid = simplex_lattice(m - 1, delta), simplex_lattice(n - 1, delta)
+        hit = _first_fixed_point(
+            [_support_masks(v_grid), _support_masks(u_grid)],
+            [voronoi_label_masks(col_lab, u_grid, sigma), voronoi_label_masks(row_lab, v_grid, sigma)])
+        if hit is not None:
+            expected = (u_grid[hit[1]].tolist(), v_grid[hit[0]].tolist(), delta)
+            break
+    got = _scan(row_lab, col_lab, m - 1, n - 1, _scan_steps(unit_step(eps / 8)), sigma)
+    assert expected is not None and got is not None
+    assert (got[0].tolist(), got[1].tolist(), got[4]) == expected
+
+
+def test_fitting_masks_measure_exactly_the_points_that_fit():
+    eps = 0.1
+    oracles = make_br_oracles(random_game(4, 3, seed=101), seed=0)
+    col_lab = _learn_partition(oracles.column, 3, 3, eps / (4 * math.sqrt(3)))
+    grid = simplex_lattice(3, 1 / 20)
+    supports = _support_masks(grid)
+    full = voronoi_label_masks(col_lab, grid, eps / 8)
+    for other in ([1, 2, 4, 8], [3, 12], [7], [5, 2], [15]):
+        other = np.array(other, dtype=np.int64)
+        fits = np.array([any(int(s) & ~int(o) == 0 for o in other) for s in supports])
+        got = bimatrix._fitting_masks(col_lab, grid, supports, other, eps / 8)
+        assert np.array_equal(got, np.where(fits, full, 0))
+
+
 def test_certificate_json_fields():
     g = lower_bound_game(0.5, 0.5)
     oracles = make_br_oracles(g, seed=4)
     cert = solve_wsne(oracles, 0.1)
     import json
     payload = json.loads(cert.to_json())
-    for key in ("u", "v", "eps", "row_support", "col_support", "queries_row", "queries_col"):
+    for key in ("u", "v", "eps", "row_support", "col_support", "queries_row", "queries_col",
+                "grid_resolution", "accuracy_row", "accuracy_col", "row_witness", "col_witness",
+                "row_witness_radius", "col_witness_radius"):
         assert key in payload
+    # accepted by the first round's witnesses: every supported hull lies
+    # within its side's radius
+    assert payload["accuracy_row"] == payload["accuracy_col"] == bimatrix.LEARN_ROUNDS[0] * 0.1 / 4
+    assert sorted(map(int, payload["row_witness"])) == payload["row_support"]
+    assert sorted(map(int, payload["col_witness"])) == payload["col_support"]
+    assert max(payload["row_witness"].values()) <= payload["row_witness_radius"]
+    assert max(payload["col_witness"].values()) <= payload["col_witness_radius"]
+    assert payload["row_witness_radius"] == witness_radius(0.1, 1)
+
+
+# -- learning rounds and the witness rule ------------------------------------------------
+
+@st.composite
+def witness_cases(draw):
+    """A random 3x3 or 4x3 game, labellings learned at a coarse accuracy,
+    and a Voronoi slack up to 8 times the solver's, so that scan
+    candidates fail the rule as well as pass it."""
+    m = draw(st.sampled_from([3, 4]))
+    return (m, draw(st.integers(0, 2 ** 20)), draw(st.sampled_from([4.0, 8.0, 16.0, 32.0])),
+            draw(st.sampled_from([1.0, 4.0, 8.0])))
+
+
+@settings(max_examples=40, deadline=None)
+@given(witness_cases())
+def test_witness_rule_accepts_only_wsne(case):
+    m, seed, factor, slack = case
+    n, eps = 3, 0.1
+    g = random_game(m, n, seed)
+    oracles = make_br_oracles(g, seed=seed)
+    row_lab = _learn_partition(oracles.row, n - 1, m, factor * eps / (4 * math.sqrt(n - 1)))
+    col_lab = _learn_partition(oracles.column, m - 1, n, factor * eps / (4 * math.sqrt(m - 1)))
+    # the bound behind the rule, at random mixes: a strategy's regret is at
+    # most 2 sqrt(dim) times the distance to the hull of its answers, and at
+    # most eps' within witness_radius(eps', dim) of it
+    rng = np.random.default_rng(seed)
+    for side, lab, dim in (("row", row_lab, n - 1), ("column", col_lab, m - 1)):
+        mixes = rng.dirichlet(np.ones(dim + 1), size=100)[:, 1:]
+        labels = list(range(1, lab.n + 1))
+        for x in mixes:
+            vals = pure_utilities(g, side, x)
+            for j, d in witness_distances(lab, x, labels).items():
+                regret = vals.max() - vals[j - 1]
+                assert regret <= 2 * math.sqrt(dim) * d + 1e-9
+                for radius_eps in (0.02, 0.05, 0.1, 0.2):
+                    assert d > witness_radius(radius_eps, dim) or regret <= radius_eps
+    hit = _scan(row_lab, col_lab, m - 1, n - 1, _scan_steps(unit_step(eps / 8)), slack * eps / 8)
+    if hit is None:
+        return
+    u, v, row_support, col_support, _delta = hit
+    rows = witness_distances(row_lab, v, row_support)
+    cols = witness_distances(col_lab, u, col_support)
+    if max(rows.values()) <= witness_radius(eps, n - 1) and \
+            max(cols.values()) <= witness_radius(eps, m - 1):
+        assert verify_wsne(g, u, v, eps).valid
+
+
+# Certificates and query counts of a solve that learns once, at the final
+# accuracy (eps_r / 2, eps_c / 2): (game, eps, u, v, row support, column
+# support, grid resolution, row queries, column queries).
+ONE_ROUND = [
+    (random_game(4, 3, seed=101), 0.1, [0.0, 0.725, 0.0], [0.0, 0.275], [1, 3], [1, 3],
+     0.025, 172, 466),
+    (lower_bound_game(0.3, 0.7), 0.05, [0.7], [0.3], [1, 2], [1, 2], 0.025, 9, 9),
+]
+
+
+@pytest.mark.parametrize("case", ONE_ROUND, ids=["4x3", "lower-bound"])
+def test_final_round_asks_the_one_round_points_and_returns_its_certificate(monkeypatch, case):
+    # with the coarse rounds made to miss, the final round asks exactly the
+    # points a one-round solve asks (each once) and returns its certificate
+    g, eps, u, v, row_support, col_support, grid, queries_row, queries_col = case
+    monkeypatch.setattr(bimatrix, "witness_radius", lambda eps, dim: -1.0)
+    learn, asked = bimatrix._learn_partition, []
+
+    def counted(oracle, dim, labels, acc):
+        keys = []
+
+        def ask(y):
+            keys.append(np.asarray(y, dtype=float).tobytes())
+            return oracle(y)
+        ask.log = oracle.log
+        lab = learn(ask, dim, labels, acc)
+        asked.append((len(keys), len(set(keys))))
+        return lab
+    monkeypatch.setattr(bimatrix, "_learn_partition", counted)
+    oracles = make_br_oracles(g, seed=0)
+    cert = solve_wsne(oracles, eps)
+    assert len(asked) == 2 * len(bimatrix.LEARN_ROUNDS)
+    assert asked[-2:] == [(queries_row, queries_row), (queries_col, queries_col)]
+    assert cert.accuracy_row == eps / (4 * math.sqrt(max(g.n - 1, 1)))
+    assert cert.accuracy_col == eps / (4 * math.sqrt(max(g.m - 1, 1)))
+    assert cert.u.tolist() == pytest.approx(u, abs=1e-12)
+    assert cert.v.tolist() == pytest.approx(v, abs=1e-12)
+    assert (cert.row_support, cert.col_support, cert.grid_resolution) == \
+        (row_support, col_support, grid)
+    # the coarse rounds' points the final round asks again are free
+    assert (cert.queries_row, cert.queries_col) == \
+        (oracles.row.log.count, oracles.column.log.count)
+    assert cert.queries_row >= queries_row and cert.queries_col >= queries_col
+    assert verify_wsne(g, cert.u, cert.v, eps).valid
+
+
+@pytest.mark.parametrize("game,rounds", [
+    (random_game(4, 3, seed=114), 1), (random_game(4, 3, seed=119), 2),
+    (lower_bound_game(0.3, 0.7), 1), (lower_bound_game(0.62, 0.18), 1)])
+def test_learning_rounds_never_ask_more_than_one_round(monkeypatch, game, rounds):
+    factor = bimatrix.LEARN_ROUNDS[rounds - 1]
+    cert = solve_wsne(make_br_oracles(game, seed=0), 0.1)
+    monkeypatch.setattr(bimatrix, "LEARN_ROUNDS", (1.0,))
+    single = solve_wsne(make_br_oracles(game, seed=0), 0.1)
+    assert cert.queries_row + cert.queries_col <= single.queries_row + single.queries_col
+    # accepted by the witness rule in the expected round
+    assert cert.accuracy_col == factor * single.accuracy_col
+    assert verify_wsne(game, cert.u, cert.v, 0.1).valid
+
+
+def test_answer_memo_charges_each_point_once():
+    oracles = make_br_oracles(random_game(4, 3, seed=7), seed=0)
+    memo = oracles.column
+    pts = np.random.default_rng(8).dirichlet(np.ones(4), size=20)[:, 1:]
+    answers = [memo(p) for p in pts]
+    assert memo.log is memo.oracle.log and memo.log.count == 20
+    assert [memo(p) for p in pts] == answers
+    assert memo.log.count == 20
 
 
 # -- payoff audit ---------------------------------------------------------------------

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from partlearn import partition
 from partlearn.geometry import cross_section, distance_to_hull, face_map
 from partlearn.geometry.polytope import all_faces
 from partlearn.partition import (
@@ -135,6 +136,24 @@ def test_uepp_cells_agree_with_label_set(seed):
         assert labels <= member
         assert member & labels
     assert gt.n == 4
+
+
+@pytest.mark.parametrize("m,n", [(1, 3), (2, 4), (3, 4), (4, 5)])
+def test_ground_truth_label_sets_match_the_uepp(monkeypatch, m, n):
+    # at points whose envelope leads by 1e-3, one hull per cell built on the
+    # first query answers every query, as the UEPP does
+    u = random_uepp(m, n, seed=m + n)
+    gt = uepp_cells(u)
+    rng = np.random.default_rng(m)
+    pts = rng.dirichlet(np.ones(m + 1), size=400)[:, 1:]
+    vals = np.sort(pts @ u.A.T + u.b, axis=1)
+    pts = pts[vals[:, -1] - vals[:, -2] > 1e-3]
+    gt.label_set(pts[0])
+    builds = []
+    monkeypatch.setattr(partition, "PointHull", lambda *a: builds.append(a))
+    for y in pts:
+        assert gt.label_set(y) == u.label_set(y)
+    assert len(pts) > 100 and builds == []
 
 
 def test_uepp_cells_cap():
