@@ -26,7 +26,7 @@ from .coverage import lattice_count, simplex_lattice, unit_step
 from .crgbs import CrConfig, cr_gbs, cr_sub_eps
 from .geometry import corner_simplex_vertices
 from .labelling import EmpiricalLabelling, voronoi_band_masks
-from .partition import UEPP, Oracle, QueryLog
+from .partition import UEPP, AnswerMemo, Oracle, QueryLog
 from .predicates import ETA, as_point
 
 # The scan's fixed settings.  The scan tries its lattices coarsest first
@@ -302,28 +302,6 @@ def verify_wsne(g: BimatrixGame, u, v, eps: float) -> WsneCertificate:
         all(r <= eps + ETA for r in col_regrets.values())
     return WsneCertificate(as_point(u), as_point(v), eps, list(row_regrets),
                            list(col_regrets), row_regrets, col_regrets, bool(ok))
-
-
-class AnswerMemo:
-    """One player's best-response oracle with its answers kept by query point.
-
-    A point asked again is answered from memory: it neither reaches the
-    oracle nor is charged.  ``log`` is the oracle's own, so its count is the
-    number of distinct points asked.  `solve_wsne`'s learning rounds ask
-    many of the same points, and the memo makes each round pay only for the
-    points no earlier round asked.
-    """
-
-    def __init__(self, oracle):
-        self.oracle = oracle
-        self.log = oracle.log
-        self._answers = {}
-
-    def __call__(self, y):
-        key = as_point(y).tobytes()
-        if key not in self._answers:
-            self._answers[key] = self.oracle(y)
-        return self._answers[key]
 
 
 @dataclass

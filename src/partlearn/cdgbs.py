@@ -16,8 +16,9 @@ plain endpoint semantics.
 This module is the search core shared with the face-by-face search of
 ``crgbs``: every lower-dimensional run (a cross-section or a face) is pulled
 back through one lift, suspect neighbourhoods are repaired by one routine,
-and every public entry finishes in one body that merges (adversarial) or
-checks (lexicographic) interior conflicts.
+and every public entry finishes in one body that asks through the run's
+one `AnswerMemo` and merges (adversarial) or checks (lexicographic)
+interior conflicts.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 from .coverage import SimplexSlab, slab_certificate_2d, verify_eps_net
 from .geometry import PointHull, convex_hull, section_map
 from .labelling import EmpiricalLabelling, interior_conflict, is_slice_covered
-from .partition import KINDS
+from .partition import KINDS, AnswerMemo
 from .predicates import ETA
 
 
@@ -139,15 +140,16 @@ class RunStats:
     ``per_level_uncovered`` and ``suspects`` describe the top-level dyadic
     search; ``face_queries`` maps each face's vertex subset to its queries
     and ``fallback`` says cr_gbs ran the dimension recursion directly.
-    ``depth_queries[d]`` holds the queries issued by runs at lift depth d:
+    ``depth_queries[d]`` holds the queries charged by runs at lift depth d:
     0 is the top-level search, its cross-sections or cr_gbs faces are 1,
-    their cross-sections 2, and so on; it sums to ``queries``.
+    their cross-sections 2, and so on; a memo hit counts nowhere, and the
+    list sums to ``queries``.
     ``refinements`` counts the cross-sections re-learned at `sub_eps` after
     a coarse first pass (each is also one of the ``recursions``).
     """
 
     queries: int = 0
-    depth_queries: list = field(default_factory=list)
+    depth_queries: list = field(default_factory=lambda: [0])
     recursions: int = 0
     refinements: int = 0
     fixes: int = 0
@@ -239,8 +241,8 @@ class _Search:
     certificate: each half of a last-level uncovered slab, and, before a
     lexicographic search halts on ``cap``, each uncovered slab.  A half that
     still fails is left to the end verifiers.  Repairs learn at `sub_eps`.
-    Each section's answers are cached, so re-learning it pays only for the
-    queries its coarse pass did not ask.
+    ``query`` answers from the run's `AnswerMemo`, so re-learning a section
+    pays only for the points its coarse pass did not ask.
     """
 
     def __init__(self, m: int, n: int, eps: float, query, adversarial: bool,
@@ -258,7 +260,6 @@ class _Search:
         self.flagged = False
         self.suspects = []      # local recursion coords with flagged sub-runs
         self.coarse = set()     # coords whose section has had only its first pass
-        self._answers = {}      # t -> answer cache of the section's lifted query
         self._bracket_hulls = {}
 
     def _add_net(self, t: float, net: dict) -> None:
@@ -281,7 +282,7 @@ class _Search:
         else:
             self.coarse.discard(t)
         res = _section(self.m, self.n, acc, t, self.query, self.adversarial, self.stats,
-                       self.depth + 1, self._answers.setdefault(t, {}))
+                       self.depth + 1)
         self._add_net(t, {lbl: blocks[0] for lbl, blocks in res.points.items()})
         if res.flagged and t not in self.suspects:
             self.suspects.append(t)
@@ -395,47 +396,38 @@ def _run(m: int, n: int, eps: float, query, adversarial: bool, stats: RunStats,
 
 
 def _lift(inv, dim: int, n: int, eps: float, query, adversarial: bool,
-          stats: RunStats, depth: int, cache: dict | None = None) -> _RunOutput:
+          stats: RunStats, depth: int) -> _RunOutput:
     """Search the corner dim-simplex through ``inv`` (the inverse map of a
     cross-section or a face) at lift depth ``depth`` and pull every
     labelled point back with it.
 
-    Answers are kept in ``cache`` (keyed by the local point), so a search
-    run again through the same map pays only for points it has not asked.
-    A query that reaches the oracle counts at ``depth_queries[d]`` for the
-    depth d of the innermost lift that asked it: each lift hands d outward,
-    and the depth-1 lift, whose ``query`` is the oracle itself, books it.  A
-    cache hit at any level counts nowhere.  `_learn` fills in depth 0,
-    which no lift sees.
+    ``query`` is the run's `AnswerMemo` or an enclosing lift's query, with
+    the memo's ``log``.  The log's growth during the search counts at
+    ``depth_queries[depth]`` and comes off the enclosing run's depth, so a
+    query counts once, at the depth of the innermost run that asked it, and
+    a memo hit counts nowhere.
     """
+    def lifted(z):
+        return query(inv(z))
+
+    lifted.log = log = query.log
     counts = stats.depth_queries
     counts.extend([0] * (depth + 1 - len(counts)))
-    cache = {} if cache is None else cache
-
-    def lifted(z, origin=depth):
-        key = z.tobytes()
-        lbl = cache.get(key)
-        if lbl is None:
-            if depth == 1:
-                lbl = query(inv(z))
-                counts[origin] += 1
-            else:
-                lbl = query(inv(z), origin)
-            cache[key] = lbl
-        return lbl
-
+    before = log.count
     res = _run(dim, n, eps, lifted, adversarial, stats, depth)
+    asked = log.count - before
+    counts[depth] += asked
+    counts[depth - 1] -= asked
     return _RunOutput({lbl: [inv(np.vstack(blocks))] for lbl, blocks in res.points.items()},
                       res.flagged)
 
 
 def _section(m: int, n: int, acc: float, t: float, query, adversarial: bool,
-             stats: RunStats, depth: int, cache: dict | None = None) -> _RunOutput:
+             stats: RunStats, depth: int) -> _RunOutput:
     """One cross-section recursion at coordinate t and accuracy ``acc``, in
     the run's frame."""
     stats.recursions += 1
-    return _lift(section_map(t, m).inverse, m - 1, n, acc, query, adversarial, stats, depth,
-                 cache)
+    return _lift(section_map(t, m).inverse, m - 1, n, acc, query, adversarial, stats, depth)
 
 
 def _ball_slab(x: float, eps: float, m: int) -> SimplexSlab:
@@ -502,28 +494,34 @@ def fix_uncovered_critical(lab: EmpiricalLabelling, x: float, cfg: GbsConfig, or
     Recurses at fresh coordinates from a seeded low-discrepancy sequence
     inside the eps/2 ball around x until the ball slab is covered by the
     class hulls; raises after the attempt cap (an inconsistent oracle).
+    Asks through an `AnswerMemo` and counts in ``stats`` as a search would.
     """
     stats = stats or RunStats()
     adversarial = cfg.oracle_kind == "adversarial"
+    memo = AnswerMemo(oracle)
+    before = memo.log.count
 
     def recurse(z: float) -> None:
-        _add_points(lab, _section(cfg.m, cfg.n, sub_eps(cfg.eps, cfg.m, cfg.n, z), z, oracle,
+        _add_points(lab, _section(cfg.m, cfg.n, sub_eps(cfg.eps, cfg.m, cfg.n, z), z, memo,
                                   adversarial, stats, 1).points)
 
     _repair(x, cfg.eps, cfg.m, uncovered_cap(cfg.m, cfg.n), cfg.seed, lambda: _global_hulls(lab),
             recurse, stats)
+    stats.depth_queries[0] += memo.log.count - before
     return lab
 
 
 def _learn(m: int, n: int, oracle, adversarial: bool, fill) -> EmpiricalLabelling:
-    """The body of every public search: ``fill(lab, stats)`` queries and
-    stores the points, then interior conflicts are merged away (adversarial
-    oracle) or flagged (lexicographic oracle, where the assembly argument
-    says none can occur).  The labelling carries the run's ``stats``."""
+    """The body of every public search: ``fill(lab, stats, query)`` asks the
+    run's `AnswerMemo` of ``oracle`` and stores the points, then interior
+    conflicts are merged away (adversarial oracle) or flagged (lexicographic
+    oracle, where the assembly argument says none can occur).  The labelling
+    carries the run's ``stats``; depth 0 gets the queries no lift booked."""
     stats = RunStats()
-    before = oracle.log.count
+    query = AnswerMemo(oracle)
+    before = query.log.count
     lab = EmpiricalLabelling(m, n)
-    fill(lab, stats)
+    fill(lab, stats, query)
     if adversarial:
         while (conflict := interior_conflict(lab)) is not None:
             i, j, _ = conflict
@@ -531,9 +529,8 @@ def _learn(m: int, n: int, oracle, adversarial: bool, fill) -> EmpiricalLabellin
             stats.merges.append((min(i, j), max(i, j)))
     else:
         stats.conflict_flag = interior_conflict(lab) is not None
-    stats.queries = oracle.log.count - before
-    lifted = stats.depth_queries[1:]
-    stats.depth_queries = [stats.queries - sum(lifted)] + lifted
+    stats.queries = query.log.count - before
+    stats.depth_queries[0] += stats.queries
     lab.stats = stats
     return lab
 
@@ -543,8 +540,8 @@ def _dyadic(cfg: GbsConfig, oracle, adversarial: bool) -> EmpiricalLabelling:
     if cfg.oracle_kind != kind:
         raise ValueError(f"this search needs oracle_kind {kind!r}, not {cfg.oracle_kind!r}")
 
-    def fill(lab, stats):
-        _add_points(lab, _run(cfg.m, cfg.n, cfg.eps, oracle, adversarial, stats, 0).points)
+    def fill(lab, stats, query):
+        _add_points(lab, _run(cfg.m, cfg.n, cfg.eps, query, adversarial, stats, 0).points)
 
     return _learn(cfg.m, cfg.n, oracle, adversarial, fill)
 

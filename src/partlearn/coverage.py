@@ -312,8 +312,7 @@ def barycentric_lattice(p: VPolytope, mesh: float, max_points: int = 500_000) ->
     if diam <= mesh:
         return p.vertices.copy()
     K = int(np.ceil(v * diam / mesh))
-    from math import comb
-    if comb(K + v - 1, v - 1) > max_points:
+    if math.comb(K + v - 1, v - 1) > max_points:
         raise ValueError("barycentric lattice beyond the point cap")
     table, left = _lattice_table(K, v - 1)
     weights = np.column_stack([table, left]) / K

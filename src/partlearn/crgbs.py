@@ -5,9 +5,10 @@ With n regions, every cell vertex lies on a face of dimension C(n, 2), so
 learning all such faces with the constant-dimension search and pulling the
 points back recovers the partition.  Each face run is prefixed with direct
 queries at the face's vertices, which the assembly argument needs and the
-plain recursive search does not guarantee.  When the ambient dimension does
-not exceed C(n, 2) the face route buys nothing and the constant-dimension
-search runs directly.
+plain recursive search does not guarantee; the run's answer memo charges
+each simplex vertex once.  When the ambient dimension does not exceed
+C(n, 2) the face route buys nothing and the constant-dimension search runs
+directly.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .cdgbs import GbsConfig, _add_points, _learn, _lift, cd_gbs, cd_gbs_adversarial
-from .geometry import enumerate_k_faces
+from .geometry import enumerate_k_faces, face_map
 from .partition import KINDS
 # interior_conflict stays bound here (the merge loop is cdgbs._learn's):
 # perfbench's outside-in tracer patches every module binding of it
@@ -68,15 +69,15 @@ def cr_gbs(cfg: CrConfig, oracle) -> EmpiricalLabelling:
     if len(faces) > MAX_FACES:
         raise ValueError("face count beyond the configured cap")
 
-    def fill(lab, stats):
+    def fill(lab, stats, query):
         for face, fmap in faces:
-            before = oracle.log.count
+            before = query.log.count
             for v in face.vertex_coords():
-                lab.add_query(v, oracle(v))
+                lab.add_query(v, query(v))
             if cfg.k >= 1:
-                _add_points(lab, _lift(fmap.inverse, cfg.k, cfg.n, cfg.sub_eps, oracle,
+                _add_points(lab, _lift(fmap.inverse, cfg.k, cfg.n, cfg.sub_eps, query,
                                        adversarial, stats, 1).points)
-            stats.face_queries[face.vertex_subset] = oracle.log.count - before
+            stats.face_queries[face.vertex_subset] = query.log.count - before
 
     return _learn(cfg.m, cfg.n, oracle, adversarial, fill)
 
@@ -86,8 +87,6 @@ def assemble_from_faces(face_labellings: dict) -> EmpiricalLabelling:
 
     Keys are Face objects, values labellings over the corner k-simplex.
     """
-    from .geometry import face_map
-
     if not face_labellings:
         raise ValueError("no face labellings")
     faces = list(face_labellings)

@@ -49,6 +49,7 @@ from scipy.spatial import ConvexHull as _QHull
 from scipy.spatial import cKDTree as _KDTree
 
 from ..predicates import ETA, as_point
+from .lp import l1_distance_to_hull
 from .polytope import VPolytope
 
 _PAIR_CHUNK = 1 << 16   # (point, face) pairs per distance block
@@ -72,7 +73,6 @@ def distance_to_hull(x, p, norm: str = "l2"):
     if x.size == 0:
         return 0.0, x.copy()
     if norm == "l1":
-        from .lp import l1_distance_to_hull
         return l1_distance_to_hull(x, V)
     if norm != "l2":
         raise ValueError("norm must be 'l2' or 'l1'")

@@ -10,7 +10,9 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .polytope import VPolytope
+from .hull import PointHull
+from .lp import chebyshev
+from .polytope import HPolytope, VPolytope
 
 
 def diameter(p: VPolytope) -> float:
@@ -32,10 +34,6 @@ def vpolytope_thickness(p: VPolytope) -> float:
 
     Degenerate hulls (affine dimension below ambient) have thickness 0.
     """
-    from .hull import PointHull
-    from .lp import chebyshev
-    from .polytope import HPolytope
-
     if p.is_empty or p.dim == 0:
         return 0.0
     hull = PointHull(p.vertices)

@@ -310,6 +310,28 @@ class Oracle:
         return ans
 
 
+class AnswerMemo:
+    """An oracle with its answers kept by query point: the one answer cache.
+
+    A point asked again is answered from memory: it neither reaches the
+    oracle nor is charged, and a tie point keeps its first answer.  ``log``
+    is the oracle's own, so it counts distinct points.  Every search run
+    asks through one memo (`cdgbs._learn`); `make_br_oracles` keeps one per
+    player across `solve_wsne`'s rounds, and a memo may wrap another.
+    """
+
+    def __init__(self, oracle):
+        self.oracle = oracle
+        self.log = oracle.log
+        self._answers = {}
+
+    def __call__(self, y):
+        key = as_point(y).tobytes()
+        if key not in self._answers:
+            self._answers[key] = self.oracle(y)
+        return self._answers[key]
+
+
 def make_oracle(gt, kind: str = "lexicographic", policy: str = "seeded", seed: int = 0,
                 budget: int | None = None, record: bool = True) -> Oracle:
     return Oracle(gt, kind=kind, policy=policy, seed=seed, budget=budget, record=record)

@@ -11,7 +11,8 @@ from partlearn.cdgbs import (
 from partlearn.geometry import VPolytope, distance_to_hull
 from partlearn.labelling import EmpiricalLabelling, is_eps_close
 from partlearn.partition import (
-    PartitionGroundTruth, QueryBudgetError, UEPP, make_oracle, random_uepp, uepp_cells,
+    AnswerMemo, PartitionGroundTruth, QueryBudgetError, UEPP, make_oracle, random_uepp,
+    uepp_cells,
 )
 from partlearn.predicates import ETA
 
@@ -373,6 +374,17 @@ def test_depth_queries_split_the_queries_by_lift_depth():
     assert d[2] == o.log.count - d[0] - d[1]
 
 
+def test_depth_queries_of_runs_sharing_an_answer_memo():
+    o = make_oracle(random_uepp(3, 3, seed=1), kind="adversarial")
+    memo = AnswerMemo(o)
+    for eps in (0.2, 0.1):
+        before = o.log.count
+        lab = cd_gbs_adversarial(GbsConfig(3, 3, eps, oracle_kind="adversarial"), memo)
+        d = lab.stats.depth_queries
+        assert min(d) >= 0
+        assert sum(d) == lab.stats.queries == o.log.count - before
+
+
 @pytest.mark.parametrize("m, n, eps, seed, coarsen, depth", [
     (2, 3, 0.1, 17, None, 1),   # a 1-D section of the top-level search
     (3, 3, 0.15, 1, None, 2),   # a 1-D section of a 2-D section
@@ -401,12 +413,12 @@ def test_refined_sections_are_paid_once_and_counted_at_their_depth(m, n, eps, se
     d = st.depth_queries
     assert sum(d) == st.queries == o.log.count
     assert min(d) >= 0
-    # a refined section re-asks its coarse points from the answer cache, so
-    # the oracle never sees a point twice
+    # a refined section re-asks its coarse points from the run's answer memo,
+    # so the oracle never sees a point twice
     points = [pt for pt, _ in o.log.transcript]
     assert len(set(points)) == len(points)
     # only apexes are asked above the 1-D searches, and a refined section's
-    # apex is a cache hit: a query counted at a depth the oracle never saw
+    # apex is a memo hit: a query counted at a depth the oracle never saw
     # would break these equalities
     assert st.fixes == 0
     assert d[0] == 1

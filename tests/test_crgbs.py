@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from partlearn.cdgbs import cdgbs_query_bound
+from partlearn.cdgbs import GbsConfig, cd_gbs, cd_gbs_adversarial, cdgbs_query_bound
 from partlearn.crgbs import CrConfig, assemble_from_faces, cr_gbs, cr_sub_eps, gamma_capture
 from partlearn.geometry import Face, corner_simplex_vertices, distance_to_hull, gamma_interior
 from partlearn.labelling import EmpiricalLabelling, is_eps_close, voronoi_labels
@@ -21,9 +21,29 @@ def test_crgbs_close_with_face_budget(m):
     assert len(lab.stats.face_queries) == math.comb(m + 1, 2)
     per_face_cap = cdgbs_query_bound(1, n, cr_sub_eps(m, n, eps)) + 2
     assert o.log.count <= math.comb(m + 1, 2) * per_face_cap
-    # the face-vertex queries are the top level's; the face searches are depth 1
-    assert lab.stats.depth_queries == [2 * math.comb(m + 1, 2),
-                                       o.log.count - 2 * math.comb(m + 1, 2)]
+    # the face-vertex queries are the top level's, each simplex vertex charged
+    # once; the face searches are depth 1
+    assert lab.stats.depth_queries == [m + 1, o.log.count - (m + 1)]
+
+
+# cr_gbs (4, 3) is left out: its faces overrun the verifier's cell cap
+@pytest.mark.parametrize("search, m, n, eps, kind", [
+    ("cd_gbs", 3, 3, 0.1, "lexicographic"),
+    ("cd_gbs_adversarial", 3, 3, 0.1, "adversarial"),
+    *[("cr_gbs", m, 2, 0.15, kind) for m in (3, 4, 5)
+      for kind in ("lexicographic", "adversarial")],
+    ("cr_gbs", 2, 3, 0.15, "lexicographic"),    # the fallback to cd_gbs
+])
+def test_no_search_asks_a_point_twice(search, m, n, eps, kind):
+    o = make_oracle(random_uepp(m, n, seed=1), kind=kind)
+    if search == "cr_gbs":
+        lab = cr_gbs(CrConfig(m, n, eps, oracle_kind=kind), o)
+    else:
+        cfg = GbsConfig(m, n, eps, oracle_kind=kind)
+        lab = (cd_gbs if search == "cd_gbs" else cd_gbs_adversarial)(cfg, o)
+    points = [pt for pt, _ in o.log.transcript]
+    assert len(set(points)) == len(points) == lab.stats.queries
+    assert sum(lab.stats.depth_queries) == lab.stats.queries
 
 
 def test_config_rejects_an_unknown_oracle_kind():
