@@ -1,11 +1,15 @@
-"""n-player k-action games: l1 net lattices, brute-force labelling through
-best-response queries, and Voronoi equilibrium search.
+"""n-player k-action games: l1 net lattices, net labellings learned from
+best-response queries by corner agreement, and Voronoi equilibrium search.
 
 Beyond two players best-response regions stop being convex, so empirical
 regions are kept as raw point sets with l1 nearest-point distances instead
-of hulls; querying every point of an l1 net of each opponent profile space
-still yields close labellings, and the same Voronoi fixed-point search as
-the bimatrix case produces approximate well-supported equilibria.
+of hulls.  A labelling of every point of an l1 net of each opponent profile
+space is still close, and the same Voronoi fixed-point search as the
+bimatrix case produces approximate well-supported equilibria.  The net
+labelling need not ask every net point: each utility difference is affine
+in each opponent's mix, so an action the oracle answers at every vertex of
+a product of lattice boxes is a legal answer (within ETA of the best) at
+every net point inside it (`learn_multiplayer_labellings`).
 """
 
 from __future__ import annotations
@@ -20,8 +24,8 @@ from scipy.spatial import cKDTree
 
 from .bimatrix import (SLACK_DIVISOR, STEP_DIVISOR, PayoffAudit, _first_fixed_point, _mask_to_list,
                        _scan_steps, _support_masks, expand, supported_regrets)
-from .coverage import (MAX_CELLS, CellCapError, CoverageReport, lattice_count, simplex_lattice,
-                       unit_step)
+from .coverage import (MAX_CELLS, CellCapError, CoverageReport, _lattice_steps, _lattice_table,
+                       lattice_count, simplex_lattice, unit_step)
 from .labelling import voronoi_band_masks
 from .partition import QueryLog, TieBreak
 from .predicates import ETA, as_point
@@ -222,6 +226,7 @@ class PointLabelling:
         self._trees = {}
 
     def add(self, x, r: int) -> None:
+        """Give action r to one point, or to every row of a block of points."""
         self.points[r].append(np.asarray(x, dtype=float))
         self._trees.pop(r, None)
 
@@ -248,18 +253,117 @@ class PointLabelling:
 
 
 def learn_multiplayer_labellings(oracles, eps: float):
-    """Query every point of an (eps/2)-net of each player's opponent space."""
+    """Label every point of an (eps/2)-net of each player's opponent space.
+
+    The net points are the lattice points ``i * net.spacing``, i integer,
+    of a product of n - 1 corner (k-1)-simplices.  A cell is a product of
+    one integer box ``lo..hi`` per opponent block, clipped to ``sum <= K``
+    (K = floor(1 / spacing), the net's lattice steps); the root cell is the
+    whole net.  The cell's vertices are labelled first, each asked unless
+    it already has a label.  When they all carry the same action a, a
+    labels every unlabelled net point of the cell unasked; otherwise the
+    cell's longest side is halved at its integer midpoint, a half whose low
+    corner leaves the simplex is dropped, and a cell of side 1 stops: its
+    net points are all vertices.
+
+    This is sound for every (n, k).  Each utility difference u_a - u_b is
+    affine in each opponent's mix, so on a product of polytopes it is a
+    convex combination of its values at the product's vertices.  The
+    oracle answering a at a point means ``u_a >= max_b u_b - ETA`` there;
+    if that holds at every vertex it holds on the whole cell, so a is a
+    legal oracle answer at every point it fills, and a filled label may
+    stand for a vertex's answer in a later cell.  A clipped lattice box has
+    lattice vertices (its bounds plus one all-ones row are totally
+    unimodular): the box corners inside the simplex and each box edge's
+    crossing of ``sum = K``.  So only net points are asked, none twice,
+    and the worst case is the brute-force cost ``n * net.count``.  An asked
+    point keeps the oracle's answer and each action's points are stored in
+    net order, so a labelling differs from asking every net point only at
+    a tie point, where another answer is as legal.
+    """
     if not oracles:
         raise ValueError("no oracles")
     n, k = oracles[0].n, oracles[0].k
     net = build_net(n, k, eps / 2.0)
     labs = []
     for orc in oracles:
+        labels = _label_net(net, orc)
         lab = PointLabelling((k - 1) * (n - 1), k)
-        for x in net.points:
-            lab.add(x, orc(x))
+        for r in range(1, k + 1):
+            block = net.points[labels == r]
+            if len(block):
+                lab.add(block, r)
         labs.append(lab)
     return labs, net
+
+
+def _label_net(net: NetSpec, ask) -> np.ndarray:
+    """Labels (1-based actions) of the net's rows by the box recursion of
+    `learn_multiplayer_labellings`; ``ask`` answers a net point.
+
+    A cell is a tuple of per-block boxes ``(lo, hi)`` of integer tuples.
+    The one label array is also the answer cache: a row is asked only while
+    its label is 0.  A net row is the mixed-radix number of its blocks'
+    ranks in the lex table of `_lattice_table`, the first block most
+    significant, as in `_product`.
+    """
+    K = _lattice_steps(net.spacing)
+    m, d = net.n - 1, net.k - 1
+    table = _lattice_table(K, d)[0]
+    rank = {v: r for r, v in enumerate(map(tuple, table.tolist()))}
+    weight = [net.single_count ** (m - 1 - b) for b in range(m)]
+    labels = np.zeros(net.count, dtype=np.int64)
+
+    # a block's share of the rows of its box's vertices and of all its points
+    @functools.cache
+    def vertices(b, lo, hi) -> list:
+        return [rank[v] * weight[b] for v in _box_vertices(lo, hi, K)]
+
+    @functools.cache
+    def inside(b, lo, hi) -> np.ndarray:
+        return np.flatnonzero(((table >= lo) & (table <= hi)).all(axis=1)) * weight[b]
+
+    stack = [(((0,) * d, (K,) * d),) * m]
+    while stack:
+        cell = stack.pop()
+        corners = [sum(parts) for parts in
+                   itertools.product(*(vertices(b, *box) for b, box in enumerate(cell)))]
+        for row in corners:
+            if not labels[row]:
+                labels[row] = ask(net.points[row])
+        answers = set(labels[corners].tolist())
+        if len(answers) == 1:
+            filled = functools.reduce(np.add.outer,
+                                      (inside(b, *box) for b, box in enumerate(cell))).ravel()
+            labels[filled[labels[filled] == 0]] = answers.pop()
+            continue
+        side, b, j = max(((hi[j] - lo[j], b, j) for b, (lo, hi) in enumerate(cell)
+                          for j in range(d)), key=lambda s: s[0])
+        if side <= 1:
+            continue
+        lo, hi = cell[b]
+        mid = (lo[j] + hi[j]) // 2
+        upper = lo[:j] + (mid,) + lo[j + 1:]
+        lower = hi[:j] + (mid,) + hi[j + 1:]
+        if sum(upper) <= K:
+            stack.append(cell[:b] + ((upper, hi),) + cell[b + 1:])
+        stack.append(cell[:b] + ((lo, lower),) + cell[b + 1:])
+    return labels
+
+
+def _box_vertices(lo: tuple, hi: tuple, K: int) -> list:
+    """Vertices of the integer box ``lo..hi`` (``lo < hi``, ``sum(lo) <= K``)
+    clipped to ``sum <= K``: the box corners inside, and each box edge's
+    crossing of ``sum = K`` strictly between its ends."""
+    out = []
+    for c in itertools.product(*zip(lo, hi)):
+        if sum(c) <= K:
+            out.append(c)
+        for j in range(len(c)):
+            x = K - sum(c) + c[j]       # coordinate j that puts the edge on sum = K
+            if c[j] == lo[j] and lo[j] < x < hi[j]:
+                out.append(c[:j] + (x,) + c[j + 1:])
+    return out
 
 
 def is_l1_close(lab: PointLabelling, eps: float) -> CoverageReport:

@@ -102,10 +102,88 @@ def test_labelling_query_budget_formula():
     oracles, _ = make_multi_oracles(g, seed=1)
     labs, net = learn_multiplayer_labellings(oracles, eps)
     total = sum(o.log.count for o in oracles)
-    assert total == n * net.count
+    # corner agreement asks each net point at most once and leaves some of
+    # this game's net points unasked
+    assert total < n * net.count
     assert total <= n * (n * k / eps) ** (n * k)
     for lab in labs:
         assert is_l1_close(lab, eps / 2).is_close
+
+
+def _every_net_point(g, eps, seed):
+    """Labellings from fresh oracles asked at every (eps/2)-net point."""
+    oracles, _ = make_multi_oracles(g, seed=seed)
+    labs = []
+    for orc in oracles:
+        lab = PointLabelling((g.k - 1) * (g.n - 1), g.k)
+        for x in build_net(g.n, g.k, eps / 2).points:
+            lab.add(x, orc(x))
+        labs.append(lab)
+    return labs, sum(o.log.count for o in oracles)
+
+
+@pytest.mark.parametrize("n, k, eps", [(2, 2, 0.1), (2, 2, 0.02), (2, 3, 0.1), (2, 3, 0.25),
+                                       (2, 4, 0.3), (2, 4, 0.5), (3, 2, 0.1), (3, 2, 0.25),
+                                       (3, 3, 0.5), (3, 3, 0.8), (4, 2, 0.4), (4, 2, 0.6)])
+@pytest.mark.parametrize("seed", range(3))
+def test_corner_agreement_equals_asking_every_net_point(n, k, eps, seed):
+    g = random_game(n, k, seed=100 + seed)
+    oracles, _ = make_multi_oracles(g, seed=seed)
+    labs, _ = learn_multiplayer_labellings(oracles, eps)
+    want, brute = _every_net_point(g, eps, seed)
+    assert [lab.to_json() for lab in labs] == [lab.to_json() for lab in want]
+    assert sum(o.log.count for o in oracles) < brute
+
+
+@pytest.mark.parametrize("n, k", [(2, 2), (2, 4), (3, 2), (3, 3), (4, 2)])
+def test_dominant_game_asks_only_the_pure_profiles(n, k):
+    # the root cell's vertices are the opponents' pure profiles, all
+    # answering the dominant first action
+    oracles, _ = make_multi_oracles(dominant_game(n, k), seed=0)
+    labs, net = learn_multiplayer_labellings(oracles, 0.25)
+    assert sum(o.log.count for o in oracles) == n * k ** (n - 1)
+    for lab in labs:
+        assert len(lab.arrays()[1]) == net.count
+
+
+def _twin_action_game(n, k, seed):
+    """A random game whose first two actions pay every player the same."""
+    g = random_game(n, k, seed=seed)
+    for i in range(n):
+        own = np.moveaxis(g.utilities[i], i, 0)     # a view, own action first
+        own[1] = own[0]
+    return g
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("n, k, eps", [(2, 3, 0.2), (3, 2, 0.25), (3, 3, 0.8)])
+def test_tied_actions_get_legal_labels(n, k, eps, policy):
+    g = _twin_action_game(n, k, seed=7)
+    oracles, _ = make_multi_oracles(g, policy=policy, seed=2)
+    labs, net = learn_multiplayer_labellings(oracles, eps)
+    assert sum(o.log.count for o in oracles) <= n * net.count
+    for i, lab in enumerate(labs, start=1):
+        labelled = 0
+        for r, pts in lab.arrays().items():
+            labelled += len(pts)
+            for x in pts:
+                vals = pure_values(g, i, oracles[i - 1].split(x))
+                assert vals.max() - vals[r - 1] <= 1e-9
+        assert labelled == net.count
+
+
+@pytest.mark.parametrize("g", [random_game(3, 2, seed=8), random_game(2, 4, seed=8),
+                               random_game(4, 2, seed=8), _twin_action_game(3, 3, seed=8)],
+                         ids=["3x2", "2x4", "4x2", "3x3-twins"])
+def test_each_net_point_is_asked_at_most_once(g):
+    eps = 0.8 if g.k == 3 else 0.3
+    oracles, _ = make_multi_oracles(g, policy="roundrobin", seed=4, record=True)
+    _, net = learn_multiplayer_labellings(oracles, eps)
+    points = set(map(tuple, net.points.tolist()))
+    for orc in oracles:
+        asked = [pt for pt, _ in orc.log.transcript]
+        assert len(asked) == orc.log.count == len(set(asked))
+        assert set(asked) <= points
 
 
 def test_oracles_read_the_utilities_once_at_construction():
