@@ -13,6 +13,19 @@ low corner lies beyond eps/2; that low corner, a region point, is the
 witness.  A box holding a point beyond eps of every hull is never pruned,
 so it ends in one of those two ways.
 
+Each level bounds every box from above once: one KD-tree over the sampled
+points of all hulls gives ``up``, the distance from the box centre to the
+nearest sample.  Every sample lies in its hull, so the union lies within
+``up`` of the centre, and a box of radius r with ``up - r <= eps`` can
+never be far.  Exact centre distances are then taken only at the (box,
+hull) pairs that can decide a box: hull h, with facet lower bound ``lb``,
+is measured when ``lb`` is below the box's running minimum and either h
+could cover the box (``lb + r <= eps``) or the box may be far and h is not
+beyond eps of the whole box (``lb - r <= eps``); a covered box is measured
+against no further hull.  A skipped pair could not have changed the box's
+covered, far or floor decision, so the same boxes split and every report
+equals that of measuring every pair.
+
 Regions are slabs of the corner simplex (the whole simplex being the [0, 1]
 slab) or, as a desk-scale fallback, arbitrary V-polytopes checked on a
 barycentric lattice.
@@ -25,6 +38,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .geometry import VPolytope, diameter
 from .predicates import ETA
@@ -78,13 +92,14 @@ class CoverageReport:
         })
 
 
-def _min_upper_bounds(hulls, pts):
-    """Pointwise min over (non-empty) hulls of the sampled-point distance
-    upper bounds."""
-    out = np.full(pts.shape[0], np.inf)
-    for h in hulls:
-        np.minimum(out, h.upper_bounds(pts), out=out)
-    return out
+def _sample_tree(hulls):
+    """One KD-tree over the upper-bound samples of all (non-empty) hulls.
+
+    Every sample lies in its hull, so the distance from a point to its
+    nearest sample bounds its distance to the hulls' union from above; it
+    equals the minimum of the hulls' own `PointHull.upper_bounds`.
+    """
+    return cKDTree(np.vstack([h.samples for h in hulls]))
 
 
 def _min_dist_exact(hulls, pts, cap=None):
@@ -99,6 +114,28 @@ def _min_dist_exact(hulls, pts, cap=None):
             d = h.distances(pts[todo], offsets=None if off is None else off[todo])
             out[todo] = np.minimum(out[todo], d)
     return out
+
+
+def _deciding_distances(hulls, centers, radii, far_ok, eps):
+    """Centre distances to the hulls' union, measured only at the (box,
+    hull) pairs that can decide a box (the module docstring gives which).
+
+    ``d + r <= eps`` holds exactly when some hull covers the box, and
+    ``d - r > eps`` on a ``far_ok`` box exactly when every hull is beyond
+    eps of it; other values are only bounds.
+    """
+    d = np.full(centers.shape[0], np.inf)
+    for h in hulls:
+        open_ = d + radii > eps
+        if not open_.any():
+            break
+        off = h.facet_offsets(centers)
+        lb = h.lower_bounds(centers, offsets=off)
+        todo = open_ & (lb < d) & ((lb + radii <= eps) | (far_ok & (lb - radii <= eps)))
+        if todo.any():
+            dh = h.distances(centers[todo], offsets=None if off is None else off[todo])
+            d[todo] = np.minimum(d[todo], dh)
+    return d
 
 
 def verify_eps_net(region, hulls, eps: float) -> CoverageReport:
@@ -130,6 +167,7 @@ def verify_eps_net(region, hulls, eps: float) -> CoverageReport:
     his = hi0[None, :]
     floor_r = eps / 4.0
     cells_touched = 0
+    tree = _sample_tree(hulls)
 
     while los.shape[0]:
         cells_touched += los.shape[0]
@@ -142,7 +180,7 @@ def verify_eps_net(region, hulls, eps: float) -> CoverageReport:
             break
         centers = 0.5 * (los + his)
         radii = 0.5 * np.linalg.norm(his - los, axis=1)
-        up = _min_upper_bounds(hulls, centers)
+        up = tree.query(centers)[0]
         alive = up + radii > eps
         if alive.any():
             # boxes wholly inside a hull are covered at any scale
@@ -151,21 +189,24 @@ def verify_eps_net(region, hulls, eps: float) -> CoverageReport:
                 if idx.size == 0:
                     break
                 alive[idx[h.contains_boxes(los[idx], his[idx])]] = False
-        los, his, centers, radii = los[alive], his[alive], centers[alive], radii[alive]
+        los, his, centers, radii, up = los[alive], his[alive], centers[alive], radii[alive], up[alive]
         if not los.shape[0]:
             break
         # once cells reach eps scale, exact center distances settle them
         small = radii <= 4.0 * eps
         if small.any():
-            d = _min_dist_exact(hulls, centers[small], cap=eps + float(radii[small].max()))
-            covered = d + radii[small] <= eps
-            definitely_far = d - radii[small] > eps
+            r = radii[small]
+            # the union lies within ``up`` of a centre, so no other box is far
+            far_ok = up[small] - r > eps
+            d = _deciding_distances(hulls, centers[small], r, far_ok, eps)
+            covered = d + r <= eps
+            definitely_far = far_ok & (d - r > eps)
             if definitely_far.any():
                 sub = np.where(small)[0][definitely_far]
                 w = los[sub[0]]
                 dw = float(_min_dist_exact(hulls, w[None, :])[0])
                 return CoverageReport(eps, False, w.copy(), eps / 2, dw, cells_touched)
-            at_floor = radii[small] <= floor_r
+            at_floor = r <= floor_r
             undecided = at_floor & ~covered
             if undecided.any():
                 # grid floor rule: a region point within eps/2 certifies the box
@@ -325,12 +366,14 @@ def _verify_on_lattice(region: VPolytope, hulls, eps: float) -> CoverageReport:
     pts = barycentric_lattice(region, eps / 2)
     if not hulls:
         return CoverageReport(eps, False, pts[0], eps / 2, np.inf)
-    up = _min_upper_bounds(hulls, pts)
-    todo = up > eps / 2
-    d = up.copy()
+    # a KD-tree needs one axis at least; in R^0 every hull holds the point
+    d = _sample_tree(hulls).query(pts)[0] if pts.shape[1] else np.zeros(len(pts))
+    todo = d > eps / 2
     if todo.any():
         d[todo] = _min_dist_exact(hulls, pts[todo], cap=eps)
     worst = int(np.argmax(d))
     if d[worst] <= eps / 2:
         return CoverageReport(eps, True, None, eps / 2, cells_touched=len(pts))
-    return CoverageReport(eps, False, pts[worst].copy(), eps / 2, float(d[worst]), len(pts))
+    # the pass above stops at eps; the witness is measured in full
+    dw = float(_min_dist_exact(hulls, pts[worst][None, :])[0])
+    return CoverageReport(eps, False, pts[worst].copy(), eps / 2, dw, len(pts))

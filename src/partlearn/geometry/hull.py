@@ -177,9 +177,9 @@ class PointHull:
 
     * `lower_bounds`: the largest facet violation, with the distance to the
       set's span (sound: each facet's halfspace contains the hull).
-    * `upper_bounds`: the distance to the nearest of the vertices and, for
-      at most 40 vertices, their pair midpoints, answered by a KD-tree
-      (sound: each sample lies in the hull).
+    * `upper_bounds`: the distance to the nearest of `samples` (the
+      vertices and, for at most 40 vertices, their pair midpoints),
+      answered by a KD-tree (sound: each sample lies in the hull).
     * `distances` and `project`: inside the facet form, the distance to the
       span; outside, exact, by one face recursion for every k: the facets
       that see a point and, where its projection misses them, their faces
@@ -240,20 +240,21 @@ class PointHull:
             self._verts, self._simplices = Pv, simplices
 
     @cached_property
-    def _upper_pts(self) -> np.ndarray:
-        """The upper-bound sample: the vertices and, for at most 40 of them,
-        their pair midpoints, so cells deep inside the hull prune without
-        exact projections."""
+    def samples(self) -> np.ndarray:
+        """The upper-bound sample, read-only: the vertices and, for at most
+        40 of them, their pair midpoints, so cells deep inside the hull
+        prune without exact projections.  Every sample lies in the hull."""
         V = self.points[self.vertex_indices]
         v = V.shape[0]
-        if not 1 < v <= 40 or not self.m:
-            return V
-        ii, jj = np.triu_indices(v, k=1)
-        return np.vstack([V, 0.5 * (V[ii] + V[jj])])
+        if 1 < v <= 40 and self.m:
+            ii, jj = np.triu_indices(v, k=1)
+            V = np.vstack([V, 0.5 * (V[ii] + V[jj])])
+        V.setflags(write=False)
+        return V
 
     @cached_property
     def _tree(self):
-        return _KDTree(self._upper_pts)
+        return _KDTree(self.samples)
 
     @cached_property
     def _levels(self):

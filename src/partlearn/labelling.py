@@ -262,7 +262,7 @@ def interior_conflict(l: EmpiricalLabelling, tol: float = CONFLICT_MARGIN):
         for j in roots:
             if j == i or l.point_hull(j).is_empty:
                 continue
-            cand = l.point_hull(j)._upper_pts
+            cand = l.point_hull(j).samples
             offsets = hull_i.facet_offsets(cand)
             if offsets is None:     # no facet form: m == 0
                 break

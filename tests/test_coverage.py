@@ -1,0 +1,165 @@
+"""The coverage verifier against recorded reports and an independent
+brute-force reference."""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+from scipy.spatial import ConvexHull, cKDTree
+
+from partlearn.coverage import SimplexSlab, verify_eps_net
+from partlearn.geometry import VPolytope
+from partlearn.geometry.hull import PointHull
+from partlearn.predicates import ETA
+from test_geometry import _enumerated_distances
+
+GOLDEN = json.loads((Path(__file__).parent / "data" / "coverage_golden.json").read_text())
+
+
+def _hulls(case):
+    return [PointHull(np.array(P, dtype=float).reshape(-1, case["m"])) for P in case["hulls"]]
+
+
+# -- golden reports -------------------------------------------------------------
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[f"{k}-{c['why']}" for k, c in enumerate(GOLDEN)])
+def test_verifier_reports_equal_the_recorded_ones(case):
+    # verifier calls recorded from cd_gbs, cr_gbs and solve_wsne runs of the
+    # benchmark panels, with the reports the box refinement gave before it
+    # skipped (box, hull) pairs that cannot decide a box
+    rep = verify_eps_net(SimplexSlab(case["m"], case["lo"], case["hi"]), _hulls(case), case["eps"])
+    want = case["report"]
+    assert rep.is_close == want["is_close"]
+    assert rep.cells_touched == want["cells_touched"]
+    assert rep.witness_distance == want["witness_distance"]
+    if want["witness"] is None:
+        assert rep.witness is None
+    else:
+        assert rep.witness.tolist() == want["witness"]
+
+
+def test_golden_cases_cover_both_verdicts_and_flat_hulls():
+    verdicts = {c["report"]["is_close"] for c in GOLDEN}
+    assert verdicts == {True, False}
+    whole = [(c["m"], sum(1 for P in c["hulls"] if P)) for c in GOLDEN
+             if c["report"]["is_close"] and (c["lo"], c["hi"]) == (0.0, 1.0)]
+    assert (3, 4) in whole and (4, 2) in whole
+    flat0 = [c for c in GOLDEN if (c["lo"], c["hi"]) != (0.0, 1.0)
+             and any(0 in h._const_axes for h in _hulls(c) if not h.is_empty)]
+    assert {c["report"]["is_close"] for c in flat0} == {True, False}
+
+
+# -- an independent reference ---------------------------------------------------
+
+def _slab_grid(m, lo, hi, step):
+    """Points of the slab of the corner m-simplex with first coordinate in
+    [lo, hi], on a grid of per-axis step at most ``step``: every slab point
+    rounds down to one within step * sqrt(m)."""
+    x0 = np.linspace(lo, hi, int(np.ceil((hi - lo) / step)) + 1)
+    rest = np.arange(0.0, 1.0 + 1e-12, step)
+    axes = np.meshgrid(x0, *([rest] * (m - 1)), indexing="ij")
+    X = np.stack([a.ravel() for a in axes], axis=1)
+    return X[X.sum(axis=1) <= 1.0 + 1e-12]
+
+
+def _union_distances(parts, X, eps):
+    """Brute-force distances to the union of conv(P) over ``parts``, where
+    they can exceed eps, else 0.
+
+    A point inside some part (by its Qhull facets), or within eps of a
+    vertex or of such an inside point, reads 0.  The others are measured
+    against every facet simplex of every part: a point outside a part has
+    its nearest hull point on the part's boundary."""
+    out = np.zeros(X.shape[0])
+    inside = np.zeros(X.shape[0], dtype=bool)
+    facets = []
+    for P in parts:
+        hull = ConvexHull(P)
+        inside |= (X @ hull.equations[:, :-1].T + hull.equations[:, -1]).max(axis=1) <= 1e-12
+        facets.extend(P[f] for f in hull.simplices)
+    near = cKDTree(np.vstack([X[inside]] + parts)).query(X)[0]
+    idx = np.where(near > eps)[0]
+    for s in range(0, idx.size, 256):
+        rows = idx[s:s + 256]
+        out[rows] = np.min([_enumerated_distances(F, X[rows]) for F in facets], axis=0)
+    return out
+
+
+def _random_parts(rng, m, n_hulls, shrink):
+    """A random partition of the corner m-simplex into ``n_hulls`` convex
+    pieces, each cut from the largest one by a hyperplane through its
+    centroid, then shrunk toward its centroid by ``shrink``.
+
+    A piece's part on one side of a hyperplane is the hull of its vertices
+    on that side and of the hyperplane's crossings of their segments."""
+    pieces = [np.vstack([np.zeros(m), np.eye(m)])]
+    while len(pieces) < n_hulls:
+        V = pieces.pop(int(np.argmax([len(P) for P in pieces])))
+        c = V.mean(axis=0)
+        side = (V - c) @ rng.standard_normal(m)
+        a, b = np.where(side >= 0)[0], np.where(side < 0)[0]
+        t = (side[a][:, None] / (side[a][:, None] - side[b][None, :]))[..., None]
+        cross = (V[a][:, None] + t * (V[b][None, :] - V[a][:, None])).reshape(-1, m)
+        for keep in (a, b):
+            P = np.vstack([V[keep], cross])
+            pieces.append(P[ConvexHull(P).vertices])
+    return [P.mean(axis=0) + (1.0 - shrink) * (P - P.mean(axis=0)) for P in pieces]
+
+
+EPS = {2: 0.08, 3: 0.15, 4: 0.3}
+SHRINK = (0.0, 0.1, 0.25, 0.5)
+CASES = [(m, slab, seed) for m in (2, 3, 4) for slab in ("whole", "thin") for seed in range(4)]
+
+
+def _case(m, slab, seed):
+    rng = np.random.default_rng([m, seed, slab == "thin"])
+    parts = _random_parts(rng, m, 1 + seed, SHRINK[seed])
+    if slab == "whole":
+        return parts, 0.0, 1.0
+    lo = float(rng.uniform(0.0, 0.8))
+    return parts, lo, lo + 0.6 * EPS[m]
+
+
+@pytest.mark.parametrize("m, slab, seed", CASES)
+def test_verdicts_agree_with_a_brute_force_grid(m, slab, seed):
+    parts, lo, hi = _case(m, slab, seed)
+    eps = EPS[m]
+    rep = verify_eps_net(SimplexSlab(m, lo, hi), [PointHull(P) for P in parts], eps)
+    if rep.is_close:
+        X = _slab_grid(m, lo, hi, eps / (4.0 * np.sqrt(m)))
+        assert (_union_distances(parts, X, eps) <= eps + 1e-12).all()
+    else:
+        w = rep.witness
+        assert (w >= -ETA).all() and w.sum() <= 1.0 + ETA
+        assert lo - ETA <= w[0] <= hi + ETA
+        want = min(_enumerated_distances(P, w[None, :])[0] for P in parts)
+        assert abs(rep.witness_distance - want) <= 1e-12
+        assert rep.witness_distance > eps / 2
+
+
+def test_reference_cases_reach_both_verdicts():
+    verdicts = [verify_eps_net(SimplexSlab(m, lo, hi), [PointHull(P) for P in parts],
+                               EPS[m]).is_close
+                for m, slab, seed in CASES for parts, lo, hi in [_case(m, slab, seed)]]
+    assert set(verdicts) == {True, False}
+
+
+# -- the V-polytope lattice path ------------------------------------------------
+
+def test_lattice_witness_distance_is_measured_in_full():
+    # the lattice pass stops its exact distances at eps; the witness, 0.8
+    # away, must still report its true distance, not infinity
+    region = VPolytope(np.array([[0.0, 0.0], [0.2, 0.0], [0.0, 0.2]]))
+    P = np.array([[0.8, 0.1], [0.9, 0.1], [0.8, 0.2]])
+    rep = verify_eps_net(region, [PointHull(P)], 0.1)
+    assert not rep.is_close
+    assert np.isfinite(rep.witness_distance)
+    want = _enumerated_distances(P, rep.witness[None, :])[0]
+    assert abs(rep.witness_distance - want) <= 1e-12
+    assert json.loads(rep.to_json())["witness_distance"] == rep.witness_distance
+
+
+def test_lattice_path_in_zero_dimensions():
+    rep = verify_eps_net(VPolytope(np.zeros((1, 0))), [PointHull(np.zeros((1, 0)))], 0.1)
+    assert rep.is_close and rep.cells_touched == 1

@@ -224,7 +224,7 @@ def test_point_hull_kernels_match_brute_force(case):
     h = PointHull(P)
     X = np.vstack([far, inside, P])
     # nearest sample: KD-tree against the N x P scan
-    U = h._upper_pts
+    U = h.samples
     brute = np.sqrt(((X[:, None, :] - U[None]) ** 2).sum(axis=2).min(axis=1))
     ub = h.upper_bounds(X)
     assert np.array_equal(ub, brute)
