@@ -545,8 +545,8 @@ def solve_wsne(oracles: BrOracles, eps: float) -> WsneCertificate:
     finds no fixed point, and naming the cap and the step as soon as a
     lattice would exceed LATTICE_CAP points.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise ValueError("eps must be positive and finite")
     m, n = oracles.m, oracles.n
     dim_u, dim_v = m - 1, n - 1
     eps_r = eps / (2.0 * math.sqrt(max(n - 1, 1)))

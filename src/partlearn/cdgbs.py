@@ -103,8 +103,8 @@ class GbsConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        if not 0 < self.eps < math.inf:
+            raise ValueError("eps must be positive and finite")
         if self.oracle_kind not in KINDS:
             raise ValueError(f"oracle_kind must be one of {KINDS}")
 

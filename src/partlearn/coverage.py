@@ -141,8 +141,8 @@ def _deciding_distances(hulls, centers, radii, far_ok, eps):
 def verify_eps_net(region, hulls, eps: float) -> CoverageReport:
     """Check that every region point is within eps of the union of
     ``hulls``, a list of `PointHull`s."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise ValueError("eps must be positive and finite")
     hulls = [h for h in hulls if not h.is_empty]
     if isinstance(region, VPolytope):
         return _verify_on_lattice(region, hulls, eps)

@@ -14,11 +14,9 @@ directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .cdgbs import GbsConfig, _add_points, _learn, _lift, cd_gbs, cd_gbs_adversarial
 from .geometry import enumerate_k_faces, face_map
-from .partition import KINDS
 # interior_conflict stays bound here (the merge loop is cdgbs._learn's):
 # perfbench's outside-in tracer patches every module binding of it
 from .labelling import EmpiricalLabelling, interior_conflict  # noqa: F401
@@ -36,22 +34,12 @@ def gamma_capture(m: int, n: int, eps: float) -> float:
     return 3.0 * eps / (40.0 * n * n * (m + 1.0) ** 2.5)
 
 
-@dataclass
-class CrConfig:
-    """``seed`` is passed to the fallback's `GbsConfig`; as there, only
-    `fix_uncovered_critical`'s repair offsets read it."""
-
-    m: int
-    n: int
-    eps: float
-    oracle_kind: str = "lexicographic"
-    seed: int = 0
+class CrConfig(GbsConfig):
+    """A `GbsConfig` with the face dimension ``k`` and the faces' accuracy
+    ``sub_eps``; the fallback runs the constant-dimension search on it."""
 
     def __post_init__(self):
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
-        if self.oracle_kind not in KINDS:
-            raise ValueError(f"oracle_kind must be one of {KINDS}")
+        super().__post_init__()
         self.k = math.comb(self.n, 2)
         self.sub_eps = cr_sub_eps(self.m, self.n, self.eps)
 
@@ -60,8 +48,7 @@ def cr_gbs(cfg: CrConfig, oracle) -> EmpiricalLabelling:
     """Learn an eps-close labelling face by face; ``stats`` rides along."""
     adversarial = cfg.oracle_kind == "adversarial"
     if cfg.m <= cfg.k:
-        sub = GbsConfig(cfg.m, cfg.n, cfg.eps, oracle_kind=cfg.oracle_kind, seed=cfg.seed)
-        lab = cd_gbs_adversarial(sub, oracle) if adversarial else cd_gbs(sub, oracle)
+        lab = cd_gbs_adversarial(cfg, oracle) if adversarial else cd_gbs(cfg, oracle)
         lab.stats.fallback = True
         return lab
 

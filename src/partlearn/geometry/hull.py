@@ -1,12 +1,11 @@
 """Convex hulls of point sets and exact l2 distances to them.
 
-Every point set is first reduced to its own affine hull.  Coordinate axes
-on which the set spans at most ETA are split off, and a query's squared
-distance along them is added to the rest (``axial2``), so cross-section
-nets, flat in their section coordinate, keep their plain coordinates.  If
-the set is still flat in some direction (every point within ETA of the
-centroid along it, found by an SVD of the centred points), the facet form
-is found in the set's coordinates in its span and lifted back.  So the set
+Every point set is first reduced to its own affine hull.  A direction is
+flat when every point lies within ETA of the centroid along it; an SVD of
+the centred points finds the flat directions, axis-aligned or tilted alike
+(a cross-section net, flat in its section coordinate, is one case).  If the
+set is flat in some direction, the facet form is found in the set's
+coordinates in its span and lifted back to ambient coordinates.  So the set
 is full-dimensional in its span, of effective dimension k; its facets are
 simplices of the set's own points (Qhull's for k >= 2; for k = 1 the
 segment's two end points), with unit normals ``a`` and offsets ``b``, and
@@ -102,7 +101,7 @@ def convex_hull(points) -> VPolytope:
 
 
 def _flat_frame(P: np.ndarray):
-    """Flat directions of a point set beyond its coordinate axes, or None.
+    """Flat directions of a point set, or None.
 
     A direction is flat when every point lies within ETA of the centroid
     along it.  Returns ``(centre, basis, normal)``: the centroid and
@@ -169,11 +168,9 @@ class PointHull:
 
     The set is reduced to its own affine hull (see the module docstring), of
     effective dimension ``k``; ``vertex_indices`` are its vertices' rows in
-    the point set.  Queries work on the axes along which the set varies,
-    and the constant axes add ``axial2``.  For k >= 1 the facet form
-    ``(A, b)`` and the boundary facets (rows of the point set, k each) are
-    kept on those axes, lifted back from the set's span when the set is
-    flat in a direction that is no axis.
+    the point set.  For k >= 1 the facet form ``(A, b)`` and the boundary
+    facets (rows of the point set, k each) are kept in ambient coordinates,
+    lifted back from the set's span when the set is flat in some direction.
 
     * `lower_bounds`: the largest facet violation, with the distance to the
       set's span (sound: each facet's halfspace contains the hull).
@@ -196,27 +193,17 @@ class PointHull:
         self.is_empty = P.shape[0] == 0
         self.vertex_indices = np.zeros(0, dtype=int)
         self.k = 0                # effective dimension: that of the span
-        self._const_axes = np.zeros(0, dtype=int)
-        self._const_vals = np.zeros(0)
-        self._var_axes = np.arange(self.m)
         self._tilt = None         # (centre, normal, band) of a flat set's span
-        self._facets = None       # (A, b) with A x <= b on the varying axes
+        self._facets = None       # (A, b) with A x <= b
         if self.is_empty:
             return
-        span = P.max(axis=0) - P.min(axis=0)
-        const = span <= ETA
-        if const.any() and self.m > 0:
-            self._const_axes = np.where(const)[0]
-            self._const_vals = P[0, self._const_axes]
-            self._var_axes = np.where(~const)[0]
-        Pv = P[:, self._var_axes]
-        Q = Pv
-        frame = _flat_frame(Pv) if Pv.shape[1] else None
+        Q = P
+        frame = _flat_frame(P) if self.m else None
         if frame is not None:
             centre, basis, normal = frame
-            Q = (Pv - centre) @ basis.T
+            Q = (P - centre) @ basis.T
             self._tilt = (centre, normal, 0.0)     # the band: the points' own offsets
-            self._tilt = (centre, normal, self._off_span(Pv)[0].max())
+            self._tilt = (centre, normal, self._off_span(P)[0].max())
         self.k = k = Q.shape[1]
         if k == 0:
             self.vertex_indices = np.zeros(1, dtype=int)
@@ -233,11 +220,11 @@ class PointHull:
             self.vertex_indices = np.sort(hull.vertices)
         if k:
             if frame is not None:
-                # a.(basis (x - centre)) <= b, as a facet on the varying axes
+                # a.(basis (x - centre)) <= b, as a facet in ambient coordinates
                 A = A @ basis
                 b = b + A @ centre
             self._facets = (A, b)
-            self._verts, self._simplices = Pv, simplices
+            self._simplices = simplices
 
     @cached_property
     def samples(self) -> np.ndarray:
@@ -258,26 +245,19 @@ class PointHull:
 
     @cached_property
     def _levels(self):
-        return _face_levels(self._verts, self._simplices)
+        return _face_levels(self.points, self._simplices)
 
-    def _split(self, X: np.ndarray):
-        """(coordinates on the varying axes, squared distance on the constant axes)."""
-        if not self._const_axes.size:
-            return X, np.zeros(X.shape[0])
-        axial2 = ((X[:, self._const_axes] - self._const_vals) ** 2).sum(axis=1)
-        return X[:, self._var_axes], axial2
-
-    def _off_span(self, Xv: np.ndarray):
+    def _off_span(self, X: np.ndarray):
         """(distance to the band of a flat set's span, the step back to it).
 
         The set's own points lie within ``band`` of its span, so they
         measure 0.
         """
         if self._tilt is None:
-            return np.zeros(Xv.shape[0]), np.zeros_like(Xv)
+            return np.zeros(X.shape[0]), np.zeros_like(X)
         centre, normal, band = self._tilt
         # summed elementwise, so a row's value does not depend on its block
-        coef = ((Xv - centre)[:, None, :] * normal).sum(axis=2)
+        coef = ((X - centre)[:, None, :] * normal).sum(axis=2)
         r = np.sqrt((coef * coef).sum(axis=1))
         out = np.clip(r - band, 0.0, None)
         return out, (coef * (out / np.where(r > 0.0, r, 1.0))[:, None]) @ normal
@@ -294,61 +274,43 @@ class PointHull:
     def contains_boxes(self, los: np.ndarray, his: np.ndarray) -> np.ndarray:
         """Mask of axis-aligned boxes wholly inside the hull.
 
-        Uses the facet form on the varying axes; boxes must be flat to
-        within tolerance on the hull's constant axes to qualify.  Returns
-        all-False for a hull of effective dimension 0, or flat in a
-        direction that is no axis (a sound under-report).
+        Uses the facet form; returns all-False for a hull below full
+        dimension (flat in some direction, or of effective dimension 0), a
+        sound under-report.
         """
-        n = los.shape[0]
-        out = np.zeros(n, dtype=bool)
         if self.is_empty or self._facets is None or self._tilt is not None:
-            return out
-        ok = np.ones(n, dtype=bool)
-        if self._const_axes.size:
-            flat = (np.abs(los[:, self._const_axes] - self._const_vals) <= ETA) & \
-                   (np.abs(his[:, self._const_axes] - self._const_vals) <= ETA)
-            ok &= flat.all(axis=1)
-            if not ok.any():
-                return out
+            return np.zeros(los.shape[0], dtype=bool)
         A, b = self._facets
         Ap = np.clip(A, 0.0, None)
         Am = np.clip(A, None, 0.0)
-        worst = los[:, self._var_axes] @ Am.T + his[:, self._var_axes] @ Ap.T - b
-        out = ok & (worst <= ETA).all(axis=1)
-        return out
+        worst = los @ Am.T + his @ Ap.T - b
+        return (worst <= ETA).all(axis=1)
 
     def facet_offsets(self, X: np.ndarray):
-        """Facet offsets ``A x - b`` of a query block on the varying axes,
-        positive where a facet sees the point; None for a hull of effective
-        dimension 0, which has no facets.
+        """Facet offsets ``A x - b`` of a query block, positive where a
+        facet sees the point; None for a hull of effective dimension 0,
+        which has no facets.
 
         Callers that need both `lower_bounds` and `distances` of one block
         compute these once and pass their rows to both.
         """
-        return self._offsets(self._split(np.atleast_2d(X))[0])
-
-    def _offsets(self, Xv: np.ndarray):
         if self._facets is None:
             return None
         A, b = self._facets
-        return Xv @ A.T - b
+        return np.atleast_2d(X) @ A.T - b
 
     def lower_bounds(self, X: np.ndarray, offsets=None) -> np.ndarray:
         """Sound lower bound on hull distance (0 when inside)."""
         if self.is_empty:
             return np.full(X.shape[0], np.inf)
         X = np.atleast_2d(X)
-        Xv, axial2 = self._split(X)
-        viol = self._offsets(Xv) if offsets is None else offsets
-        if viol is not None:
-            trans = np.clip(viol.max(axis=1), 0.0, None)
-        else:
-            trans = np.zeros(X.shape[0])
-        if self._tilt is not None:
-            axial2 = axial2 + self._off_span(Xv)[0] ** 2
-        return np.sqrt(trans ** 2 + axial2)
+        viol = self.facet_offsets(X) if offsets is None else offsets
+        trans = np.zeros(X.shape[0]) if viol is None else np.clip(viol.max(axis=1), 0.0, None)
+        if self._tilt is None:
+            return trans
+        return np.sqrt(trans ** 2 + self._off_span(X)[0] ** 2)
 
-    def _surface_nearest(self, Xv: np.ndarray, viol: np.ndarray):
+    def _surface_nearest(self, X: np.ndarray, viol: np.ndarray):
         """(distances, nearest points) of the boundary for outside points.
 
         Johnson's face recursion, as (point, face) pairs in bounded chunks,
@@ -361,19 +323,19 @@ class PointHull:
         """
         levels, ends = self._levels
         rows, face = np.nonzero(viol > -ETA)
-        dist = np.full(Xv.shape[0], np.inf)
-        near = np.empty_like(Xv)
+        dist = np.full(X.shape[0], np.inf)
+        near = np.empty_like(X)
         for depth, (v0, E, M, flat, children) in enumerate(levels):
             feasible = np.zeros(rows.size, dtype=bool)
             for s in range(0, rows.size, _PAIR_CHUNK):
                 i, f = rows[s:s + _PAIR_CHUNK], face[s:s + _PAIR_CHUNK]
-                lam = np.einsum("pjk,pk->pj", M[f], Xv[i] - v0[f])
+                lam = np.einsum("pjk,pk->pj", M[f], X[i] - v0[f])
                 ok = ~flat[f] & (lam >= 0.0).all(axis=1) & (lam.sum(axis=1) <= 1.0)
                 if depth == 0:
                     ok &= viol[i, f] > 0.0
                 i, f = i[ok], f[ok]
                 P = v0[f] + np.einsum("pj,pjk->pk", lam[ok], E[f])
-                _record(dist, near, i, np.linalg.norm(Xv[i] - P, axis=1), P)
+                _record(dist, near, i, np.linalg.norm(X[i] - P, axis=1), P)
                 feasible[s:s + _PAIR_CHUNK] = ok
             # settled points stop at the facets; below them a feasible face
             # stops only its own descent
@@ -386,18 +348,18 @@ class PointHull:
             rows, face = np.divmod(pairs[first], n_below)
         for s in range(0, rows.size, _PAIR_CHUNK):
             i, P = rows[s:s + _PAIR_CHUNK], ends[face[s:s + _PAIR_CHUNK]]
-            _record(dist, near, i, np.linalg.norm(Xv[i] - P, axis=1), P)
+            _record(dist, near, i, np.linalg.norm(X[i] - P, axis=1), P)
         return dist, near
 
-    def _nearest(self, Xv: np.ndarray, offsets):
-        """(distances, nearest points) on the varying axes."""
-        t, step = self._off_span(Xv)
-        W = Xv - step
-        viol = self._offsets(Xv) if offsets is None else offsets
+    def _nearest(self, X: np.ndarray, offsets):
+        """(distances, nearest points) of a query block."""
+        t, step = self._off_span(X)
+        W = X - step
+        viol = self.facet_offsets(X) if offsets is None else offsets
         if viol is not None:
             todo = viol.max(axis=1) > ETA
             if todo.any():
-                t[todo], W[todo] = self._surface_nearest(Xv[todo], viol[todo])
+                t[todo], W[todo] = self._surface_nearest(X[todo], viol[todo])
         return t, W
 
     def project(self, X: np.ndarray):
@@ -406,21 +368,14 @@ class PointHull:
         X = np.atleast_2d(X)
         if self.is_empty:
             return np.full(X.shape[0], np.inf), None
-        Xv, axial2 = self._split(X)
-        t, Wv = self._nearest(Xv, None)
-        W = np.empty(X.shape)
-        W[:, self._var_axes] = Wv
-        W[:, self._const_axes] = self._const_vals
-        return np.sqrt(t * t + axial2), W
+        return self._nearest(X, None)
 
     def distances(self, X: np.ndarray, offsets=None) -> np.ndarray:
         """Exact hull distances (within ETA along the set's flat directions).
 
         ``offsets``, when given, are `facet_offsets` of X.
         """
-        if self.is_empty:
-            return np.full(np.atleast_2d(X).shape[0], np.inf)
         X = np.atleast_2d(X)
-        Xv, axial2 = self._split(X)
-        t = self._nearest(Xv, offsets)[0]
-        return np.sqrt(t * t + axial2)
+        if self.is_empty:
+            return np.full(X.shape[0], np.inf)
+        return self._nearest(X, offsets)[0]

@@ -165,15 +165,6 @@ class AffineMap:
             return self.matrix @ x + self.shift
         return x @ self.matrix.T + self.shift
 
-    def compose(self, inner: "AffineMap") -> "AffineMap":
-        """self after inner: x -> self(inner(x))."""
-        mat = self.matrix @ inner.matrix
-        shift = self.matrix @ inner.shift + self.shift
-        inv = None
-        if self.inverse is not None and inner.inverse is not None:
-            inv = inner.inverse.compose(self.inverse)
-        return AffineMap(mat, shift, inv)
-
     def verify_inverse(self, tol: float = 1e-7) -> bool:
         """Round-trip check of the stored inverse on basis points.
 

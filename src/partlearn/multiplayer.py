@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -193,8 +194,8 @@ def simplex_net(d: int, eps: float) -> np.ndarray:
 
 def build_net(n: int, k: int, eps: float, max_points: int = 2_000_000) -> NetSpec:
     """l1 eps-net of the joint mixed strategies of n-1 players with k actions."""
-    if n < 2 or k < 2 or eps <= 0:
-        raise ValueError("need n >= 2, k >= 2, eps > 0")
+    if n < 2 or k < 2 or not 0 < eps < math.inf:
+        raise ValueError("need n >= 2, k >= 2, finite eps > 0")
     d = k - 1
     eps_prime = eps / (n - 1)
     spacing = min(2.0 * eps_prime / d, 1.0)
@@ -382,8 +383,8 @@ def is_l1_close(lab: PointLabelling, eps: float) -> CoverageReport:
     outside the space are exact.  A level that would hold more than
     coverage.MAX_CELLS boxes raises CellCapError.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise ValueError("eps must be positive and finite")
     d, bs = lab.dim, lab.k - 1
     if bs < 1 or d % bs:
         raise ValueError("labelling dimension is not a multiple of k - 1")

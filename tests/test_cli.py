@@ -140,6 +140,20 @@ def test_solve_multiplayer(tmp_path):
     assert run("solve", "--instance", str(inst), "--eps", "0.25") == EXIT_OK
 
 
+@pytest.mark.parametrize("eps", ["nan", "inf"])
+@pytest.mark.parametrize("command, gen", [
+    ("learn", ["--kind", "uepp", "--m", "2", "--n", "3"]),
+    ("solve", ["--kind", "bimatrix", "--m", "3", "--n", "3"]),
+    ("solve", ["--kind", "multiplayer", "--players", "3", "--k", "2"]),
+], ids=["learn", "solve-bimatrix", "solve-multiplayer"])
+def test_a_non_finite_eps_is_rejected(tmp_path, capsys, command, gen, eps):
+    inst = tmp_path / "inst.json"
+    run("gen", *gen, "--seed", "1", "--out", str(inst))
+    capsys.readouterr()
+    assert run(command, "--instance", str(inst), "--eps", eps) == EXIT_INVALID
+    assert "eps" in capsys.readouterr().err
+
+
 def test_solve_rejects_uepp_instance(tmp_path):
     inst = tmp_path / "u.json"
     run("gen", "--kind", "uepp", "--m", "2", "--n", "2", "--seed", "0", "--out", str(inst))
@@ -168,7 +182,7 @@ def test_bench_failed_row_records_its_cause(tmp_path):
         ok, failed = list(csv.DictReader(fh))
     assert ok["verified"] == "True" and ok["error"] == ""
     assert failed["verified"] == "False" and failed["queries"] == "-1"
-    assert failed["error"] == "ValueError: eps must be positive"
+    assert failed["error"] == "ValueError: eps must be positive and finite"
 
 
 @pytest.mark.parametrize("family, sizes", [("lbgame", ("2", "2")), ("multiplayer", ("3", "2"))])

@@ -153,7 +153,7 @@ def test_l1_distance_variant():
 
 # -- PointHull kernels against brute force -------------------------------------
 
-SHAPES = ["general", "flat", "coplanar", "collinear", "single", "grid"]
+SHAPES = ["general", "flat", "flat2", "section", "coplanar", "collinear", "single", "grid"]
 
 
 @st.composite
@@ -170,10 +170,18 @@ def hull_cases(draw):
     elif shape in ("coplanar", "collinear"):
         dirs = rng.standard_normal((2 if shape == "coplanar" else 1, m))
         P = rng.random(m) + rng.random((n, len(dirs))) @ dirs
+    elif shape == "section":               # a cross-section net on a tilted face
+        dirs = rng.standard_normal((rng.integers(1, 3), m))
+        P = rng.random(m) + rng.random((n, len(dirs))) @ dirs
+        if m:
+            P[:, rng.integers(m)] = rng.random()
     else:
         P = rng.random((n, m))
         if shape == "flat" and m:
             P[:, rng.integers(m)] = rng.random()
+        elif shape == "flat2":             # flat on two coordinate axes
+            axes = rng.choice(m, min(m, 2), replace=False)
+            P[:, axes] = rng.random(axes.size)
     far = rng.random((40, m)) * 2.0 - 0.5
     inside = rng.dirichlet(np.ones(len(P)), size=10) @ P
     return P, far, inside
@@ -209,15 +217,14 @@ def _enumerated_distances(P, X):
 def _all_surface_distances(h, X):
     """Distances with every outside point measured against *all* boundary
     facets, each by the vertex-subset enumeration (the scan the
-    visible-facet rule replaced); inside points of a tilted flat set are at
-    their distance to its span."""
-    Xv, axial2 = h._split(X)
-    d = np.min([_enumerated_distances(h._verts[f], Xv) for f in h._simplices], axis=0)
+    visible-facet rule replaced); inside points of a flat set are at their
+    distance to its span."""
+    d = np.min([_enumerated_distances(h.points[f], X) for f in h._simplices], axis=0)
     outside = h.facet_offsets(X).max(axis=1) > ETA
-    return np.sqrt(np.where(outside, d * d, h._off_span(Xv)[0] ** 2) + axial2)
+    return np.where(outside, d, h._off_span(X)[0])
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(hull_cases())
 def test_point_hull_kernels_match_brute_force(case):
     P, far, inside = case
@@ -254,7 +261,7 @@ def test_frank_wolfe_never_exceeds_the_nearest_sample_on_a_thin_tilted_set():
     X = np.vstack([rng.random((40, 3)) * 2.0 - 0.5,
                    rng.dirichlet(np.ones(14), size=10) @ P, P])
     h = PointHull(P)
-    assert h._facets is not None and h._var_axes.size == 3
+    assert h._facets is not None and h._tilt is not None and h.k == 2
     d, ub = h.distances(X), h.upper_bounds(X)
     assert (d <= ub).all()
     assert (h.lower_bounds(X) <= d + 1e-12).all()
