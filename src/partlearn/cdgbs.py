@@ -60,21 +60,26 @@ def sub_eps(eps: float, m: int, n: int, t: float) -> float:
     return max(eps * eps / (85.0 * (1.0 - t) * n * m ** 2.5), ETA)
 
 
-FIRST_PASS_DIVISOR = 4    # a section's first pass is learned at eps / 4; see _first_pass_eps
+FIRST_PASS_DIVISOR = 4    # a planar search's sections are first learned at eps / 4
 
 
 def _first_pass_eps(eps: float, m: int, n: int, t: float) -> float:
-    """Accuracy of a cross-section's first pass: ``max(sub_eps, eps / 4)``.
+    """Accuracy of a cross-section's first pass in an m-dimensional search:
+    ``max(sub_eps, eps)`` from m = 3 on, ``max(sub_eps, eps / 4)`` in the
+    plane.
 
-    A section that is an eps/4-net leaves about 3/4 of eps for the slab's
-    own width.  Certificate B of `slab_certificate_2d` (``hypot(W, h + W)
-    <= eps``) passes at hole radius ``h = eps/4`` for any distance
-    ``W <= 0.57 eps`` to a bracketing section, and the halves of the last
-    dyadic level's slabs have ``W <= eps/8``.  Where a certificate still
-    fails, `_Search` re-learns the coarse sections bracketing the slab at
-    `sub_eps`; soundness rests on the certificates, not on this value.
+    From m = 3 on, `verify_eps_net` judges a slab against hulls spanning
+    both bracketing sections, which needs no section finer than the
+    search's own eps; a coarser first pass costs more than it saves, since
+    a section that cannot cover its slab is re-learned whole at `sub_eps`.
+    A planar search certifies its slabs with `slab_certificate_2d`, whose
+    certificate B (``hypot(W, h + W) <= eps``) passes at hole radius
+    ``h = eps/4`` for any distance ``W <= 0.57 eps`` to a bracketing
+    section; the halves of the last dyadic level's slabs have
+    ``W <= eps/8``.  Soundness rests on the certificates, not on this value.
     """
-    return max(sub_eps(eps, m, n, t), eps / FIRST_PASS_DIVISOR)
+    coarse = eps if m >= 3 else eps / FIRST_PASS_DIVISOR
+    return max(sub_eps(eps, m, n, t), coarse)
 
 
 def uncovered_cap(m: int, n: int) -> int:
@@ -236,7 +241,8 @@ def _compress_labelwise(points: dict, m: int) -> dict:
 class _Search:
     """One CD-GBS invocation on a local corner simplex.
 
-    Cross-sections are learned coarse first (`_first_pass_eps`) and
+    Cross-sections are learned coarse first (`_first_pass_eps`: at the
+    search's own eps from m = 3 on, at eps/4 in a planar search) and
     re-learned at `sub_eps` only where a slab they bracket fails its
     certificate: each half of a last-level uncovered slab, and, before a
     lexicographic search halts on ``cap``, each uncovered slab.  A half that

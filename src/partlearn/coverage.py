@@ -52,11 +52,17 @@ class CellCapError(RuntimeError):
 
 @dataclass(frozen=True)
 class SimplexSlab:
-    """The part of the corner m-simplex with first coordinate in [lo, hi]."""
+    """The part of the corner m-simplex with first coordinate in [lo, hi];
+    ``lo > hi`` is the empty slab, a non-finite bound is an error."""
 
     m: int
     lo: float = 0.0
     hi: float = 1.0
+
+    def __post_init__(self):
+        for name in ("lo", "hi"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"slab bound {name} must be finite, not {getattr(self, name)}")
 
     @property
     def is_empty(self) -> bool:
@@ -143,11 +149,15 @@ def verify_eps_net(region, hulls, eps: float) -> CoverageReport:
     ``hulls``, a list of `PointHull`s."""
     if not 0 < eps < math.inf:
         raise ValueError("eps must be positive and finite")
+    if not isinstance(region, (SimplexSlab, VPolytope)):
+        raise TypeError("region must be a SimplexSlab or VPolytope")
     hulls = [h for h in hulls if not h.is_empty]
+    dim = region.m if isinstance(region, SimplexSlab) else region.dim
+    for h in hulls:
+        if h.m != dim:
+            raise ValueError(f"a hull lies in R^{h.m} but the region in R^{dim}")
     if isinstance(region, VPolytope):
         return _verify_on_lattice(region, hulls, eps)
-    if not isinstance(region, SimplexSlab):
-        raise TypeError("region must be a SimplexSlab or VPolytope")
     if region.is_empty:
         return CoverageReport(eps, True, None, eps / 2)
     m = region.m

@@ -424,3 +424,55 @@ def test_refined_sections_are_paid_once_and_counted_at_their_depth(m, n, eps, se
     assert d[0] == 1
     if m == 3:
         assert d[1] == 1 + sum(st.per_level_uncovered)
+
+
+@pytest.mark.parametrize("kind", ["lexicographic", "adversarial"])
+def test_first_passes_run_at_the_search_eps_from_m_3_and_at_eps_over_4_in_the_plane(kind):
+    eps, n = 0.1, 3
+    calls = []          # (section dim + 1, enclosing search's eps, acc, t, fine)
+    searches = [eps]    # eps of the enclosing searches, innermost last
+    fines = []          # the `fine` flag of the enclosing `_Search.recurse`
+    recurse, section = cdgbs._Search.recurse, cdgbs._section
+
+    def spy_recurse(search, t, fine=False):
+        fines.append(fine)
+        try:
+            recurse(search, t, fine)
+        finally:
+            fines.pop()
+
+    def spy_section(m, n_, acc, t, *rest):
+        calls.append((m, searches[-1], acc, t, fines[-1]))
+        searches.append(acc)
+        try:
+            return section(m, n_, acc, t, *rest)
+        finally:
+            searches.pop()
+
+    search = cd_gbs if kind == "lexicographic" else cd_gbs_adversarial
+    o = make_oracle(random_uepp(3, n, seed=100), kind=kind)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cdgbs._Search, "recurse", spy_recurse)
+        mp.setattr(cdgbs, "_section", spy_section)
+        lab = search(GbsConfig(3, n, eps, oracle_kind=kind), o)
+    assert is_eps_close(lab, None, eps).is_close
+    for m, e, acc, t, fine in calls:
+        first = e if m >= 3 else e / 4
+        assert acc == (sub_eps(e, m, n, t) if fine else max(sub_eps(e, m, n, t), first))
+    firsts = [(m, e, acc) for m, e, acc, _t, fine in calls if not fine]
+    # the 3-D search's sections are first learned at its own eps ...
+    assert {acc for m, _e, acc in firsts if m == 3} == {eps}
+    # ... and the planar searches below them at a quarter of theirs
+    planar = [(e, acc) for m, e, acc in firsts if m == 2]
+    assert planar and all(acc == e / 4 for e, acc in planar)
+    assert {e for e, _acc in planar} >= {eps}
+
+
+@pytest.mark.parametrize("kind", ["lexicographic", "adversarial"])
+@pytest.mark.parametrize("n, seed", [(2, 100), (3, 100), (3, 104), (4, 103), (5, 106)])
+def test_3d_searches_stay_eps_close(kind, n, seed):
+    # independent of the schedule test above: the end verifier on the whole simplex
+    search = cd_gbs if kind == "lexicographic" else cd_gbs_adversarial
+    o = make_oracle(random_uepp(3, n, seed=seed), kind=kind)
+    lab = search(GbsConfig(3, n, 0.1, oracle_kind=kind), o)
+    assert is_eps_close(lab, None, 0.1).is_close

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull, cKDTree
 
+from partlearn import coverage
 from partlearn.coverage import SimplexSlab, verify_eps_net
 from partlearn.geometry import VPolytope
 from partlearn.geometry.hull import PointHull
@@ -163,3 +164,29 @@ def test_lattice_witness_distance_is_measured_in_full():
 def test_lattice_path_in_zero_dimensions():
     rep = verify_eps_net(VPolytope(np.zeros((1, 0))), [PointHull(np.zeros((1, 0)))], 0.1)
     assert rep.is_close and rep.cells_touched == 1
+
+
+# -- malformed input --------------------------------------------------------------
+
+TETRA = np.array([[0.9, 0.0, 0.0], [0.9, 0.05, 0.0], [0.9, 0.0, 0.05], [0.95, 0.0, 0.0]])
+
+
+@pytest.mark.parametrize("lo, hi, bad", [(np.nan, 1.0, "lo"), (0.0, np.nan, "hi"),
+                                         (-np.inf, 1.0, "lo"), (0.0, np.inf, "hi")])
+def test_a_non_finite_slab_bound_is_rejected(lo, hi, bad):
+    # a NaN low bound would let the refinement call a slab "close" unseen,
+    # a NaN high bound would stop it inside the KD-tree
+    with pytest.raises(ValueError, match=f"slab bound {bad} must be finite"):
+        SimplexSlab(3, lo, hi)
+
+
+@pytest.mark.parametrize("region", [SimplexSlab(2, 0.0, 1.0),
+                                    VPolytope(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))],
+                         ids=["slab", "vpolytope"])
+def test_a_hull_of_another_dimension_is_rejected_before_any_work(monkeypatch, region):
+    def no_work(*_args, **_kw):
+        raise AssertionError("a box or lattice was built")
+    monkeypatch.setattr(coverage, "_sample_tree", no_work)
+    monkeypatch.setattr(coverage, "barycentric_lattice", no_work)
+    with pytest.raises(ValueError, match=r"R\^3 but the region in R\^2"):
+        verify_eps_net(region, [PointHull(np.array([[0.1, 0.1]])), PointHull(TETRA)], 0.01)
