@@ -454,10 +454,10 @@ def witness_radius(eps: float, dim: int) -> float:
     a regret (the best utility minus j's) is 2-Lipschitz in l1 and
     2 sqrt(dim)-Lipschitz in l2.  So j's regret at a mix x is at most
     ETA + 2 sqrt(dim) dist(x, H_j), which is at most eps once
-    dist(x, H_j) <= eps / (2 sqrt(dim)) less a margin.  WITNESS_MARGIN
-    covers, with room to spare, the tie band, the moves of `snap_points`
-    (at most sqrt(dim) ETA / 2 per snap, one snap per lift level) and the
-    ETA to which `PointHull` distances are exact.
+    dist(x, H_j) <= eps / (2 sqrt(dim)) less a margin.  The stored points
+    are the asked points as given, so H_j is their hull; WITNESS_MARGIN
+    (1e3 ETA) covers, with room to spare, the tie band and the ETA to which
+    `PointHull` distances are exact.
     """
     return eps / (2.0 * math.sqrt(max(dim, 1))) - WITNESS_MARGIN
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coverage import SimplexSlab, slab_certificate_2d, verify_eps_net
-from .geometry import PointHull, convex_hull, section_map
+from .geometry import PointHull, section_map
 from .labelling import EmpiricalLabelling, interior_conflict, is_slice_covered
 from .partition import KINDS, AnswerMemo
 from .predicates import ETA
@@ -47,10 +47,10 @@ def sub_eps(eps: float, m: int, n: int, t: float) -> float:
       (sections) or a small constant (faces), so a boundary located to ETA
       in a section sits within a small multiple of ETA of where the paper's
       accuracy would put it;
-    * the hull code quantises finer detail away: `snap_points` snaps points
-      to an ETA grid, `_binary_search_1d` collapses a label's span of at
-      most ETA to one point, and `_Search.bracket` treats coordinates within
-      ETA as one.
+    * the search quantises finer detail away: `_binary_search_1d` collapses
+      a label's span of at most ETA to one point, `_Search.bracket` treats
+      coordinates within ETA as one, and `PointHull` treats a direction in
+      which a set spans at most ETA as flat.
 
     Soundness never rested on this value: "close" verdicts come from
     `verify_eps_net`, `slab_certificate_2d`, `is_eps_close` and the
@@ -168,7 +168,8 @@ class RunStats:
 
 
 class _RunOutput:
-    """Points (per raw label, local frame) plus flags from one search level."""
+    """Points (``{raw label: (k, m) array}``, local frame) plus flags from one
+    search level.  Every point is one the level's query was asked."""
 
     __slots__ = ("points", "flagged")
 
@@ -210,7 +211,7 @@ def _binary_search_1d(eps: float, query) -> _RunOutput:
     flagged = False
     spans = {lbl: (min(v), max(v)) for lbl, v in pts.items()}
     for lbl, (lo, hi) in spans.items():
-        out[lbl] = [np.array([[lo]])] if hi - lo <= ETA else [np.array([[lo], [hi]])]
+        out[lbl] = np.array([[lo]]) if hi - lo <= ETA else np.array([[lo], [hi]])
         # interleaved labels mean the section was degenerate or ties abound
         for other, xs in pts.items():
             if other != lbl and any(lo + ETA < x < hi - ETA for x in xs):
@@ -219,23 +220,12 @@ def _binary_search_1d(eps: float, query) -> _RunOutput:
 
 
 def _by_label(nets) -> dict:
-    """Point arrays of several nets ({label: array}), grouped by label."""
+    """Several nets ({label: array}) stacked into one array per label."""
     out = {}
     for net in nets:
         for lbl, pts in net.items():
             out.setdefault(lbl, []).append(pts)
-    return out
-
-
-def _compress_labelwise(points: dict, m: int) -> dict:
-    """Shrink each label's point set to its hull vertices (hulls unchanged)."""
-    out = {}
-    for lbl, blocks in points.items():
-        pts = np.vstack(blocks)
-        if pts.shape[0] > max(4, m + 1):
-            pts = convex_hull(pts).vertices
-        out[lbl] = [pts]
-    return out
+    return {lbl: np.vstack(blocks) for lbl, blocks in out.items()}
 
 
 class _Search:
@@ -289,7 +279,7 @@ class _Search:
             self.coarse.discard(t)
         res = _section(self.m, self.n, acc, t, self.query, self.adversarial, self.stats,
                        self.depth + 1)
-        self._add_net(t, {lbl: blocks[0] for lbl, blocks in res.points.items()})
+        self._add_net(t, res.points)
         if res.flagged and t not in self.suspects:
             self.suspects.append(t)
             if self.depth == 0:
@@ -317,7 +307,7 @@ class _Search:
         hulls = self._bracket_hulls.get(key)
         if hulls is None:
             nets = [self.nets[t] for t in ((t_l, t_r) if t_r > t_l else (t_l,))]
-            hulls = [PointHull(np.vstack(v)) for v in _by_label(nets).values()]
+            hulls = [PointHull(v) for v in _by_label(nets).values()]
             self._bracket_hulls[key] = hulls
         report = verify_eps_net(SimplexSlab(self.m, a, b), hulls, self.eps)
         return report.is_close
@@ -367,8 +357,7 @@ class _Search:
         if not self.adversarial and self.suspects and not self.stats.halted_cap:
             self._fix_suspects()
 
-        points = _by_label(self.nets.values())
-        return _RunOutput(_compress_labelwise(points, self.m), self.flagged)
+        return _RunOutput(_by_label(self.nets.values()), self.flagged)
 
     def _coarse_brackets(self, slabs) -> list:
         return sorted({t for iv in slabs for t in self.bracket(*iv)} & self.coarse)
@@ -380,7 +369,7 @@ class _Search:
             self.refine(coarse[0])
 
     def _hulls(self) -> list:
-        return [PointHull(np.vstack(v)) for v in _by_label(self.nets.values()).values()]
+        return [PointHull(v) for v in _by_label(self.nets.values()).values()]
 
     def _fix_suspects(self) -> None:
         """Repair neighbourhoods of recursion coordinates whose sub-run was
@@ -394,7 +383,7 @@ def _run(m: int, n: int, eps: float, query, adversarial: bool, stats: RunStats,
          depth: int) -> _RunOutput:
     if m == 0:
         lbl = query(np.zeros(0))
-        return _RunOutput({lbl: [np.zeros((1, 0))]}, False)
+        return _RunOutput({lbl: np.zeros((1, 0))}, False)
     if m == 1:
         return _binary_search_1d(eps, query)
     cap = uncovered_cap(m, n)
@@ -424,8 +413,7 @@ def _lift(inv, dim: int, n: int, eps: float, query, adversarial: bool,
     asked = log.count - before
     counts[depth] += asked
     counts[depth - 1] -= asked
-    return _RunOutput({lbl: [inv(np.vstack(blocks))] for lbl, blocks in res.points.items()},
-                      res.flagged)
+    return _RunOutput({lbl: inv(pts) for lbl, pts in res.points.items()}, res.flagged)
 
 
 def _section(m: int, n: int, acc: float, t: float, query, adversarial: bool,
@@ -488,9 +476,8 @@ def _repair(x: float, eps: float, m: int, cap: int, seed: int, hulls, recurse,
 
 
 def _add_points(lab: EmpiricalLabelling, points: dict) -> None:
-    for lbl, blocks in points.items():
-        for b in blocks:
-            lab.add_block(b, lbl)
+    for lbl, pts in points.items():
+        lab.add_block(pts, lbl)
 
 
 def fix_uncovered_critical(lab: EmpiricalLabelling, x: float, cfg: GbsConfig, oracle,

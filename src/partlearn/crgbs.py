@@ -87,5 +87,5 @@ def assemble_from_faces(face_labellings: dict) -> EmpiricalLabelling:
             raise ValueError("labelling dimension does not match its face")
         inv = face_map(face).inverse
         blocks = {lbl: lab_k.points_of(lbl, merged=False) for lbl in range(1, lab_k.n + 1)}
-        _add_points(out, {lbl: [inv(pts)] for lbl, pts in blocks.items() if len(pts)})
+        _add_points(out, {lbl: inv(pts) for lbl, pts in blocks.items() if len(pts)})
     return out

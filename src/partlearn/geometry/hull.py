@@ -79,24 +79,18 @@ def distance_to_hull(x, p, norm: str = "l2"):
     return float(d[0]), W[0]
 
 
-def snap_points(pts: np.ndarray) -> np.ndarray:
-    """A (v, m) point set snapped to the ETA grid, duplicates dropped (rows
-    sorted); a single point is kept as given."""
-    return np.unique(np.round(pts / ETA) * ETA, axis=0) if pts.shape[0] > 1 else pts
-
-
 def convex_hull(points) -> VPolytope:
-    """Canonical vertex list of the hull of a point set; idempotent.
+    """The vertices of the hull of a point set, as given; idempotent.
 
-    Points go through `snap_points` first.  The vertices are Qhull's in the
-    set's own span (`PointHull`'s reduction), in snapped-row order: a point
-    in the hull of the others to Qhull's rounding is dropped, one farther
-    out is kept.
+    The vertices are Qhull's in the set's own span (`PointHull`'s
+    reduction), in input-row order: a point in the hull of the others to
+    Qhull's rounding is dropped, one farther out is kept, and of repeated
+    rows one is kept.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts.reshape(-1, 1) if pts.size else pts.reshape(0, 0)
-    h = PointHull(snap_points(pts))
+    h = PointHull(pts)
     return VPolytope(h.points[h.vertex_indices])
 
 

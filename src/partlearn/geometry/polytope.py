@@ -163,7 +163,9 @@ class AffineMap:
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
             return self.matrix @ x + self.shift
-        return x @ self.matrix.T + self.shift
+        # row by row, so a row's image is bit for bit that of the row alone
+        rows = [self.matrix @ r + self.shift for r in np.ascontiguousarray(x)]
+        return np.array(rows).reshape(x.shape[0], self.dim_out)
 
     def verify_inverse(self, tol: float = 1e-7) -> bool:
         """Round-trip check of the stored inverse on basis points.

@@ -1,8 +1,9 @@
 """Empirical labellings: the learner's point sets, hulls, and verifiers.
 
 An empirical labelling stores every oracle-labelled point under its raw
-label, a union-find over labels (labels merged when the ground truth forces
-cells to coincide), and one cached `PointHull` per merged class.  Closeness
+label, exactly as it was asked, a union-find over labels (labels merged when
+the ground truth forces cells to coincide), and one cached `PointHull` per
+merged class, built on the class's stored points as given.  Closeness
 checks delegate to the coverage verifier; slice checks use only the points
 at the two endpoint coordinates of the slice, which is the quantity the
 learning algorithms reason about.
@@ -15,7 +16,7 @@ import json
 import numpy as np
 
 from .coverage import CoverageReport, SimplexSlab, verify_eps_net
-from .geometry import PointHull, VPolytope, snap_points
+from .geometry import PointHull, VPolytope
 from .predicates import ETA, as_point
 
 
@@ -98,10 +99,11 @@ class EmpiricalLabelling:
         return sorted(self._members)
 
     def point_hull(self, label: int) -> PointHull:
-        """The hull of a label's class, built once per change to the class."""
+        """The hull of the points stored under a label's class, as given,
+        built once per change to the class."""
         root = self.find(label)
         if root not in self._hulls:
-            self._hulls[root] = PointHull(snap_points(self.points_of(root)))
+            self._hulls[root] = PointHull(self.points_of(root))
         return self._hulls[root]
 
     def label_hull(self, label: int) -> PointHull:
@@ -109,7 +111,7 @@ class EmpiricalLabelling:
         the cached `point_hull` when the label's class is the label alone."""
         if self._members[self.find(label)] == [label]:
             return self.point_hull(label)
-        return PointHull(snap_points(self.points_of(label, merged=False)))
+        return PointHull(self.points_of(label, merged=False))
 
     def hull(self, label: int) -> VPolytope:
         """The vertices of `point_hull`: exactly ``convex_hull(points_of(label))``."""

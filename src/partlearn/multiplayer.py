@@ -458,12 +458,13 @@ def solve_wsne_multiplayer(labellings, g_for_verification: NormalFormGame, eps: 
     """Grid search for a profile supported by slack l1-Voronoi best responses.
 
     ``labellings`` must be (eps/2)-close in l1 (as produced by
-    learn_multiplayer_labellings); the verification game is consulted only
-    to fill the certificate's regrets afterwards.  The lattices are those
-    of `bimatrix._scan_steps`, coarsest first, from the spacing of l1
-    resolution eps / STEP_DIVISOR; the certificate is the lexicographically
-    first fixed point of the coarsest lattice that has one, and
-    ``grid_resolution`` is that lattice's l1 resolution.  Raises
+    learn_multiplayer_labellings).  Of the game only ``n`` and ``k`` are
+    read: the certificate's ``regrets`` and ``valid`` stay None, for
+    `verify_wsne_multiplayer` to fill (as ``partlearn solve`` does).  The
+    lattices are those of `bimatrix._scan_steps`, coarsest first, from the
+    spacing of l1 resolution eps / STEP_DIVISOR; the certificate is the
+    lexicographically first fixed point of the coarsest lattice that has
+    one, and ``grid_resolution`` is that lattice's l1 resolution.  Raises
     RuntimeError naming the last resolution scanned when no lattice has a
     fixed point, and naming the cap and the spacing when a lattice would
     exceed PROFILE_CAP profiles.

@@ -8,6 +8,7 @@ from partlearn.cdgbs import (
     DyadicInterval, GbsConfig, cd_gbs, cd_gbs_adversarial, cdgbs_query_bound,
     fix_uncovered_critical, sub_eps, uncovered_cap, uncovered_intervals,
 )
+from partlearn.crgbs import CrConfig, cr_gbs
 from partlearn.geometry import VPolytope, distance_to_hull
 from partlearn.labelling import EmpiricalLabelling, is_eps_close
 from partlearn.partition import (
@@ -476,3 +477,24 @@ def test_3d_searches_stay_eps_close(kind, n, seed):
     o = make_oracle(random_uepp(3, n, seed=seed), kind=kind)
     lab = search(GbsConfig(3, n, 0.1, oracle_kind=kind), o)
     assert is_eps_close(lab, None, 0.1).is_close
+
+
+@pytest.mark.parametrize("search, m, n, seed, eps, kind", [
+    (cd_gbs, 3, 3, 100, 0.05, "lexicographic"),
+    (cd_gbs, 4, 3, 300, 0.15, "lexicographic"),
+    (cd_gbs_adversarial, 3, 3, 7, 0.1, "adversarial"),
+    (cr_gbs, 4, 2, 1, 0.15, "adversarial"),
+])
+def test_stored_points_are_the_oracles_answers(search, m, n, seed, eps, kind):
+    # each label's hull is the hull of the points the oracle answered with it:
+    # no stored row is moved or invented on its way up the lifts
+    o = make_oracle(random_uepp(m, n, seed=seed), kind=kind, record=True)
+    cfg = (CrConfig if search is cr_gbs else GbsConfig)(m, n, eps, oracle_kind=kind)
+    lab = search(cfg, o)
+    answered = {(np.array(pt).tobytes(), lbl) for pt, lbl in o.log.transcript}
+    stored = []
+    for lbl in range(1, n + 1):
+        pts = lab.points_of(lbl, merged=False)
+        assert all((row.tobytes(), lbl) in answered for row in pts)
+        stored.append(pts)
+    assert len(np.unique(np.vstack(stored), axis=0)) <= lab.stats.queries

@@ -540,6 +540,19 @@ def test_face_maps_send_vertices_to_simplex_vertices():
                 assert fmap.inverse(fmap(v)) == pytest.approx(v, abs=1e-9)
 
 
+def test_lifting_a_block_maps_each_row_as_it_maps_the_row_alone():
+    # a search stores a block lifted at once and asks its rows one at a time;
+    # a face of dimension >= 3 sums three or more terms per coordinate
+    rng = np.random.default_rng(0)
+    maps = [fmap.inverse for m, k in ((4, 3), (6, 4)) for _f, fmap in enumerate_k_faces(m, k)]
+    maps += [section_map(t, 4).inverse for t in rng.random(5)]
+    for inv in maps:
+        k = inv.dim_in
+        Z = rng.dirichlet(np.ones(k + 1), size=50)[:, :k]
+        assert all(inv(z).tobytes() == row.tobytes() for z, row in zip(Z, inv(Z)))
+    assert section_map(0.5, 4).inverse(np.zeros((0, 3))).shape == (0, 4)
+
+
 def test_faces_reject_bad_k():
     with pytest.raises(ValueError):
         enumerate_k_faces(2, 3)

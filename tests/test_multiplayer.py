@@ -1,4 +1,5 @@
 import math
+import types
 
 import numpy as np
 import pytest
@@ -288,6 +289,16 @@ def test_jordan_game_equilibrium_near_uniform():
     for x in cert.profile:
         assert 0.375 - 0.07 <= x[0] <= 0.625 + 0.07
     assert audit.purposes and set(audit.purposes) == {"oracle"}
+
+
+def test_solver_reads_only_the_games_sizes():
+    g = random_game(3, 2, seed=4)
+    oracles, _ = make_multi_oracles(g, seed=0)
+    labs, _ = learn_multiplayer_labellings(oracles, 0.2)
+    cert = solve_wsne_multiplayer(labs, g, 0.2, queries=7)
+    sizes = solve_wsne_multiplayer(labs, types.SimpleNamespace(n=g.n, k=g.k), 0.2, queries=7)
+    assert sizes.to_json() == cert.to_json()
+    assert cert.regrets is None and cert.valid is None
 
 
 def test_dominant_actions_solve_to_pure_profile():
