@@ -13,6 +13,17 @@ low corner lies beyond eps/2; that low corner, a region point, is the
 witness.  A box holding a point beyond eps of every hull is never pruned,
 so it ends in one of those two ways.
 
+Every box stands for its part in the simplex.  A box whose low corner lies
+outside the simplex is dropped; every other box is clipped to the bounding
+box of its part in the simplex, ``hi_i <= lo_i + max(1 - sum lo, 0)``,
+since a point x of the box with ``sum x <= 1`` has
+``x_i <= 1 - sum_{j != i} lo_j``.  The low corner stays the canonical
+region point, so the covered, far and floor rules and the witnesses hold
+for the clipped box as they did for the whole one, and splits act on it.
+A box is inside a hull when its part in the simplex is
+(`PointHull.contains_boxes`), so a box that sticks out across the
+simplex's slanted facet ``sum x = 1`` can still be covered whole.
+
 Each level bounds every box from above once: one KD-tree over the sampled
 points of all hulls gives ``up``, the distance from the box centre to the
 nearest sample.  Every sample lies in its hull, so the union lies within
@@ -188,12 +199,16 @@ def verify_eps_net(region, hulls, eps: float) -> CoverageReport:
         los, his = los[feas], his[feas]
         if not los.shape[0]:
             break
+        # each box shrinks to the bounding box of its part in the simplex:
+        # a point x of the box there has x_i <= 1 - sum_{j != i} lo_j
+        room = np.clip(1.0 - los.sum(axis=1), 0.0, None)
+        his = np.minimum(his, los + room[:, None])
         centers = 0.5 * (los + his)
         radii = 0.5 * np.linalg.norm(his - los, axis=1)
         up = tree.query(centers)[0]
         alive = up + radii > eps
         if alive.any():
-            # boxes wholly inside a hull are covered at any scale
+            # boxes whose part in the simplex lies inside a hull are covered
             for h in hulls:
                 idx = np.where(alive)[0]
                 if idx.size == 0:

@@ -51,7 +51,7 @@ from ..predicates import ETA, as_point
 from .lp import l1_distance_to_hull
 from .polytope import VPolytope
 
-_PAIR_CHUNK = 1 << 16   # (point, face) pairs per distance block
+_PAIR_CHUNK = 1 << 16   # (point, face) or (box, facet) pairs per block
 _FLAT_GRAM = 1e-12      # faces with det(Gram) <= this * prod(diag) are flat
 
 
@@ -265,20 +265,57 @@ class PointHull:
             return np.zeros(X.shape[0])
         return self._tree.query(X)[0]
 
-    def contains_boxes(self, los: np.ndarray, his: np.ndarray) -> np.ndarray:
-        """Mask of axis-aligned boxes wholly inside the hull.
+    @cached_property
+    def _facet_gains(self):
+        """Each facet's axes by decreasing normal entry, and the steps
+        ``g_k - g_{k+1}`` between those entries clipped at 0 (``g_k``, with
+        ``g_{m+1} = 0``): the order and the weights of `_box_maxima`."""
+        A = self._facets[0]
+        order = np.argsort(-A, axis=1, kind="stable")
+        gains = np.clip(np.take_along_axis(A, order, axis=1), 0.0, None)
+        return order, gains - np.concatenate([gains[:, 1:], np.zeros((A.shape[0], 1))], axis=1)
 
-        Uses the facet form; returns all-False for a hull below full
-        dimension (flat in some direction, or of effective dimension 0), a
-        sound under-report.
+    def _box_maxima(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """The maximum of ``a.x`` over ``[lo, hi] ∩ {sum x <= 1}``, for each
+        box row and facet normal ``a``.
+
+        The maximum is a fractional knapsack, solved exactly by the greedy:
+        from ``lo``, the budget ``max(1 - sum lo, 0)`` is spent on the
+        positive entries ``g_1 >= g_2 >= ...`` of ``a``, largest first, each
+        up to its box width.  The greedy spends ``min(reach_k, budget)`` on
+        the first k axes, where ``reach_k`` is their summed width, so it
+        gains ``sum_k (g_k - g_{k+1}) min(reach_k, budget)`` over ``a.lo``.
+        Summed by einsum's own loops, so a row's value does not depend on
+        its block.
+        """
+        order, steps = self._facet_gains
+        reach = np.cumsum((hi - lo)[:, order], axis=2)    # (box, facet, axis), spending order
+        budget = np.clip(1.0 - lo.sum(axis=1), 0.0, None)
+        spent = np.minimum(reach, budget[:, None, None])
+        return np.einsum("bk,fk->bf", lo, self._facets[0]) + np.einsum("bfk,fk->bf", spent, steps)
+
+    def contains_boxes(self, los: np.ndarray, his: np.ndarray) -> np.ndarray:
+        """Mask of axis-aligned boxes whose part in the corner simplex lies
+        wholly inside the hull.
+
+        A box [lo, hi] counts when, for every facet ``a.x <= b``, the
+        maximum of ``a.x`` over ``[lo, hi] ∩ {sum x <= 1}`` (`_box_maxima`)
+        is at most ``b + ETA``.  Boxes whose low corner passes every facet
+        are taken in blocks of at most `_PAIR_CHUNK` (box, facet) pairs.
+        Returns all-False for a hull below full dimension (flat in some
+        direction, or of effective dimension 0), a sound under-report.
         """
         if self.is_empty or self._facets is None or self._tilt is not None:
             return np.zeros(los.shape[0], dtype=bool)
         A, b = self._facets
-        Ap = np.clip(A, 0.0, None)
-        Am = np.clip(A, None, 0.0)
-        worst = los @ Am.T + his @ Ap.T - b
-        return (worst <= ETA).all(axis=1)
+        out = np.zeros(los.shape[0], dtype=bool)
+        # a maximum is at least its value at lo: most boxes fail there
+        todo = np.nonzero((los @ A.T - b <= ETA).all(axis=1))[0]
+        step = max(1, _PAIR_CHUNK // b.size)
+        for s in range(0, todo.size, step):
+            i = todo[s:s + step]
+            out[i] = (self._box_maxima(los[i], his[i]) - b <= ETA).all(axis=1)
+        return out
 
     def facet_offsets(self, X: np.ndarray):
         """Facet offsets ``A x - b`` of a query block, positive where a

@@ -390,7 +390,7 @@ def test_depth_queries_of_runs_sharing_an_answer_memo():
     (2, 3, 0.1, 17, None, 1),   # a 1-D section of the top-level search
     (3, 3, 0.15, 1, None, 2),   # a 1-D section of a 2-D section
     # a 2-D section: a first pass at 4 eps leaves the top level's halves open
-    (3, 3, 0.3, 3, 4.0, 1),
+    (3, 3, 0.5, 12, 4.0, 1),
 ])
 def test_refined_sections_are_paid_once_and_counted_at_their_depth(m, n, eps, seed, coarsen,
                                                                    depth):
@@ -477,6 +477,23 @@ def test_3d_searches_stay_eps_close(kind, n, seed):
     o = make_oracle(random_uepp(3, n, seed=seed), kind=kind)
     lab = search(GbsConfig(3, n, 0.1, oracle_kind=kind), o)
     assert is_eps_close(lab, None, 0.1).is_close
+
+
+@pytest.mark.parametrize("kind", ["lexicographic", "adversarial"])
+def test_a_planar_labelling_close_on_a_dense_grid_is_verified_close(kind):
+    # the unclipped box verifier rejected this labelling by its floor rule at
+    # (0.4375, 0.5625), a point on the facet x + y = 1 that lies 0.0625 from
+    # the hulls, within eps
+    eps = 0.1
+    search = cd_gbs if kind == "lexicographic" else cd_gbs_adversarial
+    o = make_oracle(random_uepp(2, 3, seed=105), kind=kind)
+    lab = search(GbsConfig(2, 3, eps, oracle_kind=kind, seed=5), o)
+    assert is_eps_close(lab, None, eps).is_close
+    g = np.arange(0.0, 1.0 + 1e-12, 0.002)
+    X = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
+    X = X[X.sum(axis=1) <= 1.0 + 1e-12]
+    d = np.min([lab.label_hull(r).distances(X) for r in lab.class_roots()], axis=0)
+    assert d.max() <= eps
 
 
 @pytest.mark.parametrize("search, m, n, seed, eps, kind", [

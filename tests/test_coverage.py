@@ -6,12 +6,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, cKDTree
 
 from partlearn import coverage
 from partlearn.coverage import SimplexSlab, verify_eps_net
-from partlearn.geometry import VPolytope
+from partlearn.crgbs import CrConfig, cr_gbs
+from partlearn.geometry import VPolytope, hull
 from partlearn.geometry.hull import PointHull
+from partlearn.labelling import is_eps_close
+from partlearn.partition import make_oracle, random_uepp
 from partlearn.predicates import ETA
 from test_geometry import _enumerated_distances
 
@@ -27,8 +31,8 @@ def _hulls(case):
 @pytest.mark.parametrize("case", GOLDEN, ids=[f"{k}-{c['why']}" for k, c in enumerate(GOLDEN)])
 def test_verifier_reports_equal_the_recorded_ones(case):
     # verifier calls recorded from cd_gbs, cr_gbs and solve_wsne runs of the
-    # benchmark panels, with the reports the box refinement gave before it
-    # skipped (box, hull) pairs that cannot decide a box
+    # benchmark panels; the verdicts are those the unclipped box refinement
+    # gave, the box counts and witnesses those of boxes clipped to the simplex
     rep = verify_eps_net(SimplexSlab(case["m"], case["lo"], case["hi"]), _hulls(case), case["eps"])
     want = case["report"]
     assert rep.is_close == want["is_close"]
@@ -38,6 +42,20 @@ def test_verifier_reports_equal_the_recorded_ones(case):
         assert rep.witness is None
     else:
         assert rep.witness.tolist() == want["witness"]
+
+
+def test_golden_witnesses_are_region_points_beyond_half_eps():
+    # every recorded "not close" holds: its witness, measured by vertex-subset
+    # enumeration, is a slab point farther than eps/2 from every hull
+    for c in GOLDEN:
+        if c["report"]["is_close"]:
+            continue
+        w = np.array(c["report"]["witness"])
+        assert (w >= -ETA).all() and w.sum() <= 1.0 + ETA and c["lo"] - ETA <= w[0] <= c["hi"] + ETA
+        d = min(_enumerated_distances(np.array(P, dtype=float).reshape(-1, c["m"]), w[None, :])[0]
+                for P in c["hulls"] if P)
+        assert abs(d - c["report"]["witness_distance"]) <= 1e-12
+        assert d > c["eps"] / 2
 
 
 def test_golden_cases_cover_both_verdicts_and_flat_hulls():
@@ -110,14 +128,20 @@ def _random_parts(rng, m, n_hulls, shrink):
 
 EPS = {2: 0.08, 3: 0.15, 4: 0.3}
 SHRINK = (0.0, 0.1, 0.25, 0.5)
-CASES = [(m, slab, seed) for m in (2, 3, 4) for slab in ("whole", "thin") for seed in range(4)]
+SLABS = ("whole", "thin", "apex")
+CASES = [(m, slab, seed) for m in (2, 3, 4) for slab in SLABS for seed in range(4)]
 
 
 def _case(m, slab, seed):
-    rng = np.random.default_rng([m, seed, slab == "thin"])
+    rng = np.random.default_rng([m, seed, SLABS.index(slab)])
     parts = _random_parts(rng, m, 1 + seed, SHRINK[seed])
     if slab == "whole":
         return parts, 0.0, 1.0
+    if slab == "apex":
+        # a slab near the vertex e_1, most of them reaching past it, where
+        # every box the refinement starts from sticks out of the simplex
+        lo = 1.0 - float(rng.uniform(0.5, 2.0)) * EPS[m]
+        return parts, lo, lo + 1.5 * EPS[m]
     lo = float(rng.uniform(0.0, 0.8))
     return parts, lo, lo + 0.6 * EPS[m]
 
@@ -144,6 +168,55 @@ def test_reference_cases_reach_both_verdicts():
                                EPS[m]).is_close
                 for m, slab, seed in CASES for parts, lo, hi in [_case(m, slab, seed)]]
     assert set(verdicts) == {True, False}
+
+
+# -- boxes clipped to the simplex ---------------------------------------------------
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_clipped_box_maxima_equal_a_linear_program(m):
+    # the greedy maximum of a.x over [lo, hi] ∩ {sum x <= 1}, against HiGHS,
+    # on the facets of a random hull and boxes that mostly cross sum x = 1
+    rng = np.random.default_rng(m)
+    h = PointHull(rng.uniform(0.0, 1.0, (3 * m, m)))
+    lo = rng.dirichlet(np.ones(m + 1), 12)[:, :m]
+    hi = lo + rng.uniform(0.0, 0.8, lo.shape)
+    assert (hi.sum(axis=1) > 1.0).sum() >= 8
+    got = h._box_maxima(lo, hi)
+    for i in range(len(lo)):
+        for f, a in enumerate(h._facets[0]):
+            res = linprog(-a, A_ub=np.ones((1, m)), b_ub=[1.0],
+                          bounds=list(zip(lo[i], hi[i])), method="highs")
+            assert res.status == 0
+            assert abs(got[i, f] + res.fun) <= 1e-12
+
+
+def test_a_box_counts_as_inside_when_its_part_in_the_simplex_is():
+    # the box's far corner (0.8, 0.8) lies outside the simplex; its part in
+    # the simplex, the triangle below x + y = 1, lies inside the simplex's
+    # hull but not inside the hull of the simplex shrunk to x + y <= 0.9
+    los, his = np.array([[0.4, 0.4], [-0.1, 0.4]]), np.array([[0.8, 0.8], [0.2, 0.8]])
+    simplex = PointHull(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+    assert simplex.contains_boxes(los, his).tolist() == [True, False]
+    shrunk = PointHull(np.array([[0.0, 0.0], [0.9, 0.0], [0.0, 0.9]]))
+    assert shrunk.contains_boxes(los, his).tolist() == [False, False]
+
+
+def test_reports_do_not_depend_on_the_block_size(monkeypatch):
+    cases = [(SimplexSlab(c["m"], c["lo"], c["hi"]), _hulls(c), c["eps"]) for c in GOLDEN]
+    cases += [(SimplexSlab(m, lo, hi), [PointHull(P) for P in parts], EPS[m])
+              for m, slab, seed in CASES if slab == "apex" for parts, lo, hi in [_case(m, slab, seed)]]
+    want = [verify_eps_net(*c).to_json() for c in cases]
+    monkeypatch.setattr(hull, "_PAIR_CHUNK", 3)
+    assert [verify_eps_net(*c).to_json() for c in cases] == want
+
+
+def test_a_five_dimensional_labelling_is_checked_in_few_boxes():
+    # unclipped boxes along the simplex's slanted facet took 23,697 here
+    u = random_uepp(5, 2, seed=1)
+    lab = cr_gbs(CrConfig(5, 2, 0.15), make_oracle(u))
+    rep = is_eps_close(lab, None, 0.15)
+    assert rep.is_close
+    assert rep.cells_touched <= 2_500
 
 
 # -- the V-polytope lattice path ------------------------------------------------
