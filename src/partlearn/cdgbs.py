@@ -55,31 +55,23 @@ def sub_eps(eps: float, m: int, n: int, t: float) -> float:
     Soundness never rested on this value: "close" verdicts come from
     `verify_eps_net`, `slab_certificate_2d`, `is_eps_close` and the
     full-information WSNE verifier, none of which read it.  A section's
-    first pass runs coarser still (`_first_pass_eps`).
+    first pass runs at the search's eps (`_first_pass_eps`).
     """
     return max(eps * eps / (85.0 * (1.0 - t) * n * m ** 2.5), ETA)
 
 
-FIRST_PASS_DIVISOR = 4    # a planar search's sections are first learned at eps / 4
-
-
 def _first_pass_eps(eps: float, m: int, n: int, t: float) -> float:
-    """Accuracy of a cross-section's first pass in an m-dimensional search:
-    ``max(sub_eps, eps)`` from m = 3 on, ``max(sub_eps, eps / 4)`` in the
-    plane.
+    """Accuracy of a cross-section's first pass in every dimension:
+    ``max(sub_eps, eps)``.
 
-    From m = 3 on, `verify_eps_net` judges a slab against hulls spanning
-    both bracketing sections, which needs no section finer than the
-    search's own eps; a coarser first pass costs more than it saves, since
-    a section that cannot cover its slab is re-learned whole at `sub_eps`.
-    A planar search certifies its slabs with `slab_certificate_2d`, whose
-    certificate B (``hypot(W, h + W) <= eps``) passes at hole radius
-    ``h = eps/4`` for any distance ``W <= 0.57 eps`` to a bracketing
-    section; the halves of the last dyadic level's slabs have
-    ``W <= eps/8``.  Soundness rests on the certificates, not on this value.
+    The slab certificates (`verify_eps_net`, `slab_certificate_2d`) judge a
+    slab against hulls spanning both bracketing sections, which needs no
+    section finer than the search's own eps.  A first pass coarser than eps
+    costs more than it saves, since a section that cannot cover its slab is
+    re-learned whole at `sub_eps`.  Soundness rests on the certificates,
+    not on this value.
     """
-    coarse = eps if m >= 3 else eps / FIRST_PASS_DIVISOR
-    return max(sub_eps(eps, m, n, t), coarse)
+    return max(sub_eps(eps, m, n, t), eps)
 
 
 def uncovered_cap(m: int, n: int) -> int:
@@ -108,6 +100,8 @@ class GbsConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.m < 0 or self.n < 1:
+            raise ValueError("need m >= 0 and n >= 1")
         if not 0 < self.eps < math.inf:
             raise ValueError("eps must be positive and finite")
         if self.oracle_kind not in KINDS:
@@ -231,14 +225,14 @@ def _by_label(nets) -> dict:
 class _Search:
     """One CD-GBS invocation on a local corner simplex.
 
-    Cross-sections are learned coarse first (`_first_pass_eps`: at the
-    search's own eps from m = 3 on, at eps/4 in a planar search) and
-    re-learned at `sub_eps` only where a slab they bracket fails its
-    certificate: each half of a last-level uncovered slab, and, before a
-    lexicographic search halts on ``cap``, each uncovered slab.  A half that
-    still fails is left to the end verifiers.  Repairs learn at `sub_eps`.
-    ``query`` answers from the run's `AnswerMemo`, so re-learning a section
-    pays only for the points its coarse pass did not ask.
+    Cross-sections are learned coarse first, at the search's own eps
+    (`_first_pass_eps`), and re-learned at `sub_eps` only where a slab they
+    bracket fails its certificate: each half of a last-level uncovered slab,
+    and, before a lexicographic search halts on ``cap``, each uncovered slab.
+    A half that still fails is left to the end verifiers.  Repairs learn at
+    `sub_eps`.  ``query`` answers from the run's `AnswerMemo`, so
+    re-learning a section pays only for the points its coarse pass did not
+    ask.
     """
 
     def __init__(self, m: int, n: int, eps: float, query, adversarial: bool,

@@ -118,19 +118,6 @@ class EmpiricalLabelling:
         h = self.point_hull(label)
         return VPolytope(h.points[h.vertex_indices])
 
-    def compress(self) -> None:
-        """Replace each class's point blocks by its hull vertices.
-
-        The hulls (and hence every verdict derived from them) are unchanged;
-        interior points are dropped to bound memory on long runs.
-        """
-        for members in self.merge_classes():
-            hull = self.hull(members[0])
-            for l in members:
-                self._points[l] = []
-            if not hull.is_empty:
-                self._points[members[0]] = [hull.vertices.copy()]
-
     # -- serialization ------------------------------------------------------
     def to_json(self) -> str:
         merges = []

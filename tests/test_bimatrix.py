@@ -474,8 +474,8 @@ def test_witness_rule_accepts_only_wsne(case):
 # accuracy (eps_r / 2, eps_c / 2): (game, eps, u, v, row support, column
 # support, grid resolution, row queries, column queries).
 ONE_ROUND = [
-    (random_game(4, 3, seed=101), 0.1, [0.0, 0.7375, 0.0], [0.0, 0.275], [1, 3], [1, 3],
-     0.0125, 172, 320),
+    (random_game(4, 3, seed=101), 0.1, [0.0, 0.7375, 0.0], [0.0, 0.2875], [1, 3], [1, 3],
+     0.0125, 152, 289),
     (lower_bound_game(0.3, 0.7), 0.05, [0.7], [0.3], [1, 2], [1, 2], 0.025, 9, 9),
 ]
 

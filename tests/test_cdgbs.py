@@ -8,6 +8,7 @@ from partlearn.cdgbs import (
     DyadicInterval, GbsConfig, cd_gbs, cd_gbs_adversarial, cdgbs_query_bound,
     fix_uncovered_critical, sub_eps, uncovered_cap, uncovered_intervals,
 )
+from partlearn.coverage import simplex_lattice
 from partlearn.crgbs import CrConfig, cr_gbs
 from partlearn.geometry import VPolytope, distance_to_hull
 from partlearn.labelling import EmpiricalLabelling, is_eps_close
@@ -98,6 +99,13 @@ def test_config_and_search_reject_an_oracle_kind_they_do_not_run():
         cd_gbs(GbsConfig(2, 3, 0.1, oracle_kind="adversarial"), make_oracle(u, kind="adversarial"))
     with pytest.raises(ValueError):
         cd_gbs_adversarial(GbsConfig(2, 3, 0.1), make_oracle(u))
+
+
+@pytest.mark.parametrize("config", [GbsConfig, CrConfig])
+@pytest.mark.parametrize("m, n", [(3, 0), (-1, 3)])
+def test_config_rejects_a_bad_dimension_or_label_count(config, m, n):
+    with pytest.raises(ValueError):
+        config(m, n, 0.1)
 
 
 def test_determinism_of_transcripts():
@@ -428,7 +436,7 @@ def test_refined_sections_are_paid_once_and_counted_at_their_depth(m, n, eps, se
 
 
 @pytest.mark.parametrize("kind", ["lexicographic", "adversarial"])
-def test_first_passes_run_at_the_search_eps_from_m_3_and_at_eps_over_4_in_the_plane(kind):
+def test_first_passes_run_at_the_search_eps_in_every_dimension(kind):
     eps, n = 0.1, 3
     calls = []          # (section dim + 1, enclosing search's eps, acc, t, fine)
     searches = [eps]    # eps of the enclosing searches, innermost last
@@ -458,14 +466,13 @@ def test_first_passes_run_at_the_search_eps_from_m_3_and_at_eps_over_4_in_the_pl
         lab = search(GbsConfig(3, n, eps, oracle_kind=kind), o)
     assert is_eps_close(lab, None, eps).is_close
     for m, e, acc, t, fine in calls:
-        first = e if m >= 3 else e / 4
-        assert acc == (sub_eps(e, m, n, t) if fine else max(sub_eps(e, m, n, t), first))
+        assert acc == (sub_eps(e, m, n, t) if fine else max(sub_eps(e, m, n, t), e))
     firsts = [(m, e, acc) for m, e, acc, _t, fine in calls if not fine]
     # the 3-D search's sections are first learned at its own eps ...
     assert {acc for m, _e, acc in firsts if m == 3} == {eps}
-    # ... and the planar searches below them at a quarter of theirs
+    # ... and the planar searches below them learn theirs at their own eps
     planar = [(e, acc) for m, e, acc in firsts if m == 2]
-    assert planar and all(acc == e / 4 for e, acc in planar)
+    assert planar and all(acc == e for e, acc in planar)
     assert {e for e, _acc in planar} >= {eps}
 
 
@@ -493,6 +500,25 @@ def test_a_planar_labelling_close_on_a_dense_grid_is_verified_close(kind):
     X = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
     X = X[X.sum(axis=1) <= 1.0 + 1e-12]
     d = np.min([lab.label_hull(r).distances(X) for r in lab.class_roots()], axis=0)
+    assert d.max() <= eps
+
+
+@pytest.mark.parametrize("kind", ["lexicographic", "adversarial"])
+@pytest.mark.parametrize("m, n, seed, eps, spacing", [
+    (3, 4, 101, 0.1, 1 / 100), (3, 2, 101, 0.05, 1 / 100), (2, 3, 105, 0.05, 1 / 400),
+])
+def test_planar_first_passes_at_eps_stay_close_on_a_dense_lattice(kind, m, n, seed, eps, spacing):
+    # the planar-sweep runs that ask more queries with planar first passes at
+    # eps than at eps/4, checked against exact hull distances on a lattice
+    search = cd_gbs if kind == "lexicographic" else cd_gbs_adversarial
+    o = make_oracle(random_uepp(m, n, seed=seed), kind=kind)
+    lab = search(GbsConfig(m, n, eps, oracle_kind=kind, seed=seed - 100), o)
+    assert is_eps_close(lab, None, eps).is_close
+    X = simplex_lattice(m, spacing)
+    roots = lab.class_roots()
+    d = np.min([lab.point_hull(r).distances(X) for r in roots], axis=0)
+    far = X[np.argmax(d)]
+    assert min(distance_to_hull(far, lab.hull(r))[0] for r in roots) == pytest.approx(d.max())
     assert d.max() <= eps
 
 

@@ -136,16 +136,6 @@ def test_hulls_stay_inside_true_cells():
             assert distance_to_hull(w, cells[root])[0] <= 1e-6
 
 
-def test_compress_preserves_hulls():
-    rng = np.random.default_rng(5)
-    lab = EmpiricalLabelling(2, 2)
-    lab.add_block(rng.dirichlet(np.ones(3), size=40)[:, :2], 1)
-    before = sorted(map(tuple, lab.hull(1).vertices))
-    lab.compress()
-    assert lab.total_points() < 40
-    assert sorted(map(tuple, lab.hull(1).vertices)) == before
-
-
 def test_labelling_json_roundtrip():
     lab = EmpiricalLabelling(2, 3)
     lab.add_query([0.1, 0.2], 2)
