@@ -1,0 +1,105 @@
+"""Record the coverage-verifier calls of a benchmark panel and replay them.
+
+    python3 scripts/replay_verifier.py record calls.json --workload learn-uepp --seed 1 --base-seed 1
+    python3 scripts/replay_verifier.py replay calls.json --repeat 5
+
+``record`` runs one pass of a ``perfbench`` panel and writes every
+`verify_eps_net` call it makes as JSON: the slab, eps, the points of each
+hull passed and the report.  ``replay`` re-runs the recorded calls on the
+``partlearn`` next to this script, counts the reports that differ from the
+recorded ones in any field, and prints the best and the median process CPU
+of ``--repeat`` replays.  Recording on one tree and replaying on two compares
+their verifiers call for call; the panels come from ``perfbench/workloads.py``,
+which this script only imports.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+import numpy as np  # noqa: E402
+
+from partlearn import coverage  # noqa: E402
+from partlearn.geometry.hull import PointHull  # noqa: E402
+
+
+def record(args) -> int:
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
+    original = coverage.verify_eps_net
+    calls = []
+
+    def recording(region, hulls, eps):
+        hulls = list(hulls)
+        report = original(region, hulls, eps)
+        calls.append({"region": {"m": region.m, "lo": region.lo, "hi": region.hi}, "eps": eps,
+                      "hulls": [h.points.tolist() for h in hulls],
+                      "report": json.loads(report.to_json())})
+        return report
+
+    # every module that bound the function by name gets the recorder
+    for mod in [m for name, m in sys.modules.items() if name.split(".")[0] == "partlearn"]:
+        for key, value in list(vars(mod).items()):
+            if value is original:
+                setattr(mod, key, recording)
+    panel = workloads.make_panel(args.workload, args.seed, base_seed=args.base_seed)
+    failed = [out.error for out in map(workloads.run_instance, panel) if not out.ok]
+    Path(args.path).write_text(json.dumps({"workload": args.workload, "seed": args.seed,
+                                           "base_seed": args.base_seed, "calls": calls}))
+    print(f"{len(calls)} calls from {len(panel)} instances written to {args.path}"
+          + (f"; {len(failed)} instances failed: {failed}" if failed else ""))
+    return 1 if failed else 0
+
+
+def replay(args) -> int:
+    data = json.loads(Path(args.path).read_text())
+    calls = [(coverage.SimplexSlab(**c["region"]), c["eps"], c["hulls"], c["report"])
+             for c in data["calls"]]
+    differ = boxes = 0
+    cpu = []
+    for rep in range(args.repeat):
+        # hulls are built afresh each time: their caches are part of a call's cost
+        jobs = [(region, eps, [PointHull(np.array(P, dtype=float).reshape(-1, region.m))
+                               for P in hulls], want)
+                for region, eps, hulls, want in calls]
+        t0 = time.process_time()
+        got = [coverage.verify_eps_net(region, hulls, eps) for region, eps, hulls, _ in jobs]
+        cpu.append(time.process_time() - t0)
+        if rep == 0:
+            for report, (*_, want) in zip(got, jobs):
+                differ += json.loads(report.to_json()) != want
+                boxes += report.cells_touched
+    print(json.dumps({"calls": len(calls), "reports_differing": differ, "cells_touched": boxes,
+                      "cpu_s_best": round(min(cpu), 4),
+                      "cpu_s_median": round(statistics.median(cpu), 4)}))
+    return 1 if differ else 0
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sub = p.add_subparsers(dest="cmd", required=True)
+    r = sub.add_parser("record", help="write a panel's verifier calls to PATH")
+    r.add_argument("path")
+    r.add_argument("--workload", required=True)
+    r.add_argument("--seed", type=int, default=1)
+    r.add_argument("--base-seed", type=int, default=1)
+    r.set_defaults(run=record)
+    q = sub.add_parser("replay", help="re-run the calls of PATH and compare the reports")
+    q.add_argument("path")
+    q.add_argument("--repeat", type=int, default=5)
+    q.set_defaults(run=replay)
+    args = p.parse_args(argv)
+    return args.run(args)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

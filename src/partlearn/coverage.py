@@ -24,12 +24,28 @@ A box is inside a hull when its part in the simplex is
 (`PointHull.contains_boxes`), so a box that sticks out across the
 simplex's slanted facet ``sum x = 1`` can still be covered whole.
 
-Each level bounds every box from above once: one KD-tree over the sampled
-points of all hulls gives ``up``, the distance from the box centre to the
-nearest sample.  Every sample lies in its hull, so the union lies within
-``up`` of the centre, and a box of radius r with ``up - r <= eps`` can
-never be far.  Exact centre distances are then taken only at the (box,
-hull) pairs that can decide a box: hull h, with facet lower bound ``lb``,
+The tree is refined in passes.  A pass takes the frontier, one level of
+boxes, and grows the subtree below it by the split rule alone (drop
+infeasible boxes, clip, bisect the longest axis; a floor box has no
+children) while the pass holds at most PASS_BOXES boxes; a larger frontier
+is a pass of one level.  Every box of the pass is judged at once, and the
+verdicts are then read level by level, breadth first: a box exists only
+when its parent split, so a box judged before its parent's verdict counts,
+and can stop the refinement, only when its parent splits.  A box's fate
+depends only on the box and the hulls (the KD-tree, `PointHull`'s facet,
+containment and distance kernels compute a row the same in any block), so
+every report equals that of refining one level at a time, whatever the
+pass holds.  Judging several levels at once pays numpy's fixed cost per
+call once per pass and hull rather than once per level and hull.
+
+Each pass bounds every box of radius at most 4 eps from above once: one
+KD-tree over the sampled points of all hulls gives ``up``, the distance
+from the box centre to the nearest sample.  Every sample lies in its hull,
+so the union lies within ``up`` of the centre, and a box of radius r with
+``up - r <= eps`` can never be far; a larger box has ``up + r > eps``
+whatever ``up`` is, and is never tested far.  Exact centre distances are
+then taken only at the (box, hull) pairs that can decide a box: hull h,
+with facet lower bound ``lb``,
 is measured when ``lb`` is below the box's running minimum and either h
 could cover the box (``lb + r <= eps``) or the box may be far and h is not
 beyond eps of the whole box (``lb - r <= eps``); a covered box is measured
@@ -55,6 +71,7 @@ from .geometry import VPolytope, diameter
 from .predicates import ETA
 
 MAX_CELLS = 2_000_000     # boxes one verify_eps_net call may refine
+PASS_BOXES = 128          # boxes one refinement pass grows and evaluates at most
 
 
 class CellCapError(RuntimeError):
@@ -86,9 +103,11 @@ class SimplexSlab:
 class CoverageReport:
     """Verdict of `verify_eps_net`.
 
-    ``cells_touched`` counts the boxes the refinement examined (lattice
-    points on the V-polytope path); it is 0 only when no box was examined:
-    an empty or 0-dimensional region, or no hulls.
+    ``cells_touched`` counts the boxes of the refinement tree down to the
+    level where it stopped (lattice points on the V-polytope path); a box a
+    pass judged before its parent's verdict counts only when the parent
+    split.  It is 0 only when no box was examined: an empty or
+    0-dimensional region, or no hulls.
     """
 
     eps: float
@@ -155,6 +174,90 @@ def _deciding_distances(hulls, centers, radii, far_ok, eps):
     return d
 
 
+def _count_boxes(cells_touched: int, new: int) -> int:
+    """``cells_touched + new``, checked against MAX_CELLS before the new
+    boxes are made."""
+    cells_touched += new
+    if cells_touched > MAX_CELLS:
+        raise CellCapError(f"coverage refinement exceeded the cap of {MAX_CELLS} boxes")
+    return cells_touched
+
+
+def _bisect(los, his):
+    """Each box split across its longest axis: every low half in box
+    order, then every high half."""
+    n = los.shape[0]
+    rows = np.arange(n)
+    axis = np.argmax(his - los, axis=1)
+    mid = 0.5 * (los[rows, axis] + his[rows, axis])
+    los, his = np.concatenate([los, los]), np.concatenate([his, his])
+    his[rows, axis] = mid
+    los[rows + n, axis] = mid
+    return los, his
+
+
+def _grow_pass(los, his, floor_r):
+    """The boxes of one pass: the frontier and the levels of its subtree
+    below, grown while the pass holds at most PASS_BOXES boxes (a larger
+    frontier is a pass of one level).
+
+    Every box is clipped to the bounding box of its part in the simplex
+    (a point x of the box there has ``x_i <= 1 - sum_{j != i} lo_j``);
+    a box whose low corner, the canonical region point, lies outside the
+    simplex is infeasible and has no children, and neither has a box at
+    the floor radius.  The others are bisected, whatever their fate.
+    Returns the boxes of all levels in one block with their feasibility,
+    radii and parent rows (-1 in the frontier), and the level starts.
+    """
+    blocks, parent, starts = [], [np.full(los.shape[0], -1)], [0]
+    while True:
+        sums = los.sum(axis=1)
+        feasible = sums <= 1.0 + ETA
+        his = np.minimum(his, los + np.clip(1.0 - sums, 0.0, None)[:, None])
+        widths = his - los
+        radii = 0.5 * np.sqrt((widths * widths).sum(axis=1))
+        blocks.append((los, his, feasible, radii))
+        starts.append(starts[-1] + los.shape[0])
+        grow = np.flatnonzero(feasible & (radii > floor_r))
+        if not grow.size or starts[-1] + 2 * grow.size > PASS_BOXES:
+            break
+        parent.append(starts[-2] + np.concatenate([grow, grow]))
+        los, his = _bisect(los[grow], his[grow])
+    return (*(np.concatenate(col) for col in zip(*blocks)), np.concatenate(parent),
+            np.array(starts))
+
+
+def _box_fates(hulls, tree, los, his, feasible, radii, eps):
+    """Masks of the boxes of a pass, each box judged on its own: ``far``,
+    wholly beyond eps of every hull, and ``open_``, feasible and not
+    covered (by the sample bound, a hull holding it or a centre distance).
+    """
+    centers = 0.5 * (los + his)
+    open_ = feasible.copy()
+    # a box of radius r > 4 eps has up + r > eps, whatever up is
+    small = np.flatnonzero(feasible & (radii <= 4.0 * eps))
+    up = tree.query(centers[small])[0]
+    open_[small[up + radii[small] <= eps]] = False
+    # boxes whose part in the simplex lies inside a hull are covered
+    for h in hulls:
+        idx = np.flatnonzero(open_)
+        if idx.size == 0:
+            break
+        open_[idx[h.contains_boxes(los[idx], his[idx])]] = False
+    far = np.zeros(los.shape[0], dtype=bool)
+    keep = open_[small]
+    small, up = small[keep], up[keep]
+    if small.size:
+        # once cells reach eps scale, exact center distances settle them
+        r = radii[small]
+        # the union lies within ``up`` of a centre, so no other box is far
+        far_ok = up - r > eps
+        d = _deciding_distances(hulls, centers[small], r, far_ok, eps)
+        open_[small[d + r <= eps]] = False
+        far[small] = far_ok & (d - r > eps)
+    return far, open_
+
+
 def verify_eps_net(region, hulls, eps: float) -> CoverageReport:
     """Check that every region point is within eps of the union of
     ``hulls``, a list of `PointHull`s."""
@@ -184,78 +287,39 @@ def verify_eps_net(region, hulls, eps: float) -> CoverageReport:
     hi0 = np.ones(m)
     lo0[0] = min(max(region.lo, 0.0), 1.0)
     hi0[0] = min(max(region.hi, 0.0), 1.0)
-    los = lo0[None, :]
-    his = hi0[None, :]
+    los, his = lo0[None, :], hi0[None, :]
     floor_r = eps / 4.0
-    cells_touched = 0
+    cells_touched = _count_boxes(0, 1)
     tree = _sample_tree(hulls)
 
-    while los.shape[0]:
-        cells_touched += los.shape[0]
-        if cells_touched > MAX_CELLS:
-            raise CellCapError(f"coverage refinement exceeded the cap of {MAX_CELLS} boxes")
-        # feasible boxes: the low corner is the canonical region point
-        feas = los.sum(axis=1) <= 1.0 + ETA
-        los, his = los[feas], his[feas]
-        if not los.shape[0]:
-            break
-        # each box shrinks to the bounding box of its part in the simplex:
-        # a point x of the box there has x_i <= 1 - sum_{j != i} lo_j
-        room = np.clip(1.0 - los.sum(axis=1), 0.0, None)
-        his = np.minimum(his, los + room[:, None])
-        centers = 0.5 * (los + his)
-        radii = 0.5 * np.linalg.norm(his - los, axis=1)
-        up = tree.query(centers)[0]
-        alive = up + radii > eps
-        if alive.any():
-            # boxes whose part in the simplex lies inside a hull are covered
-            for h in hulls:
-                idx = np.where(alive)[0]
-                if idx.size == 0:
-                    break
-                alive[idx[h.contains_boxes(los[idx], his[idx])]] = False
-        los, his, centers, radii, up = los[alive], his[alive], centers[alive], radii[alive], up[alive]
-        if not los.shape[0]:
-            break
-        # once cells reach eps scale, exact center distances settle them
-        small = radii <= 4.0 * eps
-        if small.any():
-            r = radii[small]
-            # the union lies within ``up`` of a centre, so no other box is far
-            far_ok = up[small] - r > eps
-            d = _deciding_distances(hulls, centers[small], r, far_ok, eps)
-            covered = d + r <= eps
-            definitely_far = far_ok & (d - r > eps)
-            if definitely_far.any():
-                sub = np.where(small)[0][definitely_far]
-                w = los[sub[0]]
+    while True:
+        los, his, feasible, radii, parent, starts = _grow_pass(los, his, floor_r)
+        far, open_ = _box_fates(hulls, tree, los, his, feasible, radii, eps)
+        at_floor = radii <= floor_r
+        # resolved level by level: a box exists only when its parent split
+        split = np.zeros(los.shape[0], dtype=bool)
+        for s, e in zip(starts[:-1], starts[1:]):
+            here = split[parent[s:e]] if s else np.ones(e - s, dtype=bool)
+            hit = np.flatnonzero(here & far[s:e])
+            if hit.size:
+                w = los[s + hit[0]]
                 dw = float(_min_dist_exact(hulls, w[None, :])[0])
                 return CoverageReport(eps, False, w.copy(), eps / 2, dw, cells_touched)
-            at_floor = r <= floor_r
-            undecided = at_floor & ~covered
-            if undecided.any():
+            here &= open_[s:e]
+            sub = s + np.flatnonzero(here & at_floor[s:e])
+            if sub.size:
                 # grid floor rule: a region point within eps/2 certifies the box
-                sub = np.where(small)[0][undecided]
                 dw = _min_dist_exact(hulls, los[sub])
                 if (dw > eps / 2).any():
                     j = int(np.argmax(dw))
                     return CoverageReport(eps, False, los[sub[j]].copy(), eps / 2,
                                           float(dw[j]), cells_touched)
-            drop = np.where(small)[0][covered | at_floor]
-            alive = np.ones(los.shape[0], dtype=bool)
-            alive[drop] = False
-            los, his = los[alive], his[alive]
-        if not los.shape[0]:
-            break
-        axis = np.argmax(his - los, axis=1)
-        mid = 0.5 * (los[np.arange(len(los)), axis] + his[np.arange(len(his)), axis])
-        left_hi = his.copy()
-        left_hi[np.arange(len(his)), axis] = mid
-        right_lo = los.copy()
-        right_lo[np.arange(len(los)), axis] = mid
-        los = np.vstack([los, right_lo])
-        his = np.vstack([left_hi, his])
-    return CoverageReport(eps, True, None, eps / 2, cells_touched=cells_touched)
+            split[s:e] = here & ~at_floor[s:e]
+            n_split = int(split[s:e].sum())
+            if not n_split:
+                return CoverageReport(eps, True, None, eps / 2, cells_touched=cells_touched)
+            cells_touched = _count_boxes(cells_touched, 2 * n_split)
+        los, his = _bisect(los[s:e][split[s:e]], his[s:e][split[s:e]])
 
 
 def _section_hole_radius(ys: np.ndarray, top: float) -> float:

@@ -310,7 +310,7 @@ class PointHull:
         A, b = self._facets
         out = np.zeros(los.shape[0], dtype=bool)
         # a maximum is at least its value at lo: most boxes fail there
-        todo = np.nonzero((los @ A.T - b <= ETA).all(axis=1))[0]
+        todo = np.nonzero((self.facet_offsets(los) <= ETA).all(axis=1))[0]
         step = max(1, _PAIR_CHUNK // b.size)
         for s in range(0, todo.size, step):
             i = todo[s:s + step]
@@ -323,12 +323,16 @@ class PointHull:
         which has no facets.
 
         Callers that need both `lower_bounds` and `distances` of one block
-        compute these once and pass their rows to both.
+        compute these once and pass their rows to both.  Summed by einsum's
+        own loops, so a row's offsets do not depend on its block: a BLAS
+        product takes one row by gemv and many by gemm, and gemm switches
+        kernels with the block's shape, and their sums differ in the last
+        bit.
         """
         if self._facets is None:
             return None
         A, b = self._facets
-        return np.atleast_2d(X) @ A.T - b
+        return np.einsum("bk,fk->bf", np.atleast_2d(X), A) - b
 
     def lower_bounds(self, X: np.ndarray, offsets=None) -> np.ndarray:
         """Sound lower bound on hull distance (0 when inside)."""

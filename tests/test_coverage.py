@@ -210,6 +210,58 @@ def test_reports_do_not_depend_on_the_block_size(monkeypatch):
     assert [verify_eps_net(*c).to_json() for c in cases] == want
 
 
+def _strip(ya, yb, xa, xb):
+    """The part of the corner triangle with y in [ya, yb] and x in [xa, xb]."""
+    return PointHull(np.array([(xa, ya), (min(xb, 1 - ya), ya), (xa, yb), (min(xb, 1 - yb), yb)]))
+
+
+def _holes(small=True, big=True):
+    """The corner triangle cut in strips around square holes: a big one,
+    x in [0.35, 0.65] and y in [0.05, 0.35], 0.15 deep, and a small one
+    near the origin, x and y in [0.05, 0.2], 0.075 deep."""
+    def row(ya, yb, cuts):
+        x = [0.0] + cuts + [1.0]
+        return [_strip(ya, yb, a, b) for a, b in zip(x[::2], x[1::2])]
+    wide = [0.35, 0.65] if big else []
+    return (row(0.0, 0.05, []) + row(0.05, 0.2, ([0.05, 0.2] if small else []) + wide)
+            + row(0.2, 0.35, wide) + row(0.35, 1.0, []))
+
+
+def test_reports_do_not_depend_on_the_pass_size(monkeypatch):
+    cases = [(SimplexSlab(c["m"], c["lo"], c["hi"]), _hulls(c), c["eps"]) for c in GOLDEN]
+    cases += [(SimplexSlab(m, lo, hi), [PointHull(P) for P in parts], EPS[m])
+              for m, slab, seed in CASES for parts, lo, hi in [_case(m, slab, seed)]]
+    # both holes fail at eps 0.06: the big one by a far box at depth 7,
+    # below a first pass of depths 0-6, the small one only in deeper boxes;
+    # breadth-first resolution reports the big one whatever the pass holds
+    holes = (SimplexSlab(2), _holes(), 0.06)
+    cases.append(holes)
+    want = [verify_eps_net(*c).to_json() for c in cases]
+    rep = json.loads(want[-1])
+    assert not rep["is_close"] and 0.35 <= rep["witness"][0] <= 0.65
+    small_alone = verify_eps_net(SimplexSlab(2), _holes(big=False), 0.06)
+    assert not small_alone.is_close and small_alone.witness.max() <= 0.2
+    assert small_alone.cells_touched > rep["cells_touched"]
+    for boxes in (1, 10 ** 6):     # a pass of one level; the whole tree in one pass
+        monkeypatch.setattr(coverage, "PASS_BOXES", boxes)
+        assert [verify_eps_net(*c).to_json() for c in cases] == want
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[f"{k}-{c['why']}" for k, c in enumerate(GOLDEN)])
+def test_the_box_cap_is_checked_before_a_level_is_made(case, monkeypatch):
+    # a cap of exactly the recorded count changes nothing; one box fewer
+    # raises before the level that would pass it
+    region = SimplexSlab(case["m"], case["lo"], case["hi"])
+    count = case["report"]["cells_touched"]
+    assert count >= 1
+    monkeypatch.setattr(coverage, "MAX_CELLS", count)
+    rep = json.loads(verify_eps_net(region, _hulls(case), case["eps"]).to_json())
+    assert {k: rep[k] for k in case["report"]} == case["report"]
+    monkeypatch.setattr(coverage, "MAX_CELLS", count - 1)
+    with pytest.raises(coverage.CellCapError, match=f"cap of {count - 1} boxes"):
+        verify_eps_net(region, _hulls(case), case["eps"])
+
+
 def test_a_five_dimensional_labelling_is_checked_in_few_boxes():
     # unclipped boxes along the simplex's slanted facet took 23,697 here
     u = random_uepp(5, 2, seed=1)
