@@ -249,8 +249,8 @@ def test_reports_do_not_depend_on_the_pass_size(monkeypatch):
 
 @pytest.mark.parametrize("case", GOLDEN, ids=[f"{k}-{c['why']}" for k, c in enumerate(GOLDEN)])
 def test_the_box_cap_is_checked_before_a_level_is_made(case, monkeypatch):
-    # a cap of exactly the recorded count changes nothing; one box fewer
-    # raises before the level that would pass it
+    # a cap of exactly the recorded count changes nothing; with one box
+    # fewer the split that would make the last level raises
     region = SimplexSlab(case["m"], case["lo"], case["hi"])
     count = case["report"]["cells_touched"]
     assert count >= 1
