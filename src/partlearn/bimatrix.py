@@ -23,7 +23,7 @@ import numpy as np
 
 from .cdgbs import GbsConfig, cd_gbs_adversarial
 from .coverage import lattice_count, simplex_lattice, unit_step
-from .crgbs import CrConfig, cr_gbs, cr_sub_eps
+from .crgbs import CrConfig, cr_gbs
 from .geometry import corner_simplex_vertices
 from .labelling import EmpiricalLabelling, voronoi_band_masks
 from .partition import UEPP, AnswerMemo, Oracle, QueryLog
@@ -335,14 +335,15 @@ def _single_label_labelling(dim: int, n_labels: int) -> EmpiricalLabelling:
 def _learn_partition(oracle, dim: int, labels: int, eps: float) -> EmpiricalLabelling:
     """Adversarial labelling of a best-response partition at accuracy eps.
 
-    The face route pays off when faces are low-dimensional and its
-    sub-accuracy stays desk scale; otherwise the dimension recursion is the
-    workable path.
+    Two labels take the face route, whose faces are 1-D binary searches.
+    With more labels the faces have dimension 2 or more (the route needs
+    dim > C(labels, 2)), and their accuracy `cr_sub_eps` is below eps /
+    33,541, far past desk scale; the dimension recursion is the workable
+    path there.
     """
     if labels == 1:
         return _single_label_labelling(dim, labels)
-    k = math.comb(labels, 2)
-    if dim > k and (k == 1 or cr_sub_eps(dim, labels, eps) >= 1e-3):
+    if labels == 2 and dim > 1:
         return cr_gbs(CrConfig(dim, labels, eps, oracle_kind="adversarial"), oracle)
     return cd_gbs_adversarial(GbsConfig(dim, labels, eps, oracle_kind="adversarial"), oracle)
 
@@ -530,8 +531,9 @@ def solve_wsne(oracles: BrOracles, eps: float) -> WsneCertificate:
     A coarse round returns its profile only when the witness rule accepts
     it: every supported strategy's hull (`witness_distances`) lies within
     `witness_radius` of the opponent's mix, which proves the profile an
-    eps-WSNE whatever the labellings' accuracy.  A coarse round with no
-    fixed point, or whose profile fails the rule, moves on.  The final round
+    eps-WSNE whatever the labellings' accuracy.  A coarse round scans only
+    the lattices within LATTICE_CAP points; one with no fixed point there,
+    or whose profile fails the rule, moves on.  The final round
     returns its profile with no witness requirement, so it asks the points
     and returns the certificate of a single round at the final accuracy
     (the oracle may answer a tie point as it did in an earlier round).
@@ -542,8 +544,8 @@ def solve_wsne(oracles: BrOracles, eps: float) -> WsneCertificate:
     supported hulls' distances against the witness radii;
     ``grid_resolution`` is the step of the lattice the profile lies on.
     Raises RuntimeError naming the last step scanned when the final round
-    finds no fixed point, and naming the cap and the step as soon as a
-    lattice would exceed LATTICE_CAP points.
+    finds no fixed point, and naming the cap and the step when the final
+    round reaches a lattice that would exceed LATTICE_CAP points.
     """
     if not 0 < eps < math.inf:
         raise ValueError("eps must be positive and finite")
@@ -555,12 +557,18 @@ def solve_wsne(oracles: BrOracles, eps: float) -> WsneCertificate:
     q0r, q0c = oracles.row.log.count, oracles.column.log.count
     # a step of 1/K keeps the pure profiles on the lattice
     steps = _scan_steps(unit_step(eps / STEP_DIVISOR))
+    # a coarse round skips the lattices past the cap, where `_scan` raises: a
+    # later round's labellings may have a fixed point on a coarser lattice
+    under_cap = [delta for delta in steps
+                 if max(lattice_count(dim_u, delta), lattice_count(dim_v, delta)) <= LATTICE_CAP]
     for factor in LEARN_ROUNDS:
         acc_r, acc_c = factor * eps_r / 2.0, factor * eps_c / 2.0
         # row best-response partition lives over column mixes, and vice versa
         row_lab = _learn_partition(oracles.row, dim_v, m, acc_r)
         col_lab = _learn_partition(oracles.column, dim_u, n, acc_c)
-        hit = _scan(row_lab, col_lab, dim_u, dim_v, steps, eps / SLACK_DIVISOR)
+        final = factor == LEARN_ROUNDS[-1]
+        hit = _scan(row_lab, col_lab, dim_u, dim_v, steps if final else under_cap,
+                    eps / SLACK_DIVISOR)
         if hit is None:
             continue
         u, v, row_support, col_support, delta = hit
@@ -568,7 +576,7 @@ def solve_wsne(oracles: BrOracles, eps: float) -> WsneCertificate:
         col_witness = witness_distances(col_lab, u, col_support)
         witnessed = max(row_witness.values()) <= radius_row and \
             max(col_witness.values()) <= radius_col
-        if witnessed or factor == LEARN_ROUNDS[-1]:
+        if witnessed or final:
             return WsneCertificate(
                 u, v, eps, row_support, col_support,
                 queries_row=oracles.row.log.count - q0r,

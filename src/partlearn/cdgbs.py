@@ -54,22 +54,22 @@ def sub_eps(eps: float, m: int, n: int, t: float) -> float:
 
     Soundness never rested on this value: "close" verdicts come from
     `verify_eps_net`, `slab_certificate_2d`, `is_eps_close` and the
-    full-information WSNE verifier, none of which read it.  A section's
-    first pass runs at the search's eps (`_first_pass_eps`).
+    full-information WSNE verifier, none of which read it.  The search
+    learns its sections at `_section_eps`, never finer than eps.
     """
     return max(eps * eps / (85.0 * (1.0 - t) * n * m ** 2.5), ETA)
 
 
-def _first_pass_eps(eps: float, m: int, n: int, t: float) -> float:
-    """Accuracy of a cross-section's first pass in every dimension:
-    ``max(sub_eps, eps)``.
+def _section_eps(eps: float, m: int, n: int, t: float) -> float:
+    """Accuracy of the cross-section at t in every dimension, repairs
+    included: ``max(sub_eps, eps)``.
 
     The slab certificates (`verify_eps_net`, `slab_certificate_2d`) judge a
     slab against hulls spanning both bracketing sections, which needs no
-    section finer than the search's own eps.  A first pass coarser than eps
-    costs more than it saves, since a section that cannot cover its slab is
-    re-learned whole at `sub_eps`.  Soundness rests on the certificates,
-    not on this value.
+    section finer than the search's own eps.  Each section is learned once
+    at this accuracy; a slab it brackets that still fails its certificate
+    is recursed into, and soundness rests on the certificates, not on this
+    value.
     """
     return max(sub_eps(eps, m, n, t), eps)
 
@@ -143,14 +143,11 @@ class RunStats:
     0 is the top-level search, its cross-sections or cr_gbs faces are 1,
     their cross-sections 2, and so on; a memo hit counts nowhere, and the
     list sums to ``queries``.
-    ``refinements`` counts the cross-sections re-learned at `sub_eps` after
-    a coarse first pass (each is also one of the ``recursions``).
     """
 
     queries: int = 0
     depth_queries: list = field(default_factory=lambda: [0])
     recursions: int = 0
-    refinements: int = 0
     fixes: int = 0
     per_level_uncovered: list = field(default_factory=list)
     merges: list = field(default_factory=list)
@@ -225,14 +222,11 @@ def _by_label(nets) -> dict:
 class _Search:
     """One CD-GBS invocation on a local corner simplex.
 
-    Cross-sections are learned coarse first, at the search's own eps
-    (`_first_pass_eps`), and re-learned at `sub_eps` only where a slab they
-    bracket fails its certificate: each half of a last-level uncovered slab,
-    and, before a lexicographic search halts on ``cap``, each uncovered slab.
-    A half that still fails is left to the end verifiers.  Repairs learn at
-    `sub_eps`.  ``query`` answers from the run's `AnswerMemo`, so
-    re-learning a section pays only for the points its coarse pass did not
-    ask.
+    Every cross-section, a repair's included, is learned once, at
+    `_section_eps`.  A slab left uncovered is recursed into at its
+    midpoint; the halves of the last level's are not checked again, which
+    leaves them to the end verifiers.  ``query`` answers from the run's
+    `AnswerMemo`.
     """
 
     def __init__(self, m: int, n: int, eps: float, query, adversarial: bool,
@@ -249,28 +243,20 @@ class _Search:
         self.coords = []        # sorted labelled coordinates
         self.flagged = False
         self.suspects = []      # local recursion coords with flagged sub-runs
-        self.coarse = set()     # coords whose section has had only its first pass
         self._bracket_hulls = {}
 
     def _add_net(self, t: float, net: dict) -> None:
-        old = self.nets.get(t)
-        if old is None:
+        # a repair landing on a learned coordinate learns that section again,
+        # at the same accuracy and through the memo; its net replaces the first
+        if t not in self.nets:
             insort(self.coords, t)
-        else:   # a re-learned section keeps its points, so hulls only grow
-            net = {**old, **{lbl: np.vstack([old[lbl], pts]) if lbl in old else pts
-                             for lbl, pts in net.items()}}
         self.nets[t] = net
         self._bracket_hulls.clear()
 
-    def recurse(self, t: float, fine: bool = False) -> None:
-        """Learn the cross-section at t, at `_first_pass_eps` or, if
-        ``fine``, at `sub_eps`, and pull its points back."""
-        paper = sub_eps(self.eps, self.m, self.n, t)
-        acc = paper if fine else _first_pass_eps(self.eps, self.m, self.n, t)
-        if acc > paper:
-            self.coarse.add(t)
-        else:
-            self.coarse.discard(t)
+    def recurse(self, t: float) -> None:
+        """Learn the cross-section at t at `_section_eps` and pull its points
+        back."""
+        acc = _section_eps(self.eps, self.m, self.n, t)
         res = _section(self.m, self.n, acc, t, self.query, self.adversarial, self.stats,
                        self.depth + 1)
         self._add_net(t, res.points)
@@ -278,11 +264,6 @@ class _Search:
             self.suspects.append(t)
             if self.depth == 0:
                 self.stats.suspects.append(t)
-
-    def refine(self, t: float) -> None:
-        """Re-learn the coarse section at t at `sub_eps`."""
-        self.stats.refinements += 1
-        self.recurse(t, fine=True)
 
     def bracket(self, a: float, b: float):
         """Nearest labelled coordinates enclosing [a, b]."""
@@ -314,7 +295,7 @@ class _Search:
         self._add_net(1.0, {lbl: apex[None, :]})
 
         levels = max(0, math.ceil(math.log2(2.0 / self.eps)))
-        frontier, last = [(0.0, 1.0)], []   # last: slabs recursed at the last level
+        frontier = [(0.0, 1.0)]
         for _k in range(1, levels + 1):
             children = []
             for a, b in frontier:
@@ -323,44 +304,22 @@ class _Search:
                     continue
                 children.extend([(a, mid), (mid, b)])
             if not children:
-                last = []
                 break
             uncovered = [iv for iv in children if not self.slab_covered(*iv)]
-            halt = not self.adversarial and len(uncovered) > self.cap
-            if halt and (coarse := self._coarse_brackets(uncovered)):
-                for t in coarse:
-                    self.refine(t)
-                uncovered = [iv for iv in uncovered if not self.slab_covered(*iv)]
-                halt = len(uncovered) > self.cap
             if self.depth == 0:
                 self.stats.per_level_uncovered.append(len(uncovered))
-            if halt:
+            if not self.adversarial and len(uncovered) > self.cap:
                 self.stats.halted_cap = True
                 self.flagged = True
                 break
             for a, b in uncovered:
                 self.recurse(0.5 * (a + b))
-            frontier = last = uncovered
-
-        if not self.flagged:
-            for a, b in last:
-                mid = 0.5 * (a + b)
-                self._refine_slab(a, mid)
-                self._refine_slab(mid, b)
+            frontier = uncovered
 
         if not self.adversarial and self.suspects and not self.stats.halted_cap:
             self._fix_suspects()
 
         return _RunOutput(_by_label(self.nets.values()), self.flagged)
-
-    def _coarse_brackets(self, slabs) -> list:
-        return sorted({t for iv in slabs for t in self.bracket(*iv)} & self.coarse)
-
-    def _refine_slab(self, a: float, b: float) -> None:
-        """Re-learn the coarse sections bracketing [a, b], one at a time,
-        while the slab fails its certificate."""
-        while (coarse := self._coarse_brackets([(a, b)])) and not self.slab_covered(a, b):
-            self.refine(coarse[0])
 
     def _hulls(self) -> list:
         return [PointHull(v) for v in _by_label(self.nets.values()).values()]
@@ -369,8 +328,7 @@ class _Search:
         """Repair neighbourhoods of recursion coordinates whose sub-run was
         flagged (the degenerate-section escape hatch), in this run's frame."""
         for x in list(self.suspects):
-            _repair(x, self.eps, self.m, self.cap, 0, self._hulls,
-                    lambda z: self.recurse(z, fine=True), self.stats)
+            _repair(x, self.eps, self.m, self.cap, 0, self._hulls, self.recurse, self.stats)
 
 
 def _run(m: int, n: int, eps: float, query, adversarial: bool, stats: RunStats,
@@ -479,8 +437,9 @@ def fix_uncovered_critical(lab: EmpiricalLabelling, x: float, cfg: GbsConfig, or
     """Repair the neighbourhood of a recursion coordinate x.
 
     Recurses at fresh coordinates from a seeded low-discrepancy sequence
-    inside the eps/2 ball around x until the ball slab is covered by the
-    class hulls; raises after the attempt cap (an inconsistent oracle).
+    inside the eps/2 ball around x, each section at `_section_eps` as in a
+    search, until the ball slab is covered by the class hulls; raises after
+    the attempt cap (an inconsistent oracle).
     Asks through an `AnswerMemo` and counts in ``stats`` as a search would.
     """
     stats = stats or RunStats()
@@ -489,8 +448,8 @@ def fix_uncovered_critical(lab: EmpiricalLabelling, x: float, cfg: GbsConfig, or
     before = memo.log.count
 
     def recurse(z: float) -> None:
-        _add_points(lab, _section(cfg.m, cfg.n, sub_eps(cfg.eps, cfg.m, cfg.n, z), z, memo,
-                                  adversarial, stats, 1).points)
+        _add_points(lab, _section(cfg.m, cfg.n, _section_eps(cfg.eps, cfg.m, cfg.n, z), z,
+                                  memo, adversarial, stats, 1).points)
 
     _repair(x, cfg.eps, cfg.m, uncovered_cap(cfg.m, cfg.n), cfg.seed, lambda: _global_hulls(lab),
             recurse, stats)

@@ -146,7 +146,6 @@ def cmd_learn(args) -> int:
         "instance": _digest(args.instance),
         "queries": queries,
         "depth_queries": lab.stats.depth_queries,
-        "refinements": lab.stats.refinements,
         "per_level_uncovered": lab.stats.per_level_uncovered if args.algo == "cdgbs" else [],
         "merges": [list(m) for m in lab.stats.merges],
         "eps_close": bool(report.is_close),

@@ -332,13 +332,30 @@ def test_scan_failure_names_the_last_step_scanned(monkeypatch):
 
 
 def test_scan_lattice_cap_stop_names_the_cap_and_the_step(monkeypatch):
-    # 21 points at step 1/20 are scanned; 41 at step 1/40 exceed the cap
-    missing, seen = _missing([21])
+    # 21 points at step 1/20 are scanned; 41 at step 1/40 exceed the cap, so
+    # each coarse round scans the 1/20 lattice alone and moves on, and the
+    # final round raises
+    missing, seen = _missing([21] * len(bimatrix.LEARN_ROUNDS))
     monkeypatch.setattr(bimatrix, "_first_fixed_point", missing)
     monkeypatch.setattr(bimatrix, "LATTICE_CAP", 30)
     with pytest.raises(RuntimeError, match=r"lattice at step 0\.025 exceeded the cap of 30 points"):
         solve_wsne(make_br_oracles(random_game(2, 2, seed=21), seed=0), 0.1)
-    assert seen == [21]
+    assert seen == [21] * len(bimatrix.LEARN_ROUNDS)
+
+
+def test_a_coarse_round_with_no_fixed_point_under_the_lattice_cap_moves_on():
+    # the last of this draw is a 5x3 game whose first-round labellings have
+    # no fixed point on the 1/20, 1/40 and 1/80 lattices; the 1/160 lattice
+    # of its 4-D side, C(164, 4) points, exceeds the cap
+    rng = np.random.default_rng(0)
+    for shape in [(4, 3)] * 50 + [(3, 4)] * 10 + [(5, 3)] * 6:
+        g = BimatrixGame(rng.random(shape), rng.random(shape))
+        seed = int(rng.integers(1000))
+    assert seed == 527
+    assert math.comb(164, 4) > bimatrix.LATTICE_CAP
+    cert = solve_wsne(make_br_oracles(g, seed=seed), 0.1)
+    assert cert.grid_resolution == 1 / 80
+    assert verify_wsne(g, cert.u, cert.v, 0.1).valid
 
 
 def test_scan_past_the_coarse_lattices_returns_the_fine_lattice_certificate(monkeypatch):

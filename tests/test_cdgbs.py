@@ -263,6 +263,24 @@ def test_fix_uncovered_critical_repairs_sparse_neighborhood():
     assert rep.is_close
 
 
+@pytest.mark.parametrize("eps", [0.3, 0.1, 0.05])
+@pytest.mark.parametrize("seed", range(10, 20))
+def test_fix_uncovered_critical_repairs_at_the_section_accuracy(seed, eps):
+    # the sparse start of the test above on three-label partitions at three
+    # accuracies: the repair covers the ball slab within its attempt cap
+    o = make_oracle(random_uepp(2, 3, seed=seed))
+    cfg = GbsConfig(2, 3, eps)
+    lab = EmpiricalLabelling(2, 3)
+    lab.add_query([0.0, 0.0], o([0.0, 0.0]))
+    lab.add_query([1.0, 0.0], o([1.0, 0.0]))
+    st = cdgbs.RunStats()
+    fixed = fix_uncovered_critical(lab, 0.5, cfg, o, st)
+    from partlearn.cdgbs import _ball_slab, _global_hulls
+    from partlearn.coverage import verify_eps_net
+    assert 0 < st.fixes <= 2 * uncovered_cap(2, 3)
+    assert verify_eps_net(_ball_slab(0.5, eps, 2), _global_hulls(fixed), eps).is_close
+
+
 def test_1d_interleaving_sets_flag():
     from partlearn.cdgbs import _binary_search_1d
 
@@ -346,7 +364,7 @@ def test_eta_floor_against_the_paper_accuracy(kind, n, eps, seed):
     with pytest.MonkeyPatch.context() as mp:
         # the reference is the single-pass schedule at the paper's accuracy
         mp.setattr(cdgbs, "sub_eps", _paper_sub_eps)
-        mp.setattr(cdgbs, "_first_pass_eps", _paper_sub_eps)
+        mp.setattr(cdgbs, "_section_eps", _paper_sub_eps)
         paper = search(GbsConfig(3, n, eps, oracle_kind=kind), make_oracle(u, kind=kind))
     for lab in (floored, paper):
         assert is_eps_close(lab, None, eps).is_close
@@ -394,41 +412,25 @@ def test_depth_queries_of_runs_sharing_an_answer_memo():
         assert sum(d) == lab.stats.queries == o.log.count - before
 
 
-@pytest.mark.parametrize("m, n, eps, seed, coarsen, depth", [
-    (2, 3, 0.1, 17, None, 1),   # a 1-D section of the top-level search
-    (3, 3, 0.15, 1, None, 2),   # a 1-D section of a 2-D section
-    # a 2-D section: a first pass at 4 eps leaves the top level's halves open
-    (3, 3, 0.5, 12, 4.0, 1),
+@pytest.mark.parametrize("m, n, eps, seed, depth", [
+    (2, 3, 0.1, 17, 1),   # 1-D sections of the top-level search
+    (3, 3, 0.15, 1, 2),   # 1-D sections of 2-D sections
 ])
-def test_refined_sections_are_paid_once_and_counted_at_their_depth(m, n, eps, seed, coarsen,
-                                                                   depth):
-    refined = []
-    refine = cdgbs._Search.refine
-
-    def spy(search, t):
-        refined.append(search.depth + 1)
-        refine(search, t)
-
+def test_sections_are_learned_once_and_counted_at_their_depth(m, n, eps, seed, depth):
     o = make_oracle(random_uepp(m, n, seed=seed))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cdgbs._Search, "refine", spy)
-        if coarsen:
-            mp.setattr(cdgbs, "_first_pass_eps", lambda e, *_: coarsen * e)
-        lab = cd_gbs(GbsConfig(m, n, eps), o)
+    lab = cd_gbs(GbsConfig(m, n, eps), o)
     st = lab.stats
-    assert depth in refined
-    assert st.refinements == len(refined)
     assert is_eps_close(lab, None, eps).is_close
     d = st.depth_queries
+    assert len(d) == depth + 1
     assert sum(d) == st.queries == o.log.count
     assert min(d) >= 0
-    # a refined section re-asks its coarse points from the run's answer memo,
-    # so the oracle never sees a point twice
+    # every section asks through the run's answer memo, so the oracle never
+    # sees a point twice
     points = [pt for pt, _ in o.log.transcript]
     assert len(set(points)) == len(points)
-    # only apexes are asked above the 1-D searches, and a refined section's
-    # apex is a memo hit: a query counted at a depth the oracle never saw
-    # would break these equalities
+    # only apexes are asked above the 1-D searches: a query counted at a
+    # depth the oracle never saw would break these equalities
     assert st.fixes == 0
     assert d[0] == 1
     if m == 3:
@@ -438,20 +440,12 @@ def test_refined_sections_are_paid_once_and_counted_at_their_depth(m, n, eps, se
 @pytest.mark.parametrize("kind", ["lexicographic", "adversarial"])
 def test_first_passes_run_at_the_search_eps_in_every_dimension(kind):
     eps, n = 0.1, 3
-    calls = []          # (section dim + 1, enclosing search's eps, acc, t, fine)
+    calls = []          # (section dim + 1, enclosing search's eps, acc, t)
     searches = [eps]    # eps of the enclosing searches, innermost last
-    fines = []          # the `fine` flag of the enclosing `_Search.recurse`
-    recurse, section = cdgbs._Search.recurse, cdgbs._section
-
-    def spy_recurse(search, t, fine=False):
-        fines.append(fine)
-        try:
-            recurse(search, t, fine)
-        finally:
-            fines.pop()
+    section = cdgbs._section
 
     def spy_section(m, n_, acc, t, *rest):
-        calls.append((m, searches[-1], acc, t, fines[-1]))
+        calls.append((m, searches[-1], acc, t))
         searches.append(acc)
         try:
             return section(m, n_, acc, t, *rest)
@@ -459,19 +453,25 @@ def test_first_passes_run_at_the_search_eps_in_every_dimension(kind):
             searches.pop()
 
     search = cd_gbs if kind == "lexicographic" else cd_gbs_adversarial
+    cfg = GbsConfig(3, n, eps, oracle_kind=kind)
     o = make_oracle(random_uepp(3, n, seed=100), kind=kind)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cdgbs._Search, "recurse", spy_recurse)
         mp.setattr(cdgbs, "_section", spy_section)
-        lab = search(GbsConfig(3, n, eps, oracle_kind=kind), o)
+        lab = search(cfg, o)
+        searched = len(calls)
+        # a repair learns its sections as a search does
+        sparse = EmpiricalLabelling(3, n)
+        for v in np.vstack([np.zeros(3), np.eye(3)]):
+            sparse.add_query(v, o(v))
+        fix_uncovered_critical(sparse, 0.5, cfg, o)
     assert is_eps_close(lab, None, eps).is_close
-    for m, e, acc, t, fine in calls:
-        assert acc == (sub_eps(e, m, n, t) if fine else max(sub_eps(e, m, n, t), e))
-    firsts = [(m, e, acc) for m, e, acc, _t, fine in calls if not fine]
-    # the 3-D search's sections are first learned at its own eps ...
-    assert {acc for m, _e, acc in firsts if m == 3} == {eps}
+    assert len(calls) > searched
+    for m, e, acc, t in calls:
+        assert acc == max(sub_eps(e, m, n, t), e)
+    # the 3-D search's sections and the repair's are learned at eps ...
+    assert {acc for m, _e, acc, _t in calls if m == 3} == {eps}
     # ... and the planar searches below them learn theirs at their own eps
-    planar = [(e, acc) for m, e, acc in firsts if m == 2]
+    planar = [(e, acc) for m, e, acc, _t in calls if m == 2]
     assert planar and all(acc == e for e, acc in planar)
     assert {e for e, _acc in planar} >= {eps}
 

@@ -4,9 +4,7 @@ import json
 import pytest
 
 from partlearn import coverage
-from partlearn.cdgbs import GbsConfig, cd_gbs
 from partlearn.cli import EXIT_BUDGET, EXIT_CELL_CAP, EXIT_INVALID, EXIT_OK, main
-from partlearn.partition import make_oracle, random_uepp
 
 
 def run(*argv):
@@ -58,16 +56,6 @@ def test_learn_manifest_splits_queries_by_depth(tmp_path, algo, m, n):
     depth = manifest["depth_queries"]
     assert len(depth) == (3 if algo == "cdgbs" else 2)
     assert sum(depth) == manifest["queries"]
-
-
-def test_learn_manifest_counts_refined_sections(tmp_path):
-    inst = tmp_path / "u.json"
-    run("gen", "--kind", "uepp", "--m", "2", "--n", "3", "--seed", "17", "--out", str(inst))
-    out = tmp_path / "lab.json"
-    assert run("learn", "--instance", str(inst), "--eps", "0.1", "--out", str(out)) == EXIT_OK
-    manifest = json.loads((tmp_path / "lab.json.manifest.json").read_text())
-    lab = cd_gbs(GbsConfig(2, 3, 0.1), make_oracle(random_uepp(2, 3, seed=17), record=False))
-    assert manifest["refinements"] == lab.stats.refinements > 0
 
 
 def test_learn_cell_cap_overrun_has_its_own_exit_code(tmp_path, capsys, monkeypatch):
