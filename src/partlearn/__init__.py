@@ -8,12 +8,12 @@ from .bimatrix import (BimatrixGame, BrOracles, GuardedGame, PayoffAudit, Payoff
                        StrongBrOracle, WsneCertificate, best_value, br_oracle, br_partition,
                        lower_bound_game, make_br_oracles, pure_utilities, solve_wsne, utilities,
                        verify_wsne)
-from .cdgbs import (DyadicInterval, GbsConfig, cd_gbs, cd_gbs_adversarial, cdgbs_query_bound,
-                    fix_uncovered_critical, uncovered_intervals)
+from .cdgbs import (GbsConfig, cd_gbs, cd_gbs_adversarial, cdgbs_query_bound,
+                    fix_uncovered_critical)
 from .coverage import CoverageReport, SimplexSlab, simplex_lattice, verify_eps_net
-from .crgbs import CrConfig, assemble_from_faces, cr_gbs
+from .crgbs import CrConfig, cr_gbs
 from .labelling import (EmpiricalLabelling, add_query, interior_conflict, is_eps_close,
-                        is_slice_covered, merge_labels, voronoi_labels)
+                        merge_labels, voronoi_labels)
 from .multiplayer import (NormalFormGame, build_net, expected_utility,
                           learn_multiplayer_labellings, make_multi_oracles,
                           solve_wsne_multiplayer, verify_wsne_multiplayer)

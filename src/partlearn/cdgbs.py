@@ -10,8 +10,7 @@ cross-section is non-degenerate, which is what makes that safe.
 
 Interval coverage inside the search is judged against the nearest labelled
 cross-sections bracketing the interval (the quantity the covered-interval
-counting argument is about); the public slice test on a labelling keeps the
-plain endpoint semantics.
+counting argument is about).
 
 This module is the search core shared with the face-by-face search of
 ``crgbs``: every lower-dimensional run (a cross-section or a face) is pulled
@@ -31,7 +30,7 @@ import numpy as np
 
 from .coverage import SimplexSlab, slab_certificate_2d, verify_eps_net
 from .geometry import PointHull, section_map
-from .labelling import EmpiricalLabelling, interior_conflict, is_slice_covered
+from .labelling import EmpiricalLabelling, interior_conflict
 from .partition import KINDS, AnswerMemo
 from .predicates import ETA
 
@@ -106,30 +105,6 @@ class GbsConfig:
             raise ValueError("eps must be positive and finite")
         if self.oracle_kind not in KINDS:
             raise ValueError(f"oracle_kind must be one of {KINDS}")
-
-
-@dataclass(frozen=True)
-class DyadicInterval:
-    """I^k_x = [x - 2^-k, x] for x = i / 2^k."""
-
-    k: int
-    i: int
-
-    def __post_init__(self):
-        if not 1 <= self.i <= 2 ** self.k:
-            raise ValueError("need 1 <= i <= 2^k")
-
-    @property
-    def right(self) -> float:
-        return self.i / 2.0 ** self.k
-
-    @property
-    def left(self) -> float:
-        return (self.i - 1) / 2.0 ** self.k
-
-    @property
-    def midpoint(self) -> float:
-        return (self.i - 0.5) / 2.0 ** self.k
 
 
 @dataclass
@@ -500,13 +475,3 @@ def cd_gbs(cfg: GbsConfig, oracle) -> EmpiricalLabelling:
 def cd_gbs_adversarial(cfg: GbsConfig, oracle) -> EmpiricalLabelling:
     """Adversarial search on an upper-envelope partition, with merging."""
     return _dyadic(cfg, oracle, adversarial=True)
-
-
-def uncovered_intervals(lab: EmpiricalLabelling, k: int, eps: float) -> list:
-    """Dyadic level-k intervals whose endpoint-hull slices fail at eps."""
-    out = []
-    for i in range(1, 2 ** k + 1):
-        iv = DyadicInterval(k, i)
-        if not is_slice_covered(lab, (iv.left, iv.right), eps):
-            out.append(iv)
-    return out

@@ -53,9 +53,8 @@ against no further hull.  A skipped pair could not have changed the box's
 covered, far or floor decision, so the same boxes split and every report
 equals that of measuring every pair.
 
-Regions are slabs of the corner simplex (the whole simplex being the [0, 1]
-slab) or, as a desk-scale fallback, arbitrary V-polytopes checked on a
-barycentric lattice.
+Regions are slabs of the corner simplex, the whole simplex being the
+[0, 1] slab.
 """
 
 from __future__ import annotations
@@ -67,7 +66,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geometry import VPolytope, diameter
 from .predicates import ETA
 
 MAX_CELLS = 2_000_000     # boxes one verify_eps_net call may refine
@@ -104,10 +102,9 @@ class CoverageReport:
     """Verdict of `verify_eps_net`.
 
     ``cells_touched`` counts the boxes of the refinement tree down to the
-    level where it stopped (lattice points on the V-polytope path); a box a
-    pass judged before its parent's verdict counts only when the parent
-    split.  It is 0 only when no box was examined: an empty or
-    0-dimensional region, or no hulls.
+    level where it stopped; a box a pass judged before its parent's verdict
+    counts only when the parent split.  It is 0 only when no box was
+    examined: an empty or 0-dimensional region, or no hulls.
     """
 
     eps: float
@@ -138,14 +135,14 @@ def _sample_tree(hulls):
     return cKDTree(np.vstack([h.samples for h in hulls]))
 
 
-def _min_dist_exact(hulls, pts, cap=None):
+def _min_dist_exact(hulls, pts):
     """Min distance over (non-empty) hulls; hulls whose lower bound already
-    exceeds the running minimum (or cap) are skipped."""
+    exceeds the running minimum are skipped."""
     out = np.full(pts.shape[0], np.inf)
     for h in hulls:
         off = h.facet_offsets(pts)
         lb = h.lower_bounds(pts, offsets=off)
-        todo = lb < out if cap is None else (lb < np.minimum(out, cap))
+        todo = lb < out
         if todo.any():
             d = h.distances(pts[todo], offsets=None if off is None else off[todo])
             out[todo] = np.minimum(out[todo], d)
@@ -263,18 +260,15 @@ def verify_eps_net(region, hulls, eps: float) -> CoverageReport:
     ``hulls``, a list of `PointHull`s."""
     if not 0 < eps < math.inf:
         raise ValueError("eps must be positive and finite")
-    if not isinstance(region, (SimplexSlab, VPolytope)):
-        raise TypeError("region must be a SimplexSlab or VPolytope")
+    if not isinstance(region, SimplexSlab):
+        raise TypeError("region must be a SimplexSlab")
     hulls = [h for h in hulls if not h.is_empty]
-    dim = region.m if isinstance(region, SimplexSlab) else region.dim
+    m = region.m
     for h in hulls:
-        if h.m != dim:
-            raise ValueError(f"a hull lies in R^{h.m} but the region in R^{dim}")
-    if isinstance(region, VPolytope):
-        return _verify_on_lattice(region, hulls, eps)
+        if h.m != m:
+            raise ValueError(f"a hull lies in R^{h.m} but the region in R^{m}")
     if region.is_empty:
         return CoverageReport(eps, True, None, eps / 2)
-    m = region.m
     if m == 0:
         ok = bool(hulls)
         return CoverageReport(eps, ok, None if ok else np.zeros(0), eps / 2, None if ok else np.inf)
@@ -429,40 +423,3 @@ def simplex_lattice(d: int, spacing: float, max_points: int = 20_000_000) -> np.
     if count > max_points:
         raise ValueError(f"lattice of {count} points exceeds the cap")
     return _lattice_table(K, d)[0] * spacing
-
-
-def barycentric_lattice(p: VPolytope, mesh: float, max_points: int = 500_000) -> np.ndarray:
-    """Deterministic grid of p with l2 mesh at most `mesh`."""
-    v = len(p)
-    if v == 0:
-        return np.zeros((0, p.dim))
-    if v == 1:
-        return p.vertices.copy()
-    diam = diameter(p)
-    if diam <= mesh:
-        return p.vertices.copy()
-    K = int(np.ceil(v * diam / mesh))
-    if math.comb(K + v - 1, v - 1) > max_points:
-        raise ValueError("barycentric lattice beyond the point cap")
-    table, left = _lattice_table(K, v - 1)
-    weights = np.column_stack([table, left]) / K
-    return weights @ p.vertices
-
-
-def _verify_on_lattice(region: VPolytope, hulls, eps: float) -> CoverageReport:
-    if region.is_empty:
-        return CoverageReport(eps, True, None, eps / 2)
-    pts = barycentric_lattice(region, eps / 2)
-    if not hulls:
-        return CoverageReport(eps, False, pts[0], eps / 2, np.inf)
-    # a KD-tree needs one axis at least; in R^0 every hull holds the point
-    d = _sample_tree(hulls).query(pts)[0] if pts.shape[1] else np.zeros(len(pts))
-    todo = d > eps / 2
-    if todo.any():
-        d[todo] = _min_dist_exact(hulls, pts[todo], cap=eps)
-    worst = int(np.argmax(d))
-    if d[worst] <= eps / 2:
-        return CoverageReport(eps, True, None, eps / 2, cells_touched=len(pts))
-    # the pass above stops at eps; the witness is measured in full
-    dw = float(_min_dist_exact(hulls, pts[worst][None, :])[0])
-    return CoverageReport(eps, False, pts[worst].copy(), eps / 2, dw, len(pts))

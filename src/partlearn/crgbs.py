@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 
 from .cdgbs import GbsConfig, _add_points, _learn, _lift, cd_gbs, cd_gbs_adversarial
-from .geometry import enumerate_k_faces, face_map
+from .geometry import enumerate_k_faces
 # interior_conflict stays bound here (the merge loop is cdgbs._learn's):
 # perfbench's outside-in tracer patches every module binding of it
 from .labelling import EmpiricalLabelling, interior_conflict  # noqa: F401
@@ -52,9 +52,9 @@ def cr_gbs(cfg: CrConfig, oracle) -> EmpiricalLabelling:
         lab.stats.fallback = True
         return lab
 
-    faces = enumerate_k_faces(cfg.m, cfg.k)
-    if len(faces) > MAX_FACES:
+    if math.comb(cfg.m + 1, cfg.k + 1) > MAX_FACES:
         raise ValueError("face count beyond the configured cap")
+    faces = enumerate_k_faces(cfg.m, cfg.k)
 
     def fill(lab, stats, query):
         for face, fmap in faces:
@@ -67,25 +67,3 @@ def cr_gbs(cfg: CrConfig, oracle) -> EmpiricalLabelling:
             stats.face_queries[face.vertex_subset] = query.log.count - before
 
     return _learn(cfg.m, cfg.n, oracle, adversarial, fill)
-
-
-def assemble_from_faces(face_labellings: dict) -> EmpiricalLabelling:
-    """Union of per-face labellings pulled back into the ambient simplex.
-
-    Keys are Face objects, values labellings over the corner k-simplex.
-    """
-    if not face_labellings:
-        raise ValueError("no face labellings")
-    faces = list(face_labellings)
-    m = faces[0].m
-    n = max(l.n for l in face_labellings.values())
-    out = EmpiricalLabelling(m, n)
-    for face, lab_k in face_labellings.items():
-        if face.m != m:
-            raise ValueError("mixed ambient dimensions")
-        if lab_k.m != face.dim:
-            raise ValueError("labelling dimension does not match its face")
-        inv = face_map(face).inverse
-        blocks = {lbl: lab_k.points_of(lbl, merged=False) for lbl in range(1, lab_k.n + 1)}
-        _add_points(out, {lbl: inv(pts) for lbl, pts in blocks.items() if len(pts)})
-    return out

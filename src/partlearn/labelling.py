@@ -4,9 +4,7 @@ An empirical labelling stores every oracle-labelled point under its raw
 label, exactly as it was asked, a union-find over labels (labels merged when
 the ground truth forces cells to coincide), and one cached `PointHull` per
 merged class, built on the class's stored points as given.  Closeness
-checks delegate to the coverage verifier; slice checks use only the points
-at the two endpoint coordinates of the slice, which is the quantity the
-learning algorithms reason about.
+checks delegate to the coverage verifier.
 """
 
 from __future__ import annotations
@@ -158,44 +156,12 @@ def merge_labels(l: EmpiricalLabelling, i: int, j: int) -> EmpiricalLabelling:
 def is_eps_close(l: EmpiricalLabelling, region, eps: float) -> CoverageReport:
     """Sound check that the union of class hulls is an eps-net of region.
 
-    ``region`` may be a SimplexSlab, a VPolytope, or None for the whole
-    simplex.
+    ``region`` may be a SimplexSlab, or None for the whole simplex.
     """
     if region is None:
         region = SimplexSlab(l.m, 0.0, 1.0)
     hulls = [l.point_hull(root) for root in l.class_roots()]
     return verify_eps_net(region, hulls, eps)
-
-
-def section_points(l: EmpiricalLabelling, coords, tol: float = ETA) -> dict:
-    """Per-class points whose first coordinate matches one of ``coords``."""
-    out = {}
-    for root in l.class_roots():
-        pts = l.points_of(root)
-        if not len(pts):
-            continue
-        if l.m == 0:
-            out[root] = pts
-            continue
-        mask = np.zeros(len(pts), dtype=bool)
-        for c in coords:
-            mask |= np.abs(pts[:, 0] - c) <= tol
-        if mask.any():
-            out[root] = pts[mask]
-    return out
-
-
-def is_slice_covered(l: EmpiricalLabelling, interval, eps: float) -> bool:
-    """Slice-coverage test from endpoint cross-section points only.
-
-    Builds per-class hulls of the points at the two endpoint coordinates of
-    ``interval`` and checks that their union is an eps-net of the slab.
-    """
-    x, y = float(interval[0]), float(interval[1])
-    if not 0.0 <= x <= y <= 1.0 + ETA:
-        raise ValueError("need 0 <= x <= y <= 1")
-    hulls = [PointHull(p) for p in section_points(l, (x, y)).values()]
-    return verify_eps_net(SimplexSlab(l.m, x, y), hulls, eps).is_close
 
 
 def voronoi_labels(x, l: EmpiricalLabelling, slack: float = 0.0) -> set:

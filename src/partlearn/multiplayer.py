@@ -25,8 +25,8 @@ from scipy.spatial import cKDTree
 
 from .bimatrix import (SLACK_DIVISOR, STEP_DIVISOR, PayoffAudit, _first_fixed_point, _mask_to_list,
                        _scan_steps, _support_masks, expand, supported_regrets)
-from .coverage import (MAX_CELLS, CellCapError, CoverageReport, _lattice_steps, _lattice_table,
-                       lattice_count, simplex_lattice, unit_step)
+from .coverage import (MAX_CELLS, CellCapError, CoverageReport, _bisect, _lattice_steps,
+                       _lattice_table, lattice_count, simplex_lattice, unit_step)
 from .labelling import voronoi_band_masks
 from .partition import QueryLog, TieBreak
 from .predicates import ETA, as_point
@@ -406,13 +406,7 @@ def is_l1_close(lab: PointLabelling, eps: float) -> CoverageReport:
         los, his = los[alive], his[alive]
         if 2 * los.shape[0] > MAX_CELLS:
             raise CellCapError(f"l1 coverage refinement would exceed the cap of {MAX_CELLS} boxes")
-        rows = np.arange(los.shape[0])
-        axis = np.argmax(his - los, axis=1)
-        mid = 0.5 * (los[rows, axis] + his[rows, axis])
-        left_hi, right_lo = his.copy(), los.copy()
-        left_hi[rows, axis] = mid
-        right_lo[rows, axis] = mid
-        los, his = np.vstack([los, right_lo]), np.vstack([left_hi, his])
+        los, his = _bisect(los, his)
         inside = (los.reshape(blocks).sum(axis=2) <= 1.0).all(axis=1)
         los, his = los[inside], his[inside]
     return CoverageReport(eps, True, None, ETA, cells_touched=touched)
@@ -471,6 +465,9 @@ def solve_wsne_multiplayer(labellings, g_for_verification: NormalFormGame, eps: 
     """
     g = g_for_verification
     n, k = g.n, g.k
+    if len(labellings) != n:
+        raise ValueError(f"need one labelling per player: {len(labellings)} labellings "
+                         f"for {n} players")
     d = k - 1
     delta = eps / STEP_DIVISOR
     sigma = eps / SLACK_DIVISOR
@@ -485,7 +482,7 @@ def solve_wsne_multiplayer(labellings, g_for_verification: NormalFormGame, eps: 
         # Voronoi masks per player over the joint grids of the others
         joints = _product([grid] * (n - 1))
         voronoi = [voronoi_band_masks(lab.l1_distances(joints), 1 << np.arange(k), sigma)
-                   for lab in labellings[:n]]
+                   for lab in labellings]
         supp = _support_masks(grid)
         hit = _first_fixed_point([supp] * n, voronoi)
         if hit is not None:

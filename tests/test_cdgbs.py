@@ -5,8 +5,8 @@ import pytest
 
 from partlearn import cdgbs
 from partlearn.cdgbs import (
-    DyadicInterval, GbsConfig, cd_gbs, cd_gbs_adversarial, cdgbs_query_bound,
-    fix_uncovered_critical, sub_eps, uncovered_cap, uncovered_intervals,
+    GbsConfig, cd_gbs, cd_gbs_adversarial, cdgbs_query_bound, fix_uncovered_critical, sub_eps,
+    uncovered_cap,
 )
 from partlearn.coverage import simplex_lattice
 from partlearn.crgbs import CrConfig, cr_gbs
@@ -31,15 +31,6 @@ def interval_uepp(boundaries):
     rows = np.array([[2.0 * ti] for ti in t])
     offs = np.array([-ti * ti for ti in t])
     return UEPP(rows, offs)
-
-
-def test_dyadic_interval_fields():
-    iv = DyadicInterval(3, 5)
-    assert iv.left == pytest.approx(0.5)
-    assert iv.right == pytest.approx(0.625)
-    assert iv.midpoint == pytest.approx(0.5625)
-    with pytest.raises(ValueError):
-        DyadicInterval(2, 5)
 
 
 def test_m0_single_query():
@@ -196,28 +187,6 @@ def test_adversarial_query_bound():
         o = make_oracle(u, kind="adversarial", policy="seeded", record=False)
         cd_gbs_adversarial(GbsConfig(2, 3, 0.1, oracle_kind="adversarial"), o)
         assert o.log.count <= cdgbs_query_bound(2, 3, 0.1)
-
-
-# -- interval bookkeeping --------------------------------------------------------------
-
-def test_uncovered_intervals_fine_grid_none():
-    lab = EmpiricalLabelling(2, 1)
-    eps = 0.4
-    for i in range(5):
-        t = i / 4
-        width = 1 - t
-        ys = np.linspace(0.0, max(width, 0.0), 8)
-        lab.add_block(np.column_stack([np.full_like(ys, t), ys]), 1)
-    assert uncovered_intervals(lab, 2, eps) == []
-
-
-def test_uncovered_intervals_endpoints_only():
-    lab = EmpiricalLabelling(2, 3)
-    ys = np.linspace(0.0, 1.0, 12)
-    lab.add_block(np.column_stack([np.zeros_like(ys), ys]), 1)
-    lab.add_query([1.0, 0.0], 2)
-    got = uncovered_intervals(lab, 1, 0.1)
-    assert len(got) == 2
 
 
 # -- degenerate sections and fixing ------------------------------------------------------

@@ -271,26 +271,6 @@ def test_a_five_dimensional_labelling_is_checked_in_few_boxes():
     assert rep.cells_touched <= 2_500
 
 
-# -- the V-polytope lattice path ------------------------------------------------
-
-def test_lattice_witness_distance_is_measured_in_full():
-    # the lattice pass stops its exact distances at eps; the witness, 0.8
-    # away, must still report its true distance, not infinity
-    region = VPolytope(np.array([[0.0, 0.0], [0.2, 0.0], [0.0, 0.2]]))
-    P = np.array([[0.8, 0.1], [0.9, 0.1], [0.8, 0.2]])
-    rep = verify_eps_net(region, [PointHull(P)], 0.1)
-    assert not rep.is_close
-    assert np.isfinite(rep.witness_distance)
-    want = _enumerated_distances(P, rep.witness[None, :])[0]
-    assert abs(rep.witness_distance - want) <= 1e-12
-    assert json.loads(rep.to_json())["witness_distance"] == rep.witness_distance
-
-
-def test_lattice_path_in_zero_dimensions():
-    rep = verify_eps_net(VPolytope(np.zeros((1, 0))), [PointHull(np.zeros((1, 0)))], 0.1)
-    assert rep.is_close and rep.cells_touched == 1
-
-
 # -- malformed input --------------------------------------------------------------
 
 TETRA = np.array([[0.9, 0.0, 0.0], [0.9, 0.05, 0.0], [0.9, 0.0, 0.05], [0.95, 0.0, 0.0]])
@@ -305,13 +285,15 @@ def test_a_non_finite_slab_bound_is_rejected(lo, hi, bad):
         SimplexSlab(3, lo, hi)
 
 
-@pytest.mark.parametrize("region", [SimplexSlab(2, 0.0, 1.0),
-                                    VPolytope(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))],
-                         ids=["slab", "vpolytope"])
-def test_a_hull_of_another_dimension_is_rejected_before_any_work(monkeypatch, region):
+@pytest.mark.parametrize("region, error, message", [
+    (SimplexSlab(2, 0.0, 1.0), ValueError, r"R\^3 but the region in R\^2"),
+    (VPolytope(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])), TypeError,
+     "region must be a SimplexSlab"),
+], ids=["slab", "vpolytope"])
+def test_a_hull_of_another_dimension_is_rejected_before_any_work(monkeypatch, region, error,
+                                                                 message):
     def no_work(*_args, **_kw):
-        raise AssertionError("a box or lattice was built")
+        raise AssertionError("a box tree was built")
     monkeypatch.setattr(coverage, "_sample_tree", no_work)
-    monkeypatch.setattr(coverage, "barycentric_lattice", no_work)
-    with pytest.raises(ValueError, match=r"R\^3 but the region in R\^2"):
+    with pytest.raises(error, match=message):
         verify_eps_net(region, [PointHull(np.array([[0.1, 0.1]])), PointHull(TETRA)], 0.01)

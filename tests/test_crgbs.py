@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from partlearn import crgbs
 from partlearn.cdgbs import GbsConfig, cd_gbs, cd_gbs_adversarial, cdgbs_query_bound
-from partlearn.crgbs import CrConfig, assemble_from_faces, cr_gbs, cr_sub_eps, gamma_capture
-from partlearn.geometry import Face, corner_simplex_vertices, distance_to_hull, gamma_interior
-from partlearn.labelling import EmpiricalLabelling, is_eps_close, voronoi_labels
+from partlearn.crgbs import CrConfig, cr_gbs, cr_sub_eps, gamma_capture
+from partlearn.geometry import corner_simplex_vertices, distance_to_hull, gamma_interior
+from partlearn.labelling import is_eps_close, voronoi_labels
 from partlearn.partition import cell_hpolytope, make_oracle, random_uepp, uepp_label_set
 from partlearn.partition import _enumerate_vertices
 
@@ -50,6 +51,21 @@ def test_config_rejects_an_unknown_oracle_kind():
     o = make_oracle(random_uepp(4, 2, seed=1), kind="adversarial", record=False)
     with pytest.raises(ValueError):
         cr_gbs(CrConfig(4, 2, 0.15, oracle_kind="adv"), o)
+    assert o.log.count == 0
+
+
+@pytest.mark.parametrize("m", [40, 100])
+def test_the_face_cap_is_checked_before_any_face_is_built(monkeypatch, m):
+    # n = 3 learns along 3-faces: C(41, 4) = 101,270 faces at m = 40 and
+    # 4,082,925 at m = 100, both beyond MAX_FACES
+    assert math.comb(m + 1, 4) > crgbs.MAX_FACES
+
+    def no_faces(*_args, **_kw):
+        raise AssertionError("the faces were enumerated")
+    monkeypatch.setattr(crgbs, "enumerate_k_faces", no_faces)
+    o = make_oracle(random_uepp(m, 3, seed=0), record=False)
+    with pytest.raises(ValueError, match="face count beyond the configured cap"):
+        cr_gbs(CrConfig(m, 3, 0.5), o)
     assert o.log.count == 0
 
 
@@ -124,30 +140,3 @@ def test_adversarial_merges_terminate():
     lab = cr_gbs(CrConfig(4, 2, 0.15, oracle_kind="adversarial"), o)
     assert len(lab.stats.merges) <= 1   # n - 1
     assert is_eps_close(lab, None, 0.15).is_close
-
-
-# -- assembly -------------------------------------------------------------------------
-
-def test_assemble_identity_for_top_face():
-    lab_k = EmpiricalLabelling(2, 2)
-    lab_k.add_query([0.2, 0.3], 1)
-    out = assemble_from_faces({Face((0, 1, 2), 2): lab_k})
-    assert np.allclose(out.points_of(1), [[0.2, 0.3]])
-
-
-def test_assemble_two_edges_spans_quadrilateral():
-    bottom = EmpiricalLabelling(1, 1)
-    bottom.add_block(np.array([[0.0], [1.0]]), 1)        # edge {0, e1}
-    diag = EmpiricalLabelling(1, 1)
-    diag.add_block(np.array([[0.0], [1.0]]), 1)          # edge {e1, e2}
-    out = assemble_from_faces({Face((0, 1), 2): bottom, Face((1, 2), 2): diag})
-    hull = out.hull(1)
-    got = sorted(map(tuple, np.round(hull.vertices, 9)))
-    assert got == [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0)]
-
-
-def test_assemble_rejects_mismatched_dimensions():
-    lab_wrong = EmpiricalLabelling(2, 1)
-    lab_wrong.add_query([0.1, 0.1], 1)
-    with pytest.raises(ValueError):
-        assemble_from_faces({Face((0, 1), 2): lab_wrong})

@@ -8,17 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull, QhullError
 
-from partlearn import bimatrix
+from partlearn import bimatrix, coverage
 from partlearn.bimatrix import voronoi_label_masks
-from partlearn.coverage import (
-    SimplexSlab, barycentric_lattice, lattice_count, simplex_lattice, verify_eps_net,
-)
+from partlearn.coverage import SimplexSlab, lattice_count, simplex_lattice, verify_eps_net
 from partlearn.geometry import (
     PointHull, VPolytope, convex_hull, corner_simplex_vertices, distance_to_hull,
 )
 from partlearn.labelling import (
-    CONFLICT_MARGIN, EmpiricalLabelling, interior_conflict, is_eps_close, is_slice_covered,
-    merge_labels, voronoi_labels,
+    CONFLICT_MARGIN, EmpiricalLabelling, interior_conflict, is_eps_close, merge_labels,
+    voronoi_labels,
 )
 from partlearn.partition import make_oracle, random_uepp, uepp_cells
 from partlearn.predicates import ETA
@@ -173,11 +171,15 @@ def test_closeness_monotone_under_adding():
     assert is_eps_close(lab, None, 0.25).is_close
 
 
-def test_region_argument_accepts_vpolytope():
+def test_region_argument_rejects_vpolytope_before_any_work(monkeypatch):
+    def no_work(*_args, **_kw):
+        raise AssertionError("a box tree was built")
+    monkeypatch.setattr(coverage, "_sample_tree", no_work)
     lab = EmpiricalLabelling(2, 1)
     lab.add_block(corner_simplex_vertices(2), 1)
     region = VPolytope(np.array([[0.0, 0.0], [0.3, 0.0], [0.0, 0.3]]))
-    assert is_eps_close(lab, region, 0.05).is_close
+    with pytest.raises(TypeError, match="region must be a SimplexSlab"):
+        is_eps_close(lab, region, 0.05)
 
 
 def test_empty_region_trivially_close():
@@ -198,26 +200,7 @@ def test_simplex_lattice_matches_product_reference(d, K):
     np.testing.assert_array_equal(got, want)
 
 
-@pytest.mark.parametrize("v", [2, 3, 4])
-def test_barycentric_lattice_weights_match_product_reference(v):
-    # on the unit vectors the lattice points are the weights themselves
-    p = VPolytope(np.eye(v))
-    K = math.ceil(v * math.sqrt(2) / 0.5)
-    want = np.array([c for c in itertools.product(range(K + 1), repeat=v) if sum(c) == K]) / K
-    np.testing.assert_array_equal(barycentric_lattice(p, 0.5), want)
-
-
-def test_barycentric_lattice_mesh():
-    p = VPolytope(corner_simplex_vertices(2))
-    pts = barycentric_lattice(p, 0.2)
-    rng = np.random.default_rng(1)
-    sample = rng.dirichlet(np.ones(3), size=300)[:, :2]
-    d = np.abs(sample[:, None, :] - pts[None, :, :]).sum(axis=2)
-    # l1 bound dominates l2
-    assert d.min(axis=1).max() <= 0.2 + 1e-9
-
-
-# -- slice coverage -------------------------------------------------------------------
+# -- slab coverage from two sections ---------------------------------------------------
 
 def test_slice_covered_by_common_label():
     lab = EmpiricalLabelling(2, 2)
@@ -225,20 +208,14 @@ def test_slice_covered_by_common_label():
         width = 1 - x
         ys = np.linspace(0.0, width, 40)
         lab.add_block(np.column_stack([np.full_like(ys, x), ys]), 1)
-    assert is_slice_covered(lab, (0.2, 0.4), 0.12)
+    assert is_eps_close(lab, SimplexSlab(2, 0.2, 0.4), 0.12).is_close
 
 
 def test_slice_uncovered_with_gap():
     lab = EmpiricalLabelling(2, 2)
     lab.add_query([0.2, 0.0], 1)
     lab.add_query([0.4, 0.0], 2)
-    assert not is_slice_covered(lab, (0.2, 0.4), 0.1)
-
-
-def test_slice_interval_validation():
-    lab = EmpiricalLabelling(2, 2)
-    with pytest.raises(ValueError):
-        is_slice_covered(lab, (0.6, 0.2), 0.1)
+    assert not is_eps_close(lab, SimplexSlab(2, 0.2, 0.4), 0.1).is_close
 
 
 def test_crux_instance_covered():
@@ -264,7 +241,7 @@ def test_crux_instance_covered():
         for yy in ys:
             pt = np.array([t, yy])
             lab.add_query(pt, o(pt))
-    assert is_slice_covered(lab, (x, y), eps)
+    assert is_eps_close(lab, SimplexSlab(2, x, y), eps).is_close
 
 
 def random_labelling(m, n, rng):

@@ -301,6 +301,15 @@ def test_solver_reads_only_the_games_sizes():
     assert cert.regrets is None and cert.valid is None
 
 
+@pytest.mark.parametrize("extra", [-1, 1], ids=["fewer", "more"])
+def test_solver_needs_one_labelling_per_player(extra):
+    g = random_game(3, 2, seed=4)
+    labs, _ = learn_multiplayer_labellings(make_multi_oracles(g, seed=0)[0], 0.2)
+    labs = labs[:-1] if extra < 0 else labs + labs[:1]
+    with pytest.raises(ValueError, match=f"{3 + extra} labellings for 3 players"):
+        solve_wsne_multiplayer(labs, g, 0.2)
+
+
 def test_dominant_actions_solve_to_pure_profile():
     g = dominant_game()
     oracles, _ = make_multi_oracles(g, seed=1)
