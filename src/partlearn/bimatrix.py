@@ -26,7 +26,7 @@ from .coverage import lattice_count, simplex_lattice, unit_step
 from .crgbs import CrConfig, cr_gbs
 from .geometry import corner_simplex_vertices
 from .labelling import EmpiricalLabelling, voronoi_band_masks
-from .partition import UEPP, AnswerMemo, Oracle, QueryLog
+from .partition import UEPP, AnswerMemo, Oracle
 from .predicates import ETA, as_point
 
 # The scan's fixed settings.  The scan tries its lattices coarsest first
@@ -179,21 +179,6 @@ def br_partition(g: BimatrixGame, side: str) -> UEPP:
     raise ValueError("side must be 'row' or 'column'")
 
 
-class StrongBrOracle:
-    """Returns the full argmax set of pure best responses; one query each."""
-
-    def __init__(self, uepp: UEPP, budget=None, record: bool = True):
-        self.uepp = uepp
-        self.log = QueryLog(budget=budget, record=record)
-
-    def __call__(self, mix) -> set:
-        # an outside point is refused before it is charged
-        mix = as_point(mix)
-        labels = self.uepp.label_set(mix)
-        self.log.charge(mix, tuple(sorted(labels)))
-        return labels
-
-
 def br_oracle(game, side: str, kind: str = "adversarial", policy: str = "seeded",
               seed: int = 0, budget=None, record: bool = True):
     """Best-response query oracle for one player.
@@ -208,10 +193,8 @@ def br_oracle(game, side: str, kind: str = "adversarial", policy: str = "seeded"
             raw = BimatrixGame(A, B)
     else:
         raw = game
-    part = br_partition(raw, side)
-    if kind == "strong":
-        return StrongBrOracle(part, budget=budget, record=record)
-    return Oracle(part, kind=kind, policy=policy, seed=seed, budget=budget, record=record)
+    return Oracle(br_partition(raw, side), kind=kind, policy=policy, seed=seed, budget=budget,
+                  record=record)
 
 
 def lower_bound_game(x: float, y: float) -> BimatrixGame:

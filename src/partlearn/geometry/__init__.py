@@ -11,13 +11,12 @@ from .polytope import (
     empty_polytope,
 )
 from .hull import PointHull, convex_hull, distance_to_hull
-from .lp import LPError, LPInfeasible, LPUnbounded, chebyshev, l1_distance_to_hull, solve_lp
+from .lp import LPError, LPInfeasible, LPUnbounded, chebyshev, solve_lp
 from .sections import (
     cross_section,
     enumerate_k_faces,
     face_map,
     gamma_interior,
-    lambda_embed,
     section_map,
     slice_polytope,
 )
@@ -27,8 +26,8 @@ __all__ = [
     "AffineMap", "Face", "HPolytope", "VPolytope", "all_faces",
     "corner_simplex_hpolytope", "corner_simplex_vertices", "empty_polytope",
     "PointHull", "convex_hull", "distance_to_hull",
-    "LPError", "LPInfeasible", "LPUnbounded", "chebyshev", "l1_distance_to_hull", "solve_lp",
+    "LPError", "LPInfeasible", "LPUnbounded", "chebyshev", "solve_lp",
     "cross_section", "enumerate_k_faces", "face_map", "gamma_interior",
-    "lambda_embed", "section_map", "slice_polytope",
+    "section_map", "slice_polytope",
     "diameter", "grid_thickness", "vpolytope_thickness",
 ]

@@ -48,15 +48,14 @@ from scipy.spatial import ConvexHull as _QHull
 from scipy.spatial import cKDTree as _KDTree
 
 from ..predicates import ETA, as_point
-from .lp import l1_distance_to_hull
 from .polytope import VPolytope
 
 _PAIR_CHUNK = 1 << 16   # (point, face) or (box, facet) pairs per block
 _FLAT_GRAM = 1e-12      # faces with det(Gram) <= this * prod(diag) are flat
 
 
-def distance_to_hull(x, p, norm: str = "l2"):
-    """Distance from a point to conv(vertices of p) with a witness point.
+def distance_to_hull(x, p):
+    """Euclidean distance from a point to conv(vertices of p) with a witness point.
 
     Returns (dist, witness); the empty polytope gives (inf, None).
     """
@@ -71,10 +70,6 @@ def distance_to_hull(x, p, norm: str = "l2"):
         raise ValueError("dimension mismatch")
     if x.size == 0:
         return 0.0, x.copy()
-    if norm == "l1":
-        return l1_distance_to_hull(x, V)
-    if norm != "l2":
-        raise ValueError("norm must be 'l2' or 'l1'")
     d, W = PointHull(V).project(x[None, :])
     return float(d[0]), W[0]
 

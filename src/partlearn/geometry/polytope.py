@@ -2,14 +2,12 @@
 
 Everything is a plain immutable-by-convention dataclass over numpy arrays.
 Points are 1-d float arrays; a 0-length array is the single point of the
-zero-dimensional simplex.  JSON encodings are row-major arrays of numbers,
-documented in docs/formats.md.
+zero-dimensional simplex.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,17 +55,6 @@ class VPolytope:
     def __len__(self) -> int:
         return self.vertices.shape[0]
 
-    def to_json(self) -> str:
-        return json.dumps({"m": self.dim, "vertices": self.vertices.tolist()})
-
-    @classmethod
-    def from_json(cls, text: str) -> "VPolytope":
-        d = json.loads(text)
-        v = np.array(d["vertices"], dtype=float)
-        if v.size == 0:
-            v = v.reshape(0, d["m"])
-        return cls(v)
-
 
 def empty_polytope(m: int) -> VPolytope:
     return VPolytope(np.zeros((0, m)))
@@ -113,15 +100,6 @@ class HPolytope:
         """Signed slack ``normals @ x - offsets`` for a (N, m) point block."""
         return np.asarray(pts, dtype=float) @ self.normals.T - self.offsets
 
-    def to_json(self) -> str:
-        return json.dumps({"m": self.dim, "normals": self.normals.tolist(),
-                           "offsets": self.offsets.tolist()})
-
-    @classmethod
-    def from_json(cls, text: str) -> "HPolytope":
-        d = json.loads(text)
-        return cls(np.array(d["normals"], dtype=float), np.array(d["offsets"], dtype=float))
-
 
 def corner_simplex_hpolytope(m: int) -> HPolytope:
     """The corner simplex {x >= 0, sum(x) <= 1} as an H-polytope."""
@@ -141,7 +119,7 @@ def corner_simplex_vertices(m: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class AffineMap:
-    """Affine map x -> matrix @ x + shift, with an optional verified inverse."""
+    """Affine map x -> matrix @ x + shift, with an optional stored inverse."""
 
     matrix: np.ndarray
     shift: np.ndarray
@@ -166,23 +144,6 @@ class AffineMap:
         # row by row, so a row's image is bit for bit that of the row alone
         rows = [self.matrix @ r + self.shift for r in np.ascontiguousarray(x)]
         return np.array(rows).reshape(x.shape[0], self.dim_out)
-
-    def verify_inverse(self, tol: float = 1e-7) -> bool:
-        """Round-trip check of the stored inverse on basis points.
-
-        Maps between spaces of different dimension (section and face maps)
-        are bijections onto their image, so the round trip is checked from
-        the lower-dimensional side.
-        """
-        if self.inverse is None:
-            return False
-        if self.dim_in <= self.dim_out:
-            basis = np.vstack([np.zeros((1, self.dim_in)), np.eye(self.dim_in)])
-            back = self.inverse(self(basis))
-        else:
-            basis = np.vstack([np.zeros((1, self.dim_out)), np.eye(self.dim_out)])
-            back = self(self.inverse(basis))
-        return bool(np.max(np.abs(back - basis), initial=0.0) <= tol)
 
 
 @dataclass(frozen=True)

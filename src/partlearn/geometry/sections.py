@@ -3,9 +3,8 @@
 Cross-sections of a V-polytope are built from vertex-pair segment crossings,
 which always contain the true section vertices; canonicalization then strips
 the interior candidates.  The maps here are the section map f_x (section of
-the corner simplex onto the next lower corner simplex), the embedding of the
-corner simplex into the probability simplex, and the per-face isomorphisms
-used when learning along faces.
+the corner simplex onto the next lower corner simplex) and the per-face
+isomorphisms used when learning along faces.
 """
 
 from __future__ import annotations
@@ -67,20 +66,6 @@ def section_map(x: float, m: int) -> AffineMap:
     fx = AffineMap(fwd, np.zeros(m - 1), inverse)
     object.__setattr__(inverse, "inverse", fx)
     return fx
-
-
-def lambda_embed(m: int) -> AffineMap:
-    """Embedding of the corner m-simplex into the probability simplex in
-    R^{m+1}: x -> (1 - sum(x), x).  Lipschitz constant sqrt(m+1)."""
-    if m < 1:
-        raise ValueError("m >= 1 required")
-    mat = np.vstack([-np.ones((1, m)), np.eye(m)])
-    shift = np.zeros(m + 1)
-    shift[0] = 1.0
-    inv = AffineMap(np.hstack([np.zeros((m, 1)), np.eye(m)]), np.zeros(m))
-    phi = AffineMap(mat, shift, inv)
-    object.__setattr__(inv, "inverse", phi)
-    return phi
 
 
 def face_map(face: Face) -> AffineMap:

@@ -90,9 +90,6 @@ class EmpiricalLabelling:
             return np.zeros((0, self.m))
         return np.vstack(blocks)
 
-    def total_points(self) -> int:
-        return sum(b.shape[0] for blocks in self._points.values() for b in blocks)
-
     def class_roots(self) -> list:
         return sorted(self._members)
 
@@ -141,16 +138,6 @@ class EmpiricalLabelling:
         for i, j in d.get("merges", []):
             lab.merge_labels(int(i), int(j))
         return lab
-
-
-def add_query(l: EmpiricalLabelling, x, label: int) -> EmpiricalLabelling:
-    l.add_query(x, label)
-    return l
-
-
-def merge_labels(l: EmpiricalLabelling, i: int, j: int) -> EmpiricalLabelling:
-    l.merge_labels(i, j)
-    return l
 
 
 def is_eps_close(l: EmpiricalLabelling, region, eps: float) -> CoverageReport:

@@ -459,10 +459,12 @@ def solve_wsne_multiplayer(labellings, g_for_verification: NormalFormGame, eps: 
     spacing of l1 resolution eps / STEP_DIVISOR; the certificate is the
     lexicographically first fixed point of the coarsest lattice that has
     one, and ``grid_resolution`` is that lattice's l1 resolution.  Raises
-    RuntimeError naming the last resolution scanned when no lattice has a
-    fixed point, and naming the cap and the spacing when a lattice would
-    exceed PROFILE_CAP profiles.
+    ValueError unless ``0 < eps < inf``, and RuntimeError naming the last
+    resolution scanned when no lattice has a fixed point, and naming the cap
+    and the spacing when a lattice would exceed PROFILE_CAP profiles.
     """
+    if not 0 < eps < math.inf:
+        raise ValueError("eps must be positive and finite")
     g = g_for_verification
     n, k = g.n, g.k
     if len(labellings) != n:

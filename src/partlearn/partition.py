@@ -84,10 +84,6 @@ class UEPP:
         return u
 
 
-def uepp_label_set(u: UEPP, y, tol: float = ETA) -> set:
-    return u.label_set(y, tol=tol)
-
-
 @dataclass
 class PartitionGroundTruth:
     """Explicit cells of a partition: list of (label, VPolytope), fixed
@@ -212,12 +208,6 @@ class QueryLog:
             pt, _ = self.transcript[-1]
             self.transcript[-1] = (pt, label)
 
-    def to_json_lines(self) -> str:
-        return "\n".join(
-            json.dumps({"index": i, "point": list(pt), "label": lbl})
-            for i, (pt, lbl) in enumerate(self.transcript)
-        )
-
 
 POLICIES = ("seeded", "roundrobin", "maxindex", "antilearner")
 KINDS = ("lexicographic", "adversarial")
@@ -290,12 +280,6 @@ class Oracle:
         self.tie_break = TieBreak(kind, policy, seed)
         self.ground_truth = ground_truth
         self.log = QueryLog(budget=budget, record=record)
-
-    def clone(self) -> "Oracle":
-        """Fresh oracle over the same truth: same policy/seed, empty log."""
-        tb = self.tie_break
-        return Oracle(self.ground_truth, tb.kind, tb.policy, tb.seed,
-                      self.log.budget, self.log.record)
 
     def label_set(self, y) -> set:
         return self.ground_truth.label_set(y)

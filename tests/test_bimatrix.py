@@ -14,7 +14,6 @@ from partlearn.bimatrix import (
     voronoi_label_masks, witness_distances, witness_radius,
 )
 from partlearn.coverage import simplex_lattice, unit_step
-from partlearn.partition import uepp_label_set
 
 
 def random_game(m, n, seed):
@@ -66,22 +65,11 @@ def test_best_value_l2_lipschitz():
 
 # -- oracles -----------------------------------------------------------------------
 
-def test_strong_oracle_returns_tie_set():
+def test_br_oracle_rejects_unknown_kind():
+    # a kind the oracle does not have is refused, never read as another
     g = BimatrixGame(np.array([[0.5, 0.5], [0.2, 0.8]]), np.eye(2) * 0.5)
-    o = br_oracle(g, "row", kind="strong")
-    # at v = 0.5 both rows pay 0.5
-    assert o(np.array([0.5])) == {1, 2}
-    assert o.log.count == 1
-
-
-def test_strong_oracle_refuses_before_it_charges():
-    g = BimatrixGame(np.array([[0.5, 0.5], [0.2, 0.8]]), np.eye(2) * 0.5)
-    o = br_oracle(g, "row", kind="strong", budget=1)
     with pytest.raises(ValueError):
-        o(np.array([1.5]))
-    assert o.log.count == 0 and o.log.transcript == []
-    assert o(np.array([0.5])) == {1, 2}
-    assert o.log.count == 1 and o.log.transcript == [((0.5,), (1, 2))]
+        br_oracle(g, "row", kind="strong")
 
 
 def test_lexicographic_oracle_min_index():
@@ -92,12 +80,12 @@ def test_lexicographic_oracle_min_index():
 
 def test_adversarial_answers_inside_strong_set():
     g = random_game(4, 3, seed=5)
-    strong = br_oracle(g, "column", kind="strong", record=False)
+    part = br_partition(g, "column")
     adv = br_oracle(g, "column", kind="adversarial", policy="seeded", seed=2, record=False)
     rng = np.random.default_rng(6)
     for _ in range(1000):
         u = rng.dirichlet(np.ones(4))[:3]
-        assert adv(u) in strong(u)
+        assert adv(u) in part.label_set(u)
 
 
 def test_br_partition_matches_strong_argmax():
@@ -108,7 +96,7 @@ def test_br_partition_matches_strong_argmax():
         u = rng.dirichlet(np.ones(4))[:3]
         vals = pure_utilities(g, "column", u)
         argmax = {j + 1 for j in range(3) if vals[j] >= vals.max() - 1e-9}
-        assert uepp_label_set(part, u) == argmax
+        assert part.label_set(u) == argmax
 
 
 def test_one_row_game_has_single_region():
@@ -138,9 +126,9 @@ def test_lower_bound_game_has_no_pure_equilibrium():
 def test_lower_bound_row_switch_at_x():
     g = lower_bound_game(0.3, 0.6)
     part = br_partition(g, "row")
-    assert uepp_label_set(part, [0.25]) == {1}
-    assert uepp_label_set(part, [0.35]) == {2}
-    assert uepp_label_set(part, [0.3]) == {1, 2}
+    assert part.label_set([0.25]) == {1}
+    assert part.label_set([0.35]) == {2}
+    assert part.label_set([0.3]) == {1, 2}
 
 
 # -- verification ----------------------------------------------------------------------
@@ -217,14 +205,18 @@ def test_pure_equilibrium_stays_on_the_lattice(eps):
     assert 1.0 / cert.grid_resolution == pytest.approx(round(1.0 / cert.grid_resolution))
 
 
-def test_degenerate_single_strategy_side():
-    g = random_game(1, 3, seed=11)
+@pytest.mark.parametrize("m, n", [(1, 3), (3, 1), (1, 1)], ids=["1x3", "3x1", "1x1"])
+def test_degenerate_single_strategy_side(m, n):
+    # 3x1 learns the row side over the 0-dimensional simplex of column
+    # mixes, and 1x1 scans a 0-dimensional lattice on both sides
+    g = random_game(m, n, seed=11)
     oracles = make_br_oracles(g, seed=2)
     cert = solve_wsne(oracles, 0.1)
+    assert cert.queries_row == oracles.row.log.count
     assert cert.queries_col == oracles.column.log.count
     assert verify_wsne(g, cert.u, cert.v, 0.1).valid
-    # the row side needs no learning at all: single-label partition
-    assert cert.queries_row == 0
+    # a side with one strategy needs no learning at all: single-label partition
+    assert (m > 1 or cert.queries_row == 0) and (n > 1 or cert.queries_col == 0)
 
 
 def test_voronoi_labels_are_eps_best_responses():
@@ -597,3 +589,19 @@ def test_expand_rows_match_single_mixes():
     for bad in ([[0.5, 0.6, 0.1]], [[0.2, -0.1, 0.1]], [[0.2, np.inf, 0.1]], [[0.2, 0.1]]):
         with pytest.raises(ValueError):
             expand(np.array(bad), 4)
+
+
+def test_expand_vertices():
+    # the corner simplex's origin and basis points go to the pure strategies
+    assert expand(np.zeros(2), 3) == pytest.approx([1.0, 0.0, 0.0])
+    assert expand(np.array([1.0, 0.0]), 3) == pytest.approx([0.0, 1.0, 0.0])
+
+
+def test_expand_l2_lipschitz_constant():
+    # reduced coordinates to full distributions: l2 Lipschitz sqrt(size)
+    rng = np.random.default_rng(1)
+    bound = math.sqrt(4)
+    for _ in range(1000):
+        x, y = rng.dirichlet(np.ones(4))[:3], rng.dirichlet(np.ones(4))[:3]
+        lhs = np.linalg.norm(expand(x, 4) - expand(y, 4))
+        assert lhs <= bound * np.linalg.norm(x - y) + 1e-12

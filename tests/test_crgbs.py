@@ -8,7 +8,7 @@ from partlearn.cdgbs import GbsConfig, cd_gbs, cd_gbs_adversarial, cdgbs_query_b
 from partlearn.crgbs import CrConfig, cr_gbs, cr_sub_eps, gamma_capture
 from partlearn.geometry import corner_simplex_vertices, distance_to_hull, gamma_interior
 from partlearn.labelling import is_eps_close, voronoi_labels
-from partlearn.partition import cell_hpolytope, make_oracle, random_uepp, uepp_label_set
+from partlearn.partition import cell_hpolytope, make_oracle, random_uepp
 from partlearn.partition import _enumerate_vertices
 
 
@@ -96,7 +96,7 @@ def test_face_vertices_queried_and_correct():
         assert tuple(np.round(v, 9)) in queried
     # each vertex's stored label is among its true labels
     for pt, lbl in o.log.transcript:
-        assert lbl in uepp_label_set(u, np.clip(np.array(pt), 0, None), tol=1e-7)
+        assert lbl in u.label_set(np.clip(np.array(pt), 0, None), tol=1e-7)
 
 
 def test_lexicographic_hulls_stay_sound():

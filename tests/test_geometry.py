@@ -11,7 +11,7 @@ from partlearn.coverage import SimplexSlab, verify_eps_net
 from partlearn.geometry import (
     HPolytope, VPolytope, chebyshev, convex_hull, corner_simplex_hpolytope,
     corner_simplex_vertices, cross_section, diameter, distance_to_hull,
-    enumerate_k_faces, gamma_interior, lambda_embed, section_map, slice_polytope,
+    enumerate_k_faces, gamma_interior, section_map, slice_polytope,
 )
 from partlearn.geometry.hull import PointHull
 from partlearn.geometry.polytope import all_faces
@@ -141,14 +141,6 @@ def test_distance_is_one_lipschitz_in_point(seed):
     dx, _ = distance_to_hull(x, p)
     dy, _ = distance_to_hull(y, p)
     assert abs(dx - dy) <= np.linalg.norm(x - y) + 1e-7
-
-
-def test_l1_distance_variant():
-    p = VPolytope(np.array([[0.0, 0.0], [1.0, 0.0]]))
-    d, w = distance_to_hull(np.array([0.5, 0.4]), p, norm="l1")
-    assert d == pytest.approx(0.4, abs=1e-7)
-    d2, _ = distance_to_hull(np.array([2.0, 1.0]), p, norm="l1")
-    assert d2 == pytest.approx(2.0, abs=1e-7)  # (2,1) -> (1,0): |1|+|1|
 
 
 # -- PointHull kernels against brute force -------------------------------------
@@ -488,28 +480,11 @@ def test_section_map_roundtrip():
         z = rng.dirichlet(np.ones(3))[:2] * 0.7
         v = np.concatenate([[0.3], z])
         assert f.inverse(f(v)) == pytest.approx(v, abs=1e-12)
-    assert f.verify_inverse()
 
 
 def test_section_map_domain():
     with pytest.raises(ValueError):
         section_map(1.0, 2)
-
-
-def test_lambda_embed_vertices():
-    phi = lambda_embed(2)
-    assert phi(np.zeros(2)) == pytest.approx([1.0, 0.0, 0.0])
-    assert phi(np.array([1.0, 0.0])) == pytest.approx([0.0, 1.0, 0.0])
-
-
-def test_lambda_embed_lipschitz_constant():
-    rng = np.random.default_rng(1)
-    phi = lambda_embed(3)
-    bound = math.sqrt(4)
-    for _ in range(1000):
-        x, y = rng.dirichlet(np.ones(4))[:3], rng.dirichlet(np.ones(4))[:3]
-        lhs = np.linalg.norm(phi(x) - phi(y))
-        assert lhs <= bound * np.linalg.norm(x - y) + 1e-12
 
 
 # -- faces ---------------------------------------------------------------------
@@ -617,15 +592,3 @@ def test_gamma_interior_trivial_for_square_systems():
     h, boundary = cell_hpolytope(u, 1)
     g = gamma_interior(h, boundary, gamma=0.1)
     assert g.nrows == h.nrows
-
-
-def test_polytope_json_roundtrips():
-    rng = np.random.default_rng(43)
-    v = VPolytope(rng.random((5, 3)))
-    v2 = VPolytope.from_json(v.to_json())
-    assert np.array_equal(v.vertices, v2.vertices)
-    empty = VPolytope.from_json(VPolytope(np.zeros((0, 3))).to_json())
-    assert empty.is_empty and empty.dim == 3
-    h = corner_simplex_hpolytope(3)
-    h2 = HPolytope.from_json(h.to_json())
-    assert np.array_equal(h.normals, h2.normals) and np.array_equal(h.offsets, h2.offsets)

@@ -15,8 +15,7 @@ from partlearn.geometry import (
     PointHull, VPolytope, convex_hull, corner_simplex_vertices, distance_to_hull,
 )
 from partlearn.labelling import (
-    CONFLICT_MARGIN, EmpiricalLabelling, interior_conflict, is_eps_close, merge_labels,
-    voronoi_labels,
+    CONFLICT_MARGIN, EmpiricalLabelling, interior_conflict, is_eps_close, voronoi_labels,
 )
 from partlearn.partition import make_oracle, random_uepp, uepp_cells
 from partlearn.predicates import ETA
@@ -64,7 +63,7 @@ def test_add_block_validates_like_add_query():
     # the same 1e-7 band as add_query
     lab.add_block(np.array([[-5e-8, 0.5], [0.5, 0.5 + 5e-8]]), 1)
     lab.add_query([0.5, 0.5 + 5e-8], 2)
-    assert lab.total_points() == 3
+    assert len(lab.points_of(1)) == 2 and len(lab.points_of(2)) == 1
 
 
 def test_from_json_rejects_bad_points_and_merges():
@@ -354,7 +353,7 @@ def test_merge_spans_segments():
     lab = EmpiricalLabelling(1, 2)
     lab.add_block(np.array([[0.0], [0.2]]), 1)
     lab.add_block(np.array([[0.7], [1.0]]), 2)
-    merge_labels(lab, 1, 2)
+    lab.merge_labels(1, 2)
     hull = lab.hull(1)
     assert sorted(hull.vertices.ravel()) == [0.0, 1.0]
 
@@ -413,7 +412,7 @@ def test_conflict_cleared_by_merge():
     lab.add_block(np.array([[0.0, 0.0], [0.8, 0.0], [0.0, 0.8]]), 1)
     lab.add_query([0.2, 0.2], 2)
     i, j, _ = interior_conflict(lab)
-    merge_labels(lab, i, j)
+    lab.merge_labels(i, j)
     assert interior_conflict(lab) is None
 
 

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from partlearn.geometry.lp import LPInfeasible, LPUnbounded, l1_distance_to_hull, solve_lp
+from partlearn.geometry.lp import LPInfeasible, LPUnbounded, solve_lp
 
 
 def vertex_enumeration_min(c, A, b):
@@ -57,21 +57,24 @@ def test_solve_lp_unbounded():
 
 @pytest.mark.parametrize("seed", range(6))
 def test_l1_distance_matches_scipy(seed):
-    # the reference is brute-force vertex enumeration of the l1 LP
-    # min sum t, |x - V^T lam| <= t, lam on the simplex, t >= 0: a pointed
-    # polyhedron with an objective bounded below, so a vertex is optimal
+    # the l1 distance from x to conv(V) as an LP with an equality row:
+    # min sum t, |x - V^T lam| <= t, lam on the simplex, t >= 0.  The
+    # reference is brute-force vertex enumeration, with the equality as two
+    # inequalities: a pointed polyhedron with an objective bounded below,
+    # so a vertex is optimal
     rng = np.random.default_rng(seed)
     V = rng.random((5, 3))
     x = rng.random(3) * 1.5
-    d, w = l1_distance_to_hull(x, V)
     v, m = V.shape
     c = np.concatenate([np.zeros(v), np.ones(m)])
-    A = np.zeros((2 * m + 2, v + m))
+    A = np.zeros((2 * m, v + m))
     A[:m, :v], A[:m, v:] = V.T, -np.eye(m)
-    A[m:2 * m, :v], A[m:2 * m, v:] = -V.T, -np.eye(m)
-    A[2 * m, :v], A[2 * m + 1, :v] = 1.0, -1.0
-    b = np.concatenate([x, -x, [1.0, -1.0]])
-    A_all = np.vstack([A, -np.eye(v + m)])
-    b_all = np.concatenate([b, np.zeros(v + m)])
+    A[m:, :v], A[m:, v:] = -V.T, -np.eye(m)
+    A_ub = np.vstack([A, -np.eye(v + m)])
+    b_ub = np.concatenate([x, -x, np.zeros(v + m)])
+    A_eq = np.concatenate([np.ones(v), np.zeros(m)])[None, :]
+    d, sol = solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=np.array([1.0]))
+    A_all = np.vstack([A_ub, A_eq, -A_eq])
+    b_all = np.concatenate([b_ub, [1.0, -1.0]])
     assert d == pytest.approx(vertex_enumeration_min(c, A_all, b_all), abs=1e-7)
-    assert np.abs(x - w).sum() == pytest.approx(d, abs=1e-6)
+    assert np.abs(x - V.T @ sol[:v]).sum() == pytest.approx(d, abs=1e-6)

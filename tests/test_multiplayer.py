@@ -301,6 +301,14 @@ def test_solver_reads_only_the_games_sizes():
     assert cert.regrets is None and cert.valid is None
 
 
+@pytest.mark.parametrize("eps", [0.0, -0.1, math.nan, math.inf])
+def test_solver_rejects_eps_outside_the_open_half_line(eps):
+    g = random_game(3, 2, seed=1)
+    labs, _ = learn_multiplayer_labellings(make_multi_oracles(g, seed=0)[0], 0.2)
+    with pytest.raises(ValueError, match="eps must be positive and finite"):
+        solve_wsne_multiplayer(labs, g, eps)
+
+
 @pytest.mark.parametrize("extra", [-1, 1], ids=["fewer", "more"])
 def test_solver_needs_one_labelling_per_player(extra):
     g = random_game(3, 2, seed=4)

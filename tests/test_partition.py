@@ -8,7 +8,7 @@ from partlearn.geometry import cross_section, distance_to_hull, face_map
 from partlearn.geometry.polytope import all_faces
 from partlearn.partition import (
     Oracle, QueryBudgetError, UEPP, alpha_critical, cell_hpolytope, critical_coordinates,
-    make_oracle, random_uepp, uepp_cells, uepp_label_set,
+    make_oracle, random_uepp, uepp_cells,
 )
 
 
@@ -19,11 +19,11 @@ def three_cell_uepp():
 # -- label sets ----------------------------------------------------------------
 
 def test_label_set_strict_argmax():
-    assert uepp_label_set(three_cell_uepp(), [0.8, 0.1]) == {1}
+    assert three_cell_uepp().label_set([0.8, 0.1]) == {1}
 
 
 def test_label_set_tie_on_diagonal():
-    assert uepp_label_set(three_cell_uepp(), [0.5, 0.5]) == {1, 2}
+    assert three_cell_uepp().label_set([0.5, 0.5]) == {1, 2}
 
 
 def test_label_set_duplicate_rows_everywhere():
@@ -31,12 +31,12 @@ def test_label_set_duplicate_rows_everywhere():
     rng = np.random.default_rng(0)
     for _ in range(50):
         y = rng.dirichlet(np.ones(3))[:2]
-        assert uepp_label_set(u, y) == {1, 2}
+        assert u.label_set(y) == {1, 2}
 
 
 def test_label_set_refuses_outside_points():
     with pytest.raises(ValueError):
-        uepp_label_set(three_cell_uepp(), [0.9, 0.9])
+        three_cell_uepp().label_set([0.9, 0.9])
 
 
 # -- oracles --------------------------------------------------------------------
@@ -57,7 +57,7 @@ def test_oracle_answers_are_sound():
     rng = np.random.default_rng(2)
     for _ in range(1000):
         y = rng.dirichlet(np.ones(3))[:2]
-        assert o(y) in uepp_label_set(u, y)
+        assert o(y) in u.label_set(y)
     assert o.log.count == 1000
 
 
@@ -80,22 +80,6 @@ def test_refused_query_is_not_charged():
     # the refusal used up no budget: the one allowed query is still answered
     assert o([0.8, 0.1]) == 1
     assert o.log.count == 1 and o.log.transcript == [((0.8, 0.1), 1)]
-
-
-def test_oracle_clone_resets_log():
-    o = make_oracle(three_cell_uepp(), kind="adversarial", seed=3)
-    o([0.1, 0.1])
-    c = o.clone()
-    assert c.log.count == 0 and o.log.count == 1
-    assert c.tie_break.seed == o.tie_break.seed and c.tie_break.policy == o.tie_break.policy
-    assert c.tie_break.kind == o.tie_break.kind
-
-
-def test_oracle_transcript_jsonl():
-    o = make_oracle(three_cell_uepp())
-    o([0.2, 0.1])
-    lines = o.log.to_json_lines().splitlines()
-    assert len(lines) == 1 and '"label": 1' in lines[0]
 
 
 def test_repeated_queries_consistent():
@@ -130,7 +114,7 @@ def test_uepp_cells_agree_with_label_set(seed):
     pts = rng.dirichlet(np.ones(3), size=2000)[:, :2]
     hulls = {lbl: cell for lbl, cell in gt.cells if not cell.is_empty}
     for y in pts:
-        labels = uepp_label_set(u, y)
+        labels = u.label_set(y)
         member = {lbl for lbl, cell in hulls.items()
                   if distance_to_hull(y, cell)[0] <= 1e-6}
         assert labels <= member
@@ -176,7 +160,7 @@ def test_cell_under_a_dominating_coinciding_row_is_empty():
     # label 1's row equals label 2's row shifted up by 1: label 2 never wins
     u = UEPP(np.array([[1.0, 0.5], [1.0, 0.5]]), np.array([0.0, -1.0]))
     grid = [np.array([a, b]) / 20 for a in range(21) for b in range(21 - a)]
-    assert all(uepp_label_set(u, y) == {1} for y in grid)
+    assert all(u.label_set(y) == {1} for y in grid)
     h, boundary = cell_hpolytope(u, 2)
     assert boundary == {0, 1, 2}
     assert not any(h.contains(y) for y in grid)
@@ -246,7 +230,7 @@ def test_random_uepp_covers_simplex():
     rng = np.random.default_rng(0)
     pts = rng.dirichlet(np.ones(3), size=10_000)[:, :2]
     for y in pts[:200]:
-        assert uepp_label_set(u, y)
+        assert u.label_set(y)
     # vectorized coverage of the rest
     vals = pts @ u.A.T + u.b
     assert np.all(np.isfinite(vals))
@@ -262,7 +246,7 @@ def test_cross_section_structure_is_uepp():
         for _ in range(300):
             z = rng.dirichlet(np.ones(3))[:2] if u.m - 1 == 2 else rng.random(u.m - 1)
             y = np.concatenate([[x], (1 - x) * z])
-            assert uepp_label_set(sec, z) == uepp_label_set(u, y)
+            assert sec.label_set(z) == u.label_set(y)
 
 
 def test_face_restriction_structure():
@@ -274,7 +258,7 @@ def test_face_restriction_structure():
         for _ in range(100):
             z = rng.random(1)
             y = fmap.inverse(z)
-            assert uepp_label_set(sub, z) == uepp_label_set(u, np.clip(y, 0, None))
+            assert sub.label_set(z) == u.label_set(np.clip(y, 0, None))
 
 
 def test_uepp_json_roundtrip():
