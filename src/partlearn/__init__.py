@@ -7,8 +7,7 @@ __version__ = "0.1.0"
 from .bimatrix import (BimatrixGame, BrOracles, GuardedGame, PayoffAudit, PayoffAuditError,
                        WsneCertificate, best_value, br_oracle, br_partition, lower_bound_game,
                        make_br_oracles, pure_utilities, solve_wsne, utilities, verify_wsne)
-from .cdgbs import (GbsConfig, cd_gbs, cd_gbs_adversarial, cdgbs_query_bound,
-                    fix_uncovered_critical)
+from .cdgbs import GbsConfig, cd_gbs, cd_gbs_adversarial, cdgbs_query_bound
 from .coverage import CoverageReport, SimplexSlab, simplex_lattice, verify_eps_net
 from .crgbs import CrConfig, cr_gbs
 from .labelling import EmpiricalLabelling, interior_conflict, is_eps_close, voronoi_labels

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cdgbs import GbsConfig, cd_gbs_adversarial
-from .coverage import lattice_count, simplex_lattice, unit_step
+from .coverage import dataclass_json, lattice_count, simplex_lattice, unit_step
 from .crgbs import CrConfig, cr_gbs
 from .geometry import corner_simplex_vertices
 from .labelling import EmpiricalLabelling, voronoi_band_masks
@@ -230,25 +230,7 @@ class WsneCertificate:
     col_witness_radius: float | None = None
 
     def to_json(self) -> str:
-        return json.dumps({
-            "u": list(map(float, self.u)),
-            "v": list(map(float, self.v)),
-            "eps": self.eps,
-            "row_support": self.row_support,
-            "col_support": self.col_support,
-            "row_regrets": self.row_regrets,
-            "col_regrets": self.col_regrets,
-            "valid": self.valid,
-            "queries_row": self.queries_row,
-            "queries_col": self.queries_col,
-            "grid_resolution": self.grid_resolution,
-            "accuracy_row": self.accuracy_row,
-            "accuracy_col": self.accuracy_col,
-            "row_witness": self.row_witness,
-            "col_witness": self.col_witness,
-            "row_witness_radius": self.row_witness_radius,
-            "col_witness_radius": self.col_witness_radius,
-        })
+        return dataclass_json(self)
 
 
 def _support_bits(dists: np.ndarray) -> np.ndarray:

@@ -14,10 +14,9 @@ counting argument is about).
 
 This module is the search core shared with the face-by-face search of
 ``crgbs``: every lower-dimensional run (a cross-section or a face) is pulled
-back through one lift, suspect neighbourhoods are repaired by one routine,
-and every public entry finishes in one body that asks through the run's
-one `AnswerMemo` and merges (adversarial) or checks (lexicographic)
-interior conflicts.
+back through its lift, and every public entry finishes in one body that
+asks through the run's one `AnswerMemo` and merges (adversarial) or checks
+(lexicographic) interior conflicts.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coverage import SimplexSlab, slab_certificate_2d, verify_eps_net
-from .geometry import PointHull, section_map
+from .geometry import PointHull, section_lift
 from .labelling import EmpiricalLabelling, interior_conflict
 from .partition import KINDS, AnswerMemo
 from .predicates import ETA
@@ -90,7 +89,7 @@ def cdgbs_query_bound(m: int, n: int, eps: float) -> float:
 @dataclass
 class GbsConfig:
     """``oracle_kind`` must name the search run; ``seed`` only drives the
-    repair offsets of `fix_uncovered_critical`."""
+    repair offsets of every lexicographic search, nested ones included."""
 
     m: int
     n: int
@@ -205,7 +204,7 @@ class _Search:
     """
 
     def __init__(self, m: int, n: int, eps: float, query, adversarial: bool,
-                 cap: int, stats: RunStats, depth: int):
+                 cap: int, stats: RunStats, depth: int, seed: int):
         self.m = m
         self.n = n
         self.eps = eps
@@ -214,6 +213,7 @@ class _Search:
         self.cap = cap
         self.stats = stats
         self.depth = depth
+        self.seed = seed
         self.nets = {}          # t -> {label: (k, m) array}
         self.coords = []        # sorted labelled coordinates
         self.flagged = False
@@ -233,7 +233,7 @@ class _Search:
         back."""
         acc = _section_eps(self.eps, self.m, self.n, t)
         res = _section(self.m, self.n, acc, t, self.query, self.adversarial, self.stats,
-                       self.depth + 1)
+                       self.depth + 1, self.seed)
         self._add_net(t, res.points)
         if res.flagged and t not in self.suspects:
             self.suspects.append(t)
@@ -300,28 +300,47 @@ class _Search:
         return [PointHull(v) for v in _by_label(self.nets.values()).values()]
 
     def _fix_suspects(self) -> None:
-        """Repair neighbourhoods of recursion coordinates whose sub-run was
-        flagged (the degenerate-section escape hatch), in this run's frame."""
+        """Repair the neighbourhood of each recursion coordinate x whose
+        sub-run was flagged (the degenerate-section escape hatch), in this
+        run's frame.
+
+        While the class hulls of this run's nets do not cover the eps/2 ball
+        slab around x, recurse at a fresh coordinate inside the ball from a
+        low-discrepancy sequence whose starting side the seed picks; raises
+        after 2 * cap attempts (an inconsistent oracle).
+        """
+        half = self.eps / 2
         for x in list(self.suspects):
-            _repair(x, self.eps, self.m, self.cap, 0, self._hulls, self.recurse, self.stats)
+            region = SimplexSlab(self.m, max(0.0, x - half), min(1.0, x + half))
+            offsets = _vdc_offsets(self.seed)
+            tried = {x}
+            while not verify_eps_net(region, self._hulls(), self.eps).is_close:
+                if len(tried) > 2 * self.cap:
+                    raise RuntimeError("degenerate neighborhood exhausted")
+                z = x
+                while not 0.0 <= z < 1.0 or z in tried:
+                    z = x + next(offsets) * half
+                tried.add(z)
+                self.stats.fixes += 1
+                self.recurse(z)
 
 
 def _run(m: int, n: int, eps: float, query, adversarial: bool, stats: RunStats,
-         depth: int) -> _RunOutput:
+         depth: int, seed: int) -> _RunOutput:
     if m == 0:
         lbl = query(np.zeros(0))
         return _RunOutput({lbl: np.zeros((1, 0))}, False)
     if m == 1:
         return _binary_search_1d(eps, query)
     cap = uncovered_cap(m, n)
-    return _Search(m, n, eps, query, adversarial, cap, stats, depth).run()
+    return _Search(m, n, eps, query, adversarial, cap, stats, depth, seed).run()
 
 
-def _lift(inv, dim: int, n: int, eps: float, query, adversarial: bool,
-          stats: RunStats, depth: int) -> _RunOutput:
-    """Search the corner dim-simplex through ``inv`` (the inverse map of a
-    cross-section or a face) at lift depth ``depth`` and pull every
-    labelled point back with it.
+def _lift(lift, dim: int, n: int, eps: float, query, adversarial: bool,
+          stats: RunStats, depth: int, seed: int) -> _RunOutput:
+    """Search the corner dim-simplex through ``lift`` (a cross-section's or
+    a face's) at lift depth ``depth`` and pull every labelled point back
+    with it.
 
     ``query`` is the run's `AnswerMemo` or an enclosing lift's query, with
     the memo's ``log``.  The log's growth during the search counts at
@@ -330,33 +349,25 @@ def _lift(inv, dim: int, n: int, eps: float, query, adversarial: bool,
     a memo hit counts nowhere.
     """
     def lifted(z):
-        return query(inv(z))
+        return query(lift(z))
 
     lifted.log = log = query.log
     counts = stats.depth_queries
     counts.extend([0] * (depth + 1 - len(counts)))
     before = log.count
-    res = _run(dim, n, eps, lifted, adversarial, stats, depth)
+    res = _run(dim, n, eps, lifted, adversarial, stats, depth, seed)
     asked = log.count - before
     counts[depth] += asked
     counts[depth - 1] -= asked
-    return _RunOutput({lbl: inv(pts) for lbl, pts in res.points.items()}, res.flagged)
+    return _RunOutput({lbl: lift(pts) for lbl, pts in res.points.items()}, res.flagged)
 
 
 def _section(m: int, n: int, acc: float, t: float, query, adversarial: bool,
-             stats: RunStats, depth: int) -> _RunOutput:
+             stats: RunStats, depth: int, seed: int) -> _RunOutput:
     """One cross-section recursion at coordinate t and accuracy ``acc``, in
     the run's frame."""
     stats.recursions += 1
-    return _lift(section_map(t, m).inverse, m - 1, n, acc, query, adversarial, stats, depth)
-
-
-def _ball_slab(x: float, eps: float, m: int) -> SimplexSlab:
-    return SimplexSlab(m, max(0.0, x - eps / 2), min(1.0, x + eps / 2))
-
-
-def _global_hulls(lab: EmpiricalLabelling) -> list:
-    return [lab.point_hull(root) for root in lab.class_roots()]
+    return _lift(section_lift(t, m), m - 1, n, acc, query, adversarial, stats, depth, seed)
 
 
 def _vdc_offsets(seed: int):
@@ -376,60 +387,9 @@ def _vdc_offsets(seed: int):
         k += 1
 
 
-def _repair(x: float, eps: float, m: int, cap: int, seed: int, hulls, recurse,
-            stats: RunStats) -> None:
-    """Cover the eps/2 ball slab around a recursion coordinate x.
-
-    While ``hulls()`` do not cover the slab, ``recurse`` at a fresh
-    coordinate from a seeded low-discrepancy sequence inside the ball;
-    raises after 2 * cap attempts (an inconsistent oracle).
-    """
-    region = _ball_slab(x, eps, m)
-    offsets = _vdc_offsets(seed)
-    tried = {x}
-    for _ in range(2 * cap):
-        if verify_eps_net(region, hulls(), eps).is_close:
-            return
-        z = None
-        while z is None:
-            cand = x + next(offsets) * eps / 2
-            if 0.0 <= cand < 1.0 and cand not in tried:
-                z = cand
-        tried.add(z)
-        stats.fixes += 1
-        recurse(z)
-    if not verify_eps_net(region, hulls(), eps).is_close:
-        raise RuntimeError("degenerate neighborhood exhausted")
-
-
 def _add_points(lab: EmpiricalLabelling, points: dict) -> None:
     for lbl, pts in points.items():
         lab.add_block(pts, lbl)
-
-
-def fix_uncovered_critical(lab: EmpiricalLabelling, x: float, cfg: GbsConfig, oracle,
-                           stats: RunStats | None = None) -> EmpiricalLabelling:
-    """Repair the neighbourhood of a recursion coordinate x.
-
-    Recurses at fresh coordinates from a seeded low-discrepancy sequence
-    inside the eps/2 ball around x, each section at `_section_eps` as in a
-    search, until the ball slab is covered by the class hulls; raises after
-    the attempt cap (an inconsistent oracle).
-    Asks through an `AnswerMemo` and counts in ``stats`` as a search would.
-    """
-    stats = stats or RunStats()
-    adversarial = cfg.oracle_kind == "adversarial"
-    memo = AnswerMemo(oracle)
-    before = memo.log.count
-
-    def recurse(z: float) -> None:
-        _add_points(lab, _section(cfg.m, cfg.n, _section_eps(cfg.eps, cfg.m, cfg.n, z), z,
-                                  memo, adversarial, stats, 1).points)
-
-    _repair(x, cfg.eps, cfg.m, uncovered_cap(cfg.m, cfg.n), cfg.seed, lambda: _global_hulls(lab),
-            recurse, stats)
-    stats.depth_queries[0] += memo.log.count - before
-    return lab
 
 
 def _learn(m: int, n: int, oracle, adversarial: bool, fill) -> EmpiricalLabelling:
@@ -462,7 +422,8 @@ def _dyadic(cfg: GbsConfig, oracle, adversarial: bool) -> EmpiricalLabelling:
         raise ValueError(f"this search needs oracle_kind {kind!r}, not {cfg.oracle_kind!r}")
 
     def fill(lab, stats, query):
-        _add_points(lab, _run(cfg.m, cfg.n, cfg.eps, query, adversarial, stats, 0).points)
+        _add_points(lab, _run(cfg.m, cfg.n, cfg.eps, query, adversarial, stats, 0,
+                              cfg.seed).points)
 
     return _learn(cfg.m, cfg.n, oracle, adversarial, fill)
 

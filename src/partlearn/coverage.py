@@ -61,7 +61,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -115,14 +115,20 @@ class CoverageReport:
     cells_touched: int = 0
 
     def to_json(self) -> str:
-        return json.dumps({
-            "eps": self.eps,
-            "is_close": self.is_close,
-            "witness": None if self.witness is None else list(map(float, self.witness)),
-            "checked_resolution": self.checked_resolution,
-            "witness_distance": self.witness_distance,
-            "cells_touched": self.cells_touched,
-        })
+        return dataclass_json(self)
+
+
+def _plain(value):
+    """numpy arrays and scalars as the lists and numbers json writes."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
+def dataclass_json(cert) -> str:
+    """A certificate or report dataclass as one JSON object, its fields in
+    declaration order."""
+    return json.dumps(asdict(cert), default=_plain)
 
 
 def _sample_tree(hulls):

@@ -57,13 +57,13 @@ def cr_gbs(cfg: CrConfig, oracle) -> EmpiricalLabelling:
     faces = enumerate_k_faces(cfg.m, cfg.k)
 
     def fill(lab, stats, query):
-        for face, fmap in faces:
+        for face, lift in faces:
             before = query.log.count
             for v in face.vertex_coords():
                 lab.add_query(v, query(v))
             if cfg.k >= 1:
-                _add_points(lab, _lift(fmap.inverse, cfg.k, cfg.n, cfg.sub_eps, query,
-                                       adversarial, stats, 1).points)
+                _add_points(lab, _lift(lift, cfg.k, cfg.n, cfg.sub_eps, query, adversarial,
+                                       stats, 1, cfg.seed).points)
             stats.face_queries[face.vertex_subset] = query.log.count - before
 
     return _learn(cfg.m, cfg.n, oracle, adversarial, fill)

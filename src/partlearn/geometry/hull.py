@@ -34,10 +34,12 @@ k, on the faces of the facets that see it (``a.x - b > -ETA``):
   among the candidates.  Each face's barycentric map is computed once per
   hull, on first use.
 
-Every candidate lies in the hull, so the minimum never falls below the true
-distance; results equal the minimum over all faces up to rounding.  The
-cheap upper bound is the distance to the nearest sampled hull point, found
-by a KD-tree over the samples (built once per hull, on first use).
+Only distances are kept: each candidate's distance to x, never the
+candidate itself.  Every candidate lies in the hull, so the minimum never
+falls below the true distance; results equal the minimum over all faces up
+to rounding.  The cheap upper bound is the distance to the nearest sampled
+hull point, found by a KD-tree over the samples (built once per hull, on
+first use).
 """
 from __future__ import annotations
 
@@ -47,31 +49,11 @@ import numpy as np
 from scipy.spatial import ConvexHull as _QHull
 from scipy.spatial import cKDTree as _KDTree
 
-from ..predicates import ETA, as_point
+from ..predicates import ETA
 from .polytope import VPolytope
 
 _PAIR_CHUNK = 1 << 16   # (point, face) or (box, facet) pairs per block
 _FLAT_GRAM = 1e-12      # faces with det(Gram) <= this * prod(diag) are flat
-
-
-def distance_to_hull(x, p):
-    """Euclidean distance from a point to conv(vertices of p) with a witness point.
-
-    Returns (dist, witness); the empty polytope gives (inf, None).
-    """
-    if isinstance(p, VPolytope):
-        V = p.vertices
-    else:
-        V = np.atleast_2d(np.asarray(p, dtype=float))
-    x = as_point(x)
-    if V.shape[0] == 0:
-        return np.inf, None
-    if V.shape[1] != x.size:
-        raise ValueError("dimension mismatch")
-    if x.size == 0:
-        return 0.0, x.copy()
-    d, W = PointHull(V).project(x[None, :])
-    return float(d[0]), W[0]
 
 
 def convex_hull(points) -> VPolytope:
@@ -143,17 +125,9 @@ def _face_levels(verts: np.ndarray, facets: np.ndarray):
     return levels, verts[faces[:, 0]]
 
 
-def _record(dist, near, rows, d, P):
-    """Fold candidate distances ``d`` (nearest points ``P``) of the points
-    ``rows`` into the running minima ``dist`` and ``near``."""
-    np.minimum.at(dist, rows, d)
-    hit = d <= dist[rows]
-    near[rows[hit]] = P[hit]
-
-
 class PointHull:
-    """Exact l2 distance queries against the hull of a point set, with
-    cheap bounds.
+    """Exact l2 distances from query points to the hull of a point set, with
+    cheap bounds and a box-containment test; no nearest points.
 
     The set is reduced to its own affine hull (see the module docstring), of
     effective dimension ``k``; ``vertex_indices`` are its vertices' rows in
@@ -166,8 +140,8 @@ class PointHull:
     * `upper_bounds`: the distance to the nearest of `samples` (the
       vertices and, for at most 40 vertices, their pair midpoints),
       answered by a KD-tree (sound: each sample lies in the hull).
-    * `distances` and `project`: inside the facet form, the distance to the
-      span; outside, exact, by one face recursion for every k: the facets
+    * `distances`: inside the facet form, the distance to the span;
+      outside, exact, by one face recursion for every k: the facets
       that see a point and, where its projection misses them, their faces
       down to the vertices (the module docstring gives why that subset
       holds the nearest point).
@@ -192,7 +166,7 @@ class PointHull:
             centre, basis, normal = frame
             Q = (P - centre) @ basis.T
             self._tilt = (centre, normal, 0.0)     # the band: the points' own offsets
-            self._tilt = (centre, normal, self._off_span(P)[0].max())
+            self._tilt = (centre, normal, self._off_span(P).max())
         self.k = k = Q.shape[1]
         if k == 0:
             self.vertex_indices = np.zeros(1, dtype=int)
@@ -236,20 +210,18 @@ class PointHull:
     def _levels(self):
         return _face_levels(self.points, self._simplices)
 
-    def _off_span(self, X: np.ndarray):
-        """(distance to the band of a flat set's span, the step back to it).
+    def _off_span(self, X: np.ndarray) -> np.ndarray:
+        """Distance to the band of a flat set's span.
 
         The set's own points lie within ``band`` of its span, so they
         measure 0.
         """
         if self._tilt is None:
-            return np.zeros(X.shape[0]), np.zeros_like(X)
+            return np.zeros(X.shape[0])
         centre, normal, band = self._tilt
         # summed elementwise, so a row's value does not depend on its block
         coef = ((X - centre)[:, None, :] * normal).sum(axis=2)
-        r = np.sqrt((coef * coef).sum(axis=1))
-        out = np.clip(r - band, 0.0, None)
-        return out, (coef * (out / np.where(r > 0.0, r, 1.0))[:, None]) @ normal
+        return np.clip(np.sqrt((coef * coef).sum(axis=1)) - band, 0.0, None)
 
     def upper_bounds(self, X: np.ndarray) -> np.ndarray:
         """Distance to the nearest sampled hull point (>= true hull distance)."""
@@ -338,10 +310,10 @@ class PointHull:
         trans = np.zeros(X.shape[0]) if viol is None else np.clip(viol.max(axis=1), 0.0, None)
         if self._tilt is None:
             return trans
-        return np.sqrt(trans ** 2 + self._off_span(X)[0] ** 2)
+        return np.sqrt(trans ** 2 + self._off_span(X) ** 2)
 
-    def _surface_nearest(self, X: np.ndarray, viol: np.ndarray):
-        """(distances, nearest points) of the boundary for outside points.
+    def _surface_distances(self, X: np.ndarray, viol: np.ndarray) -> np.ndarray:
+        """Distances of outside points to the boundary.
 
         Johnson's face recursion, as (point, face) pairs in bounded chunks,
         from the facets that see a point (``viol > -ETA``) down to the
@@ -354,7 +326,6 @@ class PointHull:
         levels, ends = self._levels
         rows, face = np.nonzero(viol > -ETA)
         dist = np.full(X.shape[0], np.inf)
-        near = np.empty_like(X)
         for depth, (v0, E, M, flat, children) in enumerate(levels):
             feasible = np.zeros(rows.size, dtype=bool)
             for s in range(0, rows.size, _PAIR_CHUNK):
@@ -365,7 +336,7 @@ class PointHull:
                     ok &= viol[i, f] > 0.0
                 i, f = i[ok], f[ok]
                 P = v0[f] + np.einsum("pj,pjk->pk", lam[ok], E[f])
-                _record(dist, near, i, np.linalg.norm(X[i] - P, axis=1), P)
+                np.minimum.at(dist, i, np.linalg.norm(X[i] - P, axis=1))
                 feasible[s:s + _PAIR_CHUNK] = ok
             # settled points stop at the facets; below them a feasible face
             # stops only its own descent
@@ -378,27 +349,8 @@ class PointHull:
             rows, face = np.divmod(pairs[first], n_below)
         for s in range(0, rows.size, _PAIR_CHUNK):
             i, P = rows[s:s + _PAIR_CHUNK], ends[face[s:s + _PAIR_CHUNK]]
-            _record(dist, near, i, np.linalg.norm(X[i] - P, axis=1), P)
-        return dist, near
-
-    def _nearest(self, X: np.ndarray, offsets):
-        """(distances, nearest points) of a query block."""
-        t, step = self._off_span(X)
-        W = X - step
-        viol = self.facet_offsets(X) if offsets is None else offsets
-        if viol is not None:
-            todo = viol.max(axis=1) > ETA
-            if todo.any():
-                t[todo], W[todo] = self._surface_nearest(X[todo], viol[todo])
-        return t, W
-
-    def project(self, X: np.ndarray):
-        """(distances, nearest points) for a query block; the distances
-        are those of `distances`."""
-        X = np.atleast_2d(X)
-        if self.is_empty:
-            return np.full(X.shape[0], np.inf), None
-        return self._nearest(X, None)
+            np.minimum.at(dist, i, np.linalg.norm(X[i] - P, axis=1))
+        return dist
 
     def distances(self, X: np.ndarray, offsets=None) -> np.ndarray:
         """Exact hull distances (within ETA along the set's flat directions).
@@ -408,4 +360,10 @@ class PointHull:
         X = np.atleast_2d(X)
         if self.is_empty:
             return np.full(X.shape[0], np.inf)
-        return self._nearest(X, offsets)[0]
+        dist = self._off_span(X)
+        viol = self.facet_offsets(X) if offsets is None else offsets
+        if viol is not None:
+            todo = viol.max(axis=1) > ETA
+            if todo.any():
+                dist[todo] = self._surface_distances(X[todo], viol[todo])
+        return dist

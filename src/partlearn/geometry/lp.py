@@ -24,8 +24,8 @@ class LPUnbounded(LPError):
     pass
 
 
-def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
-    """Minimize c @ x with A_ub x <= b_ub, A_eq x = b_eq, x free.
+def solve_lp(c, A_ub=None, b_ub=None):
+    """Minimize c @ x with A_ub x <= b_ub, x free.
 
     Returns (value, x); raises LPInfeasible / LPUnbounded / LPError.
     """
@@ -33,8 +33,7 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
     # time, and solves, learns and benchmarks mostly solve no LP at all
     from scipy.optimize import linprog
 
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=(None, None),
-                  method="highs")
+    res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=(None, None), method="highs")
     if res.status == 2:
         raise LPInfeasible(res.message)
     if res.status == 3:

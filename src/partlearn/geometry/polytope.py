@@ -1,4 +1,4 @@
-"""Core geometric value types: V-polytopes, H-polytopes, affine maps, faces.
+"""Core geometric value types: V-polytopes, H-polytopes, faces.
 
 Everything is a plain immutable-by-convention dataclass over numpy arrays.
 Points are 1-d float arrays; a 0-length array is the single point of the
@@ -8,7 +8,7 @@ zero-dimensional simplex.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -115,35 +115,6 @@ def corner_simplex_vertices(m: int) -> np.ndarray:
     if m == 0:
         return np.zeros((1, 0))
     return np.vstack([np.zeros((1, m)), np.eye(m)])
-
-
-@dataclass(frozen=True, eq=False)
-class AffineMap:
-    """Affine map x -> matrix @ x + shift, with an optional stored inverse."""
-
-    matrix: np.ndarray
-    shift: np.ndarray
-    inverse: "AffineMap | None" = field(default=None, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", np.atleast_2d(np.asarray(self.matrix, dtype=float)))
-        object.__setattr__(self, "shift", np.atleast_1d(np.asarray(self.shift, dtype=float)))
-
-    @property
-    def dim_in(self) -> int:
-        return self.matrix.shape[1]
-
-    @property
-    def dim_out(self) -> int:
-        return self.matrix.shape[0]
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return self.matrix @ x + self.shift
-        # row by row, so a row's image is bit for bit that of the row alone
-        rows = [self.matrix @ r + self.shift for r in np.ascontiguousarray(x)]
-        return np.array(rows).reshape(x.shape[0], self.dim_out)
 
 
 @dataclass(frozen=True)

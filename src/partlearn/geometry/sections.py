@@ -1,10 +1,13 @@
-"""Cross-sections, slices, and the affine maps between simplices and faces.
+"""Cross-sections, slices, and the lifts from lower simplices into sections
+and faces.
 
 Cross-sections of a V-polytope are built from vertex-pair segment crossings,
 which always contain the true section vertices; canonicalization then strips
-the interior candidates.  The maps here are the section map f_x (section of
-the corner simplex onto the next lower corner simplex) and the per-face
-isomorphisms used when learning along faces.
+the interior candidates.  The lifts here pull points of the next lower
+corner simplex into the x-section of the corner simplex, and points of the
+corner k-simplex onto a k-face, as the searches that learn along sections
+and faces do.  A lift acts elementwise on the last axis, so a row of a
+block lifts bit for bit as the row alone.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import numpy as np
 
 from ..predicates import ETA
 from .hull import convex_hull
-from .polytope import AffineMap, Face, HPolytope, VPolytope, all_faces, empty_polytope
+from .polytope import Face, HPolytope, VPolytope, all_faces, empty_polytope
 
 
 def cross_section(p: VPolytope, x: float, tol: float = ETA) -> VPolytope:
@@ -46,76 +49,55 @@ def slice_polytope(p: VPolytope, x: float, y: float, tol: float = ETA) -> VPolyt
     return convex_hull(pts)
 
 
-def section_map(x: float, m: int) -> AffineMap:
-    """The bijection f_x from the x-section of the m-simplex onto the
-    (m-1)-simplex: (v1,...,vm) -> (v2,...,vm) / (1 - x).  Requires x < 1."""
+def section_lift(x: float, m: int):
+    """The lift z -> (x, (1 - x) z) of the corner (m-1)-simplex onto the
+    x-section of the corner m-simplex, for points or blocks of rows.
+    Requires 0 <= x < 1."""
     if not 0.0 <= x < 1.0:
         raise ValueError("section coordinate must satisfy 0 <= x < 1")
     if m < 1:
         raise ValueError("m >= 1 required")
     s = 1.0 - x
-    fwd = np.zeros((m - 1, m))
-    if m > 1:
-        fwd[:, 1:] = np.eye(m - 1) / s
-    inv_mat = np.zeros((m, m - 1))
-    if m > 1:
-        inv_mat[1:, :] = np.eye(m - 1) * s
-    inv_shift = np.zeros(m)
-    inv_shift[0] = x
-    inverse = AffineMap(inv_mat, inv_shift)
-    fx = AffineMap(fwd, np.zeros(m - 1), inverse)
-    object.__setattr__(inverse, "inverse", fx)
-    return fx
+
+    def lift(z):
+        z = np.asarray(z, dtype=float)
+        return np.concatenate([np.full(z.shape[:-1] + (1,), x), s * z], axis=-1)
+
+    return lift
 
 
-def face_map(face: Face) -> AffineMap:
-    """Canonical isomorphism from a k-face of the corner simplex onto the
-    corner k-simplex.
+def face_lift(face: Face):
+    """The lift of the corner k-simplex onto a k-face of the corner
+    m-simplex, for points or blocks of rows.
 
-    Faces containing the origin are axis-aligned and get the isometric
-    coordinate-selection map; the remaining faces get the probability-style
-    map that drops their first vertex coordinate.
+    z goes onto the axes of the face's vertices after its first.  A face
+    holding the origin (index 0) is axis-aligned and needs nothing more; on
+    any other face the first vertex's axis gets ``1 - z_1 - ... - z_k``,
+    summed left to right.
     """
-    m, k = face.m, face.dim
-    vs = face.vertex_subset
-    if k == 0:
-        v = face.vertex_coords()[0]
-        fwd = AffineMap(np.zeros((0, m)), np.zeros(0))
-        inv = AffineMap(np.zeros((m, 0)), v)
-        object.__setattr__(fwd, "inverse", inv)
-        object.__setattr__(inv, "inverse", fwd)
-        return fwd
-    if vs[0] == 0:
-        axes = [i - 1 for i in vs[1:]]             # e_i has coordinate i-1
-        fwd_mat = np.zeros((k, m))
-        for r, a in enumerate(axes):
-            fwd_mat[r, a] = 1.0
-        inv_mat = fwd_mat.T.copy()
-        inv = AffineMap(inv_mat, np.zeros(m))
-        fwd = AffineMap(fwd_mat, np.zeros(k), inv)
-    else:
-        axes = [i - 1 for i in vs]                 # k+1 coordinate axes, sum = 1
-        fwd_mat = np.zeros((k, m))
-        for r, a in enumerate(axes[1:]):
-            fwd_mat[r, a] = 1.0
-        inv_mat = np.zeros((m, k))
-        inv_shift = np.zeros(m)
-        inv_shift[axes[0]] = 1.0
-        inv_mat[axes[0], :] = -1.0
-        for r, a in enumerate(axes[1:]):
-            inv_mat[a, r] = 1.0
-        inv = AffineMap(inv_mat, inv_shift)
-        fwd = AffineMap(fwd_mat, np.zeros(k), inv)
-    object.__setattr__(inv, "inverse", fwd)
-    return fwd
+    first, *rest = face.vertex_subset
+    axes = [i - 1 for i in rest]                   # e_i has coordinate i-1
+
+    def lift(z):
+        z = np.asarray(z, dtype=float)
+        out = np.zeros(z.shape[:-1] + (face.m,))
+        out[..., axes] = z
+        if first:
+            top = 1.0
+            for j in range(len(axes)):
+                top = top - z[..., j]
+            out[..., first - 1] = top
+        return out
+
+    return lift
 
 
 def enumerate_k_faces(m: int, k: int):
-    """All k-faces of the corner m-simplex with their maps onto the corner
+    """All k-faces of the corner m-simplex with their lifts from the corner
     k-simplex; C(m+1, k+1) entries."""
     if k > m:
         raise ValueError("k > m")
-    return [(f, face_map(f)) for f in all_faces(m, k)]
+    return [(f, face_lift(f)) for f in all_faces(m, k)]
 
 
 def gamma_interior(p: HPolytope, boundary_rows, gamma: float) -> HPolytope:

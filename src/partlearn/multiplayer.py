@@ -26,7 +26,7 @@ from scipy.spatial import cKDTree
 from .bimatrix import (SLACK_DIVISOR, STEP_DIVISOR, PayoffAudit, _first_fixed_point, _mask_to_list,
                        _scan_steps, _support_masks, expand, supported_regrets)
 from .coverage import (MAX_CELLS, CellCapError, CoverageReport, _bisect, _lattice_steps,
-                       _lattice_table, lattice_count, simplex_lattice, unit_step)
+                       _lattice_table, dataclass_json, lattice_count, simplex_lattice, unit_step)
 from .labelling import voronoi_band_masks
 from .partition import QueryLog, TieBreak
 from .predicates import ETA, as_point
@@ -59,6 +59,9 @@ class NormalFormGame:
     @classmethod
     def from_json(cls, text: str) -> "NormalFormGame":
         d = json.loads(text)
+        for key in ("n", "k"):
+            if type(d[key]) is not int:
+                raise ValueError(f"multiplayer key {key!r} must be an integer, not {d[key]!r}")
         u = np.array(d["u"], dtype=float).reshape((d["n"],) + (d["k"],) * d["n"])
         return cls(d["n"], d["k"], u)
 
@@ -423,15 +426,7 @@ class MultiWsneCertificate:
     grid_resolution: float | None = None
 
     def to_json(self) -> str:
-        return json.dumps({
-            "profile": [list(map(float, x)) for x in self.profile],
-            "eps": self.eps,
-            "supports": self.supports,
-            "regrets": self.regrets,
-            "valid": self.valid,
-            "queries": self.queries,
-            "grid_resolution": self.grid_resolution,
-        })
+        return dataclass_json(self)
 
 
 def verify_wsne_multiplayer(g: NormalFormGame, profile, eps: float) -> MultiWsneCertificate:

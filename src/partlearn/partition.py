@@ -68,9 +68,12 @@ class UEPP:
         """The induced partition of the x-section, mapped to the lower simplex."""
         return UEPP((1.0 - x) * self.A[:, 1:], self.A[:, 0] * x + self.b)
 
-    def restrict(self, face_map_inv) -> "UEPP":
-        """The induced partition on a face, through the face's inverse map."""
-        return UEPP(self.A @ face_map_inv.matrix, self.A @ face_map_inv.shift + self.b)
+    def restrict(self, lift, k: int) -> "UEPP":
+        """The induced partition on a k-face, through the face's lift: its
+        matrix and shift are read off the lift's values at 0 and at the
+        unit vectors."""
+        Y = lift(np.vstack([np.zeros(k), np.eye(k)]))
+        return UEPP(self.A @ (Y[1:] - Y[0]).T, self.A @ Y[0] + self.b)
 
     def to_json(self) -> str:
         return json.dumps({"m": self.m, "n": self.n, "A": self.A.tolist(), "b": self.b.tolist()})

@@ -5,13 +5,12 @@ import pytest
 
 from partlearn import cdgbs
 from partlearn.cdgbs import (
-    GbsConfig, cd_gbs, cd_gbs_adversarial, cdgbs_query_bound, fix_uncovered_critical, sub_eps,
-    uncovered_cap,
+    GbsConfig, cd_gbs, cd_gbs_adversarial, cdgbs_query_bound, sub_eps, uncovered_cap,
 )
-from partlearn.coverage import simplex_lattice
+from partlearn.coverage import SimplexSlab, simplex_lattice, verify_eps_net
 from partlearn.crgbs import CrConfig, cr_gbs
-from partlearn.geometry import VPolytope, distance_to_hull
-from partlearn.labelling import EmpiricalLabelling, is_eps_close
+from partlearn.geometry import PointHull, VPolytope
+from partlearn.labelling import is_eps_close
 from partlearn.partition import (
     AnswerMemo, PartitionGroundTruth, QueryBudgetError, UEPP, make_oracle, random_uepp,
     uepp_cells,
@@ -78,8 +77,7 @@ def test_soundness_of_learned_hulls():
         if hull.is_empty:
             continue
         W = rng.dirichlet(np.ones(len(hull)), size=150) @ hull.vertices
-        for w in W:
-            assert distance_to_hull(w, gt[root])[0] <= 1e-6
+        assert (PointHull(gt[root].vertices).distances(W) <= 1e-6).all()
 
 
 def test_config_and_search_reject_an_oracle_kind_they_do_not_run():
@@ -152,8 +150,8 @@ def test_adversarial_duplicates_merge_roundrobin():
     rng = np.random.default_rng(1)
     hull = lab.hull(i)
     W = rng.dirichlet(np.ones(len(hull)), size=100) @ hull.vertices
-    for w in W:
-        assert min(distance_to_hull(w, gt[i])[0], distance_to_hull(w, gt[j])[0]) <= 1e-6
+    d = np.minimum(PointHull(gt[i].vertices).distances(W), PointHull(gt[j].vertices).distances(W))
+    assert (d <= 1e-6).all()
 
 
 def test_adversarial_maxindex_is_close_but_quiet():
@@ -207,47 +205,85 @@ def test_run_on_degenerate_dyadic_section():
     assert is_eps_close(lab, None, 0.15).is_close
 
 
-def test_fix_uncovered_critical_noop_when_covered():
-    u = random_uepp(2, 2, seed=9)
-    o = make_oracle(u)
-    lab = cd_gbs(GbsConfig(2, 2, 0.15), o)
-    cfg = GbsConfig(2, 2, 0.15)
+def _search(o, m, n, eps, seed=0):
+    """A lexicographic top-level `_Search` asking ``o`` through a memo."""
+    return cdgbs._Search(m, n, eps, AnswerMemo(o), False, uncovered_cap(m, n), cdgbs.RunStats(),
+                         0, seed)
+
+
+def _sparse_search(o, m, n, eps, points, seed=0):
+    """A `_Search` whose nets hold only ``points``, each on the section of
+    its first coordinate, and which suspects the section at 0.5."""
+    s = _search(o, m, n, eps, seed)
+    nets = {}
+    for v in np.asarray(points, dtype=float):
+        nets.setdefault(float(v[0]), {}).setdefault(s.query(v), []).append(v)
+    for t, net in nets.items():
+        s._add_net(t, {lbl: np.array(pts) for lbl, pts in net.items()})
+    s.suspects.append(0.5)
+    return s
+
+
+def _ball_covered(s, x) -> bool:
+    """Whether the class hulls of a search's nets cover the eps/2 ball slab
+    around x, the postcondition of its repair."""
+    half = s.eps / 2
+    return verify_eps_net(SimplexSlab(s.m, x - half, x + half), s._hulls(), s.eps).is_close
+
+
+def test_repair_asks_nothing_when_the_ball_slab_is_covered():
+    o = make_oracle(random_uepp(2, 2, seed=9))
+    s = _search(o, 2, 2, 0.15)
+    s.run()
     before = o.log.count
-    fix_uncovered_critical(lab, 0.5, cfg, o)
-    assert o.log.count == before
+    s.suspects.append(0.5)
+    s._fix_suspects()
+    assert o.log.count == before and s.stats.fixes == 0
 
 
-def test_fix_uncovered_critical_repairs_sparse_neighborhood():
-    u = random_uepp(2, 2, seed=10)
-    o = make_oracle(u)
-    cfg = GbsConfig(2, 2, 0.3)
-    lab = EmpiricalLabelling(2, 2)
-    # a deliberately sparse labelling: single points far from x = 0.5
-    lab.add_query([0.0, 0.0], o([0.0, 0.0]))
-    lab.add_query([1.0, 0.0], o([1.0, 0.0]))
-    fixed = fix_uncovered_critical(lab, 0.5, cfg, o)
-    from partlearn.cdgbs import _ball_slab, _global_hulls
-    from partlearn.coverage import verify_eps_net
-    rep = verify_eps_net(_ball_slab(0.5, cfg.eps, 2), _global_hulls(fixed), cfg.eps)
-    assert rep.is_close
+def test_repair_covers_a_sparse_two_label_neighbourhood():
+    # single points far from x = 0.5
+    o = make_oracle(random_uepp(2, 2, seed=10))
+    s = _sparse_search(o, 2, 2, 0.3, [[0.0, 0.0], [1.0, 0.0]])
+    s._fix_suspects()
+    assert _ball_covered(s, 0.5)
 
 
 @pytest.mark.parametrize("eps", [0.3, 0.1, 0.05])
 @pytest.mark.parametrize("seed", range(10, 20))
-def test_fix_uncovered_critical_repairs_at_the_section_accuracy(seed, eps):
+def test_repair_retries_at_the_section_accuracy(seed, eps):
     # the sparse start of the test above on three-label partitions at three
-    # accuracies: the repair covers the ball slab within its attempt cap
+    # accuracies: the retry loop runs, and covers the ball slab within its
+    # attempt cap
     o = make_oracle(random_uepp(2, 3, seed=seed))
-    cfg = GbsConfig(2, 3, eps)
-    lab = EmpiricalLabelling(2, 3)
-    lab.add_query([0.0, 0.0], o([0.0, 0.0]))
-    lab.add_query([1.0, 0.0], o([1.0, 0.0]))
-    st = cdgbs.RunStats()
-    fixed = fix_uncovered_critical(lab, 0.5, cfg, o, st)
-    from partlearn.cdgbs import _ball_slab, _global_hulls
-    from partlearn.coverage import verify_eps_net
-    assert 0 < st.fixes <= 2 * uncovered_cap(2, 3)
-    assert verify_eps_net(_ball_slab(0.5, eps, 2), _global_hulls(fixed), eps).is_close
+    s = _sparse_search(o, 2, 3, eps, [[0.0, 0.0], [1.0, 0.0]])
+    s._fix_suspects()
+    assert 0 < s.stats.fixes <= 2 * uncovered_cap(2, 3)
+    assert _ball_covered(s, 0.5)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_the_seed_parity_picks_the_side_a_repair_starts_on(seed):
+    o = make_oracle(random_uepp(2, 3, seed=10))
+    s = _sparse_search(o, 2, 3, 0.1, [[0.0, 0.0], [1.0, 0.0]], seed=seed)
+    asked = []
+    recurse = s.recurse
+    s.recurse = lambda t: (asked.append(t), recurse(t))
+    s._fix_suspects()
+    assert asked and (asked[0] > 0.5) == (seed % 2 == 0)
+
+
+def test_every_search_of_a_run_repairs_with_the_config_seed(monkeypatch):
+    seeds = []
+    init = cdgbs._Search.__init__
+
+    def spy(self, *args):
+        init(self, *args)
+        seeds.append(self.seed)
+
+    monkeypatch.setattr(cdgbs._Search, "__init__", spy)
+    cd_gbs(GbsConfig(3, 3, 0.2, seed=7), make_oracle(random_uepp(3, 3, seed=1)))
+    assert len(seeds) > 1 and set(seeds) == {7}
 
 
 def test_1d_interleaving_sets_flag():
@@ -301,10 +337,9 @@ def test_flagged_subrun_triggers_in_frame_repair():
     assert 0.25 in lab.stats.suspects
     # the repair loop's postcondition: the suspect's neighbourhood is covered
     # (here the flagged section's own points already suffice, so no retries)
-    from partlearn.cdgbs import _ball_slab, _global_hulls
-    from partlearn.coverage import verify_eps_net
-    rep = verify_eps_net(_ball_slab(0.25, cfg.eps, 2), _global_hulls(lab), cfg.eps)
-    assert rep.is_close
+    hulls = [lab.point_hull(r) for r in lab.class_roots()]
+    assert verify_eps_net(SimplexSlab(2, 0.25 - cfg.eps / 2, 0.25 + cfg.eps / 2), hulls,
+                          cfg.eps).is_close
 
 
 def test_fix_attempts_stay_bounded_on_random_instances():
@@ -429,10 +464,7 @@ def test_first_passes_run_at_the_search_eps_in_every_dimension(kind):
         lab = search(cfg, o)
         searched = len(calls)
         # a repair learns its sections as a search does
-        sparse = EmpiricalLabelling(3, n)
-        for v in np.vstack([np.zeros(3), np.eye(3)]):
-            sparse.add_query(v, o(v))
-        fix_uncovered_critical(sparse, 0.5, cfg, o)
+        _sparse_search(o, 3, n, eps, np.vstack([np.zeros(3), np.eye(3)]))._fix_suspects()
     assert is_eps_close(lab, None, eps).is_close
     assert len(calls) > searched
     for m, e, acc, t in calls:
@@ -487,7 +519,8 @@ def test_planar_first_passes_at_eps_stay_close_on_a_dense_lattice(kind, m, n, se
     roots = lab.class_roots()
     d = np.min([lab.point_hull(r).distances(X) for r in roots], axis=0)
     far = X[np.argmax(d)]
-    assert min(distance_to_hull(far, lab.hull(r))[0] for r in roots) == pytest.approx(d.max())
+    assert min(PointHull(lab.hull(r).vertices).distances(far)[0] for r in roots) == \
+        pytest.approx(d.max())
     assert d.max() <= eps
 
 

@@ -212,6 +212,19 @@ def test_instance_file_with_a_missing_key(tmp_path, capsys, text, key):
     assert f"lacks the key {key}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, key", [
+    ('{"n": "3", "k": 2, "u": [0.5]}', "'n'"),
+    ('{"n": 2.0, "k": 2, "u": [0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5]}', "'n'"),
+    ('{"n": 2, "k": null, "u": [0.5]}', "'k'"),
+    ('{"n": true, "k": 2, "u": [0.5, 0.5]}', "'n'"),
+], ids=["string", "float", "null", "bool"])
+def test_multiplayer_sizes_must_be_integers(tmp_path, capsys, text, key):
+    inst = tmp_path / "bad.json"
+    inst.write_text(text)
+    assert run("solve", "--instance", str(inst), "--eps", "0.1") == EXIT_INVALID
+    assert f"key {key} must be an integer" in capsys.readouterr().err
+
+
 def test_bench_empty_sweep_writes_header_only(tmp_path):
     out = tmp_path / "b.csv"
     assert run("bench", "--family", "lbgame", "--out", str(out)) == EXIT_OK

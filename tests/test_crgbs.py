@@ -6,7 +6,7 @@ import pytest
 from partlearn import crgbs
 from partlearn.cdgbs import GbsConfig, cd_gbs, cd_gbs_adversarial, cdgbs_query_bound
 from partlearn.crgbs import CrConfig, cr_gbs, cr_sub_eps, gamma_capture
-from partlearn.geometry import corner_simplex_vertices, distance_to_hull, gamma_interior
+from partlearn.geometry import PointHull, corner_simplex_vertices, gamma_interior
 from partlearn.labelling import is_eps_close, voronoi_labels
 from partlearn.partition import cell_hpolytope, make_oracle, random_uepp
 from partlearn.partition import _enumerate_vertices
@@ -112,8 +112,7 @@ def test_lexicographic_hulls_stay_sound():
         if hull.is_empty:
             continue
         W = rng.dirichlet(np.ones(len(hull)), size=120) @ hull.vertices
-        for w in W:
-            assert distance_to_hull(w, gt[root])[0] <= 1e-6
+        assert (PointHull(gt[root].vertices).distances(W) <= 1e-6).all()
 
 
 def test_gamma_interior_points_receive_their_label():

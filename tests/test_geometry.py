@@ -10,8 +10,8 @@ from scipy.optimize import linprog
 from partlearn.coverage import SimplexSlab, verify_eps_net
 from partlearn.geometry import (
     HPolytope, VPolytope, chebyshev, convex_hull, corner_simplex_hpolytope,
-    corner_simplex_vertices, cross_section, diameter, distance_to_hull,
-    enumerate_k_faces, gamma_interior, section_map, slice_polytope,
+    corner_simplex_vertices, cross_section, diameter, enumerate_k_faces, gamma_interior,
+    section_lift, slice_polytope,
 )
 from partlearn.geometry.hull import PointHull
 from partlearn.geometry.polytope import all_faces
@@ -101,20 +101,16 @@ def test_diameter_degenerate_cases():
 # -- distance to hull ----------------------------------------------------------
 
 def test_distance_projection_onto_facet():
-    d, w = distance_to_hull(np.array([1.0, 1.0]), VPolytope(corner_simplex_vertices(2)))
-    assert d == pytest.approx(math.sqrt(2) / 2, abs=1e-9)
-    assert w == pytest.approx([0.5, 0.5], abs=1e-7)
+    d = PointHull(corner_simplex_vertices(2)).distances(np.array([1.0, 1.0]))
+    assert d == pytest.approx([math.sqrt(2) / 2], abs=1e-9)
 
 
 def test_distance_zero_inside():
-    p = VPolytope(corner_simplex_vertices(3))
-    d, _ = distance_to_hull(np.array([0.2, 0.2, 0.2]), p)
-    assert d <= 1e-9
+    assert PointHull(corner_simplex_vertices(3)).distances(np.array([0.2, 0.2, 0.2]))[0] <= 1e-9
 
 
 def test_distance_empty_hull():
-    d, w = distance_to_hull(np.array([0.0, 0.0]), VPolytope(np.zeros((0, 2))))
-    assert d == np.inf and w is None
+    assert PointHull(np.zeros((0, 2))).distances(np.array([0.0, 0.0]))[0] == np.inf
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -123,7 +119,7 @@ def test_distance_matches_barycentric_oracle(seed):
     verts = rng.random((int(rng.integers(4, 7)), 3))
     p = VPolytope(verts)
     x = rng.random(3) * 1.5
-    d, _ = distance_to_hull(x, p)
+    d = PointHull(verts).distances(x)[0]
     k = 24
     grid = barycentric_grid(verts, k)
     oracle = np.linalg.norm(grid - x, axis=1).min()
@@ -136,10 +132,9 @@ def test_distance_matches_barycentric_oracle(seed):
 @given(st.integers(0, 10_000))
 def test_distance_is_one_lipschitz_in_point(seed):
     rng = np.random.default_rng(seed)
-    p = VPolytope(rng.random((5, 2)))
+    h = PointHull(rng.random((5, 2)))
     x, y = rng.random(2) * 2 - 0.5, rng.random(2) * 2 - 0.5
-    dx, _ = distance_to_hull(x, p)
-    dy, _ = distance_to_hull(y, p)
+    dx, dy = h.distances(np.array([x, y]))
     assert abs(dx - dy) <= np.linalg.norm(x - y) + 1e-7
 
 
@@ -213,7 +208,7 @@ def _all_surface_distances(h, X):
     distance to its span."""
     d = np.min([_enumerated_distances(h.points[f], X) for f in h._simplices], axis=0)
     outside = h.facet_offsets(X).max(axis=1) > ETA
-    return np.where(outside, d, h._off_span(X)[0])
+    return np.where(outside, d, h._off_span(X))
 
 
 @settings(max_examples=400, deadline=None)
@@ -267,10 +262,6 @@ def test_frank_wolfe_never_exceeds_the_nearest_sample_on_a_thin_tilted_set():
     off = np.linalg.norm((X - c) - Y @ basis, axis=1)
     exact = np.sqrt(flat.distances(Y) ** 2 + off ** 2)
     assert (np.abs(d - exact) <= 1e-12).all()
-    # project agrees, and its witness is a point at the reported distance
-    dp, W = h.project(X)
-    np.testing.assert_array_equal(dp, d)
-    np.testing.assert_allclose(np.linalg.norm(X - W, axis=1), d, rtol=0, atol=1e-12)
 
 
 @st.composite
@@ -302,11 +293,6 @@ def test_point_hull_distances_match_face_enumeration(case):
     # one row at a time: blocks whose points all settle on a facet
     single = np.concatenate([h.distances(x[None, :]) for x in X])
     np.testing.assert_allclose(single, d, rtol=0, atol=1e-12)
-    # the witness is a hull point at the reported distance
-    dp, W = h.project(X)
-    np.testing.assert_array_equal(dp, d)
-    np.testing.assert_allclose(np.linalg.norm(X - W, axis=1), d, rtol=0, atol=1e-12)
-    assert (_enumerated_distances(P, W) <= 1e-12).all()
 
 
 # -- the coverage verifier's "not close" path ----------------------------------
@@ -415,10 +401,7 @@ def test_hull_vertices_match_linprog_reference(m, shape, n, seed):
 def test_hull_contains_all_inputs():
     rng = np.random.default_rng(3)
     pts = rng.dirichlet(np.ones(3), size=20)[:, :2]
-    hull = convex_hull(pts)
-    for x in pts:
-        d, _ = distance_to_hull(x, hull)
-        assert d <= 1e-7
+    assert (PointHull(convex_hull(pts).vertices).distances(pts) <= 1e-7).all()
 
 
 # -- sections -----------------------------------------------------------------
@@ -458,33 +441,12 @@ def test_perfect_fleshing_sampled(seed):
     rng2 = np.random.default_rng(seed + 1)
     for hull_a, hull_b in ((combo, slab), (slab, combo)):
         W = rng2.dirichlet(np.ones(len(hull_a)), size=200) @ hull_a.vertices
-        for w in W:
-            d, _ = distance_to_hull(w, hull_b)
-            assert d <= 1e-7
+        assert (PointHull(hull_b.vertices).distances(W) <= 1e-7).all()
 
 
-def test_section_map_drop_first_at_zero():
-    f = section_map(0.0, 3)
-    assert f(np.array([0.0, 0.3, 0.4])) == pytest.approx([0.3, 0.4])
-
-
-def test_section_map_scaling():
-    f = section_map(0.5, 2)
-    assert f(np.array([0.5, 0.25])) == pytest.approx([0.5])
-
-
-def test_section_map_roundtrip():
-    rng = np.random.default_rng(0)
-    f = section_map(0.3, 3)
-    for _ in range(100):
-        z = rng.dirichlet(np.ones(3))[:2] * 0.7
-        v = np.concatenate([[0.3], z])
-        assert f.inverse(f(v)) == pytest.approx(v, abs=1e-12)
-
-
-def test_section_map_domain():
+def test_section_lift_domain():
     with pytest.raises(ValueError):
-        section_map(1.0, 2)
+        section_lift(1.0, 2)
 
 
 # -- faces ---------------------------------------------------------------------
@@ -499,33 +461,38 @@ def test_face_count_m4_k1():
 def test_top_face_is_identity():
     faces = enumerate_k_faces(2, 2)
     assert len(faces) == 1
-    face, fmap = faces[0]
+    face, lift = faces[0]
     pts = np.array([[0.2, 0.3], [0.0, 0.0], [0.5, 0.5]])
-    assert fmap(pts) == pytest.approx(pts)
-    assert fmap.inverse(pts) == pytest.approx(pts)
+    assert lift(pts).tobytes() == pts.tobytes()
 
 
-def test_face_maps_send_vertices_to_simplex_vertices():
-    for m, k in ((3, 1), (4, 2), (3, 2)):
-        target = {tuple(v) for v in corner_simplex_vertices(k)}
-        for face, fmap in enumerate_k_faces(m, k):
-            imgs = {tuple(np.round(fmap(v), 9)) for v in face.vertex_coords()}
-            assert imgs == target
-            for v in face.vertex_coords():
-                assert fmap.inverse(fmap(v)) == pytest.approx(v, abs=1e-9)
+@pytest.mark.parametrize("m", range(1, 7))
+def test_lifts_match_their_barycentric_definitions(m):
+    # a face lift is the barycentric combination of the face's vertices with
+    # weights (1 - sum z, z); a section lift is (x, (1 - x) z).  The points:
+    # the corner k-simplex's vertices and random points of it
+    rng = np.random.default_rng(m)
+    for k in range(m + 1):
+        Z = np.vstack([corner_simplex_vertices(k), rng.dirichlet(np.ones(k + 1), size=20)[:, :k]])
+        W = np.hstack([1.0 - Z.sum(axis=1, keepdims=True), Z])
+        for face, lift in enumerate_k_faces(m, k):
+            np.testing.assert_allclose(lift(Z), W @ face.vertex_coords(), rtol=0, atol=1e-14)
+    Z = rng.dirichlet(np.ones(m), size=20)[:, :m - 1]
+    for x in (0.0, 0.3, 0.999):
+        want = np.hstack([np.full((len(Z), 1), x), (1.0 - x) * Z])
+        assert section_lift(x, m)(Z).tobytes() == want.tobytes()
 
 
 def test_lifting_a_block_maps_each_row_as_it_maps_the_row_alone():
     # a search stores a block lifted at once and asks its rows one at a time;
     # a face of dimension >= 3 sums three or more terms per coordinate
     rng = np.random.default_rng(0)
-    maps = [fmap.inverse for m, k in ((4, 3), (6, 4)) for _f, fmap in enumerate_k_faces(m, k)]
-    maps += [section_map(t, 4).inverse for t in rng.random(5)]
-    for inv in maps:
-        k = inv.dim_in
+    lifts = [(k, lift) for m, k in ((4, 3), (6, 4)) for _f, lift in enumerate_k_faces(m, k)]
+    lifts += [(3, section_lift(t, 4)) for t in rng.random(5)]
+    for k, lift in lifts:
         Z = rng.dirichlet(np.ones(k + 1), size=50)[:, :k]
-        assert all(inv(z).tobytes() == row.tobytes() for z, row in zip(Z, inv(Z)))
-    assert section_map(0.5, 4).inverse(np.zeros((0, 3))).shape == (0, 4)
+        assert all(lift(z).tobytes() == row.tobytes() for z, row in zip(Z, lift(Z)))
+    assert section_lift(0.5, 4)(np.zeros((0, 3))).shape == (0, 4)
 
 
 def test_a_rows_facet_offsets_do_not_depend_on_its_block():
@@ -580,8 +547,7 @@ def test_gamma_interior_vertices_on_low_faces():
     assert len(verts)
     edges = [f.vertex_coords() for f in all_faces(3, 1)]
     for v in verts:
-        on_edge = any(distance_to_hull(v, VPolytope(e))[0] <= 1e-6 for e in edges)
-        assert on_edge
+        assert any(PointHull(e).distances(v)[0] <= 1e-6 for e in edges)
 
 
 def test_gamma_interior_trivial_for_square_systems():

@@ -11,9 +11,7 @@ from scipy.spatial import ConvexHull, QhullError
 from partlearn import bimatrix, coverage
 from partlearn.bimatrix import voronoi_label_masks
 from partlearn.coverage import SimplexSlab, lattice_count, simplex_lattice, verify_eps_net
-from partlearn.geometry import (
-    PointHull, VPolytope, convex_hull, corner_simplex_vertices, distance_to_hull,
-)
+from partlearn.geometry import PointHull, VPolytope, convex_hull, corner_simplex_vertices
 from partlearn.labelling import (
     CONFLICT_MARGIN, EmpiricalLabelling, interior_conflict, is_eps_close, voronoi_labels,
 )
@@ -129,8 +127,7 @@ def test_hulls_stay_inside_true_cells():
         if hull.is_empty:
             continue
         W = rng.dirichlet(np.ones(len(hull)), size=100) @ hull.vertices
-        for w in W:
-            assert distance_to_hull(w, cells[root])[0] <= 1e-6
+        assert (PointHull(cells[root].vertices).distances(W) <= 1e-6).all()
 
 
 def test_labelling_json_roundtrip():
@@ -286,7 +283,7 @@ def test_voronoi_label_masks_match_scalar_reference(drawn, sigma):
     masks = voronoi_label_masks(lab, pts, sigma)
     roots = [r for r in lab.class_roots() if not lab.hull(r).is_empty]
     for x, mask in zip(pts, masks):
-        d = np.array([distance_to_hull(x, lab.hull(r))[0] for r in roots])
+        d = np.array([PointHull(lab.hull(r).vertices).distances(x)[0] for r in roots])
         if np.any(np.abs(d - (d.min() + sigma + ETA)) <= 1e-9):
             continue    # on the band edge rounding decides
         assert mask == class_bits(lab, voronoi_labels(x, lab, slack=sigma))
@@ -306,7 +303,7 @@ def test_voronoi_label_masks_in_row_blocks_match_scalar_reference(drawn, block):
     roots = [r for r in lab.class_roots() if not lab.hull(r).is_empty]
     checked = 0
     for x, mask in zip(pts, masks):
-        d = np.array([distance_to_hull(x, lab.hull(r))[0] for r in roots])
+        d = np.array([PointHull(lab.hull(r).vertices).distances(x)[0] for r in roots])
         if np.any(np.abs(d - (d.min() + 0.1 + ETA)) <= 1e-9):
             continue    # on the band edge rounding decides
         assert mask == class_bits(lab, voronoi_labels(x, lab, slack=0.1))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from partlearn import partition
-from partlearn.geometry import cross_section, distance_to_hull, face_map
+from partlearn.geometry import PointHull, cross_section, face_lift
 from partlearn.geometry.polytope import all_faces
 from partlearn.partition import (
     Oracle, QueryBudgetError, UEPP, alpha_critical, cell_hpolytope, critical_coordinates,
@@ -112,11 +112,10 @@ def test_uepp_cells_agree_with_label_set(seed):
     gt = uepp_cells(u)
     rng = np.random.default_rng(seed + 10)
     pts = rng.dirichlet(np.ones(3), size=2000)[:, :2]
-    hulls = {lbl: cell for lbl, cell in gt.cells if not cell.is_empty}
+    hulls = {lbl: PointHull(cell.vertices) for lbl, cell in gt.cells if not cell.is_empty}
     for y in pts:
         labels = u.label_set(y)
-        member = {lbl for lbl, cell in hulls.items()
-                  if distance_to_hull(y, cell)[0] <= 1e-6}
+        member = {lbl for lbl, hull in hulls.items() if hull.distances(y)[0] <= 1e-6}
         assert labels <= member
         assert member & labels
     assert gt.n == 4
@@ -253,11 +252,11 @@ def test_face_restriction_structure():
     u = random_uepp(3, 3, seed=7)
     rng = np.random.default_rng(2)
     for face in all_faces(3, 1):
-        fmap = face_map(face)
-        sub = u.restrict(fmap.inverse)
+        lift = face_lift(face)
+        sub = u.restrict(lift, face.dim)
         for _ in range(100):
             z = rng.random(1)
-            y = fmap.inverse(z)
+            y = lift(z)
             assert sub.label_set(z) == u.label_set(np.clip(y, 0, None))
 
 
