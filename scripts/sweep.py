@@ -3,8 +3,13 @@ panel of bimatrix games solved by solve_wsne.
 
     python3 sweep.py SRC planar|faces|games OUT.json
 
-``planar`` and ``faces`` learn random UEPPs and check each labelling with
-is_eps_close; ``games`` solves bimatrix games at eps 0.1 and checks each
+``planar`` and ``faces`` learn random UEPPs and check each labelling twice:
+``close`` with is_eps_close, which verifies only the slabs a cd_gbs search
+left uncertified, and ``close_full`` with verify_eps_net on the whole
+simplex.  A row where the two differ is listed under ``mismatch`` with
+``grid_max``, the largest exact hull distance on a lattice of the simplex
+(spacing 1/800 in the plane, 1/100 above), which settles which verdict is
+conservative.  ``games`` solves bimatrix games at eps 0.1 and checks each
 profile with verify_wsne.
 """
 import itertools
@@ -17,6 +22,7 @@ import numpy as np
 sys.path.insert(0, sys.argv[1])
 from partlearn.bimatrix import BimatrixGame, make_br_oracles, solve_wsne, verify_wsne  # noqa: E402
 from partlearn.cdgbs import GbsConfig, cd_gbs, cd_gbs_adversarial  # noqa: E402
+from partlearn.coverage import SimplexSlab, simplex_lattice, verify_eps_net  # noqa: E402
 from partlearn.crgbs import CrConfig, cr_gbs  # noqa: E402
 from partlearn.labelling import is_eps_close  # noqa: E402
 from partlearn.partition import make_oracle, random_uepp  # noqa: E402
@@ -39,6 +45,12 @@ def one(algo, m, n, seed, s, kind, eps):
         row["queries"] = o.log.count
         row["error"] = f"{type(exc).__name__}: {exc}"
     row["cpu_s"] = round(time.process_time() - t0, 3)
+    if "close" in row:
+        hulls = [lab.point_hull(r) for r in lab.class_roots()]
+        row["close_full"] = bool(verify_eps_net(SimplexSlab(m, 0.0, 1.0), hulls, eps).is_close)
+        if row["close_full"] != row["close"]:
+            X = simplex_lattice(m, 1 / 800 if m == 2 else 1 / 100)
+            row["grid_max"] = float(np.min([h.distances(X) for h in hulls], axis=0).max())
     return row
 
 
@@ -83,6 +95,7 @@ else:
         rows.append(one(algo, m, n, 300 + s, s, kind, 0.15))
 summary = dict(runs=len(rows), queries=sum(r["queries"] for r in rows),
                not_close=[r for r in rows if r.get("close") is False],
+               mismatch=[r for r in rows if r.get("close") != r.get("close_full")],
                invalid=[r for r in rows if r.get("valid") is False],
                errors=[r for r in rows if "error" in r])
 json.dump(dict(summary=summary, rows=rows), open(out, "w"), indent=1)

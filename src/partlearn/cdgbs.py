@@ -10,7 +10,9 @@ cross-section is non-degenerate, which is what makes that safe.
 
 Interval coverage inside the search is judged against the nearest labelled
 cross-sections bracketing the interval (the quantity the covered-interval
-counting argument is about).
+counting argument is about).  The top-level search hands the slabs it
+certified to the labelling it returns (`SlabRecord`), and the end check
+verifies only the slabs they leave.
 
 This module is the search core shared with the face-by-face search of
 ``crgbs``: every lower-dimensional run (a cross-section or a face) is pulled
@@ -29,7 +31,7 @@ import numpy as np
 
 from .coverage import SimplexSlab, slab_certificate_2d, verify_eps_net
 from .geometry import PointHull, section_lift
-from .labelling import EmpiricalLabelling, interior_conflict
+from .labelling import EmpiricalLabelling, SlabRecord, interior_conflict
 from .partition import KINDS, AnswerMemo
 from .predicates import ETA
 
@@ -134,13 +136,16 @@ class RunStats:
 
 class _RunOutput:
     """Points (``{raw label: (k, m) array}``, local frame) plus flags from one
-    search level.  Every point is one the level's query was asked."""
+    search level.  Every point is one the level's query was asked.
+    ``certified`` lists a `_Search`'s certified slabs ``(a, b)``, sorted;
+    other runs have None."""
 
-    __slots__ = ("points", "flagged")
+    __slots__ = ("points", "flagged", "certified")
 
-    def __init__(self, points: dict, flagged: bool):
+    def __init__(self, points: dict, flagged: bool, certified=None):
         self.points = points
         self.flagged = flagged
+        self.certified = certified
 
 
 def _binary_search_1d(eps: float, query) -> _RunOutput:
@@ -198,8 +203,11 @@ class _Search:
 
     Every cross-section, a repair's included, is learned once, at
     `_section_eps`.  A slab left uncovered is recursed into at its
-    midpoint; the halves of the last level's are not checked again, which
-    leaves them to the end verifiers.  ``query`` answers from the run's
+    midpoint; the halves of the last level's are not checked again.
+    ``certified`` keeps every slab whose certificate passed, with the
+    coordinates that bracketed it; they tile [0, 1] but for the slabs left
+    uncovered at the last level or at a cap halt, which the end check
+    verifies (`labelling.is_eps_close`).  ``query`` answers from the run's
     `AnswerMemo`.
     """
 
@@ -218,12 +226,16 @@ class _Search:
         self.coords = []        # sorted labelled coordinates
         self.flagged = False
         self.suspects = []      # local recursion coords with flagged sub-runs
+        self.certified = {}     # (a, b) -> (t_l, t_r) of each slab whose certificate passed
         self._bracket_hulls = {}
 
     def _add_net(self, t: float, net: dict) -> None:
         # a repair landing on a learned coordinate learns that section again,
-        # at the same accuracy and through the memo; its net replaces the first
-        if t not in self.nets:
+        # at the same accuracy and through the memo; its net replaces the
+        # first, whose points the slabs it bracketed were certified against
+        if t in self.nets:
+            self.certified = {iv: br for iv, br in self.certified.items() if t not in br}
+        else:
             insort(self.coords, t)
         self.nets[t] = net
         self._bracket_hulls.clear()
@@ -280,7 +292,12 @@ class _Search:
                 children.extend([(a, mid), (mid, b)])
             if not children:
                 break
-            uncovered = [iv for iv in children if not self.slab_covered(*iv)]
+            uncovered = []
+            for iv in children:
+                if self.slab_covered(*iv):
+                    self.certified[iv] = self.bracket(*iv)
+                else:
+                    uncovered.append(iv)
             if self.depth == 0:
                 self.stats.per_level_uncovered.append(len(uncovered))
             if not self.adversarial and len(uncovered) > self.cap:
@@ -291,10 +308,10 @@ class _Search:
                 self.recurse(0.5 * (a + b))
             frontier = uncovered
 
-        if not self.adversarial and self.suspects and not self.stats.halted_cap:
+        if not self.adversarial and not self.stats.halted_cap:
             self._fix_suspects()
 
-        return _RunOutput(_by_label(self.nets.values()), self.flagged)
+        return _RunOutput(_by_label(self.nets.values()), self.flagged, sorted(self.certified))
 
     def _hulls(self) -> list:
         return [PointHull(v) for v in _by_label(self.nets.values()).values()]
@@ -422,14 +439,17 @@ def _dyadic(cfg: GbsConfig, oracle, adversarial: bool) -> EmpiricalLabelling:
         raise ValueError(f"this search needs oracle_kind {kind!r}, not {cfg.oracle_kind!r}")
 
     def fill(lab, stats, query):
-        _add_points(lab, _run(cfg.m, cfg.n, cfg.eps, query, adversarial, stats, 0,
-                              cfg.seed).points)
+        res = _run(cfg.m, cfg.n, cfg.eps, query, adversarial, stats, 0, cfg.seed)
+        _add_points(lab, res.points)
+        if res.certified is not None:
+            lab.certified_slabs = SlabRecord(cfg.eps, tuple(res.certified))
 
     return _learn(cfg.m, cfg.n, oracle, adversarial, fill)
 
 
 def cd_gbs(cfg: GbsConfig, oracle) -> EmpiricalLabelling:
-    """Lexicographic search; returns a labelling with a ``stats`` attribute."""
+    """Lexicographic search; returns a labelling with a ``stats`` attribute
+    and, from m = 2 on, the search's ``certified_slabs``."""
     return _dyadic(cfg, oracle, adversarial=False)
 
 

@@ -22,7 +22,7 @@ from .bimatrix import BimatrixGame, lower_bound_game, make_br_oracles, solve_wsn
 from .cdgbs import GbsConfig, cd_gbs, cd_gbs_adversarial
 from .coverage import CellCapError
 from .crgbs import CrConfig, cr_gbs
-from .labelling import is_eps_close
+from .labelling import is_eps_close, slabs_to_verify
 from .multiplayer import (NormalFormGame, learn_multiplayer_labellings, make_multi_oracles,
                           random_game, solve_wsne_multiplayer, verify_wsne_multiplayer)
 from .partition import POLICIES, QueryBudgetError, UEPP, make_oracle, random_uepp
@@ -149,6 +149,8 @@ def cmd_learn(args) -> int:
         "per_level_uncovered": lab.stats.per_level_uncovered if args.algo == "cdgbs" else [],
         "merges": [list(m) for m in lab.stats.merges],
         "eps_close": bool(report.is_close),
+        "certified_slabs": len(lab.certified_slabs.slabs) if lab.certified_slabs else 0,
+        "verified_slabs": len(slabs_to_verify(lab, None, args.eps)),
         "wall_ms": (time.perf_counter() - t0) * 1e3,
     }
     if args.out:

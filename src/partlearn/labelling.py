@@ -4,12 +4,16 @@ An empirical labelling stores every oracle-labelled point under its raw
 label, exactly as it was asked, a union-find over labels (labels merged when
 the ground truth forces cells to coincide), and one cached `PointHull` per
 merged class, built on the class's stored points as given.  Closeness
-checks delegate to the coverage verifier.
+checks delegate to the coverage verifier; a labelling a dyadic search
+returns also carries the slabs that search already certified, so the
+whole-simplex check verifies only what they leave.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,8 +22,34 @@ from .geometry import PointHull, VPolytope
 from .predicates import ETA, as_point
 
 
+@dataclass(frozen=True)
+class SlabRecord:
+    """Slabs ``(a, b)`` of the corner simplex (first coordinate in [a, b])
+    that a search proved within ``eps`` of the per-label hulls of points it
+    stored, sorted and meeting at most at their ends."""
+
+    eps: float
+    slabs: tuple
+
+    def gaps(self) -> list:
+        """The slabs of [0, 1] that no recorded slab covers, adjacent ones
+        joined."""
+        out, reach = [], 0.0
+        for a, b in self.slabs:
+            if a > reach:
+                out.append((reach, a))
+            reach = max(reach, b)
+        if reach < 1.0:
+            out.append((reach, 1.0))
+        return out
+
+
 class EmpiricalLabelling:
-    """Per-label queried points with merge bookkeeping and a hull cache."""
+    """Per-label queried points with merge bookkeeping and a hull cache.
+
+    ``certified_slabs`` is the `SlabRecord` of the search that built the
+    labelling, or None; `to_json` does not write it.
+    """
 
     def __init__(self, m: int, n: int):
         if n < 1 or m < 0:
@@ -30,6 +60,7 @@ class EmpiricalLabelling:
         self._parent = list(range(n + 1))                      # union-find over 1..n
         self._members = {lbl: [lbl] for lbl in range(1, n + 1)}  # root -> sorted raw labels
         self._hulls = {}                                        # root -> PointHull
+        self.certified_slabs = None
 
     # -- union-find ---------------------------------------------------------
     def find(self, label: int) -> int:
@@ -140,15 +171,46 @@ class EmpiricalLabelling:
         return lab
 
 
+def slabs_to_verify(l: EmpiricalLabelling, region, eps: float) -> list:
+    """The regions `is_eps_close` hands to `verify_eps_net`.
+
+    An explicit ``region`` is checked as given.  On the whole simplex
+    (``region`` None) these are the gaps ``l.certified_slabs`` leaves in
+    [0, 1], none when its slabs tile it, provided the record's eps is not
+    finer than ``eps``; without a record, or at a finer eps, the whole
+    simplex.
+    """
+    if not 0 < eps < math.inf:
+        raise ValueError("eps must be positive and finite")
+    if region is not None:
+        return [region]
+    record = l.certified_slabs
+    if record is None or eps < record.eps:
+        return [SimplexSlab(l.m, 0.0, 1.0)]
+    return [SimplexSlab(l.m, a, b) for a, b in record.gaps()]
+
+
 def is_eps_close(l: EmpiricalLabelling, region, eps: float) -> CoverageReport:
     """Sound check that the union of class hulls is an eps-net of region.
 
-    ``region`` may be a SimplexSlab, or None for the whole simplex.
+    ``region`` may be a SimplexSlab, or None for the whole simplex.  Only
+    the `slabs_to_verify` are verified, against the class hulls, and the
+    first one found not close gives the report; ``cells_touched`` sums
+    over the slabs verified, and is 0 when there are none.  Leaving the
+    recorded slabs out is sound: each one's certificate proved every point
+    of it within the record's eps of the per-label hulls of points the
+    labelling holds, and a class hull contains those hulls, since a
+    labelling only gains points and merges only unite classes.
     """
-    if region is None:
-        region = SimplexSlab(l.m, 0.0, 1.0)
+    report = CoverageReport(eps, True, None, eps / 2)
     hulls = [l.point_hull(root) for root in l.class_roots()]
-    return verify_eps_net(region, hulls, eps)
+    for slab in slabs_to_verify(l, region, eps):
+        touched = report.cells_touched
+        report = verify_eps_net(slab, hulls, eps)
+        report.cells_touched += touched
+        if not report.is_close:
+            break
+    return report
 
 
 def voronoi_labels(x, l: EmpiricalLabelling, slack: float = 0.0) -> set:

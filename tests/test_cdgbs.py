@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from partlearn import cdgbs
+from partlearn import cdgbs, labelling
 from partlearn.cdgbs import (
     GbsConfig, cd_gbs, cd_gbs_adversarial, cdgbs_query_bound, sub_eps, uncovered_cap,
 )
 from partlearn.coverage import SimplexSlab, simplex_lattice, verify_eps_net
 from partlearn.crgbs import CrConfig, cr_gbs
 from partlearn.geometry import PointHull, VPolytope
-from partlearn.labelling import is_eps_close
+from partlearn.labelling import EmpiricalLabelling, is_eps_close
 from partlearn.partition import (
     AnswerMemo, PartitionGroundTruth, QueryBudgetError, UEPP, make_oracle, random_uepp,
     uepp_cells,
@@ -543,3 +543,143 @@ def test_stored_points_are_the_oracles_answers(search, m, n, seed, eps, kind):
         assert all((row.tobytes(), lbl) in answered for row in pts)
         stored.append(pts)
     assert len(np.unique(np.vstack(stored), axis=0)) <= lab.stats.queries
+
+
+# -- the end check composes the search's own slab certificates ----------------------
+
+def _class_hulls(lab):
+    return [lab.point_hull(r) for r in lab.class_roots()]
+
+
+def _spy_end_check(monkeypatch) -> list:
+    """The regions `is_eps_close` hands to `verify_eps_net` from now on."""
+    regions = []
+    verify = labelling.verify_eps_net
+
+    def spy(region, hulls, eps):
+        regions.append(region)
+        return verify(region, hulls, eps)
+
+    monkeypatch.setattr(labelling, "verify_eps_net", spy)
+    return regions
+
+
+@pytest.mark.parametrize("search, m, n, seed, eps", [
+    (cd_gbs, 2, 2, 100, 0.1), (cd_gbs, 2, 3, 105, 0.05), (cd_gbs, 2, 4, 103, 0.1),
+    (cd_gbs, 2, 5, 106, 0.05), (cd_gbs, 3, 2, 100, 0.1), (cd_gbs, 3, 3, 104, 0.1),
+    (cd_gbs, 3, 4, 1, 0.05),
+    (cd_gbs_adversarial, 2, 2, 100, 0.1), (cd_gbs_adversarial, 2, 3, 105, 0.05),
+    (cd_gbs_adversarial, 2, 4, 103, 0.1), (cd_gbs_adversarial, 2, 5, 106, 0.05),
+    (cd_gbs_adversarial, 3, 2, 100, 0.1), (cd_gbs_adversarial, 3, 3, 104, 0.1),
+    (cd_gbs_adversarial, 3, 4, 1, 0.05),
+    (cr_gbs, 3, 3, 7, 0.1),          # m <= C(n, 2): cr_gbs runs cd_gbs_adversarial
+])
+def test_the_composed_verdict_equals_the_whole_simplex_verifier(search, m, n, seed, eps):
+    kind = "lexicographic" if search is cd_gbs else "adversarial"
+    cfg = (CrConfig if search is cr_gbs else GbsConfig)(m, n, eps, oracle_kind=kind, seed=seed % 5)
+    lab = search(cfg, make_oracle(random_uepp(m, n, seed=seed), kind=kind))
+    assert lab.certified_slabs is not None and lab.certified_slabs.eps == eps
+    composed = is_eps_close(lab, None, eps)
+    full = verify_eps_net(SimplexSlab(m, 0.0, 1.0), _class_hulls(lab), eps)
+    if composed.is_close != full.is_close:
+        # only the box verifier's conservative floor rule may differ, in the
+        # plane, where exact distances on a dense grid decide
+        assert m == 2 and composed.is_close
+        X = simplex_lattice(2, 1 / 800)
+        assert np.min([h.distances(X) for h in _class_hulls(lab)], axis=0).max() <= eps
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_a_slab_left_uncovered_is_the_only_one_verified(monkeypatch, m):
+    eps = 0.1
+    w = 2.0 ** -math.ceil(math.log2(2 / eps))      # the last level's slab width
+    target = (13 * w, 14 * w)
+    covered = cdgbs._Search.slab_covered
+
+    def fail_target(self, a, b):
+        # every top-level slab holding the target fails, so the search
+        # descends to it and leaves it uncovered at the last level
+        if self.depth == 0 and a <= target[0] and target[1] <= b:
+            return False
+        return covered(self, a, b)
+
+    monkeypatch.setattr(cdgbs._Search, "slab_covered", fail_target)
+    lab = cd_gbs(GbsConfig(m, 3, eps), make_oracle(random_uepp(m, 3, seed=1)))
+    assert lab.certified_slabs.gaps() == [target]
+    regions = _spy_end_check(monkeypatch)
+    report = is_eps_close(lab, None, eps)
+    assert regions == [SimplexSlab(m, *target)]
+    alone = verify_eps_net(SimplexSlab(m, *target), _class_hulls(lab), eps)
+    assert (report.is_close, report.cells_touched) == (alone.is_close, alone.cells_touched)
+    assert report.cells_touched > 0
+
+
+def _tiled_labelling(eps=0.1):
+    """A cd_gbs labelling whose certified slabs tile [0, 1]."""
+    lab = cd_gbs(GbsConfig(3, 3, eps), make_oracle(random_uepp(3, 3, seed=1)))
+    assert lab.certified_slabs.eps == eps and lab.certified_slabs.gaps() == []
+    return lab
+
+
+def test_a_tiled_record_leaves_nothing_to_verify_at_its_eps_or_coarser(monkeypatch):
+    lab = _tiled_labelling()
+    regions = _spy_end_check(monkeypatch)
+    for eps in (0.1, 0.2):
+        report = is_eps_close(lab, None, eps)
+        assert report.is_close and report.cells_touched == 0
+        assert report.checked_resolution == eps / 2
+    assert regions == []
+
+
+@pytest.mark.parametrize("eps", [0.0, -0.1, math.nan, math.inf])
+def test_a_bad_eps_is_rejected_even_with_nothing_to_verify(eps):
+    with pytest.raises(ValueError, match="eps must be positive and finite"):
+        is_eps_close(_tiled_labelling(), None, eps)
+
+
+@pytest.mark.parametrize("case", ["reloaded", "finer eps", "region", "m = 1"])
+def test_the_record_is_ignored_where_it_cannot_apply(monkeypatch, case):
+    eps = 0.1
+    lab, region, expected = _tiled_labelling(eps), None, SimplexSlab(3, 0.0, 1.0)
+    if case == "reloaded":
+        lab = EmpiricalLabelling.from_json(lab.to_json())
+        assert lab.certified_slabs is None
+    elif case == "finer eps":
+        eps = 0.05
+    elif case == "region":
+        region = expected = SimplexSlab(3, 0.2, 0.6)
+    else:
+        lab = cd_gbs(GbsConfig(1, 3, eps), make_oracle(random_uepp(1, 3, seed=1)))
+        expected = SimplexSlab(1, 0.0, 1.0)
+        assert lab.certified_slabs is None
+    regions = _spy_end_check(monkeypatch)
+    report = is_eps_close(lab, region, eps)
+    assert regions == [expected]
+    assert report.cells_touched > 0
+
+
+def test_slabs_bracketed_by_a_replaced_net_are_verified_again(monkeypatch):
+    eps = 0.1
+    before, relearned = {}, []
+
+    def relearn(self):
+        # a repair landing on a learned coordinate: the top-level search
+        # learns the section at its last bracketing coordinate below 1 again
+        if self.depth == 0:
+            before.update(self.certified)
+            relearned.append(max(t for br in before.values() for t in br if t < 1.0))
+            self.recurse(relearned[0])
+
+    monkeypatch.setattr(cdgbs._Search, "_fix_suspects", relearn)
+    lab = cd_gbs(GbsConfig(3, 3, eps), make_oracle(random_uepp(3, 3, seed=1)))
+    dropped = sorted(iv for iv, br in before.items() if relearned[0] in br)
+    assert dropped and lab.certified_slabs.slabs == tuple(sorted(set(before) - set(dropped)))
+    joined = []
+    for a, b in dropped:
+        if joined and joined[-1][1] == a:
+            joined[-1] = (joined[-1][0], b)
+        else:
+            joined.append((a, b))
+    regions = _spy_end_check(monkeypatch)
+    assert is_eps_close(lab, None, eps).is_close
+    assert [(r.lo, r.hi) for r in regions] == joined

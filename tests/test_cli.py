@@ -1,10 +1,11 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
-from partlearn import coverage
-from partlearn.cli import EXIT_BUDGET, EXIT_CELL_CAP, EXIT_INVALID, EXIT_OK, main
+from partlearn import cdgbs, coverage, labelling
+from partlearn.cli import EXIT_BUDGET, EXIT_CELL_CAP, EXIT_INVALID, EXIT_OK, EXIT_SEARCH, main
 
 
 def run(*argv):
@@ -56,6 +57,46 @@ def test_learn_manifest_splits_queries_by_depth(tmp_path, algo, m, n):
     depth = manifest["depth_queries"]
     assert len(depth) == (3 if algo == "cdgbs" else 2)
     assert sum(depth) == manifest["queries"]
+
+
+@pytest.mark.parametrize("algo, m, n, certified, verified", [
+    ("cdgbs", 3, 3, 5, 0),      # the search's slabs tile [0, 1]
+    ("crgbs", 3, 2, 0, 1),      # the face route: the whole simplex
+])
+def test_learn_manifest_says_how_the_verdict_was_reached(tmp_path, algo, m, n, certified,
+                                                         verified):
+    inst = tmp_path / "u.json"
+    run("gen", "--kind", "uepp", "--m", str(m), "--n", str(n), "--seed", "1", "--out", str(inst))
+    out = tmp_path / "lab.json"
+    assert run("learn", "--instance", str(inst), "--algo", algo, "--eps", "0.1",
+               "--out", str(out)) == EXIT_OK
+    manifest = json.loads((tmp_path / "lab.json.manifest.json").read_text())
+    assert manifest["eps_close"] is True
+    assert (manifest["certified_slabs"], manifest["verified_slabs"]) == (certified, verified)
+
+
+def test_learn_exits_on_a_failing_composed_verdict(tmp_path, monkeypatch):
+    # the search leaves the last-level slab [13/32, 14/32] uncovered, and the
+    # end check finds it not close
+    covered = cdgbs._Search.slab_covered
+    monkeypatch.setattr(cdgbs._Search, "slab_covered", lambda self, a, b: not (
+        self.depth == 0 and a <= 13 / 32 and 14 / 32 <= b) and covered(self, a, b))
+    verified = []
+
+    def not_close(region, hulls, eps):
+        verified.append(region)
+        return coverage.CoverageReport(eps, False, np.array([region.lo, 0.0, 0.0]), eps / 2,
+                                       1.0, 1)
+
+    monkeypatch.setattr(labelling, "verify_eps_net", not_close)
+    inst = tmp_path / "u.json"
+    run("gen", "--kind", "uepp", "--m", "3", "--n", "3", "--seed", "1", "--out", str(inst))
+    out = tmp_path / "lab.json"
+    assert run("learn", "--instance", str(inst), "--eps", "0.1", "--out", str(out)) == EXIT_SEARCH
+    manifest = json.loads((tmp_path / "lab.json.manifest.json").read_text())
+    assert manifest["eps_close"] is False
+    assert manifest["verified_slabs"] == len(verified) == 1
+    assert manifest["certified_slabs"] > 0
 
 
 def test_learn_cell_cap_overrun_has_its_own_exit_code(tmp_path, capsys, monkeypatch):

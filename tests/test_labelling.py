@@ -13,7 +13,8 @@ from partlearn.bimatrix import voronoi_label_masks
 from partlearn.coverage import SimplexSlab, lattice_count, simplex_lattice, verify_eps_net
 from partlearn.geometry import PointHull, VPolytope, convex_hull, corner_simplex_vertices
 from partlearn.labelling import (
-    CONFLICT_MARGIN, EmpiricalLabelling, interior_conflict, is_eps_close, voronoi_labels,
+    CONFLICT_MARGIN, EmpiricalLabelling, SlabRecord, interior_conflict, is_eps_close,
+    voronoi_labels,
 )
 from partlearn.partition import make_oracle, random_uepp, uepp_cells
 from partlearn.predicates import ETA
@@ -152,6 +153,16 @@ def test_report_counts_the_cells_it_refined():
     assert rep.is_close and rep.cells_touched > 0
     assert json.loads(rep.to_json())["cells_touched"] == rep.cells_touched
     assert verify_eps_net(SimplexSlab(2, 0.8, 0.2), [], 0.1).cells_touched == 0
+
+
+@pytest.mark.parametrize("slabs, gaps", [
+    (((0.0, 0.5), (0.5, 1.0)), []),
+    ((), [(0.0, 1.0)]),
+    (((0.25, 0.5), (0.625, 0.75)), [(0.0, 0.25), (0.5, 0.625), (0.75, 1.0)]),
+    (((0.0, 0.25), (0.25, 0.375), (0.5, 1.0)), [(0.375, 0.5)]),
+])
+def test_slab_record_gaps_are_what_its_slabs_leave_of_the_unit_interval(slabs, gaps):
+    assert SlabRecord(0.1, slabs).gaps() == gaps
 
 
 def test_empty_labelling_not_close_with_witness():
