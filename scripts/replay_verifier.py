@@ -6,9 +6,12 @@
 ``record`` runs one pass of a ``perfbench`` panel and writes every
 `verify_eps_net` call it makes as JSON: the slab, eps, the points of each
 hull passed and the report.  ``replay`` re-runs the recorded calls on the
-``partlearn`` next to this script, counts the reports that differ from the
-recorded ones in any field, and prints the best and the median process CPU
-of ``--repeat`` replays.  Recording on one tree and replaying on two compares
+``partlearn`` next to this script and prints the best and the median process
+CPU of ``--repeat`` replays, with three counts from the first: the reports
+that differ from the recorded ones in any field, those whose verdict differs,
+and the calls the verifier's cell stage decided.  A cell-stage verdict has
+its own witness and ``cells_touched``, so only a differing verdict makes
+``replay`` exit 1.  Recording on one tree and replaying on two compares
 their verifiers call for call; the panels come from ``perfbench/workloads.py``,
 which this script only imports.
 """
@@ -64,24 +67,35 @@ def replay(args) -> int:
     data = json.loads(Path(args.path).read_text())
     calls = [(coverage.SimplexSlab(**c["region"]), c["eps"], c["hulls"], c["report"])
              for c in data["calls"]]
-    differ = boxes = 0
+    differ = verdicts = boxes = 0
+    stage, decided = coverage._cell_verdict, []
+
+    def counting(*args):
+        report = stage(*args)
+        decided.append(report is not None)
+        return report
+
     cpu = []
     for rep in range(args.repeat):
         # hulls are built afresh each time: their caches are part of a call's cost
         jobs = [(region, eps, [PointHull(np.array(P, dtype=float).reshape(-1, region.m))
                                for P in hulls], want)
                 for region, eps, hulls, want in calls]
+        coverage._cell_verdict = counting if rep == 0 else stage
         t0 = time.process_time()
         got = [coverage.verify_eps_net(region, hulls, eps) for region, eps, hulls, _ in jobs]
         cpu.append(time.process_time() - t0)
         if rep == 0:
             for report, (*_, want) in zip(got, jobs):
                 differ += json.loads(report.to_json()) != want
+                verdicts += report.is_close != want["is_close"]
                 boxes += report.cells_touched
-    print(json.dumps({"calls": len(calls), "reports_differing": differ, "cells_touched": boxes,
-                      "cpu_s_best": round(min(cpu), 4),
+    coverage._cell_verdict = stage
+    print(json.dumps({"calls": len(calls), "reports_differing": differ,
+                      "verdicts_differing": verdicts, "cell_stage_decided": sum(decided),
+                      "cells_touched": boxes, "cpu_s_best": round(min(cpu), 4),
                       "cpu_s_median": round(statistics.median(cpu), 4)}))
-    return 1 if differ else 0
+    return 1 if verdicts else 0
 
 
 def main(argv=None) -> int:

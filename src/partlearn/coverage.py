@@ -7,11 +7,31 @@ an exact distance at a region point of at most eps/2 certifies the box.
 This is equivalent in guarantees to checking a deterministic grid of mesh
 eps/2: a "close" verdict holds for the continuum by the triangle inequality,
 while a "not close" verdict is conservative and carries a witness point.
-The refinement is the only path to a verdict.  It stops at the first box
-that lies wholly beyond eps of every hull, or at the first floor box whose
-low corner lies beyond eps/2; that low corner, a region point, is the
-witness.  A box holding a point beyond eps of every hull is never pruned,
-so it ends in one of those two ways.
+The refinement stops at the first box that lies wholly beyond eps of every
+hull, or at the first floor box whose low corner lies beyond eps/2; that
+low corner, a region point, is the witness.  A box holding a point beyond
+eps of every hull is never pruned, so it ends in one of those two ways.
+
+A cell stage runs before the refinement and decides a call from polytope
+vertices alone.  The distance to a hull is convex, so its maximum over a
+polytope lies at a vertex.  A slab is a prism with 2m vertices, its two
+sections joined by m edges.  The slab is close when one hull lies within
+eps/2 - ETA of every slab vertex, and not close, with that vertex as the
+witness, when some slab vertex lies beyond eps + ETA of every hull.  With
+exactly two hulls it is also close when both cells of one facet cut lie
+within eps/2 - ETA of their own hulls.  Each cell's vertices are its slab
+vertices and the plane's crossings of the slab edges.  Hulls are measured
+by facet lower bounds first and exactly only where a bound cannot decide.
+Any other call goes to the refinement.  The stage proves "close" at
+eps/2, the refinement's floor radius, and not at eps, so that it decides
+only calls the refinement decides the same way.  A region within eps/2 of
+the union meets neither the floor rule nor the far rule.  A region point
+beyond eps lies in a box that is never pruned.  So search paths, query
+counts and certificates are those of the refinement alone; only the
+witness and ``cells_touched`` of a cell-stage verdict differ.  Proving
+"close" at eps instead decides more calls, but it turns some "not close"
+verdicts of the refinement into "close", and a search then takes another
+path.
 
 Every box stands for its part in the simplex.  A box whose low corner lies
 outside the simplex is dropped; every other box is clipped to the bounding
@@ -101,10 +121,14 @@ class SimplexSlab:
 class CoverageReport:
     """Verdict of `verify_eps_net`.
 
-    ``cells_touched`` counts the boxes of the refinement tree down to the
-    level where it stopped; a box a pass judged before its parent's verdict
-    counts only when the parent split.  It is 0 only when no box was
-    examined: an empty or 0-dimensional region, or no hulls.
+    ``cells_touched`` counts the polytopes examined.  For a verdict of the
+    cell stage that is the slab alone (1) or the slab and the two cells of
+    its cut (3).  For a verdict of the box refinement it is the boxes of
+    the tree down to the level where it stopped; a box a pass judged
+    before its parent's verdict counts only when the parent split.  It is
+    0 only when nothing was examined: an empty or 0-dimensional region, or
+    no hulls.  The cell stage proves "close" at eps/2, the refinement's
+    floor radius, so every verdict is the one the refinement alone gives.
     """
 
     eps: float
@@ -261,9 +285,128 @@ def _box_fates(hulls, tree, los, his, feasible, radii, eps):
     return far, open_
 
 
+def _slab_vertices(m: int, lo: float, hi: float) -> np.ndarray:
+    """The 2m vertices of the slab with first coordinate in [lo, hi]: the
+    section at lo, then the one at hi.  The section at t has the vertices
+    ``t e_1`` and ``t e_1 + (1 - t) e_j`` for j >= 2."""
+    V = np.zeros((2, m, m))
+    V[:, :, 0] = np.array([[lo], [hi]])
+    j = np.arange(1, m)
+    V[0, j, j] = 1.0 - lo
+    V[1, j, j] = 1.0 - hi
+    return V.reshape(2 * m, m)
+
+
+def _slab_edges(m: int) -> np.ndarray:
+    """The m^2 edges of `_slab_vertices` as pairs of vertex rows: the edges
+    of the two sections and the m edges joining them."""
+    a, b = np.triu_indices(m, k=1)
+    k = np.arange(m)
+    return np.concatenate([np.stack([a, b], axis=1), np.stack([a + m, b + m], axis=1),
+                           np.stack([k, k + m], axis=1)])
+
+
+class _VertexDistances:
+    """Distances from the slab vertices V to each hull: facet lower bounds
+    ``lb`` for all, exact distances measured on demand and kept."""
+
+    def __init__(self, hulls, V):
+        self.hulls, self.V = hulls, V
+        self.offsets = [h.facet_offsets(V) for h in hulls]
+        self.lb = np.column_stack([h.lower_bounds(V, offsets=off)
+                                   for h, off in zip(hulls, self.offsets)])
+        self._exact = np.full(self.lb.shape, np.nan)
+
+    def exact(self, k: int, rows: np.ndarray) -> np.ndarray:
+        """Exact distances from the vertices of mask ``rows`` to hull k."""
+        todo = rows & np.isnan(self._exact[:, k])
+        if todo.any():
+            off = self.offsets[k]
+            self._exact[todo, k] = self.hulls[k].distances(
+                self.V[todo], offsets=None if off is None else off[todo])
+        return self._exact[rows, k]
+
+    def within(self, k: int, rows: np.ndarray, r: float) -> bool:
+        """Whether hull k lies within r of every vertex of mask ``rows``;
+        measured only when no lower bound exceeds r."""
+        return not (self.lb[rows, k] > r).any() and bool((self.exact(k, rows) <= r).all())
+
+    def nearest(self, rows: np.ndarray, cap: float = np.inf) -> np.ndarray:
+        """Distances from the vertices of mask ``rows`` to the nearest
+        hull, exact where at most ``cap`` and elsewhere only known to
+        exceed it; a hull is measured only at vertices where its bound is
+        at most ``cap`` and below the nearest distance found so far."""
+        best = np.full(self.V.shape[0], np.inf)
+        for k in range(len(self.hulls)):
+            todo = rows & (self.lb[:, k] <= cap) & (self.lb[:, k] < best)
+            if todo.any():
+                best[todo] = np.minimum(best[todo], self.exact(k, todo))
+        return best[rows]
+
+
+def _split_covers(vd: _VertexDistances, near: float) -> bool:
+    """Whether, for two hulls, the two cells of one facet cut each lie
+    within ``near`` of their own hull.
+
+    The cut is the facet plane ``a.x = b`` of either hull whose margin, the
+    least ``a.v - b`` over the other hull's vertices v, is largest.  The
+    cut hull's cell is the slab's part with ``a.x <= b``, the other hull's
+    cell the part with ``a.x >= b``; each cell's vertices are its slab
+    vertices and the plane's crossings of the slab edges.
+    """
+    hulls, best = vd.hulls, None
+    for i, h in enumerate(hulls):
+        if vd.offsets[i] is None:
+            continue
+        other = hulls[1 - i]
+        margin = h.facet_offsets(other.points[other.vertex_indices]).min(axis=0)
+        f = int(np.argmax(margin))
+        if best is None or margin[f] > best[0]:
+            best = (margin[f], i, f)
+    if best is None:
+        return False
+    _, i, f = best
+    s = vd.offsets[i][:, f]
+    if not (vd.within(i, s <= 0.0, near) and vd.within(1 - i, s >= 0.0, near)):
+        return False
+    edges = _slab_edges(vd.V.shape[1])
+    u, v = edges[np.sign(s[edges[:, 0]]) * np.sign(s[edges[:, 1]]) < 0].T
+    if not u.size:
+        return True
+    V = vd.V
+    cross = V[u] + (s[u] / (s[u] - s[v]))[:, None] * (V[v] - V[u])
+    every = np.ones(cross.shape[0], dtype=bool)
+    return all(_VertexDistances([hulls[k]], cross).within(0, every, near) for k in (i, 1 - i))
+
+
+def _cell_verdict(region, hulls, eps: float):
+    """The cell stage: a verdict proven from the vertices of the slab or of
+    the two cells of its cut, with ``cells_touched`` 1 or 3, or None to
+    leave the call to the box refinement.  The module docstring gives its
+    rules and why its verdicts are the refinement's."""
+    m = region.m
+    lo = min(max(region.lo, 0.0), 1.0)
+    # a slab reversed by at most ETA is not empty: it is its section at lo
+    hi = max(min(max(region.hi, 0.0), 1.0), lo)
+    vd = _VertexDistances(hulls, _slab_vertices(m, lo, hi))
+    near, far = eps / 2 - ETA, eps + ETA
+    every = np.ones(2 * m, dtype=bool)
+    if any(vd.within(k, every, near) for k in range(len(hulls))):
+        return CoverageReport(eps, True, None, eps / 2, cells_touched=1)
+    beyond = np.flatnonzero(vd.nearest(every, far) > far)
+    if beyond.size:
+        row = np.arange(2 * m) == beyond[0]
+        dw = float(vd.nearest(row)[0])
+        return CoverageReport(eps, False, vd.V[beyond[0]].copy(), eps / 2, dw, 1)
+    if len(hulls) == 2 and _split_covers(vd, near):
+        return CoverageReport(eps, True, None, eps / 2, cells_touched=3)
+    return None
+
+
 def verify_eps_net(region, hulls, eps: float) -> CoverageReport:
     """Check that every region point is within eps of the union of
-    ``hulls``, a list of `PointHull`s."""
+    ``hulls``, a list of `PointHull`s: by the cell stage where it decides,
+    else by the box refinement."""
     if not 0 < eps < math.inf:
         raise ValueError("eps must be positive and finite")
     if not isinstance(region, SimplexSlab):
@@ -282,7 +425,14 @@ def verify_eps_net(region, hulls, eps: float) -> CoverageReport:
         w = np.zeros(m)
         w[0] = max(0.0, region.lo)
         return CoverageReport(eps, False, w, eps / 2, np.inf)
+    report = _cell_verdict(region, hulls, eps)
+    return _refine_boxes(region, hulls, eps) if report is None else report
 
+
+def _refine_boxes(region, hulls, eps: float) -> CoverageReport:
+    """The box refinement of a non-empty slab of dimension m >= 1 against
+    `PointHull`s of that dimension, at least one of them non-empty."""
+    m = region.m
     lo0 = np.zeros(m)
     hi0 = np.ones(m)
     lo0[0] = min(max(region.lo, 0.0), 1.0)

@@ -33,7 +33,8 @@ def test_verifier_reports_equal_the_recorded_ones(case):
     # verifier calls recorded from cd_gbs, cr_gbs and solve_wsne runs of the
     # benchmark panels; the verdicts are those the unclipped box refinement
     # gave, the box counts and witnesses those of boxes clipped to the simplex
-    rep = verify_eps_net(SimplexSlab(case["m"], case["lo"], case["hi"]), _hulls(case), case["eps"])
+    rep = coverage._refine_boxes(SimplexSlab(case["m"], case["lo"], case["hi"]), _hulls(case),
+                                 case["eps"])
     want = case["report"]
     assert rep.is_close == want["is_close"]
     assert rep.cells_touched == want["cells_touched"]
@@ -170,6 +171,50 @@ def test_reference_cases_reach_both_verdicts():
     assert set(verdicts) == {True, False}
 
 
+# -- the cell stage ----------------------------------------------------------------
+
+def _stage_calls():
+    """Every golden and reference call, with its hulls' point sets."""
+    for c in GOLDEN:
+        yield SimplexSlab(c["m"], c["lo"], c["hi"]), [np.array(P, dtype=float).reshape(-1, c["m"])
+                                                      for P in c["hulls"] if P], c["eps"]
+    for m, slab, seed in CASES:
+        parts, lo, hi = _case(m, slab, seed)
+        yield SimplexSlab(m, lo, hi), parts, EPS[m]
+    # the cut x = 0.6 meets the slab only on its joining edges, at (0.6, 0)
+    # and (0.6, 0.4), which lies 0.27 from the near triangle: the cells are
+    # not close, though their slab vertices lie inside their hulls
+    yield SimplexSlab(2), [np.array([[0.0, 0.0], [0.0, 1.0], [0.5, 0.0]]),
+                           np.array([[1.0, 0.0], [0.6, 0.0], [0.6, 0.05]])], 0.3
+
+
+def test_cell_stage_verdicts_equal_the_refinement_and_hold_on_a_grid():
+    # the cell stage decides a call only where the refinement would reach
+    # the same verdict: "close" within eps/2 of the union, whose floor rule
+    # then always passes, and "not close" from a vertex beyond eps
+    decided = {True: 0, False: 0}
+    for region, parts, eps in _stage_calls():
+        hulls = [PointHull(P) for P in parts]
+        rep = verify_eps_net(region, hulls, eps)
+        assert rep.is_close == coverage._refine_boxes(region, hulls, eps).is_close
+        stage = coverage._cell_verdict(region, hulls, eps)
+        if stage is None:
+            continue
+        decided[stage.is_close] += 1
+        assert stage.to_json() == rep.to_json() and rep.cells_touched in (1, 3)
+        m, lo, hi = region.m, region.lo, min(region.hi, 1.0)
+        if stage.is_close:
+            X = _slab_grid(m, lo, hi, eps / (4.0 * np.sqrt(m)))
+            assert (_union_distances(parts, X, eps / 2) <= eps / 2 + 1e-12).all()
+        else:
+            w = rep.witness
+            assert (w >= -ETA).all() and w.sum() <= 1.0 + ETA and lo - ETA <= w[0] <= hi + ETA
+            want = min(_enumerated_distances(P, w[None, :])[0] for P in parts)
+            assert abs(rep.witness_distance - want) <= 1e-12
+            assert want > eps
+    assert min(decided.values()) >= 5
+
+
 # -- boxes clipped to the simplex ---------------------------------------------------
 
 @pytest.mark.parametrize("m", [2, 3, 4])
@@ -255,11 +300,11 @@ def test_the_box_cap_is_checked_before_a_level_is_made(case, monkeypatch):
     count = case["report"]["cells_touched"]
     assert count >= 1
     monkeypatch.setattr(coverage, "MAX_CELLS", count)
-    rep = json.loads(verify_eps_net(region, _hulls(case), case["eps"]).to_json())
+    rep = json.loads(coverage._refine_boxes(region, _hulls(case), case["eps"]).to_json())
     assert {k: rep[k] for k in case["report"]} == case["report"]
     monkeypatch.setattr(coverage, "MAX_CELLS", count - 1)
     with pytest.raises(coverage.CellCapError, match=f"cap of {count - 1} boxes"):
-        verify_eps_net(region, _hulls(case), case["eps"])
+        coverage._refine_boxes(region, _hulls(case), case["eps"])
 
 
 def test_a_five_dimensional_labelling_is_checked_in_few_boxes():
@@ -269,6 +314,15 @@ def test_a_five_dimensional_labelling_is_checked_in_few_boxes():
     rep = is_eps_close(lab, None, 0.15)
     assert rep.is_close
     assert rep.cells_touched <= 2_500
+
+
+@pytest.mark.parametrize("m", [6, 7])
+def test_two_class_labellings_are_proven_from_cell_vertices(m):
+    # the box refinement took 13,035 boxes at m = 6 and 28,595 at m = 7
+    lab = cr_gbs(CrConfig(m, 2, 0.15), make_oracle(random_uepp(m, 2, seed=1)))
+    rep = is_eps_close(lab, None, 0.15)
+    assert rep.is_close
+    assert rep.cells_touched <= 3
 
 
 # -- malformed input --------------------------------------------------------------
