@@ -135,11 +135,18 @@ class GuardedGame:
 
 def expand(mix, size: int) -> np.ndarray:
     """Reduced coordinates -> full distribution (first strategy implicit).
-    A 2-D array holds one reduced mix per row and expands row by row."""
-    mix = as_point(mix).reshape(np.shape(mix) if np.ndim(mix) == 2 else -1)
+    A 2-D array holds one reduced mix per row and expands row by row; any
+    other shape is read as one point, as `as_point` reads it."""
+    mix = np.asarray(mix, dtype=float)
+    if mix.ndim not in (1, 2):
+        mix = mix.reshape(-1)
+    if not np.isfinite(mix).all():
+        raise ValueError("point has non-finite entries")
     if mix.shape[-1] != size - 1:
         raise ValueError("dimension mismatch")
-    full = np.concatenate([1.0 - mix.sum(axis=-1, keepdims=True), mix], axis=-1)
+    full = np.empty(mix.shape[:-1] + (size,))
+    full[..., 1:] = mix
+    full[..., 0] = 1.0 - mix.sum(axis=-1)
     if full.min(initial=0.0) < -1e-7:
         raise ValueError("not a distribution")
     np.maximum(full[..., 0], 0.0, out=full[..., 0])

@@ -14,11 +14,13 @@ every net point inside it (`learn_multiplayer_labellings`).
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
+from array import array
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -136,18 +138,22 @@ class MultiBrOracle:
     def split(self, joint) -> np.ndarray:
         """The other players' reduced mixes, one row each, in player order
         (`expand` checks that they are finite distributions)."""
-        joint = np.ravel(np.asarray(joint, dtype=float))
+        joint = np.asarray(joint, dtype=float)
         if joint.size != (self.k - 1) * (self.n - 1):
             raise ValueError("joint mix has wrong dimension")
         return joint.reshape(self.n - 1, self.k - 1)
 
     def __call__(self, joint) -> int:
-        # a malformed joint mix raises before it is charged; the product
-        # weights of the opponents' pure profiles start from 1.0, so a
-        # one-player game (no opponents) weighs its single row by 1
+        # a malformed joint mix raises before it is charged; the weights of
+        # the opponents' pure profiles are the outer product of their full
+        # mixes, the first most significant, and a one-player game (no
+        # opponents) weighs its single row by 1
         parts = self.split(joint)
-        weights = functools.reduce(np.multiply.outer, expand(parts, self.k), 1.0)
-        vals = (np.ravel(weights) @ self._table).tolist()
+        full = expand(parts, self.k)
+        weights = full[0] if len(full) else np.ones(1)
+        for mix in full[1:]:
+            weights = np.multiply.outer(weights, mix).ravel()
+        vals = (weights @ self._table).tolist()
         top = max(vals)
         joint = parts.ravel()
         self.log.charge(joint)
@@ -165,7 +171,8 @@ def make_multi_oracles(g: NormalFormGame, kind: str = "adversarial", policy: str
 
 @dataclass
 class NetSpec:
-    """Product l1 net over the joint mixed strategies of n-1 players."""
+    """Product l1 net over the joint mixed strategies of n-1 players, with
+    its lattice index `boxes` for the players' label walks."""
 
     n: int
     k: int
@@ -174,6 +181,13 @@ class NetSpec:
     spacing: float
     single: np.ndarray          # lattice of one (k-1)-simplex
     points: np.ndarray          # product lattice, concatenated coordinates
+
+    @cached_property
+    def boxes(self) -> "_BoxIndex":
+        """The net's lattice index, built at first use and shared by every
+        player's `_label_net` walk: each box of the single-simplex lattice
+        the walks visit, with its vertex and member ranks (`_BoxIndex`)."""
+        return _BoxIndex(_lattice_steps(self.spacing), self.k - 1)
 
     @property
     def single_count(self) -> int:
@@ -284,10 +298,20 @@ def learn_multiplayer_labellings(oracles, eps: float):
     point keeps the oracle's answer and each action's points are stored in
     net order, so a labelling differs from asking every net point only at
     a tie point, where another answer is as legal.
+
+    The players' walks share one net and its lattice index
+    (`NetSpec.boxes`), which holds the vertex and member ranks of every box
+    they visit.  ``oracles`` must be those of players 1..n of one n-player
+    k-action game, in player order; any other list raises ValueError
+    before a query is asked.
     """
     if not oracles:
         raise ValueError("no oracles")
     n, k = oracles[0].n, oracles[0].k
+    got = [(o.n, o.k, o.i) for o in oracles]
+    if got != [(n, k, i) for i in range(1, n + 1)]:
+        raise ValueError(f"need the oracles of players 1..{n} of one {n}-player {k}-action "
+                         f"game, in player order; got (n, k, player) = {got}")
     net = build_net(n, k, eps / 2.0)
     labs = []
     for orc in oracles:
@@ -305,54 +329,101 @@ def _label_net(net: NetSpec, ask) -> np.ndarray:
     """Labels (1-based actions) of the net's rows by the box recursion of
     `learn_multiplayer_labellings`; ``ask`` answers a net point.
 
-    A cell is a tuple of per-block boxes ``(lo, hi)`` of integer tuples.
-    The one label array is also the answer cache: a row is asked only while
-    its label is 0.  A net row is the mixed-radix number of its blocks'
-    ranks in the lex table of `_lattice_table`, the first block most
-    significant, as in `_product`.
+    A cell is a tuple of per-block boxes ``(lo, hi)`` of integer tuples,
+    each read from the net's lattice index `NetSpec.boxes`.  A net row is
+    the mixed-radix number of its blocks' ranks in the single-simplex
+    lattice, the first block most significant, as in `_product`.  The one
+    label array is also the answer cache: a row is asked only while its
+    label is 0.  It is a Python ``array`` so that corner checks read plain
+    ints, and a numpy view of the same memory takes the block fills.
     """
-    K = _lattice_steps(net.spacing)
-    m, d = net.n - 1, net.k - 1
-    table = _lattice_table(K, d)[0]
-    rank = {v: r for r, v in enumerate(map(tuple, table.tolist()))}
-    weight = [net.single_count ** (m - 1 - b) for b in range(m)]
-    labels = np.zeros(net.count, dtype=np.int64)
-
-    # a block's share of the rows of its box's vertices and of all its points
-    @functools.cache
-    def vertices(b, lo, hi) -> list:
-        return [rank[v] * weight[b] for v in _box_vertices(lo, hi, K)]
-
-    @functools.cache
-    def inside(b, lo, hi) -> np.ndarray:
-        return np.flatnonzero(((table >= lo) & (table <= hi)).all(axis=1)) * weight[b]
-
-    stack = [(((0,) * d, (K,) * d),) * m]
+    boxes, radix, m = net.boxes, net.single_count, net.n - 1
+    labels = array("q", bytes(8 * net.count))
+    view = np.frombuffer(labels, dtype=np.int64)
+    stack = [(boxes.root,) * m]
     while stack:
         cell = stack.pop()
-        corners = [sum(parts) for parts in
-                   itertools.product(*(vertices(b, *box) for b, box in enumerate(cell)))]
+        entries = [boxes[box] for box in cell]
+        corners = [0]
+        for e in entries:
+            corners = [row * radix + v for row in corners for v in e.vertices]
+        answers = set()
         for row in corners:
             if not labels[row]:
                 labels[row] = ask(net.points[row])
-        answers = set(labels[corners].tolist())
+            answers.add(labels[row])
         if len(answers) == 1:
-            filled = functools.reduce(np.add.outer,
-                                      (inside(b, *box) for b, box in enumerate(cell))).ravel()
-            labels[filled[labels[filled] == 0]] = answers.pop()
+            filled = boxes.members(cell[0])
+            for box in cell[1:]:
+                filled = np.add.outer(filled * radix, boxes.members(box)).ravel()
+            view[filled[view[filled] == 0]] = answers.pop()
             continue
-        side, b, j = max(((hi[j] - lo[j], b, j) for b, (lo, hi) in enumerate(cell)
-                          for j in range(d)), key=lambda s: s[0])
-        if side <= 1:
+        b = max(range(m), key=lambda c: entries[c].side)    # the first longest
+        e = entries[b]
+        if e.side <= 1:
             continue
-        lo, hi = cell[b]
+        if e.upper is not None:
+            stack.append(cell[:b] + (e.upper,) + cell[b + 1:])
+        stack.append(cell[:b] + (e.lower,) + cell[b + 1:])
+    return view
+
+
+class _Box(NamedTuple):
+    """One box of a `_BoxIndex`: the lex ranks of its vertices (in
+    `_box_vertices` order), its longest side (the first axis of that
+    length), and the halves that side's integer midpoint cuts it into when
+    it is 2 or more; ``upper`` is None when its low corner leaves the
+    simplex."""
+
+    vertices: list
+    side: int
+    lower: tuple
+    upper: tuple | None
+
+
+class _BoxIndex(dict):
+    """The boxes ``(lo, hi)`` of the lattice of one corner d-simplex with K
+    steps, each made into its `_Box` at first use and kept, and the lex
+    ranks of each box's lattice points, made at its first fill and kept
+    (`members`): a box that is only split never scans the lattice."""
+
+    def __init__(self, K: int, d: int):
+        super().__init__()
+        self.K = K
+        self.table = _lattice_table(K, d)[0]
+        self.rank = {v: r for r, v in enumerate(map(tuple, self.table.tolist()))}
+        self.root = ((0,) * d, (K,) * d)
+        self._members = {}
+
+    def __missing__(self, box: tuple) -> _Box:
+        lo, hi = box
+        widths = [h - l for l, h in zip(lo, hi)]
+        side = max(widths)
+        j = widths.index(side)
         mid = (lo[j] + hi[j]) // 2
         upper = lo[:j] + (mid,) + lo[j + 1:]
-        lower = hi[:j] + (mid,) + hi[j + 1:]
-        if sum(upper) <= K:
-            stack.append(cell[:b] + ((upper, hi),) + cell[b + 1:])
-        stack.append(cell[:b] + ((lo, lower),) + cell[b + 1:])
-    return labels
+        entry = self[box] = _Box([self.rank[v] for v in _box_vertices(lo, hi, self.K)], side,
+                                 (lo, hi[:j] + (mid,) + hi[j + 1:]),
+                                 (upper, hi) if sum(upper) <= self.K else None)
+        return entry
+
+    def members(self, box: tuple) -> np.ndarray:
+        rows = self._members.get(box)
+        if rows is None:
+            # in lex order the box's points lie between lo and its last
+            # point, which raises each coordinate in turn as far as hi and
+            # the simplex allow, the later ones still at lo: only that
+            # window of the table is scanned
+            lo, hi = box
+            last, left = [], self.K - sum(lo)
+            for l, h in zip(lo, hi):
+                last.append(min(h, l + left))
+                left -= last[-1] - l
+            start, stop = self.rank[lo], self.rank[tuple(last)] + 1
+            window = self.table[start:stop]
+            rows = self._members[box] = start + np.flatnonzero(
+                ((window >= lo) & (window <= hi)).all(axis=1))
+        return rows
 
 
 def _box_vertices(lo: tuple, hi: tuple, K: int) -> list:

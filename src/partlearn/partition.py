@@ -60,9 +60,9 @@ class UEPP:
             raise ValueError("dimension mismatch")
         if not in_corner_simplex(y, tol=max(tol, ETA)):
             raise ValueError("query point outside the simplex")
-        vals = self.A @ y + self.b
-        top = vals.max()
-        return {i + 1 for i in range(self.n) if vals[i] >= top - tol}
+        vals = (self.A @ y + self.b).tolist()
+        top = max(vals)
+        return {i + 1 for i, v in enumerate(vals) if v >= top - tol}
 
     def section(self, x: float) -> "UEPP":
         """The induced partition of the x-section, mapped to the lower simplex."""
@@ -288,9 +288,10 @@ class Oracle:
         return self.ground_truth.label_set(y)
 
     def __call__(self, y) -> int:
-        # an outside point is refused before it is charged
-        y = as_point(y)
+        # the ground truth's label_set checks the point (`as_point`), so an
+        # outside point is refused before it is charged
         labels = self.label_set(y)
+        y = np.asarray(y, dtype=float).ravel()
         self.log.charge(y)
         ans = self.tie_break(y, labels)
         self.log.amend_last_label(ans)

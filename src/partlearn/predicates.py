@@ -18,7 +18,7 @@ def in_corner_simplex(x, tol: float = ETA) -> bool:
     x = np.asarray(x, dtype=float)
     if x.size == 0:
         return True
-    return bool(np.all(x >= -tol) and float(x.sum()) <= 1.0 + tol)
+    return bool(x.min() >= -tol and float(x.sum()) <= 1.0 + tol)
 
 
 def as_point(x) -> np.ndarray:

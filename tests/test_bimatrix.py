@@ -585,9 +585,25 @@ def test_game_rejects_empty_payoff_matrices(shape):
 def test_expand_rows_match_single_mixes():
     rng = np.random.default_rng(42)
     rows = rng.dirichlet(np.ones(4), size=6)[:, 1:]
+    # a first coordinate in (-1e-7, 0) is rounding and is clipped to 0
+    rows[0, :] = [0.5, 0.25, 0.25 + 5e-8]
     assert np.array_equal(expand(rows, 4), np.vstack([expand(r, 4) for r in rows]))
-    for bad in ([[0.5, 0.6, 0.1]], [[0.2, -0.1, 0.1]], [[0.2, np.inf, 0.1]], [[0.2, 0.1]]):
-        with pytest.raises(ValueError):
+
+    def reference(mix):
+        full = np.concatenate([1.0 - mix.sum(axis=-1, keepdims=True), mix], axis=-1)
+        np.maximum(full[..., 0], 0.0, out=full[..., 0])
+        return full
+    assert expand(rows, 4)[0, 0] == 0.0
+    assert np.array_equal(expand(rows, 4), reference(rows))
+    for r in rows:
+        assert np.array_equal(expand(r, 4), reference(r))
+        assert np.array_equal(expand(r.tolist(), 4), reference(r))
+    for bad, why in (([[0.5, 0.6, 0.1]], "not a distribution"),
+                     ([[0.2, -0.1, 0.1]], "not a distribution"),
+                     ([0.5, 0.5, 2e-7], "not a distribution"),
+                     ([[0.2, np.inf, 0.1]], "non-finite"), ([0.2, np.nan, 0.1], "non-finite"),
+                     ([[0.2, 0.1]], "dimension mismatch"), ([0.2, 0.1], "dimension mismatch")):
+        with pytest.raises(ValueError, match=why):
             expand(np.array(bad), 4)
 
 

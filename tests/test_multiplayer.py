@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import types
 
@@ -185,6 +187,72 @@ def test_each_net_point_is_asked_at_most_once(g):
         asked = [pt for pt, _ in orc.log.transcript]
         assert len(asked) == orc.log.count == len(set(asked))
         assert set(asked) <= points
+
+
+@pytest.mark.parametrize("K, d", [(1, 1), (7, 1), (5, 2), (9, 3), (4, 4)])
+def test_box_members_match_a_scan_of_the_whole_lattice(K, d):
+    index = multiplayer._BoxIndex(K, d)
+    table = index.table
+    rng = np.random.default_rng(10 * K + d)
+    for _ in range(80):
+        lo = table[rng.integers(len(table))]
+        hi = np.minimum(lo + rng.integers(1, K + 1, size=d), K)
+        if (lo == hi).any():
+            continue
+        want = np.flatnonzero(((table >= lo) & (table <= hi)).all(axis=1))
+        assert np.array_equal(index.members((tuple(lo.tolist()), tuple(hi.tolist()))), want)
+
+
+# Each oracle's count and a digest of its transcript (the points asked, in
+# order, with their answers) under the corner-agreement walk: which points
+# are asked, and in what order, is part of the walk's contract.
+_WALK_TRANSCRIPTS = [
+    ("3x2", "seeded", [(28, "2f2f893dfe31"), (22, "f2209d2d9e79"), (20, "ea2c10e3c89e")]),
+    ("3x2", "roundrobin", [(28, "2f2f893dfe31"), (22, "f2209d2d9e79"), (20, "ea2c10e3c89e")]),
+    ("3x2", "maxindex", [(28, "2f2f893dfe31"), (22, "f2209d2d9e79"), (20, "ea2c10e3c89e")]),
+    ("3x2", "antilearner", [(28, "2f2f893dfe31"), (22, "f2209d2d9e79"), (20, "ea2c10e3c89e")]),
+    ("2x4", "seeded", [(191, "261dee2b694a"), (191, "4965d2606001")]),
+    ("2x4", "roundrobin", [(191, "261dee2b694a"), (191, "4965d2606001")]),
+    ("2x4", "maxindex", [(191, "261dee2b694a"), (191, "4965d2606001")]),
+    ("2x4", "antilearner", [(191, "261dee2b694a"), (191, "4965d2606001")]),
+    ("4x2", "seeded", [(219, "dcc5b41aca80"), (469, "236bd9630c57"),
+                       (466, "d60112f852c6"), (488, "58f467e43e97")]),
+    ("4x2", "roundrobin", [(219, "dcc5b41aca80"), (469, "236bd9630c57"),
+                           (466, "d60112f852c6"), (488, "58f467e43e97")]),
+    ("4x2", "maxindex", [(219, "dcc5b41aca80"), (469, "236bd9630c57"),
+                         (466, "d60112f852c6"), (488, "58f467e43e97")]),
+    ("4x2", "antilearner", [(219, "dcc5b41aca80"), (469, "236bd9630c57"),
+                            (466, "d60112f852c6"), (488, "58f467e43e97")]),
+    ("3x3-twins", "seeded", [(332, "2ed09a49b516"), (331, "89db0e7a077e"), (175, "5f0ced53f347")]),
+    ("3x3-twins", "roundrobin", [(415, "8c57f35dae7b"), (436, "fd6575eb623c"),
+                                 (441, "f552f72fe653")]),
+    ("3x3-twins", "maxindex", [(332, "2ed09a49b516"), (331, "3c8758eb5f99"),
+                               (175, "5f0ced53f347")]),
+    ("3x3-twins", "antilearner", [(353, "b620d98aad3e"), (436, "96c8fafc13bf"),
+                                  (229, "37aa82074652")]),
+]
+
+
+@pytest.mark.parametrize("gid, policy, want", _WALK_TRANSCRIPTS,
+                         ids=[f"{gid}-{policy}" for gid, policy, _ in _WALK_TRANSCRIPTS])
+def test_the_walk_asks_the_recorded_points_in_order(gid, policy, want):
+    g = {"3x2": lambda: random_game(3, 2, seed=8), "2x4": lambda: random_game(2, 4, seed=8),
+         "4x2": lambda: random_game(4, 2, seed=8),
+         "3x3-twins": lambda: _twin_action_game(3, 3, seed=8)}[gid]()
+    oracles, _ = make_multi_oracles(g, policy=policy, seed=4, record=True)
+    learn_multiplayer_labellings(oracles, 0.8 if g.k == 3 else 0.3)
+    got = [(o.log.count, hashlib.sha256(json.dumps(o.log.transcript).encode()).hexdigest()[:12])
+           for o in oracles]
+    assert got == want
+
+
+def test_learning_needs_the_oracles_of_players_one_to_n_in_order():
+    o1, o2, o3 = make_multi_oracles(random_game(3, 2, seed=8), seed=0)[0]
+    p1, p2 = make_multi_oracles(random_game(2, 3, seed=8), seed=0)[0]
+    for oracles in ([o2, o1, o3], [o1, p2, o3], [o1, o2], [o1, o2, o3, o3]):
+        with pytest.raises(ValueError, match="players 1..3 of one 3-player 2-action game"):
+            learn_multiplayer_labellings(oracles, 0.3)
+    assert [o.log.count for o in (o1, o2, o3, p1, p2)] == [0] * 5
 
 
 def test_oracles_read_the_utilities_once_at_construction():
