@@ -27,7 +27,7 @@ from .crgbs import CrConfig, cr_gbs
 from .geometry import corner_simplex_vertices
 from .labelling import EmpiricalLabelling, voronoi_band_masks
 from .partition import UEPP, AnswerMemo, Oracle
-from .predicates import ETA, as_point
+from .predicates import ETA, as_point, row_sum
 
 # The scan's fixed settings.  The scan tries its lattices coarsest first
 # (`_scan_steps`): COARSE_ROUNDS steps of about 2^c times the base step, c =
@@ -133,24 +133,39 @@ class GuardedGame:
         return self._game.A, self._game.B
 
 
+def full_mixes(rows: list, width: int, size: int) -> list:
+    """Reduced mixes -> full distributions (first strategy implicit), in
+    plain floats: the one definition of the mix checks.
+
+    ``rows`` are lists of ``width`` floats each.  Raises ValueError, in this
+    order, on a non-finite entry, on ``width != size - 1`` ("dimension
+    mismatch"), and on any full entry below -1e-7 ("not a distribution").
+    The first coordinate, ``1 - sum(row)`` with numpy's summation
+    (`row_sum`), is clamped at 0: what lies within 1e-7 below is rounding.
+    """
+    if not all(math.isfinite(v) for row in rows for v in row):
+        raise ValueError("point has non-finite entries")
+    if width != size - 1:
+        raise ValueError("dimension mismatch")
+    full = [[1.0 - row_sum(row)] + row for row in rows]
+    if any(v < -1e-7 for f in full for v in f):
+        raise ValueError("not a distribution")
+    for f in full:
+        if f[0] < 0.0:
+            f[0] = 0.0
+    return full
+
+
 def expand(mix, size: int) -> np.ndarray:
-    """Reduced coordinates -> full distribution (first strategy implicit).
-    A 2-D array holds one reduced mix per row and expands row by row; any
-    other shape is read as one point, as `as_point` reads it."""
+    """Reduced coordinates -> full distribution (first strategy implicit),
+    with the checks of `full_mixes`.  A 2-D array holds one reduced mix per
+    row and expands row by row; any other shape is read as one point, as
+    `as_point` reads it."""
     mix = np.asarray(mix, dtype=float)
     if mix.ndim not in (1, 2):
         mix = mix.reshape(-1)
-    if not np.isfinite(mix).all():
-        raise ValueError("point has non-finite entries")
-    if mix.shape[-1] != size - 1:
-        raise ValueError("dimension mismatch")
-    full = np.empty(mix.shape[:-1] + (size,))
-    full[..., 1:] = mix
-    full[..., 0] = 1.0 - mix.sum(axis=-1)
-    if full.min(initial=0.0) < -1e-7:
-        raise ValueError("not a distribution")
-    np.maximum(full[..., 0], 0.0, out=full[..., 0])
-    return full
+    rows = mix.tolist() if mix.ndim == 2 else [mix.tolist()]
+    return np.array(full_mixes(rows, mix.shape[-1], size)).reshape(mix.shape[:-1] + (size,))
 
 
 def utilities(g: BimatrixGame, u, v):

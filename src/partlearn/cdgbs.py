@@ -411,12 +411,17 @@ def _add_points(lab: EmpiricalLabelling, points: dict) -> None:
 
 def _learn(m: int, n: int, oracle, adversarial: bool, fill) -> EmpiricalLabelling:
     """The body of every public search: ``fill(lab, stats, query)`` asks the
-    run's `AnswerMemo` of ``oracle`` and stores the points, then interior
-    conflicts are merged away (adversarial oracle) or flagged (lexicographic
-    oracle, where the assembly argument says none can occur).  The labelling
-    carries the run's ``stats``; depth 0 gets the queries no lift booked."""
+    run's `AnswerMemo` and stores the points, then interior conflicts are
+    merged away (adversarial oracle) or flagged (lexicographic oracle, where
+    the assembly argument says none can occur).  The labelling carries the
+    run's ``stats``; depth 0 gets the queries no lift booked.
+
+    The run's memo is ``oracle`` itself when that is an `AnswerMemo` (the
+    per-player memos of `make_br_oracles`), else a fresh memo of it: a query
+    passes through one memo either way, and answers and counts are the same
+    as through a fresh memo in front of a given one."""
     stats = RunStats()
-    query = AnswerMemo(oracle)
+    query = oracle if isinstance(oracle, AnswerMemo) else AnswerMemo(oracle)
     before = query.log.count
     lab = EmpiricalLabelling(m, n)
     fill(lab, stats, query)

@@ -61,7 +61,10 @@ def section_lift(x: float, m: int):
 
     def lift(z):
         z = np.asarray(z, dtype=float)
-        return np.concatenate([np.full(z.shape[:-1] + (1,), x), s * z], axis=-1)
+        out = np.empty(z.shape[:-1] + (z.shape[-1] + 1,))
+        out[..., 0] = x
+        np.multiply(z, s, out=out[..., 1:])
+        return out
 
     return lift
 

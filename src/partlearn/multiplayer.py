@@ -26,7 +26,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .bimatrix import (SLACK_DIVISOR, STEP_DIVISOR, PayoffAudit, _first_fixed_point, _mask_to_list,
-                       _scan_steps, _support_masks, expand, supported_regrets)
+                       _scan_steps, _support_masks, expand, full_mixes, supported_regrets)
 from .coverage import (MAX_CELLS, CellCapError, CoverageReport, _bisect, _lattice_steps,
                        _lattice_table, dataclass_json, lattice_count, simplex_lattice, unit_step)
 from .labelling import voronoi_band_masks
@@ -117,7 +117,10 @@ class MultiBrOracle:
     The joint mix is the concatenation of the other players' reduced
     strategies in player order.  Ties are broken by a :class:`TieBreak`.
     Construction reads player i's utilities once, inside the audit's
-    "oracle" context; queries never touch the game again.
+    "oracle" context; queries never touch the game again.  A query checks
+    its joint mix once (`split`, then `full_mixes`) and works on the mix's
+    Python floats; its one array operation is the product of the profile
+    weights with the utility table.
     """
 
     def __init__(self, g: NormalFormGame, i: int, kind: str = "adversarial",
@@ -137,23 +140,22 @@ class MultiBrOracle:
 
     def split(self, joint) -> np.ndarray:
         """The other players' reduced mixes, one row each, in player order
-        (`expand` checks that they are finite distributions)."""
+        (`full_mixes` checks that they are finite distributions)."""
         joint = np.asarray(joint, dtype=float)
         if joint.size != (self.k - 1) * (self.n - 1):
             raise ValueError("joint mix has wrong dimension")
         return joint.reshape(self.n - 1, self.k - 1)
 
     def __call__(self, joint) -> int:
-        # a malformed joint mix raises before it is charged; the weights of
-        # the opponents' pure profiles are the outer product of their full
-        # mixes, the first most significant, and a one-player game (no
-        # opponents) weighs its single row by 1
+        # a malformed joint mix raises before it is charged; the weight of
+        # a pure profile of the opponents is the product of their full
+        # mixes' entries, the first opponent most significant, and a
+        # one-player game (no opponents) weighs its single row by 1
         parts = self.split(joint)
-        full = expand(parts, self.k)
-        weights = full[0] if len(full) else np.ones(1)
-        for mix in full[1:]:
-            weights = np.multiply.outer(weights, mix).ravel()
-        vals = (weights @ self._table).tolist()
+        weights = [1.0]
+        for mix in full_mixes(parts.tolist(), self.k - 1, self.k):
+            weights = [w * p for w in weights for p in mix]
+        vals = (np.array(weights) @ self._table).tolist()
         top = max(vals)
         joint = parts.ravel()
         self.log.charge(joint)

@@ -19,7 +19,7 @@ import numpy as np
 from .geometry import (PointHull, VPolytope, chebyshev, convex_hull, corner_simplex_hpolytope,
                        empty_polytope)
 from .geometry.polytope import HPolytope
-from .predicates import ETA, as_point, in_corner_simplex
+from .predicates import ETA, as_point, row_sum
 
 
 class QueryBudgetError(RuntimeError):
@@ -54,11 +54,15 @@ class UEPP:
         return self.A.shape[1]
 
     def label_set(self, y, tol: float = ETA) -> set:
-        """All labels attaining the envelope max at y (within tol), 1-based."""
+        """All labels attaining the envelope max at y (within tol), 1-based.
+        A point outside the corner simplex {y >= 0, sum(y) <= 1}, beyond
+        max(tol, ETA), is refused."""
         y = as_point(y)
         if y.size != self.m:
             raise ValueError("dimension mismatch")
-        if not in_corner_simplex(y, tol=max(tol, ETA)):
+        coords = y.tolist()
+        band = max(tol, ETA)
+        if coords and (min(coords) < -band or row_sum(coords) > 1.0 + band):
             raise ValueError("query point outside the simplex")
         vals = (self.A @ y + self.b).tolist()
         top = max(vals)
@@ -288,8 +292,9 @@ class Oracle:
         return self.ground_truth.label_set(y)
 
     def __call__(self, y) -> int:
-        # the ground truth's label_set checks the point (`as_point`), so an
-        # outside point is refused before it is charged
+        # the ground truth's label_set checks the point (`as_point`), the
+        # one check a query gets, so an outside point is refused before it
+        # is charged
         labels = self.label_set(y)
         y = np.asarray(y, dtype=float).ravel()
         self.log.charge(y)
@@ -304,8 +309,14 @@ class AnswerMemo:
     A point asked again is answered from memory: it neither reaches the
     oracle nor is charged, and a tie point keeps its first answer.  ``log``
     is the oracle's own, so it counts distinct points.  Every search run
-    asks through one memo (`cdgbs._learn`); `make_br_oracles` keeps one per
-    player across `solve_wsne`'s rounds, and a memo may wrap another.
+    asks through one memo (`cdgbs._learn`): a fresh one, or the memo it is
+    given.  `make_br_oracles` keeps one per player across `solve_wsne`'s
+    rounds, and their searches ask through it.
+
+    The memo keys a point by the bytes of its float coordinates and hands
+    the oracle that flat float array; the oracle checks it (finite, in its
+    domain) as it answers, so a charged point is checked once and a memo
+    hit not at all.  A refused point is never stored.
     """
 
     def __init__(self, oracle):
@@ -314,7 +325,8 @@ class AnswerMemo:
         self._answers = {}
 
     def __call__(self, y):
-        key = as_point(y).tobytes()
+        y = np.asarray(y, dtype=float).ravel()
+        key = y.tobytes()
         if key not in self._answers:
             self._answers[key] = self.oracle(y)
         return self._answers[key]

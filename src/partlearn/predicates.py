@@ -13,17 +13,22 @@ import numpy as np
 ETA = 1e-9
 
 
-def in_corner_simplex(x, tol: float = ETA) -> bool:
-    """Membership test for the corner simplex {x >= 0, sum(x) <= 1}."""
-    x = np.asarray(x, dtype=float)
-    if x.size == 0:
-        return True
-    return bool(x.min() >= -tol and float(x.sum()) <= 1.0 + tol)
+def row_sum(values: list) -> float:
+    """The sum of a list of floats, bit for bit as numpy sums it.  Below 8
+    terms numpy's pairwise summation adds left to right, so a short list
+    (a point, a reduced mix) is summed here with no array; a longer one
+    goes to numpy."""
+    if len(values) < 8:
+        total = 0.0
+        for v in values:
+            total += v
+        return total
+    return float(np.sum(values))
 
 
 def as_point(x) -> np.ndarray:
     """Coerce to a 1-d float array (a point; may be 0-dimensional)."""
-    p = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
+    p = np.asarray(x, dtype=float).ravel()
     if not np.isfinite(p).all():
         raise ValueError("point has non-finite entries")
     return p

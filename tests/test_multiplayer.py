@@ -278,11 +278,26 @@ def test_oracle_answers_ignore_later_utility_writes(n, k):
 
 def test_oracle_rejects_malformed_joint_mixes():
     orc = MultiBrOracle(random_game(3, 3, seed=13), 2)
-    for bad in ([0.2, 0.2, 0.2], [0.2, 0.2, np.nan, 0.1], [0.7, 0.6, 0.1, 0.1],
-                [0.1, -0.2, 0.1, 0.1]):
-        with pytest.raises(ValueError):
+    for bad, why in (([0.2, 0.2, 0.2], "joint mix has wrong dimension"),
+                     ([0.2, 0.2, np.nan, 0.1], "non-finite"),
+                     ([0.7, 0.6, 0.1, 0.1], "not a distribution"),
+                     ([0.1, -0.2, 0.1, 0.1], "not a distribution")):
+        with pytest.raises(ValueError, match=why):
             orc(np.array(bad))
     assert orc.log.count == 0
+    # an implied first coordinate in (-1e-7, 0) is rounding and is clamped
+    # to 0: player 2's first two actions tie under the clamped mix of
+    # player 1 and not under the raw one
+    u = np.zeros((3, 3, 3, 3))
+    u[1, :, :2, :] = 0.5
+    u[1, 0, 0, :] = 1.0
+    orc = MultiBrOracle(NormalFormGame(3, 3, u), 2, kind="lexicographic")
+    joint = np.array([0.5, 0.5 + 5e-8, 0.3, 0.2])
+    table = np.moveaxis(u[1], 1, -1)
+    clamped = np.einsum("a,b,abr->r", [0.0, 0.5, 0.5 + 5e-8], [0.5, 0.3, 0.2], table)
+    raw = np.einsum("a,b,abr->r", [-5e-8, 0.5, 0.5 + 5e-8], [0.5, 0.3, 0.2], table)
+    assert abs(clamped[0] - clamped[1]) <= ETA < raw[1] - raw[0]
+    assert orc(joint) == 1 and orc.log.count == 1
     with pytest.raises(IndexError):
         MultiBrOracle(random_game(3, 3, seed=13), 0)
 

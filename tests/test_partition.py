@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from partlearn import partition
+from partlearn.bimatrix import BimatrixGame, make_br_oracles, solve_wsne
+from partlearn.cdgbs import GbsConfig, cd_gbs
 from partlearn.geometry import PointHull, cross_section, face_lift
 from partlearn.geometry.polytope import all_faces
 from partlearn.partition import (
-    Oracle, QueryBudgetError, UEPP, alpha_critical, cell_hpolytope, critical_coordinates,
+    AnswerMemo, Oracle, QueryBudgetError, UEPP, alpha_critical, cell_hpolytope, critical_coordinates,
     make_oracle, random_uepp, uepp_cells,
 )
+from partlearn.predicates import ETA, row_sum
 
 
 def three_cell_uepp():
@@ -37,6 +40,80 @@ def test_label_set_duplicate_rows_everywhere():
 def test_label_set_refuses_outside_points():
     with pytest.raises(ValueError):
         three_cell_uepp().label_set([0.9, 0.9])
+
+
+def test_row_sum_is_numpys_sum_bit_for_bit():
+    # left to right below 8 terms, numpy's pairwise sum from 8 on: lists
+    # whose sums depend on the order of addition
+    rng = np.random.default_rng(3)
+    for size in range(20):
+        for _ in range(200):
+            vals = rng.choice([1.0, 1e-16, -3e-17, 0.1, 0.7], size=size) * rng.random(size) ** 4
+            assert row_sum(vals.tolist()) == np.sum(vals)
+            assert row_sum(vals.tolist()) == np.atleast_2d(vals).sum(axis=-1)[0]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 8, 9])
+def test_label_set_refuses_exactly_the_points_outside_the_band(m):
+    # against numpy's bounds on the array: min >= -band and sum <= 1 + band
+    u = random_uepp(m, 3, seed=m)
+    rng = np.random.default_rng(m)
+    for tol in (0.0, ETA, 1e-7):
+        band = max(tol, ETA)
+        for _ in range(300):
+            y = rng.dirichlet(np.ones(m + 1))[1:]
+            y = y / y.sum() * (1.0 + rng.choice([-2.0, -1.0, 0.0, 1.0, 2.0]) * band)
+            y[rng.integers(m)] = rng.choice([y[0], 0.0, -band, -band * (1 + 1e-9), -2 * band])
+            inside = y.min() >= -band and float(y.sum()) <= 1.0 + band
+            try:
+                u.label_set(y, tol=tol)
+            except ValueError as err:
+                assert not inside and "outside the simplex" in str(err)
+            else:
+                assert inside
+
+
+def _count_point_checks(monkeypatch) -> list:
+    """Every `as_point` check of the membership path, in a list."""
+    checks = []
+    as_point = partition.as_point
+
+    def counted(x):
+        checks.append(x)
+        return as_point(x)
+
+    monkeypatch.setattr(partition, "as_point", counted)
+    return checks
+
+
+def test_a_search_checks_each_charged_point_once(monkeypatch):
+    # the run's memo keys a point by its bytes and the oracle checks it, so
+    # a charged query pays one check and a memo hit none
+    checks = _count_point_checks(monkeypatch)
+    o = make_oracle(random_uepp(3, 4, seed=1))
+    cd_gbs(GbsConfig(3, 4, 0.05), o)
+    assert o.log.count > 0 and len(checks) == o.log.count
+
+
+def test_a_bimatrix_solve_checks_each_charged_point_once(monkeypatch):
+    # each search asks through its player's memo of `make_br_oracles`, not
+    # through a second memo of it, and the oracle behind checks the point
+    checks = _count_point_checks(monkeypatch)
+    memos = []
+    init = AnswerMemo.__init__
+
+    def counted_init(self, oracle):
+        memos.append(oracle)
+        init(self, oracle)
+
+    monkeypatch.setattr(AnswerMemo, "__init__", counted_init)
+    rng = np.random.default_rng(5)
+    oracles = make_br_oracles(BimatrixGame(rng.random((4, 3)), rng.random((4, 3))), seed=0)
+    cert = solve_wsne(oracles, 0.1)
+    queries = oracles.row.log.count + oracles.column.log.count
+    assert cert.queries_row + cert.queries_col == queries > 0
+    assert len(checks) == queries
+    assert memos == [oracles.row.oracle, oracles.column.oracle]
 
 
 # -- oracles --------------------------------------------------------------------
