@@ -7,13 +7,13 @@
 `verify_eps_net` call it makes as JSON: the slab, eps, the points of each
 hull passed and the report.  ``replay`` re-runs the recorded calls on the
 ``partlearn`` next to this script and prints the best and the median process
-CPU of ``--repeat`` replays, with three counts from the first: the reports
-that differ from the recorded ones in any field, those whose verdict differs,
-and the calls the verifier's cell stage decided.  A cell-stage verdict has
-its own witness and ``cells_touched``, so only a differing verdict makes
-``replay`` exit 1.  Recording on one tree and replaying on two compares
-their verifiers call for call; the panels come from ``perfbench/workloads.py``,
-which this script only imports.
+CPU of ``--repeat`` replays, with counts from the first: the reports that
+differ from the recorded ones in any field, those whose verdict differs
+(and of them, those now "close" where the recording said "not close"), the
+calls the verifier's two-hull facet cut decided, and the cells touched.
+Only a differing verdict makes ``replay`` exit 1.  Recording on one tree
+and replaying on two compares their verifiers call for call; the panels
+come from ``perfbench/workloads.py``, which this script only imports.
 """
 
 from __future__ import annotations
@@ -49,13 +49,18 @@ def record(args) -> int:
                       "report": json.loads(report.to_json())})
         return report
 
-    # every module that bound the function by name gets the recorder
-    for mod in [m for name, m in sys.modules.items() if name.split(".")[0] == "partlearn"]:
-        for key, value in list(vars(mod).items()):
-            if value is original:
-                setattr(mod, key, recording)
-    panel = workloads.make_panel(args.workload, args.seed, base_seed=args.base_seed)
-    failed = [out.error for out in map(workloads.run_instance, panel) if not out.ok]
+    # every module that bound the function by name gets the recorder, and
+    # the function back afterwards
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "partlearn"]
+    bound = [(mod, key) for mod in modules for key, value in vars(mod).items() if value is original]
+    for mod, key in bound:
+        setattr(mod, key, recording)
+    try:
+        panel = workloads.make_panel(args.workload, args.seed, base_seed=args.base_seed)
+        failed = [out.error for out in map(workloads.run_instance, panel) if not out.ok]
+    finally:
+        for mod, key in bound:
+            setattr(mod, key, original)
     Path(args.path).write_text(json.dumps({"workload": args.workload, "seed": args.seed,
                                            "base_seed": args.base_seed, "calls": calls}))
     print(f"{len(calls)} calls from {len(panel)} instances written to {args.path}"
@@ -67,13 +72,13 @@ def replay(args) -> int:
     data = json.loads(Path(args.path).read_text())
     calls = [(coverage.SimplexSlab(**c["region"]), c["eps"], c["hulls"], c["report"])
              for c in data["calls"]]
-    differ = verdicts = boxes = 0
-    stage, decided = coverage._cell_verdict, []
+    differ = verdicts = closer = cells = 0
+    cut, decided = coverage._split_covers, []
 
     def counting(*args):
-        report = stage(*args)
-        decided.append(report is not None)
-        return report
+        covers = cut(*args)
+        decided.append(covers)
+        return covers
 
     cpu = []
     for rep in range(args.repeat):
@@ -81,7 +86,7 @@ def replay(args) -> int:
         jobs = [(region, eps, [PointHull(np.array(P, dtype=float).reshape(-1, region.m))
                                for P in hulls], want)
                 for region, eps, hulls, want in calls]
-        coverage._cell_verdict = counting if rep == 0 else stage
+        coverage._split_covers = counting if rep == 0 else cut
         t0 = time.process_time()
         got = [coverage.verify_eps_net(region, hulls, eps) for region, eps, hulls, _ in jobs]
         cpu.append(time.process_time() - t0)
@@ -89,11 +94,13 @@ def replay(args) -> int:
             for report, (*_, want) in zip(got, jobs):
                 differ += json.loads(report.to_json()) != want
                 verdicts += report.is_close != want["is_close"]
-                boxes += report.cells_touched
-    coverage._cell_verdict = stage
+                closer += report.is_close and not want["is_close"]
+                cells += report.cells_touched
+    coverage._split_covers = cut
     print(json.dumps({"calls": len(calls), "reports_differing": differ,
-                      "verdicts_differing": verdicts, "cell_stage_decided": sum(decided),
-                      "cells_touched": boxes, "cpu_s_best": round(min(cpu), 4),
+                      "verdicts_differing": verdicts, "now_close": closer,
+                      "cut_decided": sum(decided), "cells_touched": cells,
+                      "cpu_s_best": round(min(cpu), 4),
                       "cpu_s_median": round(statistics.median(cpu), 4)}))
     return 1 if verdicts else 0
 

@@ -1,80 +1,43 @@
 """Sound one-sided verification that hull unions form an eps-net of a region.
 
-The verifier refines axis-aligned boxes over the region, pruning boxes whose
-every point is provably within eps of some hull (distances to hulls are
-1-Lipschitz) and descending to a resolution floor of eps/4 box radius, where
-an exact distance at a region point of at most eps/2 certifies the box.
-This is equivalent in guarantees to checking a deterministic grid of mesh
-eps/2: a "close" verdict holds for the continuum by the triangle inequality,
-while a "not close" verdict is conservative and carries a witness point.
-The refinement stops at the first box that lies wholly beyond eps of every
-hull, or at the first floor box whose low corner lies beyond eps/2; that
-low corner, a region point, is the witness.  A box holding a point beyond
-eps of every hull is never pruned, so it ends in one of those two ways.
-
-A cell stage runs before the refinement and decides a call from polytope
-vertices alone.  The distance to a hull is convex, so its maximum over a
-polytope lies at a vertex.  A slab is a prism with 2m vertices, its two
-sections joined by m edges.  The slab is close when one hull lies within
-eps/2 - ETA of every slab vertex, and not close, with that vertex as the
-witness, when some slab vertex lies beyond eps + ETA of every hull.  With
-exactly two hulls it is also close when both cells of one facet cut lie
-within eps/2 - ETA of their own hulls.  Each cell's vertices are its slab
-vertices and the plane's crossings of the slab edges.  Hulls are measured
-by facet lower bounds first and exactly only where a bound cannot decide.
-Any other call goes to the refinement.  The stage proves "close" at
-eps/2, the refinement's floor radius, and not at eps, so that it decides
-only calls the refinement decides the same way.  A region within eps/2 of
-the union meets neither the floor rule nor the far rule.  A region point
-beyond eps lies in a box that is never pruned.  So search paths, query
-counts and certificates are those of the refinement alone; only the
-witness and ``cells_touched`` of a cell-stage verdict differ.  Proving
-"close" at eps instead decides more calls, but it turns some "not close"
-verdicts of the refinement into "close", and a search then takes another
-path.
-
-Every box stands for its part in the simplex.  A box whose low corner lies
-outside the simplex is dropped; every other box is clipped to the bounding
-box of its part in the simplex, ``hi_i <= lo_i + max(1 - sum lo, 0)``,
-since a point x of the box with ``sum x <= 1`` has
-``x_i <= 1 - sum_{j != i} lo_j``.  The low corner stays the canonical
-region point, so the covered, far and floor rules and the witnesses hold
-for the clipped box as they did for the whole one, and splits act on it.
-A box is inside a hull when its part in the simplex is
-(`PointHull.contains_boxes`), so a box that sticks out across the
-simplex's slanted facet ``sum x = 1`` can still be covered whole.
-
-The tree is refined in passes.  A pass takes the frontier, one level of
-boxes, and grows the subtree below it by the split rule alone (drop
-infeasible boxes, clip, bisect the longest axis; a floor box has no
-children) while the pass holds at most PASS_BOXES boxes; a larger frontier
-is a pass of one level.  Every box of the pass is judged at once, and the
-verdicts are then read level by level, breadth first: a box exists only
-when its parent split, so a box judged before its parent's verdict counts,
-and can stop the refinement, only when its parent splits.  A box's fate
-depends only on the box and the hulls (the KD-tree, `PointHull`'s facet,
-containment and distance kernels compute a row the same in any block), so
-every report equals that of refining one level at a time, whatever the
-pass holds.  Judging several levels at once pays numpy's fixed cost per
-call once per pass and hull rather than once per level and hull.
-
-Each pass bounds every box of radius at most 4 eps from above once: one
-KD-tree over the sampled points of all hulls gives ``up``, the distance
-from the box centre to the nearest sample.  Every sample lies in its hull,
-so the union lies within ``up`` of the centre, and a box of radius r with
-``up - r <= eps`` can never be far; a larger box has ``up + r > eps``
-whatever ``up`` is, and is never tested far.  Exact centre distances are
-then taken only at the (box, hull) pairs that can decide a box: hull h,
-with facet lower bound ``lb``,
-is measured when ``lb`` is below the box's running minimum and either h
-could cover the box (``lb + r <= eps``) or the box may be far and h is not
-beyond eps of the whole box (``lb - r <= eps``); a covered box is measured
-against no further hull.  A skipped pair could not have changed the box's
-covered, far or floor decision, so the same boxes split and every report
-equals that of measuring every pair.
-
 Regions are slabs of the corner simplex, the whole simplex being the
-[0, 1] slab.
+[0, 1] slab.  The distance to a convex hull is convex and 1-Lipschitz, so
+over a simplex its maximum lies at a vertex, and its values at two points
+differ by at most their distance.
+
+The verifier is a simplicial branch and bound.  A slab is a frustum of the
+simplex: its sections at lo and hi are simplices with vertices a_0..a_{m-1}
+and b_0..b_{m-1} (`_slab_vertices`), and the staircase triangulation splits
+it into the m simplices a_0..a_k, b_k..b_{m-1} (`_staircase`).  They tile
+the slab: the projective map ``x -> x / (1 - x_1)`` takes the slab to a
+prism over the section simplex, a_j and b_j to its vertices over the j-th
+corner, and simplices to simplices, and these are the cells of the prism's
+staircase triangulation.  At hi = 1 the top section is the apex e_1, and
+the one cell without a repeated vertex, the pyramid over the bottom
+section, is the slab.
+
+Each vertex's distances to the hulls are bounded once, and shared by every
+cell that meets there (an edge's midpoint is made once): facet lower bounds
+first, then, where a bound is at most eps + ETA, the distance to the hull's
+nearest sample as an upper bound; exact distances are measured only where
+the bounds cannot settle a cell's verdict (`_Distances.judge`).  The cells
+are judged level by level, breadth first:
+
+* a cell is close when one hull lies within eps - ETA of all its vertices,
+  for then it lies within eps of every point of the cell;
+* a vertex beyond eps + ETA of every hull ends the call "not close", with
+  that vertex, a region point, as the witness;
+* every other cell is bisected at the midpoint of its longest edge, unless
+  its diameter, its longest edge, is at most the floor δ = FLOOR * eps.
+  Such a cell ends the call "not close": every hull lies beyond eps - ETA
+  of some vertex of the cell, so beyond eps - ETA - δ of all of them, and
+  the witness, the floor cell vertex farthest from the union, shows a
+  "not close" that is conservative by at most δ.
+
+So "close" is proven at eps for the continuum.  Before the triangulation,
+a call with exactly two hulls tries one facet cut (`_split_covers`): when
+each of its two cells lies within eps - ETA of its own hull, the slab is
+close.
 """
 
 from __future__ import annotations
@@ -84,16 +47,15 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .predicates import ETA
 
-MAX_CELLS = 2_000_000     # boxes one verify_eps_net call may refine
-PASS_BOXES = 128          # boxes one refinement pass grows and evaluates at most
+MAX_CELLS = 2_000_000     # simplices one verify_eps_net call may examine
+FLOOR = 0.125             # δ / eps: a cell this small, neither close nor far, ends a call
 
 
 class CellCapError(RuntimeError):
-    """Raised when a coverage refinement would examine more than MAX_CELLS boxes."""
+    """Raised when a coverage refinement would examine more than MAX_CELLS cells."""
 
 
 @dataclass(frozen=True)
@@ -121,14 +83,14 @@ class SimplexSlab:
 class CoverageReport:
     """Verdict of `verify_eps_net`.
 
-    ``cells_touched`` counts the polytopes examined.  For a verdict of the
-    cell stage that is the slab alone (1) or the slab and the two cells of
-    its cut (3).  For a verdict of the box refinement it is the boxes of
-    the tree down to the level where it stopped; a box a pass judged
-    before its parent's verdict counts only when the parent split.  It is
-    0 only when nothing was examined: an empty or 0-dimensional region, or
-    no hulls.  The cell stage proves "close" at eps/2, the refinement's
-    floor radius, so every verdict is the one the refinement alone gives.
+    ``checked_resolution`` is the floor diameter δ = FLOOR * eps: a "close"
+    is proven at eps, and a "not close" from the floor has a witness beyond
+    eps - δ - ETA of every hull.  ``cells_touched`` counts the simplices
+    examined: the staircase cells of the slab and the two halves of every
+    cell bisected, down to the level where the call stopped, or 3 (the slab
+    and the two cells of its cut) for a verdict of the two-hull facet cut.
+    It is 0 only when nothing was examined: an empty or 0-dimensional
+    region, or no hulls.
     """
 
     eps: float
@@ -155,16 +117,6 @@ def dataclass_json(cert) -> str:
     return json.dumps(asdict(cert), default=_plain)
 
 
-def _sample_tree(hulls):
-    """One KD-tree over the upper-bound samples of all (non-empty) hulls.
-
-    Every sample lies in its hull, so the distance from a point to its
-    nearest sample bounds its distance to the hulls' union from above; it
-    equals the minimum of the hulls' own `PointHull.upper_bounds`.
-    """
-    return cKDTree(np.vstack([h.samples for h in hulls]))
-
-
 def _min_dist_exact(hulls, pts):
     """Min distance over (non-empty) hulls; hulls whose lower bound already
     exceeds the running minimum are skipped."""
@@ -179,116 +131,91 @@ def _min_dist_exact(hulls, pts):
     return out
 
 
-def _deciding_distances(hulls, centers, radii, far_ok, eps):
-    """Centre distances to the hulls' union, measured only at the (box,
-    hull) pairs that can decide a box (the module docstring gives which).
+class _Distances:
+    """Bounds on the distances from the refinement's vertices (the rows of
+    V) to each hull, ``lb <= d <= ub``, tightened to the exact distance
+    where a cell's verdict needs it.
 
-    ``d + r <= eps`` holds exactly when some hull covers the box, and
-    ``d - r > eps`` on a ``far_ok`` box exactly when every hull is beyond
-    eps of it; other values are only bounds.
+    A vertex gets its facet lower bounds at once, and, where a bound is at
+    most ``far``, the distance to the hull's nearest sample as its upper
+    bound (`PointHull.upper_bounds`).  A vertex in a hull's facet form (no
+    facet offset above 0) is at its lower bound, so that distance is exact.
     """
-    d = np.full(centers.shape[0], np.inf)
-    for h in hulls:
-        open_ = d + radii > eps
-        if not open_.any():
-            break
-        off = h.facet_offsets(centers)
-        lb = h.lower_bounds(centers, offsets=off)
-        todo = open_ & (lb < d) & ((lb + radii <= eps) | (far_ok & (lb - radii <= eps)))
-        if todo.any():
-            dh = h.distances(centers[todo], offsets=None if off is None else off[todo])
-            d[todo] = np.minimum(d[todo], dh)
-    return d
+
+    def __init__(self, hulls, V, far: float):
+        self.hulls, self.far = hulls, far
+        self.V = np.zeros((0, V.shape[1]))
+        self.lb = self.ub = np.zeros((0, len(hulls)))
+        self.add(V)
+
+    def add(self, W: np.ndarray) -> None:
+        lb = np.empty((W.shape[0], len(self.hulls)))
+        ub = np.full(lb.shape, np.inf)
+        for k, h in enumerate(self.hulls):
+            off = h.facet_offsets(W)
+            lb[:, k] = h.lower_bounds(W, offsets=off)
+            inside = np.ones(W.shape[0], dtype=bool) if off is None else (off <= 0.0).all(axis=1)
+            ub[inside, k] = lb[inside, k]
+            todo = ~inside & (lb[:, k] <= self.far)
+            if todo.any():
+                ub[todo, k] = h.upper_bounds(W[todo])
+        self.V = np.vstack([self.V, W])
+        self.lb = np.vstack([self.lb, lb])
+        self.ub = np.vstack([self.ub, ub])
+
+    def measure(self, rows: np.ndarray, k: int) -> None:
+        """Exact distances from the vertices ``rows`` to hull k."""
+        self.lb[rows, k] = self.ub[rows, k] = self.hulls[k].distances(self.V[rows])
+
+    def within(self, rows: np.ndarray, k: int, r: float) -> bool:
+        """Whether hull k lies within r of every vertex of ``rows``;
+        measured only where the bounds cannot tell."""
+        if (self.lb[rows, k] > r).any():
+            return False
+        todo = rows[self.ub[rows, k] > r]
+        if todo.size:
+            self.measure(todo, k)
+        return bool((self.ub[rows, k] <= r).all())
+
+    def judge(self, cells: np.ndarray, near: float):
+        """Masks of ``cells`` (rows of vertex rows) that one hull holds
+        within ``near`` of all their vertices, and of the vertices of the
+        other cells beyond ``far`` of every hull.
+
+        Measured first, in the cells not yet shown close: every hull that
+        the bounds do not rule out of holding the cell, and at each vertex
+        within ``far`` of no hull so far, every hull whose bounds cannot
+        tell whether it is."""
+        far = self.far
+        close = (self.ub[cells] <= near).all(axis=1).any(axis=1)
+        beyond = np.zeros(cells.shape, dtype=bool)
+        open_ = np.flatnonzero(~close)
+        if open_.size:
+            c = cells[open_]
+            lb, ub = self.lb[c], self.ub[c]                  # (cell, vertex, hull)
+            need = (lb <= near).all(axis=1, keepdims=True) & (ub > near)
+            need |= (lb <= far) & ~(ub <= far).any(axis=2, keepdims=True)
+            for k in np.flatnonzero(need.any(axis=(0, 1))):
+                self.measure(np.unique(c[need[:, :, k]]), k)
+            close[open_] = (self.ub[c] <= near).all(axis=1).any(axis=1)
+            beyond[open_] = (self.lb[c] > far).all(axis=2) & ~close[open_, None]
+        return close, beyond
 
 
-def _count_boxes(cells_touched: int, new: int) -> int:
+def _count_cells(cells_touched: int, new: int) -> int:
     """``cells_touched + new``, checked against MAX_CELLS before the new
-    boxes are made."""
+    cells are made."""
     cells_touched += new
     if cells_touched > MAX_CELLS:
-        raise CellCapError(f"coverage refinement exceeded the cap of {MAX_CELLS} boxes")
+        raise CellCapError(f"coverage refinement exceeded the cap of {MAX_CELLS} cells")
     return cells_touched
-
-
-def _bisect(los, his):
-    """Each box split across its longest axis: every low half in box
-    order, then every high half."""
-    n = los.shape[0]
-    rows = np.arange(n)
-    axis = np.argmax(his - los, axis=1)
-    mid = 0.5 * (los[rows, axis] + his[rows, axis])
-    los, his = np.concatenate([los, los]), np.concatenate([his, his])
-    his[rows, axis] = mid
-    los[rows + n, axis] = mid
-    return los, his
-
-
-def _grow_pass(los, his, floor_r):
-    """The boxes of one pass: the frontier and the levels of its subtree
-    below, grown while the pass holds at most PASS_BOXES boxes (a larger
-    frontier is a pass of one level).
-
-    Every box is clipped to the bounding box of its part in the simplex
-    (a point x of the box there has ``x_i <= 1 - sum_{j != i} lo_j``);
-    a box whose low corner, the canonical region point, lies outside the
-    simplex is infeasible and has no children, and neither has a box at
-    the floor radius.  The others are bisected, whatever their fate.
-    Returns the boxes of all levels in one block with their feasibility,
-    radii and parent rows (-1 in the frontier), and the level starts.
-    """
-    blocks, parent, starts = [], [np.full(los.shape[0], -1)], [0]
-    while True:
-        sums = los.sum(axis=1)
-        feasible = sums <= 1.0 + ETA
-        his = np.minimum(his, los + np.clip(1.0 - sums, 0.0, None)[:, None])
-        widths = his - los
-        radii = 0.5 * np.sqrt((widths * widths).sum(axis=1))
-        blocks.append((los, his, feasible, radii))
-        starts.append(starts[-1] + los.shape[0])
-        grow = np.flatnonzero(feasible & (radii > floor_r))
-        if not grow.size or starts[-1] + 2 * grow.size > PASS_BOXES:
-            break
-        parent.append(starts[-2] + np.concatenate([grow, grow]))
-        los, his = _bisect(los[grow], his[grow])
-    return (*(np.concatenate(col) for col in zip(*blocks)), np.concatenate(parent),
-            np.array(starts))
-
-
-def _box_fates(hulls, tree, los, his, feasible, radii, eps):
-    """Masks of the boxes of a pass, each box judged on its own: ``far``,
-    wholly beyond eps of every hull, and ``open_``, feasible and not
-    covered (by the sample bound, a hull holding it or a centre distance).
-    """
-    centers = 0.5 * (los + his)
-    open_ = feasible.copy()
-    # a box of radius r > 4 eps has up + r > eps, whatever up is
-    small = np.flatnonzero(feasible & (radii <= 4.0 * eps))
-    up = tree.query(centers[small])[0]
-    open_[small[up + radii[small] <= eps]] = False
-    # boxes whose part in the simplex lies inside a hull are covered
-    for h in hulls:
-        idx = np.flatnonzero(open_)
-        if idx.size == 0:
-            break
-        open_[idx[h.contains_boxes(los[idx], his[idx])]] = False
-    far = np.zeros(los.shape[0], dtype=bool)
-    keep = open_[small]
-    small, up = small[keep], up[keep]
-    if small.size:
-        # once cells reach eps scale, exact center distances settle them
-        r = radii[small]
-        # the union lies within ``up`` of a centre, so no other box is far
-        far_ok = up - r > eps
-        d = _deciding_distances(hulls, centers[small], r, far_ok, eps)
-        open_[small[d + r <= eps]] = False
-        far[small] = far_ok & (d - r > eps)
-    return far, open_
 
 
 def _slab_vertices(m: int, lo: float, hi: float) -> np.ndarray:
     """The 2m vertices of the slab with first coordinate in [lo, hi]: the
-    section at lo, then the one at hi.  The section at t has the vertices
-    ``t e_1`` and ``t e_1 + (1 - t) e_j`` for j >= 2."""
+    section at lo (a_0..a_{m-1}), then the one at hi (b_0..b_{m-1}).  The
+    section at t has the vertices ``t e_1`` and ``t e_1 + (1 - t) e_j`` for
+    j >= 2."""
     V = np.zeros((2, m, m))
     V[:, :, 0] = np.array([[lo], [hi]])
     j = np.arange(1, m)
@@ -306,47 +233,27 @@ def _slab_edges(m: int) -> np.ndarray:
                            np.stack([k, k + m], axis=1)])
 
 
-class _VertexDistances:
-    """Distances from the slab vertices V to each hull: facet lower bounds
-    ``lb`` for all, exact distances measured on demand and kept."""
+def _staircase(V: np.ndarray) -> np.ndarray:
+    """The cells of the staircase triangulation of the slab with vertices
+    V (`_slab_vertices`), as rows of V: cell k is a_0..a_k, b_k..b_{m-1}.
 
-    def __init__(self, hulls, V):
-        self.hulls, self.V = hulls, V
-        self.offsets = [h.facet_offsets(V) for h in hulls]
-        self.lb = np.column_stack([h.lower_bounds(V, offsets=off)
-                                   for h, off in zip(hulls, self.offsets)])
-        self._exact = np.full(self.lb.shape, np.nan)
-
-    def exact(self, k: int, rows: np.ndarray) -> np.ndarray:
-        """Exact distances from the vertices of mask ``rows`` to hull k."""
-        todo = rows & np.isnan(self._exact[:, k])
-        if todo.any():
-            off = self.offsets[k]
-            self._exact[todo, k] = self.hulls[k].distances(
-                self.V[todo], offsets=None if off is None else off[todo])
-        return self._exact[rows, k]
-
-    def within(self, k: int, rows: np.ndarray, r: float) -> bool:
-        """Whether hull k lies within r of every vertex of mask ``rows``;
-        measured only when no lower bound exceeds r."""
-        return not (self.lb[rows, k] > r).any() and bool((self.exact(k, rows) <= r).all())
-
-    def nearest(self, rows: np.ndarray, cap: float = np.inf) -> np.ndarray:
-        """Distances from the vertices of mask ``rows`` to the nearest
-        hull, exact where at most ``cap`` and elsewhere only known to
-        exceed it; a hull is measured only at vertices where its bound is
-        at most ``cap`` and below the nearest distance found so far."""
-        best = np.full(self.V.shape[0], np.inf)
-        for k in range(len(self.hulls)):
-            todo = rows & (self.lb[:, k] <= cap) & (self.lb[:, k] < best)
-            if todo.any():
-                best[todo] = np.minimum(best[todo], self.exact(k, todo))
-        return best[rows]
+    Equal vertices (all of b at hi = 1, a_j and b_j at lo = hi) are one
+    row, and a cell with a repeated vertex lies in the others and is
+    dropped; when every cell has one, the slab is its section at lo, and
+    cell 0 alone spans it.
+    """
+    m = V.shape[1]
+    k, j = np.ogrid[:m, :m + 1]
+    first = {}
+    rows = np.array([first.setdefault(tuple(v), i) for i, v in enumerate(V.tolist())])
+    cells = rows[np.where(j <= k, j, j - 1 + m)]
+    distinct = (np.diff(np.sort(cells, axis=1), axis=1) > 0).all(axis=1)
+    return cells[distinct] if distinct.any() else cells[:1]
 
 
-def _split_covers(vd: _VertexDistances, near: float) -> bool:
-    """Whether, for two hulls, the two cells of one facet cut each lie
-    within ``near`` of their own hull.
+def _split_covers(dist: _Distances, near: float) -> bool:
+    """Whether, for two hulls, the two cells of one facet cut of the slab
+    with vertices ``dist.V`` each lie within ``near`` of their own hull.
 
     The cut is the facet plane ``a.x = b`` of either hull whose margin, the
     least ``a.v - b`` over the other hull's vertices v, is largest.  The
@@ -354,9 +261,9 @@ def _split_covers(vd: _VertexDistances, near: float) -> bool:
     cell the part with ``a.x >= b``; each cell's vertices are its slab
     vertices and the plane's crossings of the slab edges.
     """
-    hulls, best = vd.hulls, None
+    hulls, V, best = dist.hulls, dist.V, None
     for i, h in enumerate(hulls):
-        if vd.offsets[i] is None:
+        if h.k == 0:
             continue
         other = hulls[1 - i]
         margin = h.facet_offsets(other.points[other.vertex_indices]).min(axis=0)
@@ -366,47 +273,22 @@ def _split_covers(vd: _VertexDistances, near: float) -> bool:
     if best is None:
         return False
     _, i, f = best
-    s = vd.offsets[i][:, f]
-    if not (vd.within(i, s <= 0.0, near) and vd.within(1 - i, s >= 0.0, near)):
+    s = hulls[i].facet_offsets(V)[:, f]
+    if not (dist.within(np.flatnonzero(s <= 0.0), i, near)
+            and dist.within(np.flatnonzero(s >= 0.0), 1 - i, near)):
         return False
-    edges = _slab_edges(vd.V.shape[1])
+    edges = _slab_edges(V.shape[1])
     u, v = edges[np.sign(s[edges[:, 0]]) * np.sign(s[edges[:, 1]]) < 0].T
     if not u.size:
         return True
-    V = vd.V
-    cross = V[u] + (s[u] / (s[u] - s[v]))[:, None] * (V[v] - V[u])
-    every = np.ones(cross.shape[0], dtype=bool)
-    return all(_VertexDistances([hulls[k]], cross).within(0, every, near) for k in (i, 1 - i))
-
-
-def _cell_verdict(region, hulls, eps: float):
-    """The cell stage: a verdict proven from the vertices of the slab or of
-    the two cells of its cut, with ``cells_touched`` 1 or 3, or None to
-    leave the call to the box refinement.  The module docstring gives its
-    rules and why its verdicts are the refinement's."""
-    m = region.m
-    lo = min(max(region.lo, 0.0), 1.0)
-    # a slab reversed by at most ETA is not empty: it is its section at lo
-    hi = max(min(max(region.hi, 0.0), 1.0), lo)
-    vd = _VertexDistances(hulls, _slab_vertices(m, lo, hi))
-    near, far = eps / 2 - ETA, eps + ETA
-    every = np.ones(2 * m, dtype=bool)
-    if any(vd.within(k, every, near) for k in range(len(hulls))):
-        return CoverageReport(eps, True, None, eps / 2, cells_touched=1)
-    beyond = np.flatnonzero(vd.nearest(every, far) > far)
-    if beyond.size:
-        row = np.arange(2 * m) == beyond[0]
-        dw = float(vd.nearest(row)[0])
-        return CoverageReport(eps, False, vd.V[beyond[0]].copy(), eps / 2, dw, 1)
-    if len(hulls) == 2 and _split_covers(vd, near):
-        return CoverageReport(eps, True, None, eps / 2, cells_touched=3)
-    return None
+    cross = _Distances(hulls, V[u] + (s[u] / (s[u] - s[v]))[:, None] * (V[v] - V[u]), near)
+    return all(cross.within(np.arange(u.size), k, near) for k in (i, 1 - i))
 
 
 def verify_eps_net(region, hulls, eps: float) -> CoverageReport:
     """Check that every region point is within eps of the union of
-    ``hulls``, a list of `PointHull`s: by the cell stage where it decides,
-    else by the box refinement."""
+    ``hulls``, a list of `PointHull`s, by the simplicial branch and bound
+    of the module docstring."""
     if not 0 < eps < math.inf:
         raise ValueError("eps must be positive and finite")
     if not isinstance(region, SimplexSlab):
@@ -416,60 +298,70 @@ def verify_eps_net(region, hulls, eps: float) -> CoverageReport:
     for h in hulls:
         if h.m != m:
             raise ValueError(f"a hull lies in R^{h.m} but the region in R^{m}")
+    floor = FLOOR * eps
     if region.is_empty:
-        return CoverageReport(eps, True, None, eps / 2)
+        return CoverageReport(eps, True, None, floor)
     if m == 0:
         ok = bool(hulls)
-        return CoverageReport(eps, ok, None if ok else np.zeros(0), eps / 2, None if ok else np.inf)
+        return CoverageReport(eps, ok, None if ok else np.zeros(0), floor, None if ok else np.inf)
     if not hulls:
         w = np.zeros(m)
         w[0] = max(0.0, region.lo)
-        return CoverageReport(eps, False, w, eps / 2, np.inf)
-    report = _cell_verdict(region, hulls, eps)
-    return _refine_boxes(region, hulls, eps) if report is None else report
+        return CoverageReport(eps, False, w, floor, np.inf)
+    return _branch_and_bound(region, hulls, eps)
 
 
-def _refine_boxes(region, hulls, eps: float) -> CoverageReport:
-    """The box refinement of a non-empty slab of dimension m >= 1 against
-    `PointHull`s of that dimension, at least one of them non-empty."""
+def _branch_and_bound(region, hulls, eps: float) -> CoverageReport:
+    """The refinement of a non-empty slab of dimension m >= 1 against
+    non-empty `PointHull`s of that dimension."""
     m = region.m
-    lo0 = np.zeros(m)
-    hi0 = np.ones(m)
-    lo0[0] = min(max(region.lo, 0.0), 1.0)
-    hi0[0] = min(max(region.hi, 0.0), 1.0)
-    los, his = lo0[None, :], hi0[None, :]
-    floor_r = eps / 4.0
-    cells_touched = _count_boxes(0, 1)
-    tree = _sample_tree(hulls)
-
+    lo = min(max(region.lo, 0.0), 1.0)
+    # a slab reversed by at most ETA is not empty: it is its section at lo
+    hi = max(min(max(region.hi, 0.0), 1.0), lo)
+    near, far, floor = eps - ETA, eps + ETA, FLOOR * eps
+    V = _slab_vertices(m, lo, hi)
+    dist = _Distances(hulls, V, far)
+    if len(hulls) == 2 and _split_covers(dist, near):
+        return CoverageReport(eps, True, None, floor, cells_touched=3)
+    cells = _staircase(V)
+    touched = _count_cells(0, cells.shape[0])
+    ends = np.triu_indices(m + 1, k=1)
+    mids = {}                          # (row, row) of a bisected edge -> its midpoint's row
     while True:
-        los, his, feasible, radii, parent, starts = _grow_pass(los, his, floor_r)
-        far, open_ = _box_fates(hulls, tree, los, his, feasible, radii, eps)
-        at_floor = radii <= floor_r
-        # resolved level by level: a box exists only when its parent split
-        split = np.zeros(los.shape[0], dtype=bool)
-        for s, e in zip(starts[:-1], starts[1:]):
-            here = split[parent[s:e]] if s else np.ones(e - s, dtype=bool)
-            hit = np.flatnonzero(here & far[s:e])
-            if hit.size:
-                w = los[s + hit[0]]
-                dw = float(_min_dist_exact(hulls, w[None, :])[0])
-                return CoverageReport(eps, False, w.copy(), eps / 2, dw, cells_touched)
-            here &= open_[s:e]
-            sub = s + np.flatnonzero(here & at_floor[s:e])
-            if sub.size:
-                # grid floor rule: a region point within eps/2 certifies the box
-                dw = _min_dist_exact(hulls, los[sub])
-                if (dw > eps / 2).any():
-                    j = int(np.argmax(dw))
-                    return CoverageReport(eps, False, los[sub[j]].copy(), eps / 2,
-                                          float(dw[j]), cells_touched)
-            split[s:e] = here & ~at_floor[s:e]
-            n_split = int(split[s:e].sum())
-            if not n_split:
-                return CoverageReport(eps, True, None, eps / 2, cells_touched=cells_touched)
-            cells_touched = _count_boxes(cells_touched, 2 * n_split)
-        los, his = _bisect(los[s:e][split[s:e]], his[s:e][split[s:e]])
+        close, beyond = dist.judge(cells, near)
+        hit = np.flatnonzero(beyond.any(axis=1))
+        if hit.size:
+            w = dist.V[cells[hit[0], np.argmax(beyond[hit[0]])]]
+            dw = float(_min_dist_exact(hulls, w[None, :])[0])
+            return CoverageReport(eps, False, w.copy(), floor, dw, touched)
+        if close.all():
+            return CoverageReport(eps, True, None, floor, cells_touched=touched)
+        cells = cells[~close]
+        P = dist.V[cells]
+        lengths = np.linalg.norm(P[:, ends[0]] - P[:, ends[1]], axis=2)
+        edge = np.argmax(lengths, axis=1)
+        rows = np.arange(cells.shape[0])
+        at_floor = lengths[rows, edge] <= floor
+        if at_floor.any():
+            ids = np.unique(cells[at_floor])
+            d = _min_dist_exact(hulls, dist.V[ids])
+            j = int(np.argmax(d))
+            return CoverageReport(eps, False, dist.V[ids[j]].copy(), floor, float(d[j]), touched)
+        touched = _count_cells(touched, 2 * cells.shape[0])
+        i, j = ends[0][edge], ends[1][edge]
+        p, q = cells[rows, i], cells[rows, j]
+        keys = list(zip(np.minimum(p, q).tolist(), np.maximum(p, q).tolist()))
+        new = {key: None for key in keys if key not in mids}
+        if new:
+            pairs = np.array(list(new))
+            n = dist.V.shape[0]
+            mids.update(zip(new, range(n, n + pairs.shape[0])))
+            dist.add(0.5 * (dist.V[pairs[:, 0]] + dist.V[pairs[:, 1]]))
+        mid = np.array([mids[key] for key in keys])
+        low, high = cells.copy(), cells.copy()
+        low[rows, i] = mid
+        high[rows, j] = mid
+        cells = np.concatenate([low, high])
 
 
 def _section_hole_radius(ys: np.ndarray, top: float) -> float:

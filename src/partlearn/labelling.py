@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coverage import CoverageReport, SimplexSlab, verify_eps_net
+from .coverage import FLOOR, CoverageReport, SimplexSlab, verify_eps_net
 from .geometry import PointHull, VPolytope
 from .predicates import ETA, as_point
 
@@ -202,7 +202,7 @@ def is_eps_close(l: EmpiricalLabelling, region, eps: float) -> CoverageReport:
     labelling holds, and a class hull contains those hulls, since a
     labelling only gains points and merges only unite classes.
     """
-    report = CoverageReport(eps, True, None, eps / 2)
+    report = CoverageReport(eps, True, None, FLOOR * eps)
     hulls = [l.point_hull(root) for root in l.class_roots()]
     for slab in slabs_to_verify(l, region, eps):
         touched = report.cells_touched

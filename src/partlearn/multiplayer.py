@@ -27,8 +27,8 @@ from scipy.spatial import cKDTree
 
 from .bimatrix import (SLACK_DIVISOR, STEP_DIVISOR, PayoffAudit, _first_fixed_point, _mask_to_list,
                        _scan_steps, _support_masks, expand, full_mixes, supported_regrets)
-from .coverage import (MAX_CELLS, CellCapError, CoverageReport, _bisect, _lattice_steps,
-                       _lattice_table, dataclass_json, lattice_count, simplex_lattice, unit_step)
+from .coverage import (MAX_CELLS, CellCapError, CoverageReport, _lattice_steps, _lattice_table,
+                       dataclass_json, lattice_count, simplex_lattice, unit_step)
 from .labelling import voronoi_band_masks
 from .partition import QueryLog, TieBreak
 from .predicates import ETA, as_point
@@ -441,6 +441,19 @@ def _box_vertices(lo: tuple, hi: tuple, K: int) -> list:
             if c[j] == lo[j] and lo[j] < x < hi[j]:
                 out.append(c[:j] + (x,) + c[j + 1:])
     return out
+
+
+def _bisect(los, his):
+    """Each box split across its longest axis: every low half in box
+    order, then every high half."""
+    n = los.shape[0]
+    rows = np.arange(n)
+    axis = np.argmax(his - los, axis=1)
+    mid = 0.5 * (los[rows, axis] + his[rows, axis])
+    los, his = np.concatenate([los, los]), np.concatenate([his, his])
+    his[rows, axis] = mid
+    los[rows + n, axis] = mid
+    return los, his
 
 
 def is_l1_close(lab: PointLabelling, eps: float) -> CoverageReport:

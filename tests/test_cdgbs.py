@@ -627,7 +627,7 @@ def test_a_tiled_record_leaves_nothing_to_verify_at_its_eps_or_coarser(monkeypat
     for eps in (0.1, 0.2):
         report = is_eps_close(lab, None, eps)
         assert report.is_close and report.cells_touched == 0
-        assert report.checked_resolution == eps / 2
+        assert report.checked_resolution == eps / 8
     assert regions == []
 
 

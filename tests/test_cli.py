@@ -106,7 +106,7 @@ def test_learn_cell_cap_overrun_has_its_own_exit_code(tmp_path, capsys, monkeypa
     monkeypatch.setattr(coverage, "MAX_CELLS", 4)
     out = tmp_path / "lab.json"
     assert run("learn", "--instance", str(inst), "--eps", "0.2", "--out", str(out)) == EXIT_CELL_CAP
-    assert "cap of 4 boxes" in capsys.readouterr().err
+    assert "cap of 4 cells" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,13 +1,15 @@
 """The coverage verifier against recorded reports and an independent
 brute-force reference."""
 
+import itertools
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
-from scipy.spatial import ConvexHull, cKDTree
+from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 from partlearn import coverage
 from partlearn.coverage import SimplexSlab, verify_eps_net
@@ -31,18 +33,18 @@ def _hulls(case):
 @pytest.mark.parametrize("case", GOLDEN, ids=[f"{k}-{c['why']}" for k, c in enumerate(GOLDEN)])
 def test_verifier_reports_equal_the_recorded_ones(case):
     # verifier calls recorded from cd_gbs, cr_gbs and solve_wsne runs of the
-    # benchmark panels; the verdicts are those the unclipped box refinement
-    # gave, the box counts and witnesses those of boxes clipped to the simplex
-    rep = coverage._refine_boxes(SimplexSlab(case["m"], case["lo"], case["hi"]), _hulls(case),
-                                 case["eps"])
-    want = case["report"]
-    assert rep.is_close == want["is_close"]
-    assert rep.cells_touched == want["cells_touched"]
-    assert rep.witness_distance == want["witness_distance"]
-    if want["witness"] is None:
-        assert rep.witness is None
+    # benchmark panels, with the verdicts of the eps/2 box refinement they
+    # were recorded with; the verifier may only prove more of them close
+    eps, m, lo, hi = case["eps"], case["m"], case["lo"], case["hi"]
+    rep = verify_eps_net(SimplexSlab(m, lo, hi), _hulls(case), eps)
+    assert rep.checked_resolution == coverage.FLOOR * eps
+    assert rep.is_close or not case["report"]["is_close"]
+    parts = [np.array(P, dtype=float).reshape(-1, m) for P in case["hulls"] if P]
+    if rep.is_close:
+        X = _slab_grid(m, lo, hi, eps / (2.0 * np.sqrt(m)))
+        assert (_union_distances(parts, X, eps) <= eps + 1e-12).all()
     else:
-        assert rep.witness.tolist() == want["witness"]
+        _assert_witness(rep, parts, lo, hi)
 
 
 def test_golden_witnesses_are_region_points_beyond_half_eps():
@@ -83,19 +85,35 @@ def _slab_grid(m, lo, hi, step):
     return X[X.sum(axis=1) <= 1.0 + 1e-12]
 
 
+def _span_vertices(P):
+    """The vertices of a point set flat in some direction, found by Qhull
+    in the coordinates of its affine span (the SVD's leading axes)."""
+    Q = P - P.mean(axis=0)
+    _, sv, Vt = np.linalg.svd(Q, full_matrices=False)
+    Q = Q @ Vt[:int((sv > 1e-9 * max(sv[0], 1e-300)).sum())].T
+    if Q.shape[1] >= 2:
+        return P[ConvexHull(Q).vertices]
+    return P[[int(Q.argmin()), int(Q.argmax())]] if Q.shape[1] else P[:1]
+
+
 def _union_distances(parts, X, eps):
     """Brute-force distances to the union of conv(P) over ``parts``, where
     they can exceed eps, else 0.
 
-    A point inside some part (by its Qhull facets), or within eps of a
-    vertex or of such an inside point, reads 0.  The others are measured
-    against every facet simplex of every part: a point outside a part has
-    its nearest hull point on the part's boundary."""
+    A point inside some full-dimensional part (by its Qhull facets), or
+    within eps of a vertex or of such an inside point, reads 0.  The others
+    are measured against every facet simplex of every full-dimensional
+    part, since a point outside a part has its nearest hull point on the
+    part's boundary, and against the vertex set of every flat part."""
     out = np.zeros(X.shape[0])
     inside = np.zeros(X.shape[0], dtype=bool)
     facets = []
     for P in parts:
-        hull = ConvexHull(P)
+        try:
+            hull = ConvexHull(P)
+        except QhullError:
+            facets.append(_span_vertices(P))
+            continue
         inside |= (X @ hull.equations[:, :-1].T + hull.equations[:, -1]).max(axis=1) <= 1e-12
         facets.extend(P[f] for f in hull.simplices)
     near = cKDTree(np.vstack([X[inside]] + parts)).query(X)[0]
@@ -127,6 +145,17 @@ def _random_parts(rng, m, n_hulls, shrink):
     return [P.mean(axis=0) + (1.0 - shrink) * (P - P.mean(axis=0)) for P in pieces]
 
 
+def _assert_witness(rep, parts, lo, hi):
+    """A "not close" witness is a slab point whose reported distance, that
+    of vertex-subset enumeration, exceeds eps - δ - ETA: every hull lies
+    beyond it."""
+    w, eps = rep.witness, rep.eps
+    assert (w >= -ETA).all() and w.sum() <= 1.0 + ETA and lo - ETA <= w[0] <= hi + ETA
+    want = min(_enumerated_distances(P, w[None, :])[0] for P in parts)
+    assert abs(rep.witness_distance - want) <= 1e-12
+    assert want > eps - rep.checked_resolution - ETA
+
+
 EPS = {2: 0.08, 3: 0.15, 4: 0.3}
 SHRINK = (0.0, 0.1, 0.25, 0.5)
 SLABS = ("whole", "thin", "apex")
@@ -152,16 +181,12 @@ def test_verdicts_agree_with_a_brute_force_grid(m, slab, seed):
     parts, lo, hi = _case(m, slab, seed)
     eps = EPS[m]
     rep = verify_eps_net(SimplexSlab(m, lo, hi), [PointHull(P) for P in parts], eps)
+    assert rep.checked_resolution == coverage.FLOOR * eps
     if rep.is_close:
         X = _slab_grid(m, lo, hi, eps / (4.0 * np.sqrt(m)))
         assert (_union_distances(parts, X, eps) <= eps + 1e-12).all()
     else:
-        w = rep.witness
-        assert (w >= -ETA).all() and w.sum() <= 1.0 + ETA
-        assert lo - ETA <= w[0] <= hi + ETA
-        want = min(_enumerated_distances(P, w[None, :])[0] for P in parts)
-        assert abs(rep.witness_distance - want) <= 1e-12
-        assert rep.witness_distance > eps / 2
+        _assert_witness(rep, parts, lo, hi)
 
 
 def test_reference_cases_reach_both_verdicts():
@@ -188,31 +213,89 @@ def _stage_calls():
                            np.array([[1.0, 0.0], [0.6, 0.0], [0.6, 0.05]])], 0.3
 
 
-def test_cell_stage_verdicts_equal_the_refinement_and_hold_on_a_grid():
-    # the cell stage decides a call only where the refinement would reach
-    # the same verdict: "close" within eps/2 of the union, whose floor rule
-    # then always passes, and "not close" from a vertex beyond eps
-    decided = {True: 0, False: 0}
+def _root_cells(region):
+    lo = min(max(region.lo, 0.0), 1.0)
+    hi = max(min(max(region.hi, 0.0), 1.0), lo)
+    return coverage._staircase(coverage._slab_vertices(region.m, lo, hi))
+
+
+def test_cell_stage_verdicts_equal_the_refinement_and_hold_on_a_grid(monkeypatch):
+    # a verdict from the slab's own vertices (its staircase cells, or the
+    # two cells of a two-hull facet cut) holds on a grid at eps, and the
+    # refinement without the cut reaches it as well
+    decided, cut = {True: 0, False: 0}, coverage._split_covers
     for region, parts, eps in _stage_calls():
         hulls = [PointHull(P) for P in parts]
         rep = verify_eps_net(region, hulls, eps)
-        assert rep.is_close == coverage._refine_boxes(region, hulls, eps).is_close
-        stage = coverage._cell_verdict(region, hulls, eps)
-        if stage is None:
+        monkeypatch.setattr(coverage, "_split_covers", lambda *_args: False)
+        assert verify_eps_net(region, hulls, eps).is_close == rep.is_close
+        monkeypatch.setattr(coverage, "_split_covers", cut)
+        if rep.cells_touched > max(3, len(_root_cells(region))):
             continue
-        decided[stage.is_close] += 1
-        assert stage.to_json() == rep.to_json() and rep.cells_touched in (1, 3)
+        decided[rep.is_close] += 1
         m, lo, hi = region.m, region.lo, min(region.hi, 1.0)
-        if stage.is_close:
+        if rep.is_close:
             X = _slab_grid(m, lo, hi, eps / (4.0 * np.sqrt(m)))
-            assert (_union_distances(parts, X, eps / 2) <= eps / 2 + 1e-12).all()
+            assert (_union_distances(parts, X, eps) <= eps + 1e-12).all()
         else:
-            w = rep.witness
-            assert (w >= -ETA).all() and w.sum() <= 1.0 + ETA and lo - ETA <= w[0] <= hi + ETA
-            want = min(_enumerated_distances(P, w[None, :])[0] for P in parts)
-            assert abs(rep.witness_distance - want) <= 1e-12
-            assert want > eps
+            _assert_witness(rep, parts, lo, hi)
+            assert rep.witness_distance > eps
     assert min(decided.values()) >= 5
+
+
+def _volume(P):
+    return abs(np.linalg.det(P[1:] - P[0])) / math.factorial(P.shape[1])
+
+
+def _in_cell(P, x):
+    """Whether x is a convex combination of the rows of P (a linear
+    program, so a cell with a repeated vertex is handled too)."""
+    A = np.vstack([P.T, np.ones(len(P))])
+    res = linprog(np.zeros(len(P)), A_eq=A, b_eq=np.append(x, 1.0), bounds=(0, None),
+                  method="highs")
+    return res.status == 0
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (0.2, 0.45), (0.7, 1.0), (0.3, 0.3 - ETA / 2)],
+                         ids=["whole", "inner", "apex", "reversed"])
+def test_the_staircase_cells_tile_the_slab(m, lo, hi):
+    # the cells' volumes sum to the slab's, ((1 - lo)^m - (1 - hi)^m) / m!,
+    # and random slab points each lie in some cell; a slab reversed within
+    # ETA is its section at lo, of volume 0
+    top = max(hi, lo)
+    V = coverage._slab_vertices(m, lo, top)
+    cells = coverage._staircase(V)
+    assert 1 <= len(cells) <= m
+    want = ((1.0 - lo) ** m - (1.0 - top) ** m) / math.factorial(m)
+    assert abs(sum(_volume(V[c]) for c in cells) - want) <= 1e-12
+    rng = np.random.default_rng(m)
+    for _ in range(10):
+        t = rng.uniform(lo, top)
+        x = np.concatenate([[t], (1.0 - t) * rng.dirichlet(np.ones(m))[:m - 1]])
+        assert any(_in_cell(V[c], x) for c in cells)
+
+
+def test_a_floor_not_close_is_conservative_by_at_most_the_floor():
+    # two boxes leave a gap of width 2c across x_1 = s, so the union misses
+    # the simplex by exactly c, between eps - δ and eps: the far rule never
+    # fires, no cell across the gap is close, and the floor ends the call
+    eps = 0.1
+    delta = coverage.FLOOR * eps
+    c, s = eps - delta / 16, 0.41234
+    for m in (2, 3):
+        corners = np.array(list(itertools.product((0.0, 1.0), repeat=m)))
+        boxes = []
+        for a, b in ((-1.0, s - c), (s + c, 2.0)):
+            P = corners * 3.0 - 1.0
+            P[:, 0] = np.where(corners[:, 0] == 0.0, a, b)
+            boxes.append(P)
+        rep = verify_eps_net(SimplexSlab(m), [PointHull(P) for P in boxes], eps)
+        assert rep.checked_resolution == delta
+        assert not rep.is_close
+        want = min(_enumerated_distances(P, rep.witness[None, :])[0] for P in boxes)
+        assert abs(rep.witness_distance - want) <= 1e-12
+        assert eps - delta < rep.witness_distance <= c + 1e-12
 
 
 # -- boxes clipped to the simplex ---------------------------------------------------
@@ -272,39 +355,39 @@ def _holes(small=True, big=True):
             + row(0.2, 0.35, wide) + row(0.35, 1.0, []))
 
 
-def test_reports_do_not_depend_on_the_pass_size(monkeypatch):
-    cases = [(SimplexSlab(c["m"], c["lo"], c["hi"]), _hulls(c), c["eps"]) for c in GOLDEN]
-    cases += [(SimplexSlab(m, lo, hi), [PointHull(P) for P in parts], EPS[m])
-              for m, slab, seed in CASES for parts, lo, hi in [_case(m, slab, seed)]]
-    # both holes fail at eps 0.06: the big one by a far box at depth 7,
-    # below a first pass of depths 0-6, the small one only in deeper boxes;
-    # breadth-first resolution reports the big one whatever the pass holds
-    holes = (SimplexSlab(2), _holes(), 0.06)
-    cases.append(holes)
-    want = [verify_eps_net(*c).to_json() for c in cases]
-    rep = json.loads(want[-1])
-    assert not rep["is_close"] and 0.35 <= rep["witness"][0] <= 0.65
+def test_the_first_hole_reached_breadth_first_gives_the_witness():
+    # both holes fail at eps 0.06: the big one at a shallow level, the
+    # small one only in deeper cells; breadth-first order reports the big one
+    rep = verify_eps_net(SimplexSlab(2), _holes(), 0.06)
+    assert not rep.is_close and 0.35 <= rep.witness[0] <= 0.65
     small_alone = verify_eps_net(SimplexSlab(2), _holes(big=False), 0.06)
     assert not small_alone.is_close and small_alone.witness.max() <= 0.2
-    assert small_alone.cells_touched > rep["cells_touched"]
-    for boxes in (1, 10 ** 6):     # a pass of one level; the whole tree in one pass
-        monkeypatch.setattr(coverage, "PASS_BOXES", boxes)
-        assert [verify_eps_net(*c).to_json() for c in cases] == want
+    assert small_alone.cells_touched > rep.cells_touched
 
 
 @pytest.mark.parametrize("case", GOLDEN, ids=[f"{k}-{c['why']}" for k, c in enumerate(GOLDEN)])
 def test_the_box_cap_is_checked_before_a_level_is_made(case, monkeypatch):
-    # a cap of exactly the recorded count changes nothing; with one box
-    # fewer the split that would make the last level raises
+    # with the facet cut off, so that every call refines: a cap of exactly
+    # the cells a call examines changes nothing; with one cell fewer, the
+    # level that would make the last cells raises before it is made
+    monkeypatch.setattr(coverage, "_split_covers", lambda *_args: False)
+    judged, judge = [], coverage._Distances.judge
+
+    def counting(self, cells, near):
+        judged.append(len(cells))
+        return judge(self, cells, near)
+    monkeypatch.setattr(coverage._Distances, "judge", counting)
     region = SimplexSlab(case["m"], case["lo"], case["hi"])
-    count = case["report"]["cells_touched"]
-    assert count >= 1
+    want = verify_eps_net(region, _hulls(case), case["eps"]).to_json()
+    count, levels = json.loads(want)["cells_touched"], list(judged)
+    assert count == sum(levels) >= 1
     monkeypatch.setattr(coverage, "MAX_CELLS", count)
-    rep = json.loads(coverage._refine_boxes(region, _hulls(case), case["eps"]).to_json())
-    assert {k: rep[k] for k in case["report"]} == case["report"]
+    assert verify_eps_net(region, _hulls(case), case["eps"]).to_json() == want
     monkeypatch.setattr(coverage, "MAX_CELLS", count - 1)
-    with pytest.raises(coverage.CellCapError, match=f"cap of {count - 1} boxes"):
-        coverage._refine_boxes(region, _hulls(case), case["eps"])
+    judged.clear()
+    with pytest.raises(coverage.CellCapError, match=f"cap of {count - 1} cells"):
+        verify_eps_net(region, _hulls(case), case["eps"])
+    assert judged == levels[:-1]
 
 
 def test_a_five_dimensional_labelling_is_checked_in_few_boxes():
@@ -333,8 +416,7 @@ TETRA = np.array([[0.9, 0.0, 0.0], [0.9, 0.05, 0.0], [0.9, 0.0, 0.05], [0.95, 0.
 @pytest.mark.parametrize("lo, hi, bad", [(np.nan, 1.0, "lo"), (0.0, np.nan, "hi"),
                                          (-np.inf, 1.0, "lo"), (0.0, np.inf, "hi")])
 def test_a_non_finite_slab_bound_is_rejected(lo, hi, bad):
-    # a NaN low bound would let the refinement call a slab "close" unseen,
-    # a NaN high bound would stop it inside the KD-tree
+    # a NaN bound would let the refinement judge a slab it never built
     with pytest.raises(ValueError, match=f"slab bound {bad} must be finite"):
         SimplexSlab(3, lo, hi)
 
@@ -347,7 +429,7 @@ def test_a_non_finite_slab_bound_is_rejected(lo, hi, bad):
 def test_a_hull_of_another_dimension_is_rejected_before_any_work(monkeypatch, region, error,
                                                                  message):
     def no_work(*_args, **_kw):
-        raise AssertionError("a box tree was built")
-    monkeypatch.setattr(coverage, "_sample_tree", no_work)
+        raise AssertionError("the refinement ran")
+    monkeypatch.setattr(coverage, "_branch_and_bound", no_work)
     with pytest.raises(error, match=message):
         verify_eps_net(region, [PointHull(np.array([[0.1, 0.1]])), PointHull(TETRA)], 0.01)

@@ -315,7 +315,7 @@ def _simplex_part(m, lo, hi):
 ])
 def test_verifier_reports_a_gap_between_two_hulls_from_its_boxes(m, gap, eps, slab):
     # two class hulls with a gap of width > 2 eps between them: the seam
-    # case, settled by the box refinement alone
+    # case, settled by the refinement
     a, b = gap
     parts = [_simplex_part(m, 0.0, a), _simplex_part(m, b, 1.0)]
     rep = verify_eps_net(SimplexSlab(m, *slab), [PointHull(P) for P in parts], eps)

@@ -180,8 +180,8 @@ def test_closeness_monotone_under_adding():
 
 def test_region_argument_rejects_vpolytope_before_any_work(monkeypatch):
     def no_work(*_args, **_kw):
-        raise AssertionError("a box tree was built")
-    monkeypatch.setattr(coverage, "_sample_tree", no_work)
+        raise AssertionError("the refinement ran")
+    monkeypatch.setattr(coverage, "_branch_and_bound", no_work)
     lab = EmpiricalLabelling(2, 1)
     lab.add_block(corner_simplex_vertices(2), 1)
     region = VPolytope(np.array([[0.0, 0.0], [0.3, 0.0], [0.0, 0.3]]))
