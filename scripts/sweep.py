@@ -1,7 +1,7 @@
 """Query/closeness sweeps of cd_gbs / cd_gbs_adversarial / cr_gbs, and a
 panel of bimatrix games solved by solve_wsne.
 
-    python3 sweep.py SRC planar|faces|games OUT.json
+    python3 sweep.py SRC planar|faces|games|queries OUT.json
 
 ``planar`` and ``faces`` learn random UEPPs and check each labelling twice:
 ``close`` with is_eps_close, which verifies only the slabs a cd_gbs search
@@ -10,7 +10,12 @@ simplex.  A row where the two differ is listed under ``mismatch`` with
 ``grid_max``, the largest exact hull distance on a lattice of the simplex
 (spacing 1/800 in the plane, 1/100 above), which settles which verdict is
 conservative.  ``games`` solves bimatrix games at eps 0.1 and checks each
-profile with verify_wsne.
+profile with verify_wsne.  ``queries`` is the query baseline of the 1-D
+base searches: cd_gbs and cd_gbs_adversarial on random_uepp(m, n, seed)
+for seeds 100-105 at six (m, n, eps), and criterion 5's 20 duplicate-cell
+instances under the max-index and round-robin adversaries; it prints the
+queries per (m, n, eps) and per policy, the round-robin runs that merged
+the duplicate pair, and every run that ends not close.
 """
 import itertools
 import json
@@ -25,7 +30,10 @@ from partlearn.cdgbs import GbsConfig, cd_gbs, cd_gbs_adversarial  # noqa: E402
 from partlearn.coverage import SimplexSlab, simplex_lattice, verify_eps_net  # noqa: E402
 from partlearn.crgbs import CrConfig, cr_gbs  # noqa: E402
 from partlearn.labelling import is_eps_close  # noqa: E402
-from partlearn.partition import make_oracle, random_uepp  # noqa: E402
+from partlearn.partition import make_oracle, random_uepp, uepp_cells  # noqa: E402
+
+QUERY_CASES = ((2, 3, 0.05), (2, 5, 0.01), (2, 4, 0.002), (3, 4, 0.05), (3, 3, 0.02),
+               (3, 4, 0.0125))
 
 
 def one(algo, m, n, seed, s, kind, eps):
@@ -52,6 +60,42 @@ def one(algo, m, n, seed, s, kind, eps):
             X = simplex_lattice(m, 1 / 800 if m == 2 else 1 / 100)
             row["grid_max"] = float(np.min([h.distances(X) for h in hulls], axis=0).max())
     return row
+
+
+def duplicates(count=20):
+    """Criterion 5's instances: random_uepp(2, 3, duplicate_rows=1) from
+    seed 1000 on whose duplicated cell is 2-dimensional, with that pair."""
+    seed = 999
+    while count:
+        seed += 1
+        u = random_uepp(2, 3, seed=seed, duplicate_rows=1)
+        pair = next((i + 1, j + 1) for i, j in itertools.combinations(range(3), 2)
+                    if np.allclose(u.A[i], u.A[j]) and abs(u.b[i] - u.b[j]) < 1e-12)
+        cell = dict(uepp_cells(u).cells)[pair[0]]
+        if not cell.is_empty and cell.affine_dim() == 2:
+            count -= 1
+            yield seed, u, pair
+
+
+def duplicate_run(seed, u, pair, policy, eps=0.1):
+    kw = dict(seed=7) if policy == "roundrobin" else {}
+    o = make_oracle(u, kind="adversarial", policy=policy, record=False, **kw)
+    lab = cd_gbs_adversarial(GbsConfig(2, 3, eps, oracle_kind="adversarial"), o)
+    return dict(algo="cd", m=2, n=3, uepp_seed=seed, kind="adversarial", policy=policy, eps=eps,
+                queries=lab.stats.queries, close=bool(is_eps_close(lab, None, eps).is_close),
+                merged=pair in {tuple(p) for p in lab.stats.merges})
+
+
+def queries_summary(rows):
+    by_case, by_policy = {}, {}
+    for r in rows:
+        if "policy" in r:
+            by_policy[r["policy"]] = by_policy.get(r["policy"], 0) + r["queries"]
+        else:
+            key = f"m={r['m']} n={r['n']} eps={r['eps']}"
+            by_case[key] = by_case.get(key, 0) + r["queries"]
+    return dict(by_case=by_case, by_policy=by_policy,
+                roundrobin_merges=sum(r.get("merged", False) for r in rows))
 
 
 def game(shape, g, seed, eps=0.1):
@@ -89,14 +133,22 @@ elif which == "planar":
     for m, n, s, kind, eps in itertools.product((2, 3), (2, 3, 4, 5), range(8),
                                                 ("lexicographic", "adversarial"), (0.1, 0.05)):
         rows.append(one("cd", m, n, 100 + s, s, kind, eps))
+elif which == "queries":
+    for (m, n, eps), seed, kind in itertools.product(QUERY_CASES, range(100, 106),
+                                                     ("lexicographic", "adversarial")):
+        rows.append(one("cd", m, n, seed, 0, kind, eps))
+    for case in duplicates():
+        rows += [duplicate_run(*case, policy) for policy in ("maxindex", "roundrobin")]
 else:
     for m, n, s, kind, algo in itertools.product((3, 4), (2, 3), range(6),
                                                  ("lexicographic", "adversarial"), ("cd", "cr")):
         rows.append(one(algo, m, n, 300 + s, s, kind, 0.15))
 summary = dict(runs=len(rows), queries=sum(r["queries"] for r in rows),
                not_close=[r for r in rows if r.get("close") is False],
-               mismatch=[r for r in rows if r.get("close") != r.get("close_full")],
+               mismatch=[r for r in rows if "close_full" in r and r["close"] != r["close_full"]],
                invalid=[r for r in rows if r.get("valid") is False],
                errors=[r for r in rows if "error" in r])
+if which == "queries":
+    summary.update(queries_summary(rows))
 json.dump(dict(summary=summary, rows=rows), open(out, "w"), indent=1)
-print(json.dumps({k: (v if k in ("runs", "queries") else len(v)) for k, v in summary.items()}))
+print(json.dumps({k: (v if isinstance(v, (int, dict)) else len(v)) for k, v in summary.items()}))

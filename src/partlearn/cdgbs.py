@@ -12,7 +12,9 @@ Interval coverage inside the search is judged against the nearest labelled
 cross-sections bracketing the interval (the quantity the covered-interval
 counting argument is about).  The top-level search hands the slabs it
 certified to the labelling it returns (`SlabRecord`), and the end check
-verifies only the slabs they leave.
+verifies only the slabs they leave.  A planar search seeds each section's
+1-D base search with the span ends its two bracketing sections predict
+(`_Search._predictions`).
 
 This module is the search core shared with the face-by-face search of
 ``crgbs``: every lower-dimensional run (a cross-section or a face) is pulled
@@ -34,6 +36,8 @@ from .geometry import PointHull, section_lift
 from .labelling import EmpiricalLabelling, SlabRecord, interior_conflict
 from .partition import KINDS, AnswerMemo
 from .predicates import ETA
+
+LOW, HIGH = 0, 1        # which end of a label's span a base-search prediction guesses
 
 
 def sub_eps(eps: float, m: int, n: int, t: float) -> float:
@@ -118,12 +122,14 @@ class RunStats:
     ``depth_queries[d]`` holds the queries charged by runs at lift depth d:
     0 is the top-level search, its cross-sections or cr_gbs faces are 1,
     their cross-sections 2, and so on; a memo hit counts nowhere, and the
-    list sums to ``queries``.
+    list sums to ``queries``.  ``seeded`` counts the base-search pivots
+    taken from a breakpoint predicted by two bracketing sections.
     """
 
     queries: int = 0
     depth_queries: list = field(default_factory=lambda: [0])
     recursions: int = 0
+    seeded: int = 0
     fixes: int = 0
     per_level_uncovered: list = field(default_factory=list)
     merges: list = field(default_factory=list)
@@ -148,19 +154,37 @@ class _RunOutput:
         self.certified = certified
 
 
-def _binary_search_1d(eps: float, query) -> _RunOutput:
+def _binary_search_1d(eps: float, query, predictions=(), stats=None) -> _RunOutput:
     """Base case: learn a partition of the unit interval.
 
     Bisects every gap whose endpoint labels differ until gaps are at most
-    eps wide; every point then sits within eps/2 of a labelled point, which
-    is what the conservative grid verifier certifies at eps.
+    eps wide; every point then sits within eps/2 of a labelled point.  The
+    labelling never carries a verdict: the slab certificates
+    (`slab_certificate_2d`, `verify_eps_net`) and `is_eps_close` do.
+
+    ``predictions`` are ``(z, label, end)`` guesses of where a label's span
+    ends (`LOW` or `HIGH`).  In a gap (a, b) with end labels la != lb, the
+    first unused prediction strictly inside it that is la's high end or
+    lb's low end is the pivot, in place of the midpoint; so a prediction is
+    asked only where bisection would ask a point, and a one-label interval
+    still costs its two ends.  ``stats.seeded`` counts those pivots.
     """
     pts = {}
+    pending = list(predictions)
 
     def ask(x: float) -> int:
         lbl = query(np.array([x]))
         pts.setdefault(lbl, []).append(x)
         return lbl
+
+    def pivot(a: float, b: float, la: int, lb: int):
+        for i, (z, lbl, end) in enumerate(pending):
+            if a < z < b and (lbl, end) in ((la, HIGH), (lb, LOW)):
+                del pending[i]
+                if stats is not None:
+                    stats.seeded += 1
+                return z
+        return 0.5 * (a + b)
 
     la, lb = ask(0.0), ask(1.0)
     gaps = [(0.0, 1.0, la, lb)] if la != lb else []
@@ -168,7 +192,7 @@ def _binary_search_1d(eps: float, query) -> _RunOutput:
         a, b, la, lb = gaps.pop()
         if b - a <= eps:
             continue
-        mid = 0.5 * (a + b)
+        mid = pivot(a, b, la, lb)
         if mid <= a or mid >= b:  # float resolution floor
             continue
         lm = ask(mid)
@@ -242,15 +266,45 @@ class _Search:
 
     def recurse(self, t: float) -> None:
         """Learn the cross-section at t at `_section_eps` and pull its points
-        back."""
+        back; a planar search seeds the section's base search with
+        `_predictions`."""
         acc = _section_eps(self.eps, self.m, self.n, t)
         res = _section(self.m, self.n, acc, t, self.query, self.adversarial, self.stats,
-                       self.depth + 1, self.seed)
+                       self.depth + 1, self.seed, self._predictions(t) if self.m == 2 else ())
         self._add_net(t, res.points)
         if res.flagged and t not in self.suspects:
             self.suspects.append(t)
             if self.depth == 0:
                 self.stats.suspects.append(t)
+
+    def _predictions(self, t: float) -> list:
+        """Where the labels' spans end in the planar section at t, guessed
+        from the nearest labelled sections t_l < t < t_r.
+
+        A cell boundary in the plane is a line, so a breakpoint's raw
+        coordinate y is affine in t while the cells met do not change.  For
+        each label in both sections, each end of its span at t is the linear
+        interpolation in t of that end's y at t_l and t_r, a convex
+        combination of two points of the label's cell; it is handed to
+        `_binary_search_1d` as ``(y / (1 - t), label, end)``.
+        """
+        lo_i = bisect_left(self.coords, t) - 1
+        hi_i = bisect_right(self.coords, t)
+        if lo_i < 0 or hi_i == len(self.coords):
+            return []
+        t_l, t_r = self.coords[lo_i], self.coords[hi_i]
+        w = (t - t_l) / (t_r - t_l)
+        s = 1.0 - t
+        left, right = self.nets[t_l], self.nets[t_r]
+        out = []
+        for lbl, pts in left.items():
+            if lbl not in right:
+                continue
+            # plain floats: a span has one or two points, too few for numpy
+            y_l, y_r = pts[:, 1].tolist(), right[lbl][:, 1].tolist()
+            out.append((((1.0 - w) * min(y_l) + w * min(y_r)) / s, lbl, LOW))
+            out.append((((1.0 - w) * max(y_l) + w * max(y_r)) / s, lbl, HIGH))
+        return out
 
     def bracket(self, a: float, b: float):
         """Nearest labelled coordinates enclosing [a, b]."""
@@ -343,18 +397,19 @@ class _Search:
 
 
 def _run(m: int, n: int, eps: float, query, adversarial: bool, stats: RunStats,
-         depth: int, seed: int) -> _RunOutput:
+         depth: int, seed: int, predictions=()) -> _RunOutput:
+    """Search the corner m-simplex; ``predictions`` seed a 1-D search."""
     if m == 0:
         lbl = query(np.zeros(0))
         return _RunOutput({lbl: np.zeros((1, 0))}, False)
     if m == 1:
-        return _binary_search_1d(eps, query)
+        return _binary_search_1d(eps, query, predictions, stats)
     cap = uncovered_cap(m, n)
     return _Search(m, n, eps, query, adversarial, cap, stats, depth, seed).run()
 
 
 def _lift(lift, dim: int, n: int, eps: float, query, adversarial: bool,
-          stats: RunStats, depth: int, seed: int) -> _RunOutput:
+          stats: RunStats, depth: int, seed: int, predictions=()) -> _RunOutput:
     """Search the corner dim-simplex through ``lift`` (a cross-section's or
     a face's) at lift depth ``depth`` and pull every labelled point back
     with it.
@@ -372,7 +427,7 @@ def _lift(lift, dim: int, n: int, eps: float, query, adversarial: bool,
     counts = stats.depth_queries
     counts.extend([0] * (depth + 1 - len(counts)))
     before = log.count
-    res = _run(dim, n, eps, lifted, adversarial, stats, depth, seed)
+    res = _run(dim, n, eps, lifted, adversarial, stats, depth, seed, predictions)
     asked = log.count - before
     counts[depth] += asked
     counts[depth - 1] -= asked
@@ -380,11 +435,12 @@ def _lift(lift, dim: int, n: int, eps: float, query, adversarial: bool,
 
 
 def _section(m: int, n: int, acc: float, t: float, query, adversarial: bool,
-             stats: RunStats, depth: int, seed: int) -> _RunOutput:
+             stats: RunStats, depth: int, seed: int, predictions=()) -> _RunOutput:
     """One cross-section recursion at coordinate t and accuracy ``acc``, in
-    the run's frame."""
+    the run's frame; ``predictions`` seed a 1-D section's search."""
     stats.recursions += 1
-    return _lift(section_lift(t, m), m - 1, n, acc, query, adversarial, stats, depth, seed)
+    return _lift(section_lift(t, m), m - 1, n, acc, query, adversarial, stats, depth, seed,
+                 predictions)
 
 
 def _vdc_offsets(seed: int):

@@ -146,6 +146,7 @@ def cmd_learn(args) -> int:
         "instance": _digest(args.instance),
         "queries": queries,
         "depth_queries": lab.stats.depth_queries,
+        "seeded_queries": lab.stats.seeded,
         "per_level_uncovered": lab.stats.per_level_uncovered if args.algo == "cdgbs" else [],
         "merges": [list(m) for m in lab.stats.merges],
         "eps_close": bool(report.is_close),

@@ -1,11 +1,15 @@
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from partlearn import cdgbs, labelling
 from partlearn.cdgbs import (
-    GbsConfig, cd_gbs, cd_gbs_adversarial, cdgbs_query_bound, sub_eps, uncovered_cap,
+    HIGH, LOW, GbsConfig, RunStats, _binary_search_1d, cd_gbs, cd_gbs_adversarial,
+    cdgbs_query_bound, sub_eps, uncovered_cap,
 )
 from partlearn.coverage import SimplexSlab, simplex_lattice, verify_eps_net
 from partlearn.crgbs import CrConfig, cr_gbs
@@ -683,3 +687,131 @@ def test_slabs_bracketed_by_a_replaced_net_are_verified_again(monkeypatch):
     regions = _spy_end_check(monkeypatch)
     assert is_eps_close(lab, None, eps).is_close
     assert [(r.lo, r.hi) for r in regions] == joined
+
+
+# --- the seeded 1-D base search -------------------------------------------
+
+def _interval_query(cuts, labels, asked):
+    """Label x by the interval of sorted ``cuts`` it falls in ([c_i, c_i+1)),
+    recording every point asked."""
+    def query(x):
+        asked.append(float(x[0]))
+        return labels[bisect_right(cuts, float(x[0]))]
+    return query
+
+
+@st.composite
+def seeded_intervals(draw):
+    cuts = sorted(draw(st.lists(st.floats(0.0, 1.0), max_size=6)))
+    labels = draw(st.lists(st.integers(1, 4), min_size=len(cuts) + 1, max_size=len(cuts) + 1))
+    eps = draw(st.floats(1e-3, 0.5))
+    # wrong guesses, guesses outside [0, 1], and guesses on points the
+    # search asks anyway (the ends, dyadic midpoints, the cuts themselves)
+    z = st.one_of(st.floats(-0.5, 1.5), st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0] + cuts))
+    preds = draw(st.lists(st.tuples(z, st.integers(1, 5), st.sampled_from([LOW, HIGH])),
+                          max_size=12))
+    return cuts, labels, eps, preds
+
+
+@settings(max_examples=300, deadline=None)
+@given(seeded_intervals())
+def test_seeded_base_search_keeps_the_bisection_invariants(case):
+    cuts, labels, eps, preds = case
+    asked, stats = [], RunStats()
+    out = _binary_search_1d(eps, _interval_query(cuts, labels, asked), preds, stats)
+    assert asked[:2] == [0.0, 1.0]
+    assert len(set(asked)) == len(asked)
+    # relabel the asked set by brute force: neighbours that differ are eps-close
+    xs = sorted(asked)
+    ref = [labels[bisect_right(cuts, x)] for x in xs]
+    for x, y, lx, ly in zip(xs, xs[1:], ref, ref[1:]):
+        assert lx == ly or y - x <= eps
+    for lbl in set(ref):
+        span = [x for x, r in zip(xs, ref) if r == lbl]
+        assert out.points[lbl][[0, -1], 0].tolist() in ([min(span)] * 2, [min(span), max(span)])
+    # every pivot taken from a prediction is one asked point inside [0, 1]
+    assert stats.seeded <= min(len(preds), len(set(asked[2:]) & {z for z, _, _ in preds}))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(0.0, 1.0), max_size=4),
+       st.lists(st.tuples(st.floats(-0.5, 1.5), st.integers(1, 3), st.sampled_from([LOW, HIGH])),
+                max_size=8))
+def test_a_one_label_interval_asks_its_two_ends_whatever_the_predictions(cuts, preds):
+    asked = []
+    labels = [2] * (len(cuts) + 1)
+    preds = preds + [(0.5, 2, LOW), (0.5, 2, HIGH)]
+    out = _binary_search_1d(0.01, _interval_query(sorted(cuts), labels, asked), preds)
+    assert asked == [0.0, 1.0]
+    assert out.points[2][:, 0].tolist() == [0.0, 1.0]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_exact_predictions_cost_two_points_a_breakpoint(k):
+    # labels 0..k in order, breakpoints more than eps apart, and each
+    # predicted end eps/3 inside its label's span.  Beyond the two ends the
+    # search asks predictions and midpoints.  A midpoint is taken only in a
+    # gap whose two eligible predictions are used, so it lands in an
+    # interior label no asked point has yet: so at most k - 1 midpoints,
+    # and k = 1 asks at most 2 + 2k points
+    eps = 0.01
+    rng = np.random.default_rng(k)
+    cuts = sorted(0.05 + 0.9 * (np.arange(k) + rng.uniform(0.2, 0.8, k)) / k)
+    preds = [p for i, c in enumerate(cuts)
+             for p in ((c - eps / 3, i, HIGH), (c + eps / 3, i + 1, LOW))]
+    rng.shuffle(preds)
+    preds = [tuple(p) for p in preds]
+    asked, stats = [], RunStats()
+    _binary_search_1d(eps, _interval_query(cuts, list(range(k + 1)), asked), preds, stats)
+    predicted = {z for z, _, _ in preds}
+    midpoints = [x for x in asked[2:] if x not in predicted]
+    assert stats.seeded + len(midpoints) == len(asked) - 2
+    found = [bisect_right(cuts, x) for x in midpoints]
+    assert len(set(found)) == len(found) and set(found) <= set(range(1, k))
+    assert len(asked) <= 2 + 2 * k + (k - 1)
+    plain = []
+    _binary_search_1d(eps, _interval_query(cuts, list(range(k + 1)), plain))
+    assert len(asked) < len(plain)
+
+
+def test_planar_predictions_lie_in_their_labels_cells():
+    # each predicted end is a convex combination of two asked points of its
+    # label's cell, so on a consistent oracle it lies in that cell
+    u, eps = random_uepp(2, 4, seed=3), 0.02
+    seen = []
+    section = cdgbs._section
+
+    def spy(m, n_, acc, t, query, adversarial, stats, depth, seed, predictions=()):
+        if m == 2:
+            seen.extend((np.array([t, (1.0 - t) * z]), lbl) for z, lbl, _ in predictions)
+        return section(m, n_, acc, t, query, adversarial, stats, depth, seed, predictions)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cdgbs, "_section", spy)
+        lab = cd_gbs(GbsConfig(2, 4, eps), make_oracle(u))
+    assert seen and lab.stats.seeded > 0
+    assert all(lbl in u.label_set(x, tol=1e-7) for x, lbl in seen)
+    assert is_eps_close(lab, None, eps).is_close
+
+
+def test_predictions_interpolate_the_span_ends_of_the_bracketing_sections():
+    s = _search(make_oracle(random_uepp(2, 3, seed=1)), 2, 3, 0.1)
+    s._add_net(0.2, {1: np.array([[0.2, 0.0], [0.2, 0.3]]), 2: np.array([[0.2, 0.32], [0.2, 0.8]])})
+    s._add_net(0.6, {2: np.array([[0.6, 0.4], [0.6, 0.12]]), 1: np.array([[0.6, 0.0], [0.6, 0.1]]),
+                     3: np.array([[0.6, 0.3]])})
+    s._add_net(1.0, {3: np.array([[1.0, 0.0]])})
+    # at t = 0.4, halfway: y is the mean of the two sections' ends, z = y / 0.6;
+    # label 3 is in one section only
+    got = sorted(s._predictions(0.4), key=lambda p: (p[1], p[2]))
+    want = [(0.0, 1, LOW), (0.2 / 0.6, 1, HIGH), (0.22 / 0.6, 2, LOW), (0.6 / 0.6, 2, HIGH)]
+    assert [p[1:] for p in got] == [p[1:] for p in want]
+    assert [p[0] for p in got] == pytest.approx([p[0] for p in want], abs=1e-12)
+    # a learned coordinate is bracketed by its neighbours, not by itself:
+    # at 0.6, between 0.2 and the apex, no label is in both
+    assert s._predictions(0.6) == []
+    # at 0.7, a quarter of the way from 0.6 to the apex, label 3 spans one
+    # point: y = 0.75 * 0.3
+    got = s._predictions(0.7)
+    assert [p[1:] for p in got] == [(3, LOW), (3, HIGH)]
+    assert [p[0] for p in got] == pytest.approx([0.225 / 0.3] * 2, abs=1e-12)
+    assert s._predictions(0.1) == []

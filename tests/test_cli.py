@@ -59,6 +59,19 @@ def test_learn_manifest_splits_queries_by_depth(tmp_path, algo, m, n):
     assert sum(depth) == manifest["queries"]
 
 
+@pytest.mark.parametrize("m, seeded", [(1, False), (2, True), (3, True)])
+def test_learn_manifest_counts_the_seeded_base_search_points(tmp_path, m, seeded):
+    # every planar search, top-level or a 3-D search's section, seeds its
+    # base searches; a 1-D search has no bracketing sections
+    inst = tmp_path / "u.json"
+    run("gen", "--kind", "uepp", "--m", str(m), "--n", "4", "--seed", "1", "--out", str(inst))
+    out = tmp_path / "lab.json"
+    assert run("learn", "--instance", str(inst), "--eps", "0.05", "--out", str(out)) == EXIT_OK
+    manifest = json.loads((tmp_path / "lab.json.manifest.json").read_text())
+    assert (manifest["seeded_queries"] > 0) == seeded
+    assert manifest["seeded_queries"] < manifest["queries"]
+
+
 @pytest.mark.parametrize("algo, m, n, certified, verified", [
     ("cdgbs", 3, 3, 5, 0),      # the search's slabs tile [0, 1]
     ("crgbs", 3, 2, 0, 1),      # the face route: the whole simplex
