@@ -78,8 +78,7 @@ def duplicates(count=20):
 
 
 def duplicate_run(seed, u, pair, policy, eps=0.1):
-    kw = dict(seed=7) if policy == "roundrobin" else {}
-    o = make_oracle(u, kind="adversarial", policy=policy, record=False, **kw)
+    o = make_oracle(u, kind="adversarial", policy=policy, seed=7, record=False)
     lab = cd_gbs_adversarial(GbsConfig(2, 3, eps, oracle_kind="adversarial"), o)
     return dict(algo="cd", m=2, n=3, uepp_seed=seed, kind="adversarial", policy=policy, eps=eps,
                 queries=lab.stats.queries, close=bool(is_eps_close(lab, None, eps).is_close),
