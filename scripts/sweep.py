@@ -15,7 +15,8 @@ base searches: cd_gbs and cd_gbs_adversarial on random_uepp(m, n, seed)
 for seeds 100-105 at six (m, n, eps), and criterion 5's 20 duplicate-cell
 instances under the max-index and round-robin adversaries; it prints the
 queries per (m, n, eps) and per policy, the round-robin runs that merged
-the duplicate pair, and every run that ends not close.
+the duplicate pair, and every run that ends not close.  A missing argument
+or an unknown mode prints the usage line and exits 2.
 """
 import itertools
 import json
@@ -24,6 +25,10 @@ import time
 
 import numpy as np
 
+MODES = ("planar", "faces", "games", "queries")
+if len(sys.argv) != 4 or sys.argv[2] not in MODES:
+    print(f"usage: python3 sweep.py SRC {'|'.join(MODES)} OUT.json", file=sys.stderr)
+    sys.exit(2)
 sys.path.insert(0, sys.argv[1])
 from partlearn.bimatrix import BimatrixGame, make_br_oracles, solve_wsne, verify_wsne  # noqa: E402
 from partlearn.cdgbs import GbsConfig, cd_gbs, cd_gbs_adversarial  # noqa: E402
@@ -138,7 +143,7 @@ elif which == "queries":
         rows.append(one("cd", m, n, seed, 0, kind, eps))
     for case in duplicates():
         rows += [duplicate_run(*case, policy) for policy in ("maxindex", "roundrobin")]
-else:
+elif which == "faces":
     for m, n, s, kind, algo in itertools.product((3, 4), (2, 3), range(6),
                                                  ("lexicographic", "adversarial"), ("cd", "cr")):
         rows.append(one(algo, m, n, 300 + s, s, kind, 0.15))

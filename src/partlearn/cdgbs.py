@@ -10,15 +10,18 @@ cross-section is non-degenerate, which is what makes that safe.
 
 Interval coverage inside the search is judged against the nearest labelled
 cross-sections bracketing the interval (the quantity the covered-interval
-counting argument is about).  The top-level search hands the slabs it
-certified to the labelling it returns (`SlabRecord`), and the end check
-verifies only the slabs they leave.  A planar search seeds each section's
-1-D base search with the span ends its two bracketing sections predict
-(`_Search._predictions`).
+counting argument is about).  Every cross-section is learned once, at its
+search's eps rather than the paper's eps^2 / (85 (1 - t) n m^2.5): the slab
+certificates, not the section accuracy, carry every verdict.  The top-level
+search hands the slabs it certified to the labelling it returns
+(`SlabRecord`), and the end check verifies only the slabs they leave.  A
+planar search seeds each section's 1-D base search with the span ends its
+two bracketing sections predict (`_Search._predictions`).
 
 This module is the search core shared with the face-by-face search of
-``crgbs``: every lower-dimensional run (a cross-section or a face) is pulled
-back through its lift, and every public entry finishes in one body that
+``crgbs``: every level of a public search shares one `_Run`, every
+lower-dimensional run (a cross-section or a face) is pulled back through its
+lift (`_Run.lift`), and every public entry finishes in one body that
 asks through the run's one `AnswerMemo` and merges (adversarial) or checks
 (lexicographic) interior conflicts.
 """
@@ -38,44 +41,6 @@ from .partition import KINDS, AnswerMemo
 from .predicates import ETA
 
 LOW, HIGH = 0, 1        # which end of a label's span a base-search prediction guesses
-
-
-def sub_eps(eps: float, m: int, n: int, t: float) -> float:
-    """Accuracy handed to the cross-section recursion at coordinate t.
-
-    The paper's value ``eps^2 / (85 (1 - t) n m^2.5)``, floored at the
-    predicate band ETA.  The paper's value compounds with depth (to ~1e-17
-    two levels down), but nothing finer than ETA reaches a verdict:
-
-    * every lift is affine with Lipschitz constant at most 1 - t <= 1
-      (sections) or a small constant (faces), so a boundary located to ETA
-      in a section sits within a small multiple of ETA of where the paper's
-      accuracy would put it;
-    * the search quantises finer detail away: `_binary_search_1d` collapses
-      a label's span of at most ETA to one point, `_Search.bracket` treats
-      coordinates within ETA as one, and `PointHull` treats a direction in
-      which a set spans at most ETA as flat.
-
-    Soundness never rested on this value: "close" verdicts come from
-    `verify_eps_net`, `slab_certificate_2d`, `is_eps_close` and the
-    full-information WSNE verifier, none of which read it.  The search
-    learns its sections at `_section_eps`, never finer than eps.
-    """
-    return max(eps * eps / (85.0 * (1.0 - t) * n * m ** 2.5), ETA)
-
-
-def _section_eps(eps: float, m: int, n: int, t: float) -> float:
-    """Accuracy of the cross-section at t in every dimension, repairs
-    included: ``max(sub_eps, eps)``.
-
-    The slab certificates (`verify_eps_net`, `slab_certificate_2d`) judge a
-    slab against hulls spanning both bracketing sections, which needs no
-    section finer than the search's own eps.  Each section is learned once
-    at this accuracy; a slab it brackets that still fails its certificate
-    is recursed into, and soundness rests on the certificates, not on this
-    value.
-    """
-    return max(sub_eps(eps, m, n, t), eps)
 
 
 def uncovered_cap(m: int, n: int) -> int:
@@ -144,17 +109,19 @@ class _RunOutput:
     """Points (``{raw label: (k, m) array}``, local frame) plus flags from one
     search level.  Every point is one the level's query was asked.
     ``certified`` lists a `_Search`'s certified slabs ``(a, b)``, sorted;
-    other runs have None."""
+    other runs have None.  ``seeded`` counts a 1-D search's pivots taken
+    from its predictions."""
 
-    __slots__ = ("points", "flagged", "certified")
+    __slots__ = ("points", "flagged", "certified", "seeded")
 
-    def __init__(self, points: dict, flagged: bool, certified=None):
+    def __init__(self, points: dict, flagged: bool, certified=None, seeded=0):
         self.points = points
         self.flagged = flagged
         self.certified = certified
+        self.seeded = seeded
 
 
-def _binary_search_1d(eps: float, query, predictions=(), stats=None) -> _RunOutput:
+def _binary_search_1d(eps: float, query, predictions=()) -> _RunOutput:
     """Base case: learn a partition of the unit interval.
 
     Bisects every gap whose endpoint labels differ until gaps are at most
@@ -167,7 +134,7 @@ def _binary_search_1d(eps: float, query, predictions=(), stats=None) -> _RunOutp
     first unused prediction strictly inside it that is la's high end or
     lb's low end is the pivot, in place of the midpoint; so a prediction is
     asked only where bisection would ask a point, and a one-label interval
-    still costs its two ends.  ``stats.seeded`` counts those pivots.
+    still costs its two ends.  The output's ``seeded`` counts those pivots.
     """
     pts = {}
     pending = list(predictions)
@@ -181,8 +148,6 @@ def _binary_search_1d(eps: float, query, predictions=(), stats=None) -> _RunOutp
         for i, (z, lbl, end) in enumerate(pending):
             if a < z < b and (lbl, end) in ((la, HIGH), (lb, LOW)):
                 del pending[i]
-                if stats is not None:
-                    stats.seeded += 1
                 return z
         return 0.5 * (a + b)
 
@@ -210,7 +175,7 @@ def _binary_search_1d(eps: float, query, predictions=(), stats=None) -> _RunOutp
         for other, xs in pts.items():
             if other != lbl and any(lo + ETA < x < hi - ETA for x in xs):
                 flagged = True
-    return _RunOutput(out, flagged)
+    return _RunOutput(out, flagged, seeded=len(predictions) - len(pending))
 
 
 def _by_label(nets) -> dict:
@@ -223,10 +188,10 @@ def _by_label(nets) -> dict:
 
 
 class _Search:
-    """One CD-GBS invocation on a local corner simplex.
+    """One CD-GBS invocation on a local corner simplex, in ``run``.
 
-    Every cross-section, a repair's included, is learned once, at
-    `_section_eps`.  A slab left uncovered is recursed into at its
+    Every cross-section, a repair's included, is learned once, at the
+    search's eps.  A slab left uncovered is recursed into at its
     midpoint; the halves of the last level's are not checked again.
     ``certified`` keeps every slab whose certificate passed, with the
     coordinates that bracketed it; they tile [0, 1] but for the slabs left
@@ -235,17 +200,13 @@ class _Search:
     `AnswerMemo`.
     """
 
-    def __init__(self, m: int, n: int, eps: float, query, adversarial: bool,
-                 cap: int, stats: RunStats, depth: int, seed: int):
+    def __init__(self, run: _Run, m: int, eps: float, query, depth: int):
+        self.run = run
         self.m = m
-        self.n = n
         self.eps = eps
         self.query = query
-        self.adversarial = adversarial
-        self.cap = cap
-        self.stats = stats
+        self.cap = uncovered_cap(m, run.n)
         self.depth = depth
-        self.seed = seed
         self.nets = {}          # t -> {label: (k, m) array}
         self.coords = []        # sorted labelled coordinates
         self.flagged = False
@@ -265,17 +226,17 @@ class _Search:
         self._bracket_hulls.clear()
 
     def recurse(self, t: float) -> None:
-        """Learn the cross-section at t at `_section_eps` and pull its points
-        back; a planar search seeds the section's base search with
+        """Learn the cross-section at t at the search's eps and pull its
+        points back; a planar search seeds the section's base search with
         `_predictions`."""
-        acc = _section_eps(self.eps, self.m, self.n, t)
-        res = _section(self.m, self.n, acc, t, self.query, self.adversarial, self.stats,
-                       self.depth + 1, self.seed, self._predictions(t) if self.m == 2 else ())
+        self.run.stats.recursions += 1
+        res = self.run.lift(section_lift(t, self.m), self.m - 1, self.eps, self.query,
+                            self.depth + 1, self._predictions(t) if self.m == 2 else ())
         self._add_net(t, res.points)
         if res.flagged and t not in self.suspects:
             self.suspects.append(t)
             if self.depth == 0:
-                self.stats.suspects.append(t)
+                self.run.stats.suspects.append(t)
 
     def _predictions(self, t: float) -> list:
         """Where the labels' spans end in the planar section at t, guessed
@@ -328,7 +289,7 @@ class _Search:
         report = verify_eps_net(SimplexSlab(self.m, a, b), hulls, self.eps)
         return report.is_close
 
-    def run(self) -> _RunOutput:
+    def search(self) -> _RunOutput:
         self.recurse(0.0)
         apex = np.zeros(self.m)
         apex[0] = 1.0
@@ -353,16 +314,16 @@ class _Search:
                 else:
                     uncovered.append(iv)
             if self.depth == 0:
-                self.stats.per_level_uncovered.append(len(uncovered))
-            if not self.adversarial and len(uncovered) > self.cap:
-                self.stats.halted_cap = True
+                self.run.stats.per_level_uncovered.append(len(uncovered))
+            if not self.run.adversarial and len(uncovered) > self.cap:
+                self.run.stats.halted_cap = True
                 self.flagged = True
                 break
             for a, b in uncovered:
                 self.recurse(0.5 * (a + b))
             frontier = uncovered
 
-        if not self.adversarial and not self.stats.halted_cap:
+        if not self.run.adversarial and not self.run.stats.halted_cap:
             self._fix_suspects()
 
         return _RunOutput(_by_label(self.nets.values()), self.flagged, sorted(self.certified))
@@ -383,7 +344,7 @@ class _Search:
         half = self.eps / 2
         for x in list(self.suspects):
             region = SimplexSlab(self.m, max(0.0, x - half), min(1.0, x + half))
-            offsets = _vdc_offsets(self.seed)
+            offsets = _vdc_offsets(self.run.seed)
             tried = {x}
             while not verify_eps_net(region, self._hulls(), self.eps).is_close:
                 if len(tried) > 2 * self.cap:
@@ -392,55 +353,54 @@ class _Search:
                 while not 0.0 <= z < 1.0 or z in tried:
                     z = x + next(offsets) * half
                 tried.add(z)
-                self.stats.fixes += 1
+                self.run.stats.fixes += 1
                 self.recurse(z)
 
 
-def _run(m: int, n: int, eps: float, query, adversarial: bool, stats: RunStats,
-         depth: int, seed: int, predictions=()) -> _RunOutput:
-    """Search the corner m-simplex; ``predictions`` seed a 1-D search."""
-    if m == 0:
-        lbl = query(np.zeros(0))
-        return _RunOutput({lbl: np.zeros((1, 0))}, False)
-    if m == 1:
-        return _binary_search_1d(eps, query, predictions, stats)
-    cap = uncovered_cap(m, n)
-    return _Search(m, n, eps, query, adversarial, cap, stats, depth, seed).run()
+@dataclass(frozen=True)
+class _Run:
+    """What every search level of one public search run shares: the label
+    count ``n``, the oracle kind, the ``stats`` and the repair ``seed``."""
 
+    n: int
+    adversarial: bool
+    stats: RunStats
+    seed: int
 
-def _lift(lift, dim: int, n: int, eps: float, query, adversarial: bool,
-          stats: RunStats, depth: int, seed: int, predictions=()) -> _RunOutput:
-    """Search the corner dim-simplex through ``lift`` (a cross-section's or
-    a face's) at lift depth ``depth`` and pull every labelled point back
-    with it.
+    def search(self, m: int, eps: float, query, depth: int, predictions=()) -> _RunOutput:
+        """Search the corner m-simplex; ``predictions`` seed a 1-D search."""
+        if m == 0:
+            lbl = query(np.zeros(0))
+            return _RunOutput({lbl: np.zeros((1, 0))}, False)
+        if m == 1:
+            res = _binary_search_1d(eps, query, predictions)
+            self.stats.seeded += res.seeded
+            return res
+        return _Search(self, m, eps, query, depth).search()
 
-    ``query`` is the run's `AnswerMemo` or an enclosing lift's query, with
-    the memo's ``log``.  The log's growth during the search counts at
-    ``depth_queries[depth]`` and comes off the enclosing run's depth, so a
-    query counts once, at the depth of the innermost run that asked it, and
-    a memo hit counts nowhere.
-    """
-    def lifted(z):
-        return query(lift(z))
+    def lift(self, lift, dim: int, eps: float, query, depth: int, predictions=()) -> _RunOutput:
+        """Search the corner dim-simplex through ``lift`` (a cross-section's
+        or a face's) at lift depth ``depth`` and pull every labelled point
+        back with it.
 
-    lifted.log = log = query.log
-    counts = stats.depth_queries
-    counts.extend([0] * (depth + 1 - len(counts)))
-    before = log.count
-    res = _run(dim, n, eps, lifted, adversarial, stats, depth, seed, predictions)
-    asked = log.count - before
-    counts[depth] += asked
-    counts[depth - 1] -= asked
-    return _RunOutput({lbl: lift(pts) for lbl, pts in res.points.items()}, res.flagged)
+        ``query`` is the run's `AnswerMemo` or an enclosing lift's query,
+        with the memo's ``log``.  The log's growth during the search counts
+        at ``depth_queries[depth]`` and comes off the enclosing run's depth,
+        so a query counts once, at the depth of the innermost run that asked
+        it, and a memo hit counts nowhere.
+        """
+        def lifted(z):
+            return query(lift(z))
 
-
-def _section(m: int, n: int, acc: float, t: float, query, adversarial: bool,
-             stats: RunStats, depth: int, seed: int, predictions=()) -> _RunOutput:
-    """One cross-section recursion at coordinate t and accuracy ``acc``, in
-    the run's frame; ``predictions`` seed a 1-D section's search."""
-    stats.recursions += 1
-    return _lift(section_lift(t, m), m - 1, n, acc, query, adversarial, stats, depth, seed,
-                 predictions)
+        lifted.log = log = query.log
+        counts = self.stats.depth_queries
+        counts.extend([0] * (depth + 1 - len(counts)))
+        before = log.count
+        res = self.search(dim, eps, lifted, depth, predictions)
+        asked = log.count - before
+        counts[depth] += asked
+        counts[depth - 1] -= asked
+        return _RunOutput({lbl: lift(pts) for lbl, pts in res.points.items()}, res.flagged)
 
 
 def _vdc_offsets(seed: int):
@@ -465,8 +425,8 @@ def _add_points(lab: EmpiricalLabelling, points: dict) -> None:
         lab.add_block(pts, lbl)
 
 
-def _learn(m: int, n: int, oracle, adversarial: bool, fill) -> EmpiricalLabelling:
-    """The body of every public search: ``fill(lab, stats, query)`` asks the
+def _learn(cfg: GbsConfig, oracle, adversarial: bool, fill) -> EmpiricalLabelling:
+    """The body of every public search: ``fill(lab, run, query)`` asks the
     run's `AnswerMemo` and stores the points, then interior conflicts are
     merged away (adversarial oracle) or flagged (lexicographic oracle, where
     the assembly argument says none can occur).  The labelling carries the
@@ -479,8 +439,8 @@ def _learn(m: int, n: int, oracle, adversarial: bool, fill) -> EmpiricalLabellin
     stats = RunStats()
     query = oracle if isinstance(oracle, AnswerMemo) else AnswerMemo(oracle)
     before = query.log.count
-    lab = EmpiricalLabelling(m, n)
-    fill(lab, stats, query)
+    lab = EmpiricalLabelling(cfg.m, cfg.n)
+    fill(lab, _Run(cfg.n, adversarial, stats, cfg.seed), query)
     if adversarial:
         while (conflict := interior_conflict(lab)) is not None:
             i, j, _ = conflict
@@ -499,13 +459,13 @@ def _dyadic(cfg: GbsConfig, oracle, adversarial: bool) -> EmpiricalLabelling:
     if cfg.oracle_kind != kind:
         raise ValueError(f"this search needs oracle_kind {kind!r}, not {cfg.oracle_kind!r}")
 
-    def fill(lab, stats, query):
-        res = _run(cfg.m, cfg.n, cfg.eps, query, adversarial, stats, 0, cfg.seed)
+    def fill(lab, run, query):
+        res = run.search(cfg.m, cfg.eps, query, 0)
         _add_points(lab, res.points)
         if res.certified is not None:
             lab.certified_slabs = SlabRecord(cfg.eps, tuple(res.certified))
 
-    return _learn(cfg.m, cfg.n, oracle, adversarial, fill)
+    return _learn(cfg, oracle, adversarial, fill)
 
 
 def cd_gbs(cfg: GbsConfig, oracle) -> EmpiricalLabelling:

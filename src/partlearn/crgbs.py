@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import math
 
-from .cdgbs import GbsConfig, _add_points, _learn, _lift, cd_gbs, cd_gbs_adversarial
+from .cdgbs import GbsConfig, _add_points, _learn, cd_gbs, cd_gbs_adversarial
 from .geometry import enumerate_k_faces
-# interior_conflict stays bound here (the merge loop is cdgbs._learn's):
-# perfbench's outside-in tracer patches every module binding of it
+# interior_conflict stays bound here though the merge loop is cdgbs._learn's:
+# perfbench's tracer test reads crgbs.interior_conflict by name
 from .labelling import EmpiricalLabelling, interior_conflict  # noqa: F401
 
 MAX_FACES = 100_000       # faces one run may enumerate
@@ -56,14 +56,13 @@ def cr_gbs(cfg: CrConfig, oracle) -> EmpiricalLabelling:
         raise ValueError("face count beyond the configured cap")
     faces = enumerate_k_faces(cfg.m, cfg.k)
 
-    def fill(lab, stats, query):
+    def fill(lab, run, query):
         for face, lift in faces:
             before = query.log.count
             for v in face.vertex_coords():
                 lab.add_query(v, query(v))
             if cfg.k >= 1:
-                _add_points(lab, _lift(lift, cfg.k, cfg.n, cfg.sub_eps, query, adversarial,
-                                       stats, 1, cfg.seed).points)
-            stats.face_queries[face.vertex_subset] = query.log.count - before
+                _add_points(lab, run.lift(lift, cfg.k, cfg.sub_eps, query, 1).points)
+            run.stats.face_queries[face.vertex_subset] = query.log.count - before
 
-    return _learn(cfg.m, cfg.n, oracle, adversarial, fill)
+    return _learn(cfg, oracle, adversarial, fill)

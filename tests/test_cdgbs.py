@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from partlearn import cdgbs, labelling
 from partlearn.cdgbs import (
     HIGH, LOW, GbsConfig, RunStats, _binary_search_1d, cd_gbs, cd_gbs_adversarial,
-    cdgbs_query_bound, sub_eps, uncovered_cap,
+    cdgbs_query_bound, uncovered_cap,
 )
 from partlearn.coverage import SimplexSlab, simplex_lattice, verify_eps_net
 from partlearn.crgbs import CrConfig, cr_gbs
@@ -211,8 +211,7 @@ def test_run_on_degenerate_dyadic_section():
 
 def _search(o, m, n, eps, seed=0):
     """A lexicographic top-level `_Search` asking ``o`` through a memo."""
-    return cdgbs._Search(m, n, eps, AnswerMemo(o), False, uncovered_cap(m, n), cdgbs.RunStats(),
-                         0, seed)
+    return cdgbs._Search(cdgbs._Run(n, False, RunStats(), seed), m, eps, AnswerMemo(o), 0)
 
 
 def _sparse_search(o, m, n, eps, points, seed=0):
@@ -238,11 +237,11 @@ def _ball_covered(s, x) -> bool:
 def test_repair_asks_nothing_when_the_ball_slab_is_covered():
     o = make_oracle(random_uepp(2, 2, seed=9))
     s = _search(o, 2, 2, 0.15)
-    s.run()
+    s.search()
     before = o.log.count
     s.suspects.append(0.5)
     s._fix_suspects()
-    assert o.log.count == before and s.stats.fixes == 0
+    assert o.log.count == before and s.run.stats.fixes == 0
 
 
 def test_repair_covers_a_sparse_two_label_neighbourhood():
@@ -262,7 +261,7 @@ def test_repair_retries_at_the_section_accuracy(seed, eps):
     o = make_oracle(random_uepp(2, 3, seed=seed))
     s = _sparse_search(o, 2, 3, eps, [[0.0, 0.0], [1.0, 0.0]])
     s._fix_suspects()
-    assert 0 < s.stats.fixes <= 2 * uncovered_cap(2, 3)
+    assert 0 < s.run.stats.fixes <= 2 * uncovered_cap(2, 3)
     assert _ball_covered(s, 0.5)
 
 
@@ -283,7 +282,7 @@ def test_every_search_of_a_run_repairs_with_the_config_seed(monkeypatch):
 
     def spy(self, *args):
         init(self, *args)
-        seeds.append(self.seed)
+        seeds.append(self.run.seed)
 
     monkeypatch.setattr(cdgbs._Search, "__init__", spy)
     cd_gbs(GbsConfig(3, 3, 0.2, seed=7), make_oracle(random_uepp(3, 3, seed=1)))
@@ -364,32 +363,29 @@ def _paper_sub_eps(eps, m, n, t):
 @pytest.mark.parametrize("kind", ["lexicographic", "adversarial"])
 @pytest.mark.parametrize("n, eps, seed", [(3, 0.2, 40), (3, 0.1, 41), (4, 0.15, 42)])
 def test_eta_floor_against_the_paper_accuracy(kind, n, eps, seed):
-    # two levels down the paper's accuracy is far below ETA, so the floor binds
+    # sections at the search's eps against the paper's accuracy, which two
+    # levels down is far below the predicate band ETA
     assert _paper_sub_eps(_paper_sub_eps(eps, 3, n, 0.5), 2, n, 0.5) < ETA
     u = random_uepp(3, n, seed=seed)
     search = cd_gbs if kind == "lexicographic" else cd_gbs_adversarial
-    floored = search(GbsConfig(3, n, eps, oracle_kind=kind), make_oracle(u, kind=kind))
+    at_eps = search(GbsConfig(3, n, eps, oracle_kind=kind), make_oracle(u, kind=kind))
+    lift = cdgbs._Run.lift
+
+    def paper_lift(self, section, dim, acc, *rest):
+        # the reference learns the section at t at the paper's accuracy
+        t = float(section(np.zeros(dim))[0])
+        return lift(self, section, dim, _paper_sub_eps(acc, dim + 1, self.n, t), *rest)
+
     with pytest.MonkeyPatch.context() as mp:
-        # the reference is the single-pass schedule at the paper's accuracy
-        mp.setattr(cdgbs, "sub_eps", _paper_sub_eps)
-        mp.setattr(cdgbs, "_section_eps", _paper_sub_eps)
+        mp.setattr(cdgbs._Run, "lift", paper_lift)
         paper = search(GbsConfig(3, n, eps, oracle_kind=kind), make_oracle(u, kind=kind))
-    for lab in (floored, paper):
+    for lab in (at_eps, paper):
         assert is_eps_close(lab, None, eps).is_close
         assert sum(lab.stats.depth_queries) == lab.stats.queries
         assert len(lab.stats.depth_queries) == 3
-    assert floored.stats.queries <= paper.stats.queries
+    assert at_eps.stats.queries <= paper.stats.queries
     # the top-level search reads eps itself, so only the deeper counts move
-    assert floored.stats.depth_queries[2] < paper.stats.depth_queries[2]
-
-
-def test_sub_eps_never_below_eta():
-    for m in range(1, 9):
-        for n in range(1, 9):
-            for eps in (1.0, 0.1, 1e-3, 1e-6):
-                for t in (0.0, 0.5, 0.999):
-                    want = max(_paper_sub_eps(eps, m, n, t), ETA)
-                    assert sub_eps(eps, m, n, t) == want >= ETA
+    assert at_eps.stats.depth_queries[2] < paper.stats.depth_queries[2]
 
 
 def test_depth_queries_split_the_queries_by_lift_depth():
@@ -448,15 +444,15 @@ def test_sections_are_learned_once_and_counted_at_their_depth(m, n, eps, seed, d
 @pytest.mark.parametrize("kind", ["lexicographic", "adversarial"])
 def test_first_passes_run_at_the_search_eps_in_every_dimension(kind):
     eps, n = 0.1, 3
-    calls = []          # (section dim + 1, enclosing search's eps, acc, t)
+    calls = []          # (section dim + 1, enclosing search's eps, acc)
     searches = [eps]    # eps of the enclosing searches, innermost last
-    section = cdgbs._section
+    lift = cdgbs._Run.lift
 
-    def spy_section(m, n_, acc, t, *rest):
-        calls.append((m, searches[-1], acc, t))
+    def spy_lift(self, section, dim, acc, *rest):
+        calls.append((dim + 1, searches[-1], acc))
         searches.append(acc)
         try:
-            return section(m, n_, acc, t, *rest)
+            return lift(self, section, dim, acc, *rest)
         finally:
             searches.pop()
 
@@ -464,21 +460,45 @@ def test_first_passes_run_at_the_search_eps_in_every_dimension(kind):
     cfg = GbsConfig(3, n, eps, oracle_kind=kind)
     o = make_oracle(random_uepp(3, n, seed=100), kind=kind)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cdgbs, "_section", spy_section)
+        mp.setattr(cdgbs._Run, "lift", spy_lift)
         lab = search(cfg, o)
         searched = len(calls)
         # a repair learns its sections as a search does
         _sparse_search(o, 3, n, eps, np.vstack([np.zeros(3), np.eye(3)]))._fix_suspects()
     assert is_eps_close(lab, None, eps).is_close
     assert len(calls) > searched
-    for m, e, acc, t in calls:
-        assert acc == max(sub_eps(e, m, n, t), e)
+    for _m, e, acc in calls:
+        assert acc == e
     # the 3-D search's sections and the repair's are learned at eps ...
-    assert {acc for m, _e, acc, _t in calls if m == 3} == {eps}
-    # ... and the planar searches below them learn theirs at their own eps
-    planar = [(e, acc) for m, e, acc, _t in calls if m == 2]
-    assert planar and all(acc == e for e, acc in planar)
-    assert {e for e, _acc in planar} >= {eps}
+    assert {acc for m, _e, acc in calls if m == 3} == {eps}
+    # ... and so are those of the planar searches below them
+    assert {acc for m, _e, acc in calls if m == 2} == {eps}
+
+
+def test_a_section_next_to_the_apex_is_learned_at_the_search_eps(monkeypatch):
+    # the one place the paper's accuracy eps^2 / (85 (1 - t) n m^2.5) exceeds
+    # eps: 1 - t below eps / (85 n m^2.5)
+    eps, n, t = 0.1, 3, 1.0 - 2.0 ** -20
+    assert eps * eps / (85.0 * (1.0 - t) * n * 2 ** 2.5) > eps
+    o = make_oracle(random_uepp(2, n, seed=7))
+    s = _search(o, 2, n, eps)
+    s.search()
+    calls = []
+    lift = cdgbs._Run.lift
+
+    def spy(self, section, dim, acc, *rest):
+        res = lift(self, section, dim, acc, *rest)
+        calls.append((acc, res))
+        return res
+
+    monkeypatch.setattr(cdgbs._Run, "lift", spy)
+    s.recurse(t)
+    [(acc, res)] = calls
+    assert acc == eps
+    pts = np.vstack(list(res.points.values()))
+    assert np.all(pts[:, 0] == t)
+    asked = {pt for pt, _ in o.log.transcript}
+    assert all(tuple(p) in asked for p in pts)
 
 
 @pytest.mark.parametrize("kind", ["lexicographic", "adversarial"])
@@ -717,8 +737,8 @@ def seeded_intervals(draw):
 @given(seeded_intervals())
 def test_seeded_base_search_keeps_the_bisection_invariants(case):
     cuts, labels, eps, preds = case
-    asked, stats = [], RunStats()
-    out = _binary_search_1d(eps, _interval_query(cuts, labels, asked), preds, stats)
+    asked = []
+    out = _binary_search_1d(eps, _interval_query(cuts, labels, asked), preds)
     assert asked[:2] == [0.0, 1.0]
     assert len(set(asked)) == len(asked)
     # relabel the asked set by brute force: neighbours that differ are eps-close
@@ -730,7 +750,7 @@ def test_seeded_base_search_keeps_the_bisection_invariants(case):
         span = [x for x, r in zip(xs, ref) if r == lbl]
         assert out.points[lbl][[0, -1], 0].tolist() in ([min(span)] * 2, [min(span), max(span)])
     # every pivot taken from a prediction is one asked point inside [0, 1]
-    assert stats.seeded <= min(len(preds), len(set(asked[2:]) & {z for z, _, _ in preds}))
+    assert out.seeded <= min(len(preds), len(set(asked[2:]) & {z for z, _, _ in preds}))
 
 
 @settings(max_examples=100, deadline=None)
@@ -761,11 +781,11 @@ def test_exact_predictions_cost_two_points_a_breakpoint(k):
              for p in ((c - eps / 3, i, HIGH), (c + eps / 3, i + 1, LOW))]
     rng.shuffle(preds)
     preds = [tuple(p) for p in preds]
-    asked, stats = [], RunStats()
-    _binary_search_1d(eps, _interval_query(cuts, list(range(k + 1)), asked), preds, stats)
+    asked = []
+    out = _binary_search_1d(eps, _interval_query(cuts, list(range(k + 1)), asked), preds)
     predicted = {z for z, _, _ in preds}
     midpoints = [x for x in asked[2:] if x not in predicted]
-    assert stats.seeded + len(midpoints) == len(asked) - 2
+    assert out.seeded + len(midpoints) == len(asked) - 2
     found = [bisect_right(cuts, x) for x in midpoints]
     assert len(set(found)) == len(found) and set(found) <= set(range(1, k))
     assert len(asked) <= 2 + 2 * k + (k - 1)
@@ -779,15 +799,14 @@ def test_planar_predictions_lie_in_their_labels_cells():
     # label's cell, so on a consistent oracle it lies in that cell
     u, eps = random_uepp(2, 4, seed=3), 0.02
     seen = []
-    section = cdgbs._section
+    lift = cdgbs._Run.lift
 
-    def spy(m, n_, acc, t, query, adversarial, stats, depth, seed, predictions=()):
-        if m == 2:
-            seen.extend((np.array([t, (1.0 - t) * z]), lbl) for z, lbl, _ in predictions)
-        return section(m, n_, acc, t, query, adversarial, stats, depth, seed, predictions)
+    def spy(self, section, dim, acc, query, depth, predictions=()):
+        seen.extend((section(np.array([z])), lbl) for z, lbl, _ in predictions)
+        return lift(self, section, dim, acc, query, depth, predictions)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cdgbs, "_section", spy)
+        mp.setattr(cdgbs._Run, "lift", spy)
         lab = cd_gbs(GbsConfig(2, 4, eps), make_oracle(u))
     assert seen and lab.stats.seeded > 0
     assert all(lbl in u.label_set(x, tol=1e-7) for x, lbl in seen)
