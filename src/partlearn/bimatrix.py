@@ -323,10 +323,9 @@ def _learn_partition(oracle, dim: int, labels: int, eps: float) -> EmpiricalLabe
     """Adversarial labelling of a best-response partition at accuracy eps.
 
     Two labels take the face route, whose faces are 1-D binary searches.
-    With more labels the faces have dimension 2 or more (the route needs
-    dim > C(labels, 2)), and their accuracy `cr_sub_eps` is below eps /
-    33,541, far past desk scale; the dimension recursion is the workable
-    path there.
+    More labels take the dimension recursion: their faces would have
+    dimension 2 or more (the route needs dim > C(labels, 2)), and no game
+    panel has measured the face route there yet.
     """
     if labels == 1:
         return _single_label_labelling(dim, labels)

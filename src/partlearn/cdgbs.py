@@ -89,6 +89,11 @@ class RunStats:
     their cross-sections 2, and so on; a memo hit counts nowhere, and the
     list sums to ``queries``.  ``seeded`` counts the base-search pivots
     taken from a breakpoint predicted by two bracketing sections.
+    ``face_eps`` is the accuracy of the cr_gbs face round that returned,
+    None when no face was learned.  Over cr_gbs's face rounds the work
+    counters (``queries``, ``depth_queries``, ``face_queries``,
+    ``recursions``, ``seeded``, ``fixes``) sum; the other fields describe
+    the round that returned.
     """
 
     queries: int = 0
@@ -103,6 +108,20 @@ class RunStats:
     suspects: list = field(default_factory=list)
     face_queries: dict = field(default_factory=dict)
     fallback: bool = False
+    face_eps: float | None = None
+
+    def add_work(self, earlier: RunStats) -> None:
+        """Add the work counters of an earlier round of the same run."""
+        self.queries += earlier.queries
+        counts = self.depth_queries
+        counts.extend([0] * (len(earlier.depth_queries) - len(counts)))
+        for d, q in enumerate(earlier.depth_queries):
+            counts[d] += q
+        for face, q in earlier.face_queries.items():
+            self.face_queries[face] = self.face_queries.get(face, 0) + q
+        self.recursions += earlier.recursions
+        self.seeded += earlier.seeded
+        self.fixes += earlier.fixes
 
 
 class _RunOutput:

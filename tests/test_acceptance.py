@@ -1,10 +1,12 @@
 """Acceptance suite: one test per acceptance criterion, each printing a
 PASS/FAIL line with its runtime.  Run with ``pytest -s`` to stream the lines;
 a session that runs all 11 criteria writes a copy to acceptance_report.txt
-at the repository root.
+at the repository root when a line differs from the file's other than in
+its timing.
 """
 
 import math
+import re
 import time
 from pathlib import Path
 
@@ -37,11 +39,17 @@ def _report(num, ok, detail, t0):
     assert ok, line
 
 
+def _untimed(lines):
+    return [re.sub(r" \([0-9.]+s\)$", "", line) for line in lines]
+
+
 @pytest.fixture(scope="session", autouse=True)
 def _write_report():
     yield
-    # a partial run (``-k criterion_10``) leaves the full report as it is
-    if len(_LINES) == _CRITERIA:
+    # a partial run (``-k criterion_10``) leaves the full report as it is,
+    # and so does a run whose lines moved only in their timings
+    old = _REPORT.read_text().splitlines() if _REPORT.exists() else []
+    if len(_LINES) == _CRITERIA and _untimed(_LINES) != _untimed(old):
         _REPORT.write_text("\n".join(_LINES) + "\n")
 
 

@@ -59,6 +59,21 @@ def test_learn_manifest_splits_queries_by_depth(tmp_path, algo, m, n):
     assert sum(depth) == manifest["queries"]
 
 
+@pytest.mark.parametrize("algo, m, n, face_eps", [
+    ("cdgbs", 3, 3, None),      # no faces
+    ("crgbs", 2, 3, None),      # m <= C(n, 2): the dimension recursion
+    ("crgbs", 3, 2, 0.1),       # the first face round, at eps / 2, verified
+])
+def test_learn_manifest_reports_the_face_accuracy(tmp_path, algo, m, n, face_eps):
+    inst = tmp_path / "u.json"
+    run("gen", "--kind", "uepp", "--m", str(m), "--n", str(n), "--seed", "4", "--out", str(inst))
+    out = tmp_path / "lab.json"
+    assert run("learn", "--instance", str(inst), "--algo", algo, "--eps", "0.2",
+               "--out", str(out)) == EXIT_OK
+    manifest = json.loads((tmp_path / "lab.json.manifest.json").read_text())
+    assert manifest["face_eps"] == face_eps
+
+
 @pytest.mark.parametrize("m, seeded", [(1, False), (2, True), (3, True)])
 def test_learn_manifest_counts_the_seeded_base_search_points(tmp_path, m, seeded):
     # every planar search, top-level or a 3-D search's section, seeds its

@@ -1,4 +1,7 @@
 import math
+import time
+from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,8 +9,9 @@ import pytest
 from partlearn import crgbs
 from partlearn.cdgbs import GbsConfig, cd_gbs, cd_gbs_adversarial, cdgbs_query_bound
 from partlearn.crgbs import CrConfig, cr_gbs, cr_sub_eps, gamma_capture
+from partlearn.coverage import simplex_lattice
 from partlearn.geometry import PointHull, corner_simplex_vertices, gamma_interior
-from partlearn.labelling import is_eps_close, voronoi_labels
+from partlearn.labelling import EmpiricalLabelling, is_eps_close, voronoi_labels
 from partlearn.partition import cell_hpolytope, make_oracle, random_uepp
 from partlearn.partition import _enumerate_vertices
 
@@ -27,7 +31,7 @@ def test_crgbs_close_with_face_budget(m):
     assert lab.stats.depth_queries == [m + 1, o.log.count - (m + 1)]
 
 
-# cr_gbs (4, 3) is left out: its faces overrun the verifier's cell cap
+# cr_gbs with n = 3 is checked in test_n3_face_runs_match_a_lattice_reference
 @pytest.mark.parametrize("search, m, n, eps, kind", [
     ("cd_gbs", 3, 3, 0.1, "lexicographic"),
     ("cd_gbs_adversarial", 3, 3, 0.1, "adversarial"),
@@ -115,7 +119,22 @@ def test_lexicographic_hulls_stay_sound():
         assert (PointHull(gt[root].vertices).distances(W) <= 1e-6).all()
 
 
-def test_gamma_interior_points_receive_their_label():
+def _force_last_round(monkeypatch) -> list:
+    """Make every first-round end check fail, so cr_gbs returns its
+    `cr_sub_eps` round; the list returned collects the checks' eps."""
+    checks = []
+
+    def fails(lab, region, eps):
+        checks.append(eps)
+        return SimpleNamespace(is_close=False)
+    monkeypatch.setattr(crgbs, "is_eps_close", fails)
+    return checks
+
+
+def test_gamma_interior_points_receive_their_label(monkeypatch):
+    # the capture lemma is the claim of the paper's face accuracy, which
+    # only the last round learns at
+    _force_last_round(monkeypatch)
     m, n, eps = 3, 2, 0.15
     u = random_uepp(m, n, seed=7)
     o = make_oracle(u, record=False)
@@ -139,3 +158,93 @@ def test_adversarial_merges_terminate():
     lab = cr_gbs(CrConfig(4, 2, 0.15, oracle_kind="adversarial"), o)
     assert len(lab.stats.merges) <= 1   # n - 1
     assert is_eps_close(lab, None, 0.15).is_close
+
+
+@lru_cache(maxsize=None)
+def _lattice_max_distance(text: str, spacing: float) -> float:
+    """Largest distance from a point of the spacing lattice of the simplex
+    to the nearest class hull of the labelling ``text``, exactly: a point
+    inside a hull (facet bound 0) is at 0, every other one is measured."""
+    lab = EmpiricalLabelling.from_json(text)
+    X = simplex_lattice(lab.m, spacing)
+    hulls = [lab.point_hull(root) for root in lab.class_roots()]
+    outside = np.ones(len(X), dtype=bool)
+    for h in hulls:
+        outside &= h.lower_bounds(X) > 0
+    X = X[outside]
+    return float(np.min([h.distances(X) for h in hulls], axis=0).max()) if len(X) else 0.0
+
+
+def _mislabelled(lab, u, tol=1e-7) -> int:
+    """Stored points whose class holds none of the UEPP's labels there."""
+    bad = 0
+    for lbl in range(1, lab.n + 1):
+        pts = lab.points_of(lbl, merged=False)
+        if len(pts):
+            vals = pts @ u.A.T + u.b
+            members = [k - 1 for k in range(1, lab.n + 1) if lab.find(k) == lab.find(lbl)]
+            bad += int(np.sum(vals[:, members].max(axis=1) < vals.max(axis=1) - tol))
+    return bad
+
+
+@pytest.mark.parametrize("kind", ("lexicographic", "adversarial"))
+@pytest.mark.parametrize("seed", range(300, 306))
+def test_n3_face_runs_match_a_lattice_reference(seed, kind):
+    # the 3-faces at cr_sub_eps(4, 3, 0.15) = 4.5e-6 overran the verifier's
+    # cell cap on all twelve runs; the first round at eps/2 settles them
+    m, n, eps = 4, 3, 0.15
+    u = random_uepp(m, n, seed=seed)
+    o = make_oracle(u, kind=kind)
+    lab = cr_gbs(CrConfig(m, n, eps, oracle_kind=kind), o)
+    assert is_eps_close(lab, None, eps).is_close
+    assert _lattice_max_distance(lab.to_json(), 1 / 40) <= eps
+    assert _mislabelled(lab, u) == 0
+    points = [pt for pt, _ in o.log.transcript]
+    assert len(set(points)) == len(points) == lab.stats.queries == sum(lab.stats.depth_queries)
+    assert len(lab.stats.face_queries) == math.comb(m + 1, 4)
+
+
+@pytest.mark.parametrize("m, seed", [(5, 300), (5, 301), (6, 300)])
+def test_n3_face_route_finishes_in_seconds(m, seed):
+    eps = 0.15
+    o = make_oracle(random_uepp(m, 3, seed=seed), record=False)
+    t0 = time.process_time()
+    lab = cr_gbs(CrConfig(m, 3, eps), o)
+    assert is_eps_close(lab, None, eps).is_close
+    assert time.process_time() - t0 < 30.0
+    assert lab.stats.queries == o.log.count
+
+
+@pytest.mark.parametrize("m, n, seed, kind", [
+    (4, 2, 1, "adversarial"), (3, 2, 5, "lexicographic"), (5, 2, 2, "adversarial")])
+def test_a_forced_fallback_returns_the_one_round_labelling(monkeypatch, m, n, seed, kind):
+    # a one-round run: the first round at (a float's width from) cr_sub_eps,
+    # accepted unchecked
+    eps = 0.15
+    cfg = CrConfig(m, n, eps, oracle_kind=kind)
+    u = random_uepp(m, n, seed=seed)
+    with monkeypatch.context() as mp:
+        mp.setattr(crgbs, "FIRST_ROUND", cr_sub_eps(m, n, eps) / eps)
+        mp.setattr(crgbs, "is_eps_close", lambda lab, region, eps: SimpleNamespace(is_close=True))
+        one = cr_gbs(cfg, make_oracle(u, kind=kind, record=False))
+    assert one.stats.face_eps == pytest.approx(cfg.sub_eps)
+    checks = _force_last_round(monkeypatch)
+    o = make_oracle(u, kind=kind, record=False)
+    lab = cr_gbs(cfg, o)
+    assert checks == [eps] and lab.stats.face_eps == cfg.sub_eps
+    assert lab.to_json() == one.to_json()
+    # 1-D faces: the first round's bisection points are the last round's
+    assert lab.stats.queries == one.stats.queries == o.log.count
+    assert sum(lab.stats.depth_queries) == lab.stats.queries
+    assert sum(lab.stats.face_queries.values()) == sum(one.stats.face_queries.values())
+
+
+@pytest.mark.parametrize("m, n, seed", [(4, 2, 1), (6, 2, 1), (4, 3, 302)])
+def test_an_accepted_first_round_counts_every_charged_query(m, n, seed):
+    eps = 0.15
+    o = make_oracle(random_uepp(m, n, seed=seed), kind="adversarial", record=False)
+    lab = cr_gbs(CrConfig(m, n, eps, oracle_kind="adversarial"), o)
+    assert lab.stats.face_eps == eps / 2
+    assert sum(lab.stats.depth_queries) == lab.stats.queries == o.log.count
+    # every query, a simplex vertex's included, is asked within a face
+    assert sum(lab.stats.face_queries.values()) == o.log.count
