@@ -14,8 +14,10 @@ profile with verify_wsne.  ``queries`` is the query baseline of the 1-D
 base searches: cd_gbs and cd_gbs_adversarial on random_uepp(m, n, seed)
 for seeds 100-105 at six (m, n, eps), and criterion 5's 20 duplicate-cell
 instances under the max-index and round-robin adversaries; it prints the
-queries per (m, n, eps) and per policy, the round-robin runs that merged
-the duplicate pair, and every run that ends not close.  A missing argument
+queries and the base-search answers inferred with no query
+(``RunStats.inferred``) per (m, n, eps), the queries per policy, the
+round-robin runs that merged the duplicate pair, and every run that ends
+not close.  A missing argument
 or an unknown mode prints the usage line and exits 2.
 """
 import itertools
@@ -53,6 +55,7 @@ def one(algo, m, n, seed, s, kind, eps):
         else:
             lab = cr_gbs(CrConfig(m, n, eps, oracle_kind=kind, seed=s), o)
         row["queries"] = lab.stats.queries
+        row["inferred"] = lab.stats.inferred
         row["close"] = bool(is_eps_close(lab, None, eps).is_close)
     except Exception as exc:
         row["queries"] = o.log.count
@@ -91,14 +94,15 @@ def duplicate_run(seed, u, pair, policy, eps=0.1):
 
 
 def queries_summary(rows):
-    by_case, by_policy = {}, {}
+    by_case, inferred_by_case, by_policy = {}, {}, {}
     for r in rows:
         if "policy" in r:
             by_policy[r["policy"]] = by_policy.get(r["policy"], 0) + r["queries"]
         else:
             key = f"m={r['m']} n={r['n']} eps={r['eps']}"
             by_case[key] = by_case.get(key, 0) + r["queries"]
-    return dict(by_case=by_case, by_policy=by_policy,
+            inferred_by_case[key] = inferred_by_case.get(key, 0) + r.get("inferred", 0)
+    return dict(by_case=by_case, inferred_by_case=inferred_by_case, by_policy=by_policy,
                 roundrobin_merges=sum(r.get("merged", False) for r in rows))
 
 

@@ -16,7 +16,16 @@ certificates, not the section accuracy, carry every verdict.  The top-level
 search hands the slabs it certified to the labelling it returns
 (`SlabRecord`), and the end check verifies only the slabs they leave.  A
 planar search seeds each section's 1-D base search with the span ends its
-two bracketing sections predict (`_Search._predictions`).
+two bracketing sections predict (`_Search._predictions`).  The cells are
+convex, so each label's span between its two predicted ends is proven: the
+base search answers a point there with no query (`_binary_search_1d`).
+
+A search therefore keeps two point sets.  The points it returns, which
+become the labelling, are oracle answers only, a replaced net's included.
+Its own section nets, which the slab certificates, the predictions and the
+repairs read, also keep the inferred span ends.  Every inferred point is a
+convex combination of net points of its label, so by induction it lies in
+the hull of the returned points of that label.
 
 This module is the search core shared with the face-by-face search of
 ``crgbs``: every level of a public search shares one `_Run`, every
@@ -88,18 +97,21 @@ class RunStats:
     0 is the top-level search, its cross-sections or cr_gbs faces are 1,
     their cross-sections 2, and so on; a memo hit counts nowhere, and the
     list sums to ``queries``.  ``seeded`` counts the base-search pivots
-    taken from a breakpoint predicted by two bracketing sections.
+    taken from a breakpoint predicted by two bracketing sections, asked or
+    inferred; ``inferred`` counts the base-search answers that came from a
+    span two bracketing sections prove, with no query.
     ``face_eps`` is the accuracy of the cr_gbs face round that returned,
     None when no face was learned.  Over cr_gbs's face rounds the work
     counters (``queries``, ``depth_queries``, ``face_queries``,
-    ``recursions``, ``seeded``, ``fixes``) sum; the other fields describe
-    the round that returned.
+    ``recursions``, ``seeded``, ``inferred``, ``fixes``) sum; the other
+    fields describe the round that returned.
     """
 
     queries: int = 0
     depth_queries: list = field(default_factory=lambda: [0])
     recursions: int = 0
     seeded: int = 0
+    inferred: int = 0
     fixes: int = 0
     per_level_uncovered: list = field(default_factory=list)
     merges: list = field(default_factory=list)
@@ -121,26 +133,45 @@ class RunStats:
             self.face_queries[face] = self.face_queries.get(face, 0) + q
         self.recursions += earlier.recursions
         self.seeded += earlier.seeded
+        self.inferred += earlier.inferred
         self.fixes += earlier.fixes
 
 
 class _RunOutput:
     """Points (``{raw label: (k, m) array}``, local frame) plus flags from one
-    search level.  Every point is one the level's query was asked.
-    ``certified`` lists a `_Search`'s certified slabs ``(a, b)``, sorted;
-    other runs have None.  ``seeded`` counts a 1-D search's pivots taken
-    from its predictions."""
+    search level.  Every one of ``points`` is an answer of the level's
+    query.  ``net`` is what an enclosing search keeps of the level: its
+    labelled points, inferred ones included (``points`` by default).  Each
+    point of ``net`` lies in the hull of the answers of its label that the
+    enclosing search returns: these ``points`` and those of the sections
+    its spans came from.  ``certified`` lists a `_Search`'s certified slabs
+    ``(a, b)``, sorted; other runs have None.  ``seeded`` counts a 1-D
+    search's pivots taken from its predictions and ``inferred`` its answers
+    taken from a proven span."""
 
-    __slots__ = ("points", "flagged", "certified", "seeded")
+    __slots__ = ("points", "flagged", "certified", "seeded", "net", "inferred")
 
-    def __init__(self, points: dict, flagged: bool, certified=None, seeded=0):
+    def __init__(self, points: dict, flagged: bool, certified=None, seeded=0, net=None,
+                 inferred=0):
         self.points = points
         self.flagged = flagged
         self.certified = certified
         self.seeded = seeded
+        self.net = points if net is None else net
+        self.inferred = inferred
 
 
-def _binary_search_1d(eps: float, query, predictions=()) -> _RunOutput:
+def _span_ends(xs_by_label: dict) -> dict:
+    """The lowest and highest of each label's points on a line, one point
+    when they meet."""
+    out = {}
+    for lbl, xs in xs_by_label.items():
+        lo, hi = min(xs), max(xs)
+        out[lbl] = np.array([[lo]]) if hi - lo <= ETA else np.array([[lo], [hi]])
+    return out
+
+
+def _binary_search_1d(eps: float, query, predictions=(), spans=()) -> _RunOutput:
     """Base case: learn a partition of the unit interval.
 
     Bisects every gap whose endpoint labels differ until gaps are at most
@@ -152,15 +183,33 @@ def _binary_search_1d(eps: float, query, predictions=()) -> _RunOutput:
     ends (`LOW` or `HIGH`).  In a gap (a, b) with end labels la != lb, the
     first unused prediction strictly inside it that is la's high end or
     lb's low end is the pivot, in place of the midpoint; so a prediction is
-    asked only where bisection would ask a point, and a one-label interval
-    still costs its two ends.  The output's ``seeded`` counts those pivots.
+    taken only where bisection would take a point, and a one-label interval
+    still takes its two ends.  The output's ``seeded`` counts those pivots.
+
+    ``spans`` are ``(lo, hi, label)`` intervals proven to lie in the
+    label's closed cell.  The cells are convex, so the segment between two
+    points of one label lies in that label's cell: a planar search proves
+    the span every label of both bracketing sections has on the line
+    between them (`_Search.recurse`).  An end, midpoint or pivot in a span
+    takes its label with no query; ``inferred`` counts those answers.  The
+    output's ``points`` are each label's lowest and highest answered point,
+    its ``net`` the lowest and highest labelled one, inferred or answered
+    (``points`` itself when nothing was inferred).
     """
-    pts = {}
+    asked, labelled = {}, {}
     pending = list(predictions)
+    inferred = 0
 
     def ask(x: float) -> int:
-        lbl = query(np.array([x]))
-        pts.setdefault(lbl, []).append(x)
+        nonlocal inferred
+        for lo, hi, lbl in spans:
+            if lo <= x <= hi:
+                inferred += 1
+                break
+        else:
+            lbl = query(np.array([x]))
+            asked.setdefault(lbl, []).append(x)
+        labelled.setdefault(lbl, []).append(x)
         return lbl
 
     def pivot(a: float, b: float, la: int, lb: int):
@@ -185,16 +234,12 @@ def _binary_search_1d(eps: float, query, predictions=()) -> _RunOutput:
         if lm != lb:
             gaps.append((mid, b, lm, lb))
 
-    out = {}
-    flagged = False
-    spans = {lbl: (min(v), max(v)) for lbl, v in pts.items()}
-    for lbl, (lo, hi) in spans.items():
-        out[lbl] = np.array([[lo]]) if hi - lo <= ETA else np.array([[lo], [hi]])
-        # interleaved labels mean the section was degenerate or ties abound
-        for other, xs in pts.items():
-            if other != lbl and any(lo + ETA < x < hi - ETA for x in xs):
-                flagged = True
-    return _RunOutput(out, flagged, seeded=len(predictions) - len(pending))
+    bounds = {lbl: (min(xs), max(xs)) for lbl, xs in labelled.items()}
+    # interleaved labels mean the section was degenerate or ties abound
+    flagged = any(lo + ETA < x < hi - ETA for lbl, (lo, hi) in bounds.items()
+                  for other, xs in labelled.items() if other != lbl for x in xs)
+    return _RunOutput(_span_ends(asked), flagged, seeded=len(predictions) - len(pending),
+                      net=_span_ends(labelled) if inferred else None, inferred=inferred)
 
 
 def _by_label(nets) -> dict:
@@ -226,7 +271,8 @@ class _Search:
         self.query = query
         self.cap = uncovered_cap(m, run.n)
         self.depth = depth
-        self.nets = {}          # t -> {label: (k, m) array}
+        self.nets = {}          # t -> {label: (k, m) array}, inferred points included
+        self.answers = []       # every section's oracle answers, replaced nets' included
         self.coords = []        # sorted labelled coordinates
         self.flagged = False
         self.suspects = []      # local recursion coords with flagged sub-runs
@@ -237,6 +283,8 @@ class _Search:
         # a repair landing on a learned coordinate learns that section again,
         # at the same accuracy and through the memo; its net replaces the
         # first, whose points the slabs it bracketed were certified against
+        # (the first net's answers stay in `answers`: points inferred on
+        # other lines may rest on them)
         if t in self.nets:
             self.certified = {iv: br for iv, br in self.certified.items() if t not in br}
         else:
@@ -246,12 +294,17 @@ class _Search:
 
     def recurse(self, t: float) -> None:
         """Learn the cross-section at t at the search's eps and pull its
-        points back; a planar search seeds the section's base search with
-        `_predictions`."""
+        points back.  A planar search seeds the section's base search with
+        `_predictions` and hands it, as proven spans, each label's predicted
+        low and high end: both are convex combinations of points of the
+        label's cell."""
         self.run.stats.recursions += 1
+        preds = self._predictions(t) if self.m == 2 else []
+        spans = [(lo, hi, lbl) for (lo, lbl, _), (hi, _, _) in zip(preds[::2], preds[1::2])]
         res = self.run.lift(section_lift(t, self.m), self.m - 1, self.eps, self.query,
-                            self.depth + 1, self._predictions(t) if self.m == 2 else ())
-        self._add_net(t, res.points)
+                            self.depth + 1, preds, spans)
+        self.answers.append(res.points)
+        self._add_net(t, res.net)
         if res.flagged and t not in self.suspects:
             self.suspects.append(t)
             if self.depth == 0:
@@ -266,7 +319,8 @@ class _Search:
         each label in both sections, each end of its span at t is the linear
         interpolation in t of that end's y at t_l and t_r, a convex
         combination of two points of the label's cell; it is handed to
-        `_binary_search_1d` as ``(y / (1 - t), label, end)``.
+        `_binary_search_1d` as ``(y / (1 - t), label, end)``, a label's low
+        end right before its high end.
         """
         lo_i = bisect_left(self.coords, t) - 1
         hi_i = bisect_right(self.coords, t)
@@ -313,7 +367,8 @@ class _Search:
         apex = np.zeros(self.m)
         apex[0] = 1.0
         lbl = self.query(apex)
-        self._add_net(1.0, {lbl: apex[None, :]})
+        self.answers.append({lbl: apex[None, :]})
+        self._add_net(1.0, self.answers[-1])
 
         levels = max(0, math.ceil(math.log2(2.0 / self.eps)))
         frontier = [(0.0, 1.0)]
@@ -345,7 +400,8 @@ class _Search:
         if not self.run.adversarial and not self.run.stats.halted_cap:
             self._fix_suspects()
 
-        return _RunOutput(_by_label(self.nets.values()), self.flagged, sorted(self.certified))
+        return _RunOutput(_by_label(self.answers), self.flagged, sorted(self.certified),
+                          net=_by_label(self.nets.values()))
 
     def _hulls(self) -> list:
         return [PointHull(v) for v in _by_label(self.nets.values()).values()]
@@ -386,21 +442,25 @@ class _Run:
     stats: RunStats
     seed: int
 
-    def search(self, m: int, eps: float, query, depth: int, predictions=()) -> _RunOutput:
-        """Search the corner m-simplex; ``predictions`` seed a 1-D search."""
+    def search(self, m: int, eps: float, query, depth: int, predictions=(), spans=()
+               ) -> _RunOutput:
+        """Search the corner m-simplex; ``predictions`` seed a 1-D search
+        and ``spans`` answer in it (`_binary_search_1d`)."""
         if m == 0:
             lbl = query(np.zeros(0))
             return _RunOutput({lbl: np.zeros((1, 0))}, False)
         if m == 1:
-            res = _binary_search_1d(eps, query, predictions)
+            res = _binary_search_1d(eps, query, predictions, spans)
             self.stats.seeded += res.seeded
+            self.stats.inferred += res.inferred
             return res
         return _Search(self, m, eps, query, depth).search()
 
-    def lift(self, lift, dim: int, eps: float, query, depth: int, predictions=()) -> _RunOutput:
+    def lift(self, lift, dim: int, eps: float, query, depth: int, predictions=(), spans=()
+             ) -> _RunOutput:
         """Search the corner dim-simplex through ``lift`` (a cross-section's
-        or a face's) at lift depth ``depth`` and pull every labelled point
-        back with it.
+        or a face's) at lift depth ``depth`` and pull every labelled point,
+        the ``points`` and the ``net``, back with it.
 
         ``query`` is the run's `AnswerMemo` or an enclosing lift's query,
         with the memo's ``log``.  The log's growth during the search counts
@@ -415,11 +475,13 @@ class _Run:
         counts = self.stats.depth_queries
         counts.extend([0] * (depth + 1 - len(counts)))
         before = log.count
-        res = self.search(dim, eps, lifted, depth, predictions)
+        res = self.search(dim, eps, lifted, depth, predictions, spans)
         asked = log.count - before
         counts[depth] += asked
         counts[depth - 1] -= asked
-        return _RunOutput({lbl: lift(pts) for lbl, pts in res.points.items()}, res.flagged)
+        points = {lbl: lift(pts) for lbl, pts in res.points.items()}
+        net = points if res.net is res.points else {lbl: lift(pts) for lbl, pts in res.net.items()}
+        return _RunOutput(points, res.flagged, net=net)
 
 
 def _vdc_offsets(seed: int):

@@ -147,6 +147,7 @@ def cmd_learn(args) -> int:
         "queries": queries,
         "depth_queries": lab.stats.depth_queries,
         "seeded_queries": lab.stats.seeded,
+        "inferred_answers": lab.stats.inferred,
         "face_eps": lab.stats.face_eps,
         "per_level_uncovered": lab.stats.per_level_uncovered if args.algo == "cdgbs" else [],
         "merges": [list(m) for m in lab.stats.merges],

@@ -484,7 +484,7 @@ def test_witness_rule_accepts_only_wsne(case):
 # support, grid resolution, row queries, column queries).
 ONE_ROUND = [
     (random_game(4, 3, seed=101), 0.1, [0.0, 0.7375, 0.0], [0.0, 0.2875], [1, 3], [1, 3],
-     0.0125, 103, 239),
+     0.0125, 80, 176),
     (lower_bound_game(0.3, 0.7), 0.05, [0.7], [0.3], [1, 2], [1, 2], 0.025, 9, 9),
 ]
 

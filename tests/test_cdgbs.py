@@ -801,9 +801,9 @@ def test_planar_predictions_lie_in_their_labels_cells():
     seen = []
     lift = cdgbs._Run.lift
 
-    def spy(self, section, dim, acc, query, depth, predictions=()):
+    def spy(self, section, dim, acc, query, depth, predictions=(), spans=()):
         seen.extend((section(np.array([z])), lbl) for z, lbl, _ in predictions)
-        return lift(self, section, dim, acc, query, depth, predictions)
+        return lift(self, section, dim, acc, query, depth, predictions, spans)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cdgbs._Run, "lift", spy)
@@ -834,3 +834,106 @@ def test_predictions_interpolate_the_span_ends_of_the_bracketing_sections():
     assert [p[1:] for p in got] == [(3, LOW), (3, HIGH)]
     assert [p[0] for p in got] == pytest.approx([0.225 / 0.3] * 2, abs=1e-12)
     assert s._predictions(0.1) == []
+
+
+# --- answers proven by two bracketing sections ------------------------------
+
+@st.composite
+def spanned_intervals(draw):
+    """A seeded case plus true spans: each lies in one half-open interval
+    [c_i, c_i+1) of the partition and carries that interval's label."""
+    cuts, labels, eps, preds = draw(seeded_intervals())
+    ends = [0.0] + cuts + [1.0]
+    spans = []
+    for i in draw(st.lists(st.integers(0, len(cuts)), max_size=4)):
+        if ends[i] < ends[i + 1]:
+            z = st.floats(ends[i], ends[i + 1], exclude_max=i < len(cuts))
+            lo, hi = sorted([draw(z), draw(z)])
+            spans.append((lo, hi, labels[i]))
+    return cuts, labels, eps, preds, spans
+
+
+@settings(max_examples=300, deadline=None)
+@given(spanned_intervals())
+def test_proven_spans_answer_without_a_query(case):
+    cuts, labels, eps, preds, spans = case
+    asked, seen = [], []
+    out = _binary_search_1d(eps, _interval_query(cuts, labels, asked), preds, spans)
+    # a span's label is the true label of every point in it, so the search
+    # takes the points the plain search with the same predictions asks
+    ref = _binary_search_1d(eps, _interval_query(cuts, labels, seen), preds)
+    in_span = [any(lo <= x <= hi for lo, hi, _ in spans) for x in seen]
+    assert asked == [x for x, s in zip(seen, in_span) if not s]
+    assert not any(lo < x < hi for x in asked for lo, hi, _ in spans)
+    assert out.inferred == sum(in_span) and out.seeded == ref.seeded
+    # the relabelling invariant over asked and inferred points
+    xs = sorted(seen)
+    truth = [labels[bisect_right(cuts, x)] for x in xs]
+    for x, y, lx, ly in zip(xs, xs[1:], truth, truth[1:]):
+        assert lx == ly or y - x <= eps
+    # the net holds every labelled point's span ends; the points only answers
+    assert {k: v.tolist() for k, v in out.net.items()} == \
+        {k: v.tolist() for k, v in ref.points.items()}
+    for lbl, pts in out.points.items():
+        assert set(pts[:, 0].tolist()) <= {x for x in asked if labels[bisect_right(cuts, x)] == lbl}
+    assert set(out.points) == {labels[bisect_right(cuts, x)] for x in asked}
+
+
+def _spy_inferred(mp) -> list:
+    """Every ``(point, label)`` a 1-D base search inferred from a span, in
+    the search's global frame: the spy replays each line whose search had
+    spans, answering from the spans first and from the run's memo else."""
+    seen, lifts = [], []    # lifts: those of the enclosing runs, outermost first
+    lift = cdgbs._Run.lift
+
+    def spy(self, section, dim, acc, query, depth, predictions=(), spans=()):
+        chain = lifts + [section]
+        lifts.append(section)
+        try:
+            res = lift(self, section, dim, acc, query, depth, predictions, spans)
+        finally:
+            lifts.pop()
+
+        def to_global(z):
+            for f in reversed(chain):
+                z = f(z)
+            return z
+
+        def replay(z):
+            lbl = next((j for lo, hi, j in spans if lo <= z[0] <= hi), None)
+            if lbl is None:
+                return query(section(z))
+            seen.append((to_global(z), lbl))
+            return lbl
+
+        if spans:
+            _binary_search_1d(acc, replay, predictions)
+        return res
+
+    mp.setattr(cdgbs._Run, "lift", spy)
+    return seen
+
+
+@pytest.mark.parametrize("kind", ["lexicographic", "adversarial"])
+@pytest.mark.parametrize("m, n, seed, eps", [(2, 3, 1, 0.05), (2, 5, 2, 0.02), (3, 3, 100, 0.1),
+                                             (3, 5, 106, 0.1)])
+def test_inferred_answers_are_correct_and_in_the_returned_hulls(kind, m, n, seed, eps):
+    u = random_uepp(m, n, seed=seed)
+    search = cd_gbs if kind == "lexicographic" else cd_gbs_adversarial
+    with pytest.MonkeyPatch.context() as mp:
+        seen = _spy_inferred(mp)
+        lab = search(GbsConfig(m, n, eps, oracle_kind=kind), make_oracle(u, kind=kind))
+    assert len(seen) == lab.stats.inferred > 0
+    assert all(lbl in u.label_set(x, tol=1e-7) for x, lbl in seen)
+    for lbl in {lbl for _, lbl in seen}:
+        x = np.array([x for x, j in seen if j == lbl])
+        assert PointHull(lab.points_of(lbl, merged=False)).distances(x).max() <= ETA
+    assert is_eps_close(lab, None, eps).is_close
+
+
+def test_add_work_sums_the_inferred_answers_with_the_other_work_counters():
+    later = RunStats(queries=5, depth_queries=[1, 4], recursions=2, seeded=1, inferred=3)
+    later.add_work(RunStats(queries=7, depth_queries=[2, 2, 3], recursions=1, seeded=2,
+                            inferred=4, fixes=1))
+    assert (later.queries, later.depth_queries, later.recursions, later.seeded,
+            later.inferred, later.fixes) == (12, [3, 6, 3], 3, 3, 7, 1)

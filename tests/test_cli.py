@@ -305,3 +305,15 @@ def test_unknown_instance_file(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"what": 1}')
     assert run("solve", "--instance", str(bad), "--eps", "0.1") == EXIT_INVALID
+
+
+@pytest.mark.parametrize("m, inferred", [(1, False), (2, True), (3, True)])
+def test_learn_manifest_counts_the_answers_inferred_without_a_query(tmp_path, m, inferred):
+    # only a planar search has two bracketing sections to prove a span from
+    inst = tmp_path / "u.json"
+    run("gen", "--kind", "uepp", "--m", str(m), "--n", "4", "--seed", "1", "--out", str(inst))
+    out = tmp_path / "lab.json"
+    assert run("learn", "--instance", str(inst), "--eps", "0.05", "--out", str(out)) == EXIT_OK
+    manifest = json.loads((tmp_path / "lab.json.manifest.json").read_text())
+    assert (manifest["inferred_answers"] > 0) == inferred
+    assert sum(manifest["depth_queries"]) == manifest["queries"]
